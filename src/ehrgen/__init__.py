@@ -47,7 +47,7 @@ _EXPORTS = {
     "local_objective": ".trainer", "global_grad_estimate": ".trainer",
     "psgld_step": ".trainer", "train": ".trainer", "build_parts": ".trainer",
     "draw_local_noises": ".trainer", "encode_posteriors": ".trainer",
-    "init_phi": ".trainer",
+    "init_phi": ".trainer", "step_gradients": ".trainer",
     # model container
     "TrainedModel": ".model", "ModelParts": ".model",
     # generation

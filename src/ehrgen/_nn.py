@@ -3,8 +3,9 @@
 Everything runs in float64. Each forward function returns ``(output, cache)``
 and has a matching ``*_backward`` that consumes the cache plus the upstream
 gradient and returns gradients for the parameters and the inputs. Parameter
-sets are plain dicts of named arrays so optimizers, clipping, and checkpoints
-can treat every network uniformly.
+sets are plain dicts of named arrays; a ``Layout`` maps such a dict onto one
+flat vector, so optimizers, clipping and checkpoints treat every network as
+a single array.
 """
 
 from __future__ import annotations
@@ -289,28 +290,45 @@ def iter_arrays(tree, prefix=""):
             yield path, val
 
 
-def tree_map(fn, tree):
-    return {
-        k: tree_map(fn, v) if isinstance(v, dict) else fn(v)
-        for k, v in tree.items()
-    }
+class Layout:
+    """Where each leaf of a parameter tree sits in one flat float64 vector.
 
+    ``entries`` holds ``(path, shape, offset)`` in ``iter_arrays`` order.
+    ``Layout(spec)`` takes ``[(path, shape), ...]``, as ``spec()`` returns.
+    """
 
-def tree_add_scaled(target, delta, scale=1.0):
-    """target += scale * delta, in place, matching nested structure."""
-    for k, v in delta.items():
-        if isinstance(v, dict):
-            tree_add_scaled(target[k], v, scale)
-        else:
-            target[k] += scale * v
+    def __init__(self, spec):
+        self.entries, self.size = [], 0
+        for path, shape in spec:
+            self.entries.append((path, tuple(shape), self.size))
+            self.size += math.prod(shape)
 
+    @classmethod
+    def of(cls, tree):
+        return cls((path, arr.shape) for path, arr in iter_arrays(tree))
 
-def tree_zeros_like(tree):
-    return tree_map(np.zeros_like, tree)
+    def spec(self):
+        return [(path, shape) for path, shape, _ in self.entries]
 
+    def flatten(self, tree):
+        """One new vector holding the leaves of ``tree``."""
+        leaves = list(iter_arrays(tree))
+        if [(path, arr.shape) for path, arr in leaves] != self.spec():
+            raise ValueError("tree does not match the layout")
+        return np.concatenate([arr.ravel() for _, arr in leaves])
 
-def tree_copy(tree):
-    return tree_map(np.copy, tree)
+    def views(self, vec):
+        """The nested dict of ``vec``; each leaf is a view, not a copy."""
+        if vec.shape != (self.size,):
+            raise ValueError(f"vector {vec.shape} != layout ({self.size},)")
+        tree = {}
+        for path, shape, offset in self.entries:
+            *parents, leaf = path.split("/")
+            node = tree
+            for key in parents:
+                node = node.setdefault(key, {})
+            node[leaf] = vec[offset:offset + math.prod(shape)].reshape(shape)
+        return tree
 
 
 def global_norm(tree):
@@ -320,13 +338,12 @@ def global_norm(tree):
     return math.sqrt(total)
 
 
-def clip_global_norm(tree, max_norm):
-    """Scale the whole gradient tree so its global norm is <= max_norm."""
-    norm = global_norm(tree)
+def clip_global_norm(vec, max_norm):
+    """Scale the gradient vector in place so its norm is <= max_norm;
+    returns the norm before clipping."""
+    norm = math.sqrt(float(vec @ vec))
     if norm > max_norm > 0.0:
-        scale = max_norm / norm
-        for _, arr in iter_arrays(tree):
-            arr *= scale
+        vec *= max_norm / norm
     return norm
 
 
@@ -335,7 +352,7 @@ def clip_global_norm(tree, max_norm):
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Adam over a nested dict of parameter arrays."""
+    """Adam over one flat parameter vector."""
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -343,25 +360,19 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = tree_zeros_like(params)
-        self.v = tree_zeros_like(params)
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
     def step(self, params, grads):
         """Ascent step (parameters move along +grads), in place."""
+        if grads.shape != params.shape:
+            raise ValueError(f"grads shape {grads.shape} != {params.shape}")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, m, v = self.beta1, self.beta2, self.m, self.v
         corr1 = 1.0 - b1 ** self.t
         corr2 = 1.0 - b2 ** self.t
-        for (path, p), (gpath, g), (_, m), (_, v) in zip(
-            iter_arrays(params),
-            iter_arrays(grads),
-            iter_arrays(self.m),
-            iter_arrays(self.v),
-        ):
-            if path != gpath:
-                raise ValueError(f"gradient tree mismatch: {path} vs {gpath}")
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p += self.lr * (m / corr1) / (np.sqrt(v / corr2) + self.eps)
+        m *= b1
+        m += (1.0 - b1) * grads
+        v *= b2
+        v += (1.0 - b2) * grads * grads
+        params += self.lr * (m / corr1) / (np.sqrt(v / corr2) + self.eps)

@@ -370,7 +370,7 @@ def cmd_attack(args, out):
         for i in rng.choice(len(outsiders.records), size=n_out,
                             replace=False)
     ]
-    outcome = ev.presence_disclosure(synth, known, prior=args.prior,
+    outcome = ev.presence_disclosure(synth, known,
                                      order_sensitive=args.order_sensitive)
     _json_report(out.path(args.out), {
         "schema": "attack/1", "config_digest": config_digest(args),
@@ -473,7 +473,6 @@ def build_parser():
     p.add_argument("--holdout-cohort", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--n-known", type=int, default=100)
-    p.add_argument("--prior", type=float, default=0.8)
     p.add_argument("--order-sensitive", action="store_true")
 
     return parser, subparsers

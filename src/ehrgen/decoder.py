@@ -205,9 +205,9 @@ def ancestral_sample(params, cfg, z, rng, eos_id, temperature=1.0,
                      forbid=()):
     """Draw token sequences position by position.
 
-    The full stack is re-run at each step; sequences here are short enough
-    that incremental caching is not worth the bookkeeping. Returns a list of
-    B token lists with the end marker stripped.
+    The full stack is re-run over the whole prefix at each step, so the
+    cost grows quadratically in the sequence length. Returns a list of B
+    token lists with the end marker stripped.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     B = z.shape[0]

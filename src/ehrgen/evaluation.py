@@ -196,12 +196,15 @@ def train_next_visit_predictor(cohort, seed=0, hidden=64, embed=32,
     t_max = max(len(r.visits) for r in cohort.records)
     batch = encode_cohort(cohort, vocab, t_max)
     rng = np.random.default_rng(seed)
-    params = {
+    init = {
         "emb": _nn.embedding_init(rng, vocab.size, embed),
         "lstm": _nn.lstm_init(rng, embed, hidden),
         "head": _nn.dense_init(rng, hidden, vocab.size),
     }
-    adam = _nn.Adam(params, lr=lr)
+    layout = _nn.Layout.of(init)
+    vec = layout.flatten(init)
+    params = layout.views(vec)
+    adam = _nn.Adam(vec, lr=lr)
     n = len(batch)
     eos = vocab.eos_id
     for _ in range(epochs):
@@ -225,7 +228,8 @@ def train_next_visit_predictor(cohort, seed=0, hidden=64, embed=32,
             g_head, dh = _nn.dense_backward(c_head, dlogits)
             g_lstm, demb = _nn.lstm_backward(c_lstm, dh_seq=dh)
             g_emb = _nn.embedding_backward(c_emb, demb)
-            adam.step(params, {"emb": g_emb, "lstm": g_lstm, "head": g_head})
+            adam.step(vec, layout.flatten(
+                {"emb": g_emb, "lstm": g_lstm, "head": g_head}))
     codes, M = _code_axis(vocab)
     return NextVisitPredictor(params=params, vocab=vocab, hidden=hidden,
                               codes=codes, code_matrix=M)
@@ -274,14 +278,13 @@ class AttackOutcome:
     fp: int
     fn: int
     tn: int
-    prior: float
     order_sensitive: bool
 
     def as_dict(self):
         return {
             "sensitivity": self.sensitivity, "precision": self.precision,
             "tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn,
-            "prior": self.prior, "order_sensitive": self.order_sensitive,
+            "order_sensitive": self.order_sensitive,
         }
 
 
@@ -290,7 +293,7 @@ def _match_key(record, order_sensitive):
     return tuple(keys) if order_sensitive else tuple(sorted(keys))
 
 
-def presence_disclosure(synthetic, known, prior=0.8, order_sensitive=False):
+def presence_disclosure(synthetic, known, order_sensitive=False):
     """Membership attack: an attacker holding ``known`` records claims
     training membership whenever a synthetic record has the same visits.
 
@@ -314,18 +317,18 @@ def presence_disclosure(synthetic, known, prior=0.8, order_sensitive=False):
     sens = tp / (tp + fn) if tp + fn else 0.0
     prec = tp / (tp + fp) if tp + fp else 0.0
     return AttackOutcome(sensitivity=sens, precision=prec, tp=tp, fp=fp,
-                         fn=fn, tn=tn, prior=prior,
-                         order_sensitive=order_sensitive)
+                         fn=fn, tn=tn, order_sensitive=order_sensitive)
 
 
 # ---------------------------------------------------------------------------
-# held-out bound
+# held-out score
 # ---------------------------------------------------------------------------
 
 def elbo_holdout(model, cohort):
-    """Average per-record lower bound on held-out records, evaluated at the
-    encoder means (no sampling noise) with the last posterior sample of the
-    globals. Never exceeds 0."""
+    """Average per-record plug-in ELBO estimate on held-out records: the
+    decoder scored at the encoder means with the last posterior sample of
+    the globals, minus the closed-form KL terms. Scoring at the mean instead
+    of averaging over q makes it no lower bound. Never exceeds 0."""
     snapshot = model.point_sample()
     parts = model.parts
     batch = encode_cohort(cohort, model.vocab, model.dec_cfg.t_max)
@@ -333,13 +336,13 @@ def elbo_holdout(model, cohort):
     q_z = qs["z"]
     recon, _ = sequence_log_likelihood(
         snapshot["theta"], model.dec_cfg, q_z.mean, batch.tokens, batch.mask)
-    bound = float(recon.sum())
+    score = float(recon.sum())
     if model.variant == "eva":
-        bound -= kl_diag_gaussians(q_z, 0.0, 1.0)
+        score -= kl_diag_gaussians(q_z, 0.0, 1.0)
     else:
         pi = compose_intensities(batch.conditions, qs["w"].mean)
         prior_mean = pi @ snapshot["H"].T + qs["b"].mean
-        bound -= kl_diag_gaussians(q_z, prior_mean, model.hyper.tau)
-        bound -= kl_diag_gaussians(qs["b"], 0.0, model.hyper.gamma)
-        bound -= kl_diag_gaussians(qs["w"], 0.0, 1.0)
-    return bound / len(batch)
+        score -= kl_diag_gaussians(q_z, prior_mean, model.hyper.tau)
+        score -= kl_diag_gaussians(qs["b"], 0.0, model.hyper.gamma)
+        score -= kl_diag_gaussians(qs["w"], 0.0, 1.0)
+    return score / len(batch)

@@ -1,9 +1,9 @@
 """Trained-model container and single-file checkpoints.
 
-A checkpoint is one ``.npz`` holding every parameter array (encoder tree and
-the reservoir of posterior (theta, H) samples) plus a JSON metadata string
-with the configs, vocabulary, condition names, and training history. The
-format is versioned so stale files fail loudly.
+A checkpoint is one ``.npz`` holding the encoder vector, the reservoir of
+posterior (theta, H) samples as one (R, P) array, and a JSON metadata string
+with both layouts, the configs, vocabulary, condition names, and training
+history. The format is versioned so stale files fail loudly.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .decoder import DecoderConfig
 from .encoders import EncoderConfig
 from .latent import HierarchyHyper
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -34,18 +34,6 @@ class ModelParts:
     @property
     def latent_names(self):
         return ("z",) if self.variant == "eva" else ("z", "w", "b")
-
-
-def _unflatten(flat):
-    """Inverse of _nn.iter_arrays path naming: 'a/b/c' -> nested dicts."""
-    tree = {}
-    for path, arr in flat.items():
-        node = tree
-        keys = path.split("/")
-        for k in keys[:-1]:
-            node = node.setdefault(k, {})
-        node[keys[-1]] = arr
-    return tree
 
 
 @dataclass
@@ -77,21 +65,13 @@ class TrainedModel:
             raise ValueError("model has an empty posterior reservoir")
         return self.reservoir[-1]
 
-    def draw_sample(self, rng):
-        """Uniform draw from the reservoir (weight-uncertainty mode)."""
-        if not self.reservoir:
-            raise ValueError("model has an empty posterior reservoir")
-        return self.reservoir[int(rng.integers(len(self.reservoir)))]
-
     # -- persistence --------------------------------------------------------
 
     def save(self, path):
-        arrays = {}
-        for p, arr in _nn.iter_arrays(self.phi):
-            arrays[f"phi/{p}"] = arr
-        for i, snap in enumerate(self.reservoir):
-            for p, arr in _nn.iter_arrays(snap):
-                arrays[f"res{i}/{p}"] = arr
+        phi_layout = _nn.Layout.of(self.phi)
+        res_layout = _nn.Layout.of(self.reservoir[0] if self.reservoir else {})
+        reservoir = np.array([res_layout.flatten(s) for s in self.reservoir])
+        reservoir = reservoir.reshape(len(self.reservoir), res_layout.size)
         meta = {
             "format_version": CHECKPOINT_VERSION,
             "variant": self.variant,
@@ -100,6 +80,8 @@ class TrainedModel:
             "hyper": asdict(self.hyper),
             "condition_names": list(self.condition_names),
             "n_reservoir": len(self.reservoir),
+            "phi_layout": phi_layout.spec(),
+            "globals_layout": res_layout.spec(),
             "train_config": (None if self.train_config is None
                              else asdict(self.train_config)),
             "history": self.history or [],
@@ -110,7 +92,8 @@ class TrainedModel:
             "extra": self.extra or {},
         }
         with open(path, "wb") as fh:
-            np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
+            np.savez(fh, meta=np.array(json.dumps(meta)),
+                     phi=phi_layout.flatten(self.phi), reservoir=reservoir)
 
     @classmethod
     def load(cls, path):
@@ -120,16 +103,14 @@ class TrainedModel:
                 raise ValueError(
                     f"unsupported checkpoint version "
                     f"{meta.get('format_version')!r}")
-            flat = {k: data[k] for k in data.files if k != "meta"}
-        phi_flat = {k[len("phi/"):]: v for k, v in flat.items()
-                    if k.startswith("phi/")}
-        phi = _unflatten(phi_flat)
-        reservoir = []
-        for i in range(meta["n_reservoir"]):
-            prefix = f"res{i}/"
-            snap_flat = {k[len(prefix):]: v for k, v in flat.items()
-                         if k.startswith(prefix)}
-            reservoir.append(_unflatten(snap_flat))
+            phi_vec, res = data["phi"], data["reservoir"]
+        phi_layout = _nn.Layout(meta["phi_layout"])
+        res_layout = _nn.Layout(meta["globals_layout"])
+        if res.shape != (meta["n_reservoir"], res_layout.size):
+            raise ValueError(f"reservoir shape {res.shape} does not match "
+                             "n_reservoir and the globals layout")
+        phi = phi_layout.views(phi_vec)  # raises on a length mismatch
+        reservoir = [res_layout.views(row) for row in res]
         vocab = VisitVocab([
             VocabEntry(codes=tuple(e["codes"]), token_id=i,
                        frequency=int(e["frequency"]))

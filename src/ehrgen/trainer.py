@@ -56,7 +56,7 @@ class TrainConfig:
     lr_global: float = 1e-3
     psgld_alpha: float = 0.99
     psgld_lambda: float = 1e-5
-    temperature: float = 1.0
+    temperature: float = 1.0  # pSGLD noise std scales by T (variance T^2)
     burn_in: int | None = None  # default: half the iteration budget
     thin: int = 200
     reservoir_size: int = 10
@@ -219,12 +219,17 @@ def draw_local_noises(rng, parts, n):
 
 
 # ---------------------------------------------------------------------------
-# objective core (single forward/backward shared by both update rules)
+# step gradients (single forward/backward shared by both update rules)
 # ---------------------------------------------------------------------------
 
-def _objective_core(parts, batch, theta, H, phi, noises):
-    """Compute the report, phi gradients of J, and the unscaled data
-    gradients for the globals, all from one pass with common noise."""
+def step_gradients(parts, batch, theta, H, phi, noises, n_total):
+    """One forward/backward pass with common noise for both update rules.
+
+    Returns ``(report, g_globals, g_phi)``: ``g_globals`` (``{"theta":
+    tree}``, plus ``"H"`` for evac) estimates the log-posterior gradient as
+    the data term times ``n_total / len(batch)`` plus the N(0, I) prior
+    gradient; ``g_phi`` is the gradient of J for the encoders.
+    """
     hyper = parts.hyper
     posts, samples = {}, {}
     for name in parts.latent_names:
@@ -259,11 +264,12 @@ def _objective_core(parts, batch, theta, H, phi, noises):
         dmean["z"] += q_z.mean
         dvar["z"] += 0.5
         kl_b = kl_w = 0.0
-        dH_data = None
+        g_data = {"theta": g_theta_data}
     else:
         ll_z, dz_c, dw_c, db_c, dH_data = latent_log_density_grads(
             z_s, H, batch.conditions, samples["w"], samples["b"], hyper.tau)
         cross = float(ll_z.sum())
+        g_data = {"theta": g_theta_data, "H": dH_data}
         dsample["z"] -= dz_c
         dsample["w"] -= dw_c
         dsample["b"] -= db_c
@@ -281,16 +287,26 @@ def _objective_core(parts, batch, theta, H, phi, noises):
 
     report = ElboReport.from_terms(recon, cross, entropy, kl_b, kl_w)
 
-    phi_grads = {}
+    g_phi = {}
     for name in parts.latent_names:
         qs, c_seq, c_cond = posts[name]
         dm_s, dv_s = sample_with_eta_backward(qs["q"], noises[name],
                                               dsample[name])
-        phi_grads[name] = _posterior_backward(
+        g_phi[name] = _posterior_backward(
             parts, phi, name, qs, c_seq, c_cond,
             dmean[name] + dm_s, dvar[name] + dv_s)
 
-    return report, phi_grads, samples, g_theta_data, dH_data
+    g_globals = _log_posterior_grad(g_data, {"theta": theta, "H": H},
+                                    n_total / len(batch))
+    return report, g_globals, g_phi
+
+
+def _log_posterior_grad(g_data, params, scale):
+    """scale * g_data - params over the leaves of g_data (prior N(0, I))."""
+    if isinstance(g_data, dict):
+        return {k: _log_posterior_grad(g, params[k], scale)
+                for k, g in g_data.items()}
+    return scale * g_data - params
 
 
 def local_objective(parts, batch, theta, H, phi, noises):
@@ -300,24 +316,15 @@ def local_objective(parts, batch, theta, H, phi, noises):
     numbers come in through ``noises`` (one standard-normal array per
     latent), so repeated calls are deterministic.
     """
-    report, phi_grads, _, _, _ = _objective_core(
-        parts, batch, theta, H, phi, noises)
-    return report, phi_grads
+    report, _, g_phi = step_gradients(parts, batch, theta, H, phi, noises,
+                                      len(batch))
+    return report, g_phi
 
 
 def global_grad_estimate(parts, batch, theta, H, phi, noises, n_total):
-    """Single-sample estimate of the marginal log-posterior gradient for
-    the globals: data term rescaled by n_total / batch size, plus the
-    standard-normal prior gradient on every element."""
-    _, _, _, g_theta_data, dH_data = _objective_core(
-        parts, batch, theta, H, phi, noises)
-    scale = n_total / len(batch)
-    g_theta = _nn.tree_map(lambda g: scale * g, g_theta_data)
-    _nn.tree_add_scaled(g_theta, theta, -1.0)
-    g_H = None
-    if parts.variant == "evac":
-        g_H = scale * dH_data - H
-    return g_theta, g_H
+    """``(g_theta, g_H)`` of ``step_gradients``; g_H is None for eva."""
+    _, g, _ = step_gradients(parts, batch, theta, H, phi, noises, n_total)
+    return g["theta"], g.get("H")
 
 
 # ---------------------------------------------------------------------------
@@ -328,40 +335,40 @@ def global_grad_estimate(parts, batch, theta, H, phi, noises, n_total):
 class SamplerState:
     """Adaptive second-moment accumulator plus the kept posterior samples."""
 
-    v: dict
+    v: np.ndarray
     step: int = 0
     reservoir: deque = field(default_factory=deque)
 
     @classmethod
     def create(cls, params, reservoir_size):
-        return cls(v=_nn.tree_zeros_like(params), step=0,
+        return cls(v=np.zeros_like(params), step=0,
                    reservoir=deque(maxlen=reservoir_size))
 
 
 def psgld_step(state, params, grad, step_size, temperature, rng,
                alpha=0.99, lam=1e-5):
-    """One preconditioned Langevin ascent step, in place.
+    """One preconditioned Langevin ascent step on a flat vector, in place.
 
     V <- alpha V + (1 - alpha) g^2;  G <- 1 / (lam + sqrt(V));
     p <- p + (step/2) G g + temperature * N(0, step G).
 
-    temperature 0 gives deterministic preconditioned ascent. The curvature
-    correction term of the original method is omitted, as is common.
+    The noise std is linear in temperature, so its variance goes as T^2, not
+    as T in the tempered-posterior law. temperature 0 gives deterministic
+    preconditioned ascent. The curvature correction term of the original
+    method is omitted, as is common.
     """
     if step_size < 0:
         raise ValueError("step_size must be non-negative")
-    walk = zip(_nn.iter_arrays(params), _nn.iter_arrays(grad),
-               _nn.iter_arrays(state.v))
-    for (path, p), (gpath, g), (vpath, v) in walk:
-        if path != gpath or path != vpath:
-            raise ValueError(f"tree mismatch: {path} / {gpath} / {vpath}")
-        v *= alpha
-        v += (1.0 - alpha) * g * g
-        G = 1.0 / (lam + np.sqrt(v))
-        p += 0.5 * step_size * G * g
-        if temperature > 0:
-            p += temperature * np.sqrt(step_size * G) * rng.standard_normal(
-                p.shape)
+    if grad.shape != params.shape:
+        raise ValueError(f"grad shape {grad.shape} != {params.shape}")
+    v = state.v
+    v *= alpha
+    v += (1.0 - alpha) * grad * grad
+    G = 1.0 / (lam + np.sqrt(v))
+    params += 0.5 * step_size * G * grad
+    if temperature > 0:
+        params += temperature * np.sqrt(step_size * G) * rng.standard_normal(
+            params.shape)
     state.step += 1
     return state
 
@@ -405,16 +412,18 @@ def train(config, batch, vocab, condition_names=(), dec_cfg=None,
         raise ValueError("decoder vocab size does not match the vocabulary")
 
     rng = np.random.default_rng(config.seed)
-    theta = init_decoder_params(parts.dec_cfg, rng)
-    H = None
-    globals_ = {"theta": theta}
+    glob0 = {"theta": init_decoder_params(parts.dec_cfg, rng)}
     if config.variant == "evac":
-        H = 0.1 * rng.standard_normal((config.latent_dim, cond_dim))
-        globals_["H"] = H
-    phi = init_phi(parts, rng)
+        glob0["H"] = 0.1 * rng.standard_normal((config.latent_dim, cond_dim))
+    phi0 = init_phi(parts, rng)
+    # one vector per parameter set; theta, H and phi are views into them
+    glob_layout, phi_layout = _nn.Layout.of(glob0), _nn.Layout.of(phi0)
+    glob_vec, phi_vec = glob_layout.flatten(glob0), phi_layout.flatten(phi0)
+    globals_, phi = glob_layout.views(glob_vec), phi_layout.views(phi_vec)
+    theta, H = globals_["theta"], globals_.get("H")
 
-    adam = _nn.Adam(phi, lr=config.lr_phi)
-    state = SamplerState.create(globals_, config.reservoir_size)
+    adam = _nn.Adam(phi_vec, lr=config.lr_phi)
+    state = SamplerState.create(glob_vec, config.reservoir_size)
     burn_in = config.burn_in_iters
     history = []
     last_report = None
@@ -425,34 +434,30 @@ def train(config, batch, vocab, condition_names=(), dec_cfg=None,
         noises = draw_local_noises(rng, parts, len(mb))
 
         try:
-            report, phi_grads, _, g_theta_data, dH_data = _objective_core(
-                parts, mb, globals_["theta"], H, phi, noises)
+            report, g_globals, g_phi = step_gradients(
+                parts, mb, theta, H, phi, noises, n)
         except FloatingPointError as exc:
             raise TrainingDiverged(it, last_report) from exc
         if not math.isfinite(report.total):
             raise TrainingDiverged(it, last_report)
 
         # globals: ascend the rescaled log posterior
-        scale = n / len(mb)
-        g_globals = {"theta": _nn.tree_map(lambda g: scale * g, g_theta_data)}
-        _nn.tree_add_scaled(g_globals["theta"], globals_["theta"], -1.0)
-        if config.variant == "evac":
-            g_globals["H"] = scale * dH_data - H
-        _nn.clip_global_norm(g_globals, config.clip_norm)
-        psgld_step(state, globals_, g_globals, config.lr_global,
+        g = glob_layout.flatten(g_globals)
+        _nn.clip_global_norm(g, config.clip_norm)
+        psgld_step(state, glob_vec, g, config.lr_global,
                    config.temperature, rng,
                    alpha=config.psgld_alpha, lam=config.psgld_lambda)
 
         # locals: descend J = ascend -J
-        neg_phi = _nn.tree_map(np.negative, phi_grads)
-        _nn.clip_global_norm(neg_phi, config.clip_norm)
-        adam.step(phi, neg_phi)
+        g = -phi_layout.flatten(g_phi)
+        _nn.clip_global_norm(g, config.clip_norm)
+        adam.step(phi_vec, g)
 
         if it >= burn_in and (it - burn_in) % config.thin == 0:
-            snapshot = _nn.tree_copy(globals_)
+            snapshot = glob_vec.copy()
             state.reservoir.append(snapshot)
             if checkpoint_fn is not None:
-                checkpoint_fn(it, snapshot)
+                checkpoint_fn(it, glob_layout.views(snapshot))
 
         last_report = report
         if metrics_sink is not None:
@@ -466,7 +471,7 @@ def train(config, batch, vocab, condition_names=(), dec_cfg=None,
         enc_cfgs=parts.enc_cfgs,
         hyper=parts.hyper,
         phi=phi,
-        reservoir=list(state.reservoir),
+        reservoir=[glob_layout.views(v) for v in state.reservoir],
         vocab=vocab,
         condition_names=tuple(condition_names),
         train_config=config,

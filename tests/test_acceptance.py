@@ -46,7 +46,7 @@ from ehrgen.trainer import (
     train,
 )
 
-from conftest import numerical_grad, numerical_grad_tree, rel_err
+from oracles import numerical_grad, numerical_grad_tree, rel_err
 
 
 def report(num, name, ok, detail):
@@ -281,18 +281,18 @@ def test_criterion_04_sampler_validity():
     post_mean = y.sum() / (n + 1)  # N(0,1) prior, unit-variance likelihood
     post_var = 1.0 / (n + 1)
 
-    params = {"theta": np.array([0.0])}
-    state = SamplerState.create(params, reservoir_size=1)
+    theta = np.array([0.0])
+    state = SamplerState.create(theta, reservoir_size=1)
     srng = np.random.default_rng(7)
     burn, keep = 50_000, 50_000
     kept = np.empty(keep)
     # near-constant preconditioner: isolates the Langevin dynamics from the
     # state-dependence bias introduced by dropping the curvature term
     for it in range(burn + keep):
-        g = {"theta": y.sum() - (n + 1) * params["theta"]}
-        psgld_step(state, params, g, 1e-2, 1.0, srng, alpha=0.9999)
+        g = y.sum() - (n + 1) * theta
+        psgld_step(state, theta, g, 1e-2, 1.0, srng, alpha=0.9999)
         if it >= burn:
-            kept[it - burn] = params["theta"][0]
+            kept[it - burn] = theta[0]
 
     mean_err = abs(kept.mean() - post_mean)
     var_rel = abs(kept.var() / post_var - 1.0)
@@ -312,7 +312,8 @@ def test_criterion_05_minibatch_unbiasedness():
         noises = draw_local_noises(np.random.default_rng(9), parts, 6)
         full_t, full_H = global_grad_estimate(parts, batch, theta, H, phi,
                                               noises, n_total=6)
-        acc_t = _nn.tree_map(np.zeros_like, full_t)
+        layout = _nn.Layout.of(full_t)
+        acc_t = np.zeros(layout.size)
         acc_H = np.zeros_like(H) if H is not None else None
         pairs = list(itertools.combinations(range(6), 2))
         for pair in pairs:
@@ -321,12 +322,10 @@ def test_criterion_05_minibatch_unbiasedness():
             nsub = {k: v[idx] for k, v in noises.items()}
             g_t, g_H = global_grad_estimate(parts, sub, theta, H, phi, nsub,
                                             n_total=6)
-            _nn.tree_add_scaled(acc_t, g_t, 1.0 / len(pairs))
+            acc_t += 1.0 / len(pairs) * layout.flatten(g_t)
             if acc_H is not None:
                 acc_H += g_H / len(pairs)
-        flat_full = dict(_nn.iter_arrays(full_t))
-        dev = max(np.max(np.abs(a - flat_full[p]))
-                  for p, a in _nn.iter_arrays(acc_t))
+        dev = float(np.max(np.abs(acc_t - layout.flatten(full_t))))
         if acc_H is not None:
             dev = max(dev, float(np.max(np.abs(acc_H - full_H))))
         devs[variant] = dev

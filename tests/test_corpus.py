@@ -19,7 +19,7 @@ from ehrgen.corpus import (
     visit_key,
 )
 
-from conftest import tiny_records
+from oracles import tiny_records
 
 
 def small_vocab():

@@ -14,7 +14,7 @@ from ehrgen.decoder import (
     sequence_log_likelihood,
 )
 
-from conftest import assert_tree_close, numerical_grad, numerical_grad_tree, rel_err
+from oracles import assert_tree_close, numerical_grad, numerical_grad_tree, rel_err
 
 # small everywhere: V=6, receptive field (2-1)*(1+2)+1 = 4
 SMALL = DecoderConfig(vocab_size=6, latent_dim=3, t_max=7, channels=4,

@@ -20,7 +20,7 @@ from ehrgen.encoders import (
     sample_with_eta_backward,
 )
 
-from conftest import assert_tree_close, numerical_grad_tree, rel_err
+from oracles import assert_tree_close, numerical_grad_tree, rel_err
 
 CFG = EncoderConfig(vocab_size=9, cond_dim=3, out_dim=4, embed_dim=5,
                     hidden=6, cond_hidden=4)

@@ -304,12 +304,6 @@ class TestPresenceDisclosure:
         with pytest.raises(ValueError, match="empty"):
             presence_disclosure(self.synth(), [])
 
-    def test_prior_carried_through(self):
-        known = [(PatientRecord("k0", (self.A, self.B)), True)]
-        out = presence_disclosure(self.synth(), known, prior=0.35)
-        assert out.prior == 0.35
-        assert "sensitivity" in out.as_dict()
-
 
 class TestElboHoldout:
     @pytest.mark.parametrize("variant", ["eva", "evac"])

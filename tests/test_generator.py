@@ -107,9 +107,8 @@ class TestGeneration:
         decoder loves the end marker."""
         import copy
 
-        from ehrgen import _nn
         model = copy.copy(EVA)
-        model.reservoir = [_nn.tree_copy(s) for s in EVA.reservoir]
+        model.reservoir = copy.deepcopy(EVA.reservoir)
         for snap in model.reservoir:
             snap["theta"]["head"]["W"][:] = 0.0
             snap["theta"]["head"]["b"][:] = -30.0

@@ -16,7 +16,7 @@ from ehrgen.latent import (
     sample_prior_evac,
 )
 
-from conftest import numerical_grad, rel_err
+from oracles import numerical_grad, rel_err
 
 D, K = 5, 3
 

@@ -1,5 +1,7 @@
 """Checkpoint round-trips and reservoir access on the model container."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -35,24 +37,26 @@ def trees_equal(a, b):
         np.testing.assert_array_equal(fa[k], fb[k])
 
 
+def rewrite(path, edit):
+    """Apply ``edit(meta, arrays)`` to a saved checkpoint in place."""
+    with np.load(path) as data:
+        meta = json.loads(str(data["meta"]))
+        arrays = {k: data[k] for k in data.files if k != "meta"}
+    edit(meta, arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
+
+
 class TestReservoirAccess:
     def test_point_sample_is_last(self):
         model = quick_model()
         assert model.point_sample() is model.reservoir[-1]
-
-    def test_draw_sample_spans_reservoir(self):
-        model = quick_model()
-        rng = np.random.default_rng(0)
-        seen = {id(model.draw_sample(rng)) for _ in range(50)}
-        assert seen == {id(s) for s in model.reservoir}
 
     def test_empty_reservoir_raises(self):
         model = quick_model()
         model.reservoir = []
         with pytest.raises(ValueError, match="reservoir"):
             model.point_sample()
-        with pytest.raises(ValueError, match="reservoir"):
-            model.draw_sample(np.random.default_rng(0))
 
 
 class TestCheckpoint:
@@ -88,17 +92,28 @@ class TestCheckpoint:
         assert set(back.reservoir[0]) == {"theta"}
 
     def test_version_check(self, tmp_path):
+        """A newer format version and format 1 (one array per leaf) are
+        both refused."""
         model = quick_model(variant="eva")
         path = tmp_path / "m.npz"
         model.save(path)
-        import json
-        with np.load(path) as data:
-            meta = json.loads(str(data["meta"]))
-            arrays = {k: data[k] for k in data.files if k != "meta"}
-        meta["format_version"] = CHECKPOINT_VERSION + 1
-        with open(path, "wb") as fh:
-            np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
-        with pytest.raises(ValueError, match="version"):
+        for version in (CHECKPOINT_VERSION + 1, 1):
+            rewrite(path, lambda meta, arrays: meta.update(
+                format_version=version))
+            with pytest.raises(ValueError, match="version"):
+                TrainedModel.load(path)
+
+    def test_mismatched_vector_length_rejected(self, tmp_path):
+        model = quick_model()
+        path = tmp_path / "m.npz"
+        model.save(path)
+        rewrite(path, lambda meta, arrays: arrays.update(
+            phi=arrays["phi"][:-1]))
+        with pytest.raises(ValueError, match="layout"):
+            TrainedModel.load(path)
+        model.save(path)
+        rewrite(path, lambda meta, arrays: meta.update(n_reservoir=1))
+        with pytest.raises(ValueError, match="reservoir"):
             TrainedModel.load(path)
 
     def test_loaded_model_generates(self, tmp_path):

@@ -10,7 +10,7 @@ import pytest
 
 from ehrgen import _nn
 
-from conftest import assert_tree_close, numerical_grad, numerical_grad_tree, rel_err
+from oracles import assert_tree_close, numerical_grad, numerical_grad_tree, rel_err
 
 TOL = 1e-6
 
@@ -208,35 +208,75 @@ class TestTreeUtilities:
     def test_global_norm_and_clip(self):
         tree = {"a": np.array([3.0]), "b": {"c": np.array([4.0])}}
         assert np.isclose(_nn.global_norm(tree), 5.0)
-        pre = _nn.clip_global_norm(tree, 2.5)  # clips in place, returns pre-clip norm
+        vec = np.array([3.0, 4.0])
+        pre = _nn.clip_global_norm(vec, 2.5)  # clips in place, returns pre-clip norm
         assert np.isclose(pre, 5.0)
-        assert np.isclose(_nn.global_norm(tree), 2.5)
+        assert np.isclose(np.linalg.norm(vec), 2.5)
+        np.testing.assert_allclose(vec, [1.5, 2.0])  # direction kept
         # below the threshold nothing changes
-        before = _nn.tree_copy(tree)
-        _nn.clip_global_norm(tree, 100.0)
-        np.testing.assert_array_equal(tree["a"], before["a"])
+        before = vec.copy()
+        assert np.isclose(_nn.clip_global_norm(vec, 100.0), 2.5)
+        np.testing.assert_array_equal(vec, before)
 
-    def test_tree_add_scaled_and_copy(self):
-        tree = {"a": np.array([1.0, 2.0])}
-        delta = {"a": np.array([10.0, 20.0])}
-        snap = _nn.tree_copy(tree)
-        _nn.tree_add_scaled(tree, delta, scale=0.5)
-        np.testing.assert_allclose(tree["a"], [6.0, 12.0])
-        np.testing.assert_allclose(snap["a"], [1.0, 2.0])  # deep copy
+
+class TestLayout:
+    def tree(self):
+        return {"b": {"y": np.arange(6.0).reshape(2, 3), "x": np.array([7.0])},
+                "a": np.array([[8.0], [9.0]])}
+
+    def test_roundtrip_follows_iter_arrays_order(self):
+        tree = self.tree()
+        layout = _nn.Layout.of(tree)
+        assert [(p, s) for p, s, _ in layout.entries] == [
+            ("a", (2, 1)), ("b/x", (1,)), ("b/y", (2, 3))]
+        assert [o for _, _, o in layout.entries] == [0, 2, 3]
+        assert layout.size == 9
+        vec = layout.flatten(tree)
+        np.testing.assert_array_equal(
+            vec, np.concatenate([a.ravel() for _, a in _nn.iter_arrays(tree)]))
+        back = layout.views(vec)
+        for (p1, a1), (p2, a2) in zip(_nn.iter_arrays(tree),
+                                      _nn.iter_arrays(back)):
+            assert p1 == p2
+            np.testing.assert_array_equal(a1, a2)
+        # the JSON-ready spec rebuilds the same layout
+        assert _nn.Layout(layout.spec()).entries == layout.entries
+
+    def test_views_share_memory_with_vector(self):
+        layout = _nn.Layout.of(self.tree())
+        vec = layout.flatten(self.tree())
+        views = layout.views(vec)
+        vec *= 2.0
+        np.testing.assert_array_equal(views["b"]["x"], [14.0])
+        views["a"][1, 0] = -1.0
+        assert vec[1] == -1.0
+        assert all(np.shares_memory(a, vec) for _, a in _nn.iter_arrays(views))
+
+    def test_mismatch_rejected(self):
+        layout = _nn.Layout.of(self.tree())
+        renamed = self.tree()
+        renamed["c"] = renamed.pop("a")
+        reshaped = self.tree()
+        reshaped["a"] = reshaped["a"].reshape(1, 2)
+        for bad in (renamed, reshaped):
+            with pytest.raises(ValueError, match="layout"):
+                layout.flatten(bad)
+        with pytest.raises(ValueError):
+            layout.views(np.zeros(layout.size + 1))
 
 
 class TestAdam:
     def test_ascends_concave_objective(self):
         """Adam here maximises: repeated steps on grad of -(x-3)^2 reach 3."""
-        params = {"x": np.array([0.0])}
-        opt = _nn.Adam(params, lr=0.1)
+        x = np.array([0.0])
+        opt = _nn.Adam(x, lr=0.1)
         for _ in range(500):
-            grads = {"x": -2.0 * (params["x"] - 3.0)}
-            opt.step(params, grads)
-        np.testing.assert_allclose(params["x"], [3.0], atol=1e-3)
+            opt.step(x, -2.0 * (x - 3.0))
+        np.testing.assert_allclose(x, [3.0], atol=1e-3)
 
-    def test_rejects_mismatched_tree(self):
-        params = {"x": np.zeros(2)}
-        opt = _nn.Adam(params, lr=0.1)
-        with pytest.raises(ValueError):
-            opt.step(params, {"y": np.zeros(2)})
+    def test_rejects_mismatched_shape(self):
+        x = np.zeros(2)
+        opt = _nn.Adam(x, lr=0.1)
+        with pytest.raises(ValueError, match="shape"):
+            opt.step(x, np.zeros(1))  # would broadcast silently
+        np.testing.assert_array_equal(x, [0.0, 0.0])

@@ -28,7 +28,7 @@ from ehrgen.trainer import (
     train,
 )
 
-from conftest import assert_tree_close, numerical_grad, numerical_grad_tree, rel_err
+from oracles import assert_tree_close, numerical_grad, numerical_grad_tree, rel_err
 
 
 def small_training_setup(variant, seed=0, n=8, t_max=5):
@@ -203,52 +203,54 @@ class TestGlobalGradients:
 
 class TestPsgld:
     def test_single_step_hand_computed(self):
-        params = {"p": np.array([1.0])}
-        grad = {"p": np.array([2.0])}
+        params = np.array([1.0])
+        grad = np.array([2.0])
         state = SamplerState.create(params, reservoir_size=3)
         psgld_step(state, params, grad, step_size=0.1, temperature=0.0,
                    rng=np.random.default_rng(0), alpha=0.9, lam=1e-5)
         v = 0.1 * 4.0  # (1 - alpha) g^2
         G = 1.0 / (1e-5 + math.sqrt(v))
-        np.testing.assert_allclose(params["p"], [1.0 + 0.05 * G * 2.0],
+        np.testing.assert_allclose(params, [1.0 + 0.05 * G * 2.0],
                                    rtol=1e-12)
         assert state.step == 1
 
     def test_zero_step_size_freezes_params(self):
         rng = np.random.default_rng(1)
-        params = {"p": np.array([3.0, -1.0])}
+        params = np.array([3.0, -1.0])
         state = SamplerState.create(params, reservoir_size=1)
-        psgld_step(state, params, {"p": np.array([5.0, 5.0])}, step_size=0.0,
+        psgld_step(state, params, np.array([5.0, 5.0]), step_size=0.0,
                    temperature=1.0, rng=rng)
-        np.testing.assert_array_equal(params["p"], [3.0, -1.0])
+        np.testing.assert_array_equal(params, [3.0, -1.0])
 
     def test_noise_scales_with_temperature(self):
         """Repeated steps at fixed gradient: spread grows with temperature."""
         def run(temp, seed):
             rng = np.random.default_rng(seed)
-            params = {"p": np.array([0.0])}
+            params = np.array([0.0])
             state = SamplerState.create(params, reservoir_size=1)
             vals = []
             for _ in range(300):
-                psgld_step(state, params, {"p": np.array([0.0])},
+                psgld_step(state, params, np.array([0.0]),
                            step_size=1e-3, temperature=temp, rng=rng)
-                vals.append(params["p"][0])
+                vals.append(params[0])
             return np.std(np.diff(vals))
 
         assert run(1.0, 2) > 10 * run(0.01, 2)
 
-    def test_tree_mismatch_rejected(self):
-        params = {"p": np.zeros(2)}
+    def test_shape_mismatch_rejected(self):
+        params = np.zeros(2)
         state = SamplerState.create(params, reservoir_size=1)
-        with pytest.raises(ValueError, match="mismatch"):
-            psgld_step(state, params, {"q": np.zeros(2)}, 0.1, 0.0,
-                       np.random.default_rng(0))
+        for grad in (np.zeros(3), np.zeros(1)):  # (1,) would broadcast
+            with pytest.raises(ValueError, match="shape"):
+                psgld_step(state, params, grad, 0.1, 0.0,
+                           np.random.default_rng(0))
+        np.testing.assert_array_equal(state.v, [0.0, 0.0])
 
     def test_negative_step_rejected(self):
-        params = {"p": np.zeros(1)}
+        params = np.zeros(1)
         state = SamplerState.create(params, reservoir_size=1)
         with pytest.raises(ValueError):
-            psgld_step(state, params, {"p": np.zeros(1)}, -0.1, 0.0,
+            psgld_step(state, params, np.zeros(1), -0.1, 0.0,
                        np.random.default_rng(0))
 
 
