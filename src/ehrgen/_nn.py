@@ -218,13 +218,15 @@ def causal_conv1d(params, x, dilation):
 def causal_conv1d_backward(cache, dout):
     params, xp, dilation, L = cache
     W = params["W"]
-    u = W.shape[0]
+    u, C, K = W.shape
     pad = (u - 1) * dilation
-    dW = np.zeros_like(W)
+    d2 = dout.reshape(-1, K)
+    dW = np.empty_like(W)
     dxp = np.zeros_like(xp)
     for j in range(u):
         sl = xp[:, j * dilation:j * dilation + L]
-        dW[j] = np.einsum("blc,blk->ck", sl, dout)
+        # one BLAS GEMM over the flattened batch x time rows
+        dW[j] = sl.reshape(-1, C).T @ d2
         dxp[:, j * dilation:j * dilation + L] += dout @ W[j].T
     grads = {"W": dW, "b": dout.sum(axis=(0, 1))}
     return grads, dxp[:, pad:]
@@ -244,14 +246,11 @@ def conv_transpose1d(params, x):
 def conv_transpose1d_backward(cache, dout):
     params, x = cache
     W = params["W"]
+    _, C, K = W.shape
     d_even = dout[:, 0::2]
     d_odd = dout[:, 1::2]
-    dW = np.stack(
-        [
-            np.einsum("blc,blk->ck", x, d_even),
-            np.einsum("blc,blk->ck", x, d_odd),
-        ]
-    )
+    x2 = x.reshape(-1, C)
+    dW = np.stack([x2.T @ d_even.reshape(-1, K), x2.T @ d_odd.reshape(-1, K)])
     grads = {"W": dW, "b": dout.sum(axis=(0, 1))}
     dx = d_even @ W[0].T + d_odd @ W[1].T
     return grads, dx

@@ -437,7 +437,7 @@ def build_parser():
     p.add_argument("--burn-in", type=int, default=None)
     p.add_argument("--thin", type=int, default=200)
     p.add_argument("--reservoir", type=int, default=10)
-    p.add_argument("--clip-norm", type=float, default=10.0)
+    p.add_argument("--clip-norm", type=float, default=1e4)
     p.add_argument("--embed-dim", type=int, default=32)
     p.add_argument("--hidden", type=int, default=64)
     p.add_argument("--cond-hidden", type=int, default=32)

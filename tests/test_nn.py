@@ -110,10 +110,11 @@ class TestLstm:
 class TestConvolutions:
     def test_causal_conv_backward_matches_fd(self):
         rng = np.random.default_rng(6)
-        for dilation in (1, 2, 3):
+        # dilation 4 pads by 8 > L, so tap 0 reads only padding
+        for dilation in (1, 2, 3, 4):
             params = _nn.conv1d_init(rng, 3, 2, 4)
-            x = rng.standard_normal((2, 7, 2))
-            probe = rng.standard_normal((2, 7, 4))
+            x = rng.standard_normal((3, 7, 2))
+            probe = rng.standard_normal((3, 7, 4))
 
             def run():
                 out, _ = _nn.causal_conv1d(params, x, dilation)
@@ -139,19 +140,21 @@ class TestConvolutions:
 
     def test_transpose_conv_backward_matches_fd(self):
         rng = np.random.default_rng(8)
-        params = _nn.conv_transpose1d_init(rng, 3, 2)
-        x = rng.standard_normal((2, 4, 3))
-        probe = rng.standard_normal((2, 8, 2))
+        for L in (4, 1):
+            params = _nn.conv_transpose1d_init(rng, 3, 2)
+            x = rng.standard_normal((2, L, 3))
+            probe = rng.standard_normal((2, 2 * L, 2))
 
-        def run():
-            out, _ = _nn.conv_transpose1d(params, x)
-            return scalar_loss(out, probe)
+            def run():
+                out, _ = _nn.conv_transpose1d(params, x)
+                return scalar_loss(out, probe)
 
-        out, cache = _nn.conv_transpose1d(params, x)
-        assert out.shape == (2, 8, 2)
-        grads, dx = _nn.conv_transpose1d_backward(cache, probe)
-        assert_tree_close(grads, numerical_grad_tree(run, params), TOL, "deconv")
-        assert rel_err(dx, numerical_grad(run, x)) < TOL
+            out, cache = _nn.conv_transpose1d(params, x)
+            assert out.shape == (2, 2 * L, 2)
+            grads, dx = _nn.conv_transpose1d_backward(cache, probe)
+            assert_tree_close(grads, numerical_grad_tree(run, params), TOL,
+                              f"deconv L={L}")
+            assert rel_err(dx, numerical_grad(run, x)) < TOL
 
     def test_transpose_conv_doubles_length(self):
         rng = np.random.default_rng(9)
