@@ -112,29 +112,27 @@ def _latent_context_backward(params, cfg, cache, dctx):
     return grads, dz
 
 
-def decode_logits(params, cfg, z, tokens, out_len=None):
-    """Per-position vocabulary logits (B, out_len, V).
+def decode_logits(params, cfg, z, tokens):
+    """Per-position vocabulary logits (B, T, V) for tokens (B, T).
 
     Inputs are shifted right: position 0 sees only a learned start vector,
-    position t sees tokens[:, :t]. tokens may be shorter than out_len - 1
-    only during incremental sampling, never for scoring.
+    position t sees tokens[:, :t], so the last column never enters. Position
+    t does not depend on T either, which is what lets sampling call this on
+    a growing prefix.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
         raise ValueError("tokens must be (batch, time)")
-    if out_len is None:
-        out_len = tokens.shape[1]
-    if out_len > cfg.seq_len:
+    T = tokens.shape[1]
+    if T > cfg.seq_len:
         raise ValueError("sequence longer than configured maximum")
 
-    ctx, cache_ctx = _latent_context(params, cfg, z, out_len)
-    n_in = min(out_len - 1, tokens.shape[1])
-    emb, cache_emb = _nn.embedding(params["emb"], tokens[:, :n_in])
-    x = np.empty((z.shape[0], out_len, cfg.channels))
+    ctx, cache_ctx = _latent_context(params, cfg, z, T)
+    emb, cache_emb = _nn.embedding(params["emb"], tokens[:, :-1])
+    x = np.empty((z.shape[0], T, cfg.channels))
     x[:, 0] = params["bos"]
-    x[:, 1:1 + n_in] = emb
-    x[:, 1 + n_in:] = 0.0
+    x[:, 1:] = emb
     h = x + ctx
     conv_caches = []
     for i, d in enumerate(cfg.dilations):
@@ -143,14 +141,11 @@ def decode_logits(params, cfg, z, tokens, out_len=None):
         h = h + act
         conv_caches.append((c_conv, c_g))
     logits, cache_head = _nn.dense(params["head"], h)
-    cache = (cfg, cache_ctx, cache_emb, n_in, conv_caches, cache_head,
-             z.shape[0], out_len)
-    return logits, cache
+    return logits, (cache_ctx, cache_emb, conv_caches, cache_head)
 
 
 def decode_logits_backward(params, cfg, cache, dlogits):
-    (_, cache_ctx, cache_emb, n_in, conv_caches, cache_head,
-     batch, out_len) = cache
+    cache_ctx, cache_emb, conv_caches, cache_head = cache
     grads = {}
     g_head, dh = _nn.dense_backward(cache_head, dlogits)
     grads["head"] = g_head
@@ -163,7 +158,7 @@ def decode_logits_backward(params, cfg, cache, dlogits):
     g_ctx, dz = _latent_context_backward(params, cfg, cache_ctx, dh)
     grads.update(g_ctx)
     grads["bos"] = dh[:, 0].sum(axis=0)
-    grads["emb"] = _nn.embedding_backward(cache_emb, dh[:, 1:1 + n_in])
+    grads["emb"] = _nn.embedding_backward(cache_emb, dh[:, 1:])
     return grads, dz
 
 
@@ -203,39 +198,40 @@ def ll_and_grads(params, cfg, z, tokens, mask, weights=None):
 
 def ancestral_sample(params, cfg, z, rng, eos_id, temperature=1.0,
                      forbid=()):
-    """Draw token sequences position by position.
+    """Draw one token sequence per latent row, position by position.
 
-    The full stack is re-run over the whole prefix at each step, so the
-    cost grows quadratically in the sequence length. Returns a list of B
-    token lists with the end marker stripped.
+    Returns a list of B token lists, each 1 to ``cfg.t_max`` tokens long,
+    with the end marker stripped. ``forbid`` tokens are never drawn, and EOS
+    is masked at step 0, so the first visit comes from the step-0
+    distribution renormalised over the non-terminal tokens: a record never
+    comes back empty, and z keeps its prior law (it is not reweighted toward
+    records that would not have ended at once). Records stop at their EOS
+    draw or after ``cfg.t_max`` visits, and leave the batch when they stop.
+
+    Step t reruns the full stack over the prefix ``buf[:, :t + 1]``, so the
+    cost grows quadratically in the record length.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
-    B = z.shape[0]
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    tokens = np.zeros((B, 0), dtype=int)
-    alive = np.ones(B, dtype=bool)
-    out = [[] for _ in range(B)]
-    for t in range(cfg.seq_len):
-        logits, _ = decode_logits(params, cfg, z, tokens, out_len=t + 1)
+    B = z.shape[0]
+    buf = np.zeros((B, cfg.t_max), dtype=int)
+    length = np.full(B, cfg.t_max)
+    rows = np.arange(B)  # records still drawing
+    for t in range(cfg.t_max):
+        logits, _ = decode_logits(params, cfg, z[rows], buf[rows, :t + 1])
         step = logits[:, t] / temperature
-        for tok in forbid:
-            step[:, tok] = -np.inf
+        step[:, list(forbid) + ([eos_id] if t == 0 else [])] = -np.inf
         step -= step.max(axis=1, keepdims=True)
-        probs = np.exp(step)
-        probs /= probs.sum(axis=1, keepdims=True)
-        cdf = np.cumsum(probs, axis=1)
-        u = rng.random(B)
-        draws = np.minimum(
-            (u[:, None] < cdf).argmax(axis=1), cfg.vocab_size - 1)
-        for b in range(B):
-            if not alive[b]:
-                continue
-            if draws[b] == eos_id:
-                alive[b] = False
-            else:
-                out[b].append(int(draws[b]))
-        if not alive.any():
+        cdf = np.cumsum(np.exp(step), axis=1)
+        u = rng.random(len(rows)) * cdf[:, -1]
+        # the first index whose cdf exceeds u
+        draws = np.minimum((cdf <= u[:, None]).sum(axis=1),
+                           cfg.vocab_size - 1)
+        buf[rows, t] = draws
+        ended = draws == eos_id
+        length[rows[ended]] = t
+        rows = rows[~ended]
+        if not rows.size:
             break
-        tokens = np.concatenate([tokens, draws[:, None]], axis=1)
-    return out
+    return [buf[b, :length[b]].tolist() for b in range(B)]

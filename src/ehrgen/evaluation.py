@@ -176,11 +176,12 @@ def _code_axis(vocab):
     return tuple(codes), M
 
 
-def _predictor_logits(params, batch):
-    emb, _ = _nn.embedding(params["emb"], batch.tokens)
-    h_seq, _, _ = _nn.lstm_forward(params["lstm"], emb, batch.mask)
-    logits, _ = _nn.dense(params["head"], h_seq)
-    return logits
+def _predictor_forward(params, batch):
+    """Logits (B, T, V) and the (embedding, LSTM, head) caches."""
+    emb, c_emb = _nn.embedding(params["emb"], batch.tokens)
+    h_seq, _, c_lstm = _nn.lstm_forward(params["lstm"], emb, batch.mask)
+    logits, c_head = _nn.dense(params["head"], h_seq)
+    return logits, (c_emb, c_lstm, c_head)
 
 
 def train_next_visit_predictor(cohort, seed=0, hidden=64, embed=32,
@@ -211,9 +212,7 @@ def train_next_visit_predictor(cohort, seed=0, hidden=64, embed=32,
         order = rng.permutation(n)
         for start in range(0, n, minibatch):
             mb = batch.take(order[start:start + minibatch])
-            emb, c_emb = _nn.embedding(params["emb"], mb.tokens)
-            h_seq, _, c_lstm = _nn.lstm_forward(params["lstm"], emb, mb.mask)
-            logits, c_head = _nn.dense(params["head"], h_seq)
+            logits, (c_emb, c_lstm, c_head) = _predictor_forward(params, mb)
             # position t predicts token t+1; exclude EOS targets
             tgt = mb.tokens[:, 1:]
             tgt_mask = mb.mask[:, 1:] * (tgt != eos)
@@ -248,7 +247,7 @@ def topk_recall(predictor, cohort, k):
                  condition_names=list(cohort.condition_names), vocab=vocab)
     t_max = max(len(r.visits) for r in eligible)
     batch = encode_cohort(sub, vocab, t_max)
-    logits = _predictor_logits(predictor.params, batch)
+    logits, _ = _predictor_forward(predictor.params, batch)
     # distribution over the next *visit*: terminal/padding ids cannot be it
     logits[:, :, vocab.eos_id] = -np.inf
     logits[:, :, vocab.pad_id] = -np.inf

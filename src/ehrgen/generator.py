@@ -4,6 +4,11 @@ Records are generated by drawing one (theta, H) snapshot per record from the
 posterior reservoir (ensemble policy) or reusing the last snapshot (point
 policy), drawing latents from the prior, and ancestral-sampling tokens.
 Records sharing a snapshot are decoded together in one batch.
+
+Each record has 1 to t_max visits (the model's t_max, or the request's when
+smaller). The first visit is drawn with the end marker masked, so no record
+comes back empty and no record is redrawn; cohorts for a given seed differ
+from those of versions that redrew empty records.
 """
 
 from __future__ import annotations
@@ -13,14 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Cohort, PatientRecord
-from .decoder import ancestral_sample, decode_logits
+from .decoder import ancestral_sample
 from .latent import sample_prior_eva, sample_prior_evac
 
 MODES = ("unconditional", "conditional")
 POLICIES = ("ensemble", "point")
 BACKGROUND = "background"
-
-MAX_EMPTY_RESAMPLES = 5
 
 
 @dataclass(frozen=True)
@@ -69,20 +72,6 @@ def _request_y(model, request):
     return condition_vector(model, names)
 
 
-def _force_single_visit(theta, cfg, z_row, rng, eos_id, pad_id, temperature):
-    """Draw one non-terminal first token; used when resampling keeps
-    producing immediately-terminated records."""
-    logits, _ = decode_logits(theta, cfg, z_row[None, :],
-                              np.zeros((1, 0), dtype=int), out_len=1)
-    step = logits[0, 0] / temperature
-    step[eos_id] = -np.inf
-    step[pad_id] = -np.inf
-    step -= step.max()
-    probs = np.exp(step)
-    probs /= probs.sum()
-    return int(np.searchsorted(np.cumsum(probs), rng.random()))
-
-
 def _draw_latents(model, snapshot, y, n, rng):
     if model.variant == "eva":
         return sample_prior_eva(model.dec_cfg.latent_dim, rng, n=n)
@@ -99,12 +88,9 @@ def generate_cohort(model, request):
         raise ValueError("conditional generation requires evac")
     if not model.reservoir:
         raise ValueError("model has an empty posterior reservoir")
+    if request.t_max is not None and request.t_max < 1:
+        raise ValueError("t_max must be >= 1")
     vocab = model.vocab
-    t_cap = model.dec_cfg.t_max
-    if request.t_max is not None:
-        if request.t_max < 1:
-            raise ValueError("t_max must be >= 1")
-        t_cap = min(t_cap, request.t_max)
 
     y = None
     if model.variant == "evac":
@@ -121,29 +107,13 @@ def generate_cohort(model, request):
     for snap_idx in np.unique(picks):
         snapshot = model.reservoir[int(snap_idx)]
         rows = np.flatnonzero(picks == snap_idx)
-        pending = rows
-        for _ in range(MAX_EMPTY_RESAMPLES + 1):
-            z = _draw_latents(model, snapshot, y, len(pending), rng)
-            sampled = ancestral_sample(
-                snapshot["theta"], model.dec_cfg, z, rng,
-                eos_id=vocab.eos_id, temperature=request.temperature,
-                forbid=(vocab.pad_id,))
-            still_empty = []
-            for row, toks in zip(pending, sampled):
-                if toks:
-                    visits_out[row] = toks[:t_cap]
-                else:
-                    still_empty.append(row)
-            pending = np.asarray(still_empty, dtype=int)
-            if len(pending) == 0:
-                break
-        for row in pending:
-            # retry budget spent: force a single non-terminal first token
-            z = _draw_latents(model, snapshot, y, 1, rng)
-            tok = _force_single_visit(
-                snapshot["theta"], model.dec_cfg, z[0], rng,
-                vocab.eos_id, vocab.pad_id, request.temperature)
-            visits_out[row] = [tok]
+        z = _draw_latents(model, snapshot, y, len(rows), rng)
+        sampled = ancestral_sample(
+            snapshot["theta"], model.dec_cfg, z, rng,
+            eos_id=vocab.eos_id, temperature=request.temperature,
+            forbid=(vocab.pad_id,))
+        for row, toks in zip(rows, sampled):
+            visits_out[row] = toks[:request.t_max]
 
     conds = tuple(int(v) for v in y) if y is not None else ()
     records = [

@@ -56,7 +56,7 @@ class TrainConfig:
     lr_global: float = 1e-3
     psgld_alpha: float = 0.99
     psgld_lambda: float = 1e-5
-    temperature: float = 1.0  # pSGLD noise std scales by T (variance T^2)
+    temperature: float = 1.0  # pSGLD noise variance scales by T
     burn_in: int | None = None  # default: half the iteration budget
     thin: int = 200
     reservoir_size: int = 10
@@ -349,25 +349,29 @@ def psgld_step(state, params, grad, step_size, temperature, rng,
                alpha=0.99, lam=1e-5):
     """One preconditioned Langevin ascent step on a flat vector, in place.
 
-    V <- alpha V + (1 - alpha) g^2;  G <- 1 / (lam + sqrt(V));
-    p <- p + (step/2) G g + temperature * N(0, step G).
+    V <- alpha V + (1 - alpha) g^2, and V <- g^2 on the first step, so the
+    first G is not inflated by V's zero start;  G <- 1 / (lam + sqrt(V));
+    p <- p + (step/2) G g + N(0, temperature * step G).
 
-    The noise std is linear in temperature, so its variance goes as T^2, not
-    as T in the tempered-posterior law. temperature 0 gives deterministic
-    preconditioned ascent. The curvature correction term of the original
-    method is omitted, as is common.
+    The noise variance is linear in temperature, the tempered-posterior law
+    (Wenzel et al. 2020). temperature 0 gives deterministic preconditioned
+    ascent. The curvature correction term of the original method is
+    omitted, as is common.
     """
     if step_size < 0:
         raise ValueError("step_size must be non-negative")
     if grad.shape != params.shape:
         raise ValueError(f"grad shape {grad.shape} != {params.shape}")
     v = state.v
-    v *= alpha
-    v += (1.0 - alpha) * grad * grad
+    if state.step == 0:
+        v[:] = grad * grad
+    else:
+        v *= alpha
+        v += (1.0 - alpha) * grad * grad
     G = 1.0 / (lam + np.sqrt(v))
     params += 0.5 * step_size * G * grad
     if temperature > 0:
-        params += temperature * np.sqrt(step_size * G) * rng.standard_normal(
+        params += np.sqrt(temperature * step_size * G) * rng.standard_normal(
             params.shape)
     state.step += 1
     return state

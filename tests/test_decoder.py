@@ -92,6 +92,20 @@ class TestCausality:
         logits3, _ = decode_logits(params, cfg, z, tokens3)
         assert np.any(logits[:, t] != logits3[:, t])
 
+    def test_logits_do_not_depend_on_width(self):
+        """decode_logits on tokens[:, :t + 1] gives the full-width logits at
+        position t, past the receptive field and through the cropped
+        latent context; ancestral_sample relies on this."""
+        cfg = DecoderConfig(vocab_size=6, latent_dim=3, t_max=11, channels=4,
+                            kernel=2, dilations=(1, 2), n_upsample=2)
+        assert cfg.t_max > cfg.receptive_field
+        rng, params, z, tokens, _ = make_case(15, cfg=cfg, B=3)
+        full, _ = decode_logits(params, cfg, z, tokens)
+        for t in range(cfg.seq_len):
+            part, _ = decode_logits(params, cfg, z, tokens[:, :t + 1])
+            assert part.shape == (3, t + 1, cfg.vocab_size)
+            assert rel_err(part[:, t], full[:, t]) < 1e-12
+
     def test_latent_reaches_every_position(self):
         rng, params, z, tokens, _ = make_case(2)
         logits, _ = decode_logits(params, SMALL, z, tokens)
@@ -172,7 +186,7 @@ class TestAncestralSampling:
         rng, params, z, _, _ = make_case(9)
         out = ancestral_sample(params, SMALL, z, rng, eos_id=4)
         for seq in out:
-            assert len(seq) <= SMALL.seq_len
+            assert 1 <= len(seq) <= SMALL.t_max
             assert 4 not in seq  # the end marker is stripped
 
     def test_forbid_excludes_tokens(self):
@@ -181,13 +195,50 @@ class TestAncestralSampling:
         out = ancestral_sample(params, SMALL, big, rng, eos_id=4, forbid=(5,))
         assert all(5 not in seq for seq in out)
 
-    def test_eos_everywhere_gives_empty(self):
+    def test_eos_everywhere_gives_one_visit(self):
+        """EOS is masked at step 0 only: a decoder that always ends gives
+        exactly one non-EOS visit per record, drawn from the remaining
+        tokens."""
         rng, params, z, _, _ = make_case(11)
         params["head"]["W"][:] = 0.0
         params["head"]["b"][:] = -40.0
-        params["head"]["b"][4] = 40.0  # eos wins immediately
+        params["head"]["b"][4] = 40.0  # eos wins whenever it is allowed
+        params["head"]["b"][2] = 0.0  # the only likely non-EOS token
+        out = ancestral_sample(params, SMALL, z, rng, eos_id=4, forbid=(5,))
+        assert out == [[2], [2]]
+
+    def test_runs_to_t_max_without_eos(self):
+        rng, params, z, _, _ = make_case(13)
+        params["head"]["b"][4] = -np.inf  # the end marker is never drawn
         out = ancestral_sample(params, SMALL, z, rng, eos_id=4)
-        assert out == [[], []]
+        assert [len(seq) for seq in out] == [SMALL.t_max] * len(z)
+
+    def test_samples_follow_step_distribution(self):
+        """First-step draws match the EOS-masked softmax of the step-0
+        logits, and second-step draws the softmax given the first token."""
+        cfg = DecoderConfig(vocab_size=4, latent_dim=2, t_max=2, channels=3,
+                            kernel=2, dilations=(1,), n_upsample=1)
+        rng = np.random.default_rng(14)
+        params = init_decoder_params(cfg, rng)
+        params["head"]["W"] *= 20.0  # make the steps far from uniform
+        n = 20000
+        z = np.tile(rng.standard_normal(cfg.latent_dim), (n, 1))
+        out = ancestral_sample(params, cfg, z, rng, eos_id=0)
+        first = np.array([seq[0] for seq in out])
+        logits, _ = decode_logits(params, cfg, z[:1], np.zeros((1, 1), int))
+        p0 = np.exp(_nn.log_softmax(logits[0, 0]))
+        p0[0] = 0.0
+        p0 /= p0.sum()
+        freq0 = np.bincount(first, minlength=4) / n
+        np.testing.assert_allclose(freq0, p0, atol=4 * np.sqrt(0.25 / n))
+        tok = int(np.argmax(p0))
+        seconds = [seq[1] if len(seq) > 1 else 0 for seq in out
+                   if seq[0] == tok]
+        logits, _ = decode_logits(params, cfg, z[:1], np.array([[tok, 0]]))
+        p1 = np.exp(_nn.log_softmax(logits[0, 1]))
+        freq1 = np.bincount(seconds, minlength=4) / len(seconds)
+        np.testing.assert_allclose(
+            freq1, p1, atol=4 * np.sqrt(0.25 / len(seconds)))
 
     def test_rejects_nonpositive_temperature(self):
         rng, params, z, _, _ = make_case(12)

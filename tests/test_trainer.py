@@ -208,11 +208,19 @@ class TestPsgld:
         state = SamplerState.create(params, reservoir_size=3)
         psgld_step(state, params, grad, step_size=0.1, temperature=0.0,
                    rng=np.random.default_rng(0), alpha=0.9, lam=1e-5)
-        v = 0.1 * 4.0  # (1 - alpha) g^2
-        G = 1.0 / (1e-5 + math.sqrt(v))
+        G = 1.0 / (1e-5 + 2.0)  # V seeded with g^2 on the first step
         np.testing.assert_allclose(params, [1.0 + 0.05 * G * 2.0],
                                    rtol=1e-12)
+        np.testing.assert_allclose(state.v, [4.0], rtol=1e-12)
         assert state.step == 1
+        psgld_step(state, params, np.array([1.0]), step_size=0.1,
+                   temperature=0.0, rng=np.random.default_rng(0),
+                   alpha=0.9, lam=1e-5)
+        v = 0.9 * 4.0 + 0.1 * 1.0  # the running average from then on
+        np.testing.assert_allclose(state.v, [v], rtol=1e-12)
+        G2 = 1.0 / (1e-5 + math.sqrt(v))
+        np.testing.assert_allclose(
+            params, [1.0 + 0.05 * G * 2.0 + 0.05 * G2 * 1.0], rtol=1e-12)
 
     def test_zero_step_size_freezes_params(self):
         rng = np.random.default_rng(1)
@@ -223,19 +231,23 @@ class TestPsgld:
         np.testing.assert_array_equal(params, [3.0, -1.0])
 
     def test_noise_scales_with_temperature(self):
-        """Repeated steps at fixed gradient: spread grows with temperature."""
-        def run(temp, seed):
-            rng = np.random.default_rng(seed)
-            params = np.array([0.0])
+        """Tempered-posterior law: the noise variance is linear in T, so at
+        zero gradient and the same seed the displacement at T is
+        sqrt(T / T') times the displacement at T'."""
+        def displacement(temp):
+            rng = np.random.default_rng(2)
+            params = np.zeros(5)
             state = SamplerState.create(params, reservoir_size=1)
-            vals = []
-            for _ in range(300):
-                psgld_step(state, params, np.array([0.0]),
-                           step_size=1e-3, temperature=temp, rng=rng)
-                vals.append(params[0])
-            return np.std(np.diff(vals))
+            for _ in range(3):
+                psgld_step(state, params, np.zeros(5), step_size=1e-3,
+                           temperature=temp, rng=rng)
+            return params.copy()
 
-        assert run(1.0, 2) > 10 * run(0.01, 2)
+        ref = displacement(1.0)
+        assert np.all(ref != 0.0)
+        for temp in (0.01, 0.5, 4.0):
+            np.testing.assert_allclose(displacement(temp),
+                                       np.sqrt(temp) * ref, rtol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         params = np.zeros(2)
