@@ -29,7 +29,6 @@ config = TrainConfig(
     minibatch=32,
     lr_global=2e-3,
     temperature=1.0,
-    clip_norm=1e4,   # loose: the preconditioner handles scale on its own
     burn_in=200,
     thin=40,
     reservoir_size=10,

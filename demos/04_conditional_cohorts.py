@@ -22,8 +22,8 @@ batch = encode_cohort(real, vocab, t_max=16)
 # full-length run (~4 min): the condition directions in H are the last
 # thing to converge, so short runs leave some blocks unseparated
 config = TrainConfig(variant="evac", latent_dim=16, n_iters=3000, minibatch=32,
-                     lr_global=2e-3, temperature=1.0, clip_norm=1e4,
-                     burn_in=600, thin=260, reservoir_size=10, seed=3)
+                     lr_global=2e-3, temperature=1.0, burn_in=600,
+                     thin=260, reservoir_size=10, seed=3)
 t0 = time.time()
 model = train(config, batch, vocab, condition_names=real.condition_names)
 print(f"conditional model trained in {time.time() - t0:.0f}s")

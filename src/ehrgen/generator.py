@@ -9,6 +9,10 @@ Each record has 1 to t_max visits (the model's t_max, or the request's when
 smaller). The first visit is drawn with the end marker masked, so no record
 comes back empty and no record is redrawn; cohorts for a given seed differ
 from those of versions that redrew empty records.
+
+A request's t_max stops the sampler early. Under the point policy a capped
+cohort is the uncapped one truncated; under the ensemble policy it is not,
+because the skipped draws shift the later snapshot groups' draws.
 """
 
 from __future__ import annotations
@@ -111,9 +115,9 @@ def generate_cohort(model, request):
         sampled = ancestral_sample(
             snapshot["theta"], model.dec_cfg, z, rng,
             eos_id=vocab.eos_id, temperature=request.temperature,
-            forbid=(vocab.pad_id,))
+            forbid=(vocab.pad_id,), t_max=request.t_max)
         for row, toks in zip(rows, sampled):
-            visits_out[row] = toks[:request.t_max]
+            visits_out[row] = toks
 
     conds = tuple(int(v) for v in y) if y is not None else ()
     records = [

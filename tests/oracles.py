@@ -14,6 +14,7 @@ import numpy as np
 
 from ehrgen import _nn
 from ehrgen.corpus import PatientRecord
+from ehrgen.decoder import decode_logits
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +69,30 @@ def assert_tree_close(analytic, numeric, tol, context=""):
     for path, num in numeric.items():
         err = rel_err(analytic_flat[path], num)
         assert err < tol, f"{context}: grad mismatch at {path}: rel err {err:.3g}"
+
+
+# ---------------------------------------------------------------------------
+# reference sampler
+# ---------------------------------------------------------------------------
+
+def prefix_sample(params, cfg, z, rng, eos_id, temperature=1.0, forbid=()):
+    """Quadratic reference for ``ancestral_sample``: rescore every live
+    record's whole prefix with ``decode_logits`` at each step, with the same
+    masking and the same uniform draws."""
+    seqs, live = [[] for _ in z], list(range(len(z)))
+    for t in range(cfg.t_max):
+        prefix = np.array([seqs[b] + [0] for b in live])
+        step = decode_logits(params, cfg, z[live], prefix)[0][:, t] / temperature
+        step[:, list(forbid) + ([eos_id] if t == 0 else [])] = -np.inf
+        cdf = np.cumsum(np.exp(step - step.max(axis=1, keepdims=True)), axis=1)
+        u = rng.random(len(live)) * cdf[:, -1]
+        draws = np.minimum((cdf <= u[:, None]).sum(axis=1), cfg.vocab_size - 1)
+        for b, tok in zip(live, draws):
+            seqs[b].append(int(tok))
+        live = [b for b, tok in zip(live, draws) if tok != eos_id]
+        if not live:
+            break
+    return [s[:-1] if s[-1] == eos_id else s for s in seqs]
 
 
 # ---------------------------------------------------------------------------

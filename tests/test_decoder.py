@@ -4,7 +4,7 @@ finite-difference gradients, ancestral sampling behaviour."""
 import numpy as np
 import pytest
 
-from ehrgen import _nn
+from ehrgen import _nn, decoder
 from ehrgen.decoder import (
     DecoderConfig,
     ancestral_sample,
@@ -14,11 +14,20 @@ from ehrgen.decoder import (
     sequence_log_likelihood,
 )
 
-from oracles import assert_tree_close, numerical_grad, numerical_grad_tree, rel_err
+from oracles import (
+    assert_tree_close,
+    numerical_grad,
+    numerical_grad_tree,
+    prefix_sample,
+    rel_err,
+)
 
 # small everywhere: V=6, receptive field (2-1)*(1+2)+1 = 4
 SMALL = DecoderConfig(vocab_size=6, latent_dim=3, t_max=7, channels=4,
                       kernel=2, dilations=(1, 2), n_upsample=1)
+# t_max past the receptive field (3*(1+2)+1 = 10), two upsampling stages
+LONG = DecoderConfig(vocab_size=6, latent_dim=3, t_max=17, channels=4,
+                     kernel=4, dilations=(1, 2), n_upsample=2)
 
 
 def make_case(seed, cfg=SMALL, B=2):
@@ -239,6 +248,60 @@ class TestAncestralSampling:
         freq1 = np.bincount(seconds, minlength=4) / len(seconds)
         np.testing.assert_allclose(
             freq1, p1, atol=4 * np.sqrt(0.25 / len(seconds)))
+
+    def test_step_logits_match_decode_logits(self, monkeypatch):
+        """Every step's logits equal decode_logits on the sampled record at
+        that position, past the receptive field and after some records have
+        left the batch."""
+        assert LONG.t_max > LONG.receptive_field
+        rng, params, z, _, _ = make_case(16, cfg=LONG, B=6)
+        params["head"]["b"][4] = -1.0  # records end at different steps
+        steps = []
+
+        def recording(params, cfg, ctx, hist, rows, t, prev):
+            logits = step_logits(params, cfg, ctx, hist, rows, t, prev)
+            steps.append((rows.copy(), t, logits.copy()))
+            return logits
+
+        step_logits = decoder._step_logits
+        monkeypatch.setattr(decoder, "_step_logits", recording)
+        out = ancestral_sample(params, LONG, z, rng, eos_id=4)
+        tokens = np.zeros((len(z), LONG.seq_len), dtype=int)
+        for b, seq in enumerate(out):
+            tokens[b, :len(seq) + 1] = seq + [4]
+        full, _ = decode_logits(params, LONG, z, tokens)
+        assert [t for _, t, _ in steps] == list(range(len(steps)))
+        assert len(steps) > LONG.receptive_field
+        # records left the batch at two or more different steps
+        assert len({len(rows) for rows, _, _ in steps}) > 2
+        for rows, t, logits in steps:
+            assert rel_err(logits, full[rows, t]) < 1e-12
+
+    @pytest.mark.parametrize("seed", [17, 18, 19])
+    def test_matches_prefix_rescoring_oracle(self, seed):
+        rng, params, z, _, _ = make_case(seed, cfg=LONG, B=5)
+        params["head"]["b"][4] = 1.0
+        kwargs = dict(eos_id=4, temperature=0.7, forbid=(5,))
+        out = ancestral_sample(params, LONG, z,
+                               np.random.default_rng(seed), **kwargs)
+        ref = prefix_sample(params, LONG, z,
+                            np.random.default_rng(seed), **kwargs)
+        assert out == ref
+        assert len({len(seq) for seq in out}) > 1
+
+    def test_length_cap_truncates(self):
+        """A cap stops the draws early and leaves the earlier ones alone."""
+        rng, params, z, _, _ = make_case(20, cfg=LONG, B=8)
+        params["head"]["b"][4] = -np.inf
+        full = ancestral_sample(params, LONG, z, np.random.default_rng(3),
+                                eos_id=4)
+        for cap in (1, 5, LONG.t_max, LONG.t_max + 4):
+            capped = ancestral_sample(params, LONG, z,
+                                      np.random.default_rng(3), eos_id=4,
+                                      t_max=cap)
+            assert capped == [seq[:cap] for seq in full]
+        with pytest.raises(ValueError):
+            ancestral_sample(params, LONG, z, rng, eos_id=4, t_max=0)
 
     def test_rejects_nonpositive_temperature(self):
         rng, params, z, _, _ = make_case(12)

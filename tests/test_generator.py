@@ -130,6 +130,18 @@ class TestGeneration:
         with pytest.raises(ValueError):
             generate_cohort(EVA, GenerationRequest(count=1, t_max=0))
 
+    def test_capped_point_cohort_is_truncated_uncapped(self):
+        """Under the point policy (one snapshot group) the cap only stops the
+        draws early."""
+        full = generate_cohort(EVA, GenerationRequest(count=30, seed=8,
+                                                      policy="point"))
+        capped = generate_cohort(EVA, GenerationRequest(count=30, seed=8,
+                                                        policy="point",
+                                                        t_max=2))
+        assert max(len(r.visits) for r in full.records) > 2
+        assert ([r.visits for r in capped.records]
+                == [r.visits[:2] for r in full.records])
+
     def test_point_policy_uses_last_snapshot_only(self):
         """Point generation must be reproducible from the last sample alone."""
         import copy
