@@ -32,9 +32,9 @@ _EXPORTS = {
     "sample_prior_eva": ".latent", "sample_prior_evac": ".latent",
     # encoders
     "DiagGaussian": ".encoders", "EncoderConfig": ".encoders",
-    "poe_combine": ".encoders", "reparam_sample": ".encoders",
-    "sample_with_eta": ".encoders", "encode_sequence": ".encoders",
-    "encode_conditions": ".encoders", "init_sequence_encoder": ".encoders",
+    "poe_combine": ".encoders", "sample_with_eta": ".encoders",
+    "encode_sequence": ".encoders", "encode_conditions": ".encoders",
+    "init_sequence_encoder": ".encoders",
     "init_condition_encoder": ".encoders",
     # decoder
     "DecoderConfig": ".decoder", "init_decoder_params": ".decoder",
@@ -44,7 +44,6 @@ _EXPORTS = {
     "TrainConfig": ".trainer", "ElboReport": ".trainer",
     "SamplerState": ".trainer", "TrainingDiverged": ".trainer",
     "kl_diag_gaussians": ".trainer", "entropy_diag_gaussian": ".trainer",
-    "local_objective": ".trainer", "global_grad_estimate": ".trainer",
     "psgld_step": ".trainer", "train": ".trainer", "build_parts": ".trainer",
     "draw_local_noises": ".trainer", "encode_posteriors": ".trainer",
     "init_phi": ".trainer", "step_gradients": ".trainer",

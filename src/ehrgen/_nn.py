@@ -113,72 +113,95 @@ def embedding_backward(cache, dout):
 
 
 # ---------------------------------------------------------------------------
-# LSTM (mask-gated: masked steps carry state through unchanged)
+# LSTM over contiguous runs: step t runs only on the rows still live at t
 # ---------------------------------------------------------------------------
 
-def lstm_forward(params, x, mask):
-    """Run an LSTM over ``x`` (B, L, E) with per-step mask (B, L).
+def _live_order(mask):
+    """``(order, counts)``: the rows by run length, longest first, and the
+    number of rows live at each step, which are the first ``counts[t]`` of
+    that order whether the runs start at the first step or end at the last.
+    """
+    live = np.asarray(mask) != 0
+    n = live.sum(axis=1)
+    prefix = np.arange(live.shape[1]) < n[:, None]
+    if not (np.array_equal(live, prefix)
+            or np.array_equal(live, prefix[:, ::-1])):
+        raise ValueError("unmasked steps must be one run per row, all "
+                         "starting at the first step or all ending at the last")
+    return np.argsort(-n, kind="stable"), live.sum(axis=0)
 
-    Masked steps leave (h, c) untouched, so the final state equals the state
-    at each record's last unmasked step and the output is independent of the
-    contents of masked positions.
+
+def lstm_forward(params, x, mask):
+    """Run an LSTM over ``x`` (B, L, E) with a 0/1 step mask (B, L).
+
+    Each row's unmasked steps must form one contiguous run, and the runs
+    must all start at step 0 or all end at step L - 1 (a padded sequence or
+    its reversal); any other mask raises ValueError. Masked steps leave
+    (h, c) untouched, so the final state equals the state at each record's
+    last unmasked step, a row with no unmasked step keeps h = c = 0, and
+    the output is independent of the contents of masked positions.
+
+    Rows are sorted once by run length, longest first, so that the rows
+    live at step t are a prefix of that order; each step runs on that
+    prefix only, so the cost scales with the number of unmasked steps, not
+    with B * L.
 
     Returns (h_seq (B, L, H), h_last (B, H), cache).
     """
+    order, counts = _live_order(mask)
     B, L, _ = x.shape
     H = params["Wh"].shape[0]
+    xs = x[order]
     h = np.zeros((B, H))
     c = np.zeros((B, H))
-    h_seq = np.zeros((B, L, H))
+    h_seq = np.empty((B, L, H))
     steps = []
-    for t in range(L):
-        m = mask[:, t:t + 1]
-        a = x[:, t] @ params["Wx"] + h @ params["Wh"] + params["b"]
+    for t, n in enumerate(counts):
+        h_prev, c_prev = h[:n].copy(), c[:n].copy()
+        a = xs[:n, t] @ params["Wx"] + h_prev @ params["Wh"] + params["b"]
         i = sigmoid(a[:, :H])
         f = sigmoid(a[:, H:2 * H])
         g = np.tanh(a[:, 2 * H:3 * H])
         o = sigmoid(a[:, 3 * H:])
-        c_cand = f * c + i * g
-        tc = np.tanh(c_cand)
-        h_cand = o * tc
-        c_new = m * c_cand + (1.0 - m) * c
-        h_new = m * h_cand + (1.0 - m) * h
-        steps.append((h, c, i, f, g, o, c_cand, tc, m))
-        h, c = h_new, c_new
+        c[:n] = f * c_prev + i * g
+        tc = np.tanh(c[:n])
+        h[:n] = o * tc
+        steps.append((h_prev, c_prev, i, f, g, o, tc))
         h_seq[:, t] = h
-    cache = (params, x, steps)
-    return h_seq, h, cache
+    inv = np.argsort(order)
+    cache = (params, xs, order, counts, steps)
+    return h_seq[inv], h[inv], cache
 
 
 def lstm_backward(cache, dh_seq=None, dh_last=None):
-    """Backprop through ``lstm_forward``.
+    """Backprop through ``lstm_forward``, on the live rows of each step.
 
     ``dh_seq`` is the gradient w.r.t. the full hidden sequence (may be None),
     ``dh_last`` w.r.t. the final state (may be None). Returns (grads, dx).
     """
-    params, x, steps = cache
-    B, L, E = x.shape
+    params, xs, order, counts, steps = cache
+    B, L, E = xs.shape
     H = params["Wh"].shape[0]
     dWx = np.zeros_like(params["Wx"])
     dWh = np.zeros_like(params["Wh"])
     db = np.zeros_like(params["b"])
-    dx = np.zeros_like(x)
-    dh = np.zeros((B, H)) if dh_last is None else dh_last.copy()
+    dxs = np.zeros_like(xs)
+    dh = np.zeros((B, H)) if dh_last is None else dh_last[order]
     dc = np.zeros((B, H))
+    if dh_seq is not None:
+        dh_seq = dh_seq[order]
     for t in range(L - 1, -1, -1):
-        h_prev, c_prev, i, f, g, o, c_cand, tc, m = steps[t]
+        # a masked step carries (h, c), so its gradient flows on unchanged
         if dh_seq is not None:
-            dh = dh + dh_seq[:, t]
-        dh_cand = m * dh
-        dh_carry = (1.0 - m) * dh
-        dc_cand = m * dc
-        dc_carry = (1.0 - m) * dc
-        do = dh_cand * tc
-        dc_cand = dc_cand + dh_cand * o * (1.0 - tc * tc)
-        df = dc_cand * c_prev
-        di = dc_cand * g
-        dg = dc_cand * i
-        dc = dc_cand * f + dc_carry
+            dh += dh_seq[:, t]
+        n = counts[t]
+        h_prev, c_prev, i, f, g, o, tc = steps[t]
+        dh_n = dh[:n]
+        do = dh_n * tc
+        dc_n = dc[:n] + dh_n * o * (1.0 - tc * tc)
+        df = dc_n * c_prev
+        di = dc_n * g
+        dg = dc_n * i
         da = np.concatenate(
             [
                 di * i * (1.0 - i),
@@ -188,13 +211,14 @@ def lstm_backward(cache, dh_seq=None, dh_last=None):
             ],
             axis=1,
         )
-        dWx += x[:, t].T @ da
+        dWx += xs[:n, t].T @ da
         dWh += h_prev.T @ da
         db += da.sum(axis=0)
-        dx[:, t] = da @ params["Wx"].T
-        dh = da @ params["Wh"].T + dh_carry
+        dxs[:n, t] = da @ params["Wx"].T
+        dh[:n] = da @ params["Wh"].T
+        dc[:n] = dc_n * f
     grads = {"Wx": dWx, "Wh": dWh, "b": db}
-    return grads, dx
+    return grads, dxs[np.argsort(order)]
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +352,6 @@ class Layout:
                 node = node.setdefault(key, {})
             node[leaf] = vec[offset:offset + math.prod(shape)].reshape(shape)
         return tree
-
-
-def global_norm(tree):
-    total = 0.0
-    for _, arr in iter_arrays(tree):
-        total += float(np.sum(arr * arr))
-    return math.sqrt(total)
 
 
 def clip_global_norm(vec, max_norm):

@@ -177,18 +177,16 @@ def sequence_log_likelihood(params, cfg, z, tokens, mask):
     return ll, cache
 
 
-def ll_and_grads(params, cfg, z, tokens, mask, weights=None):
-    """Gradients of sum_b weights_b * ll_b w.r.t. decoder params and z.
+def ll_and_grads(params, cfg, z, tokens, mask):
+    """Gradients of sum_b ll_b w.r.t. decoder params and z.
 
     Returns (ll (B,), theta_grads, dz (B, D)).
     """
     ll, cache = sequence_log_likelihood(params, cfg, z, tokens, mask)
     cache_dec, logp, tokens, mask = cache
     B, T = tokens.shape
-    w = np.ones(B) if weights is None else np.asarray(weights, dtype=float)
-    scale = (w[:, None] * mask)[..., None]
-    dlogits = -np.exp(logp) * scale
-    dlogits[np.arange(B)[:, None], np.arange(T)[None, :], tokens] += scale[..., 0]
+    dlogits = -np.exp(logp) * mask[..., None]
+    dlogits[np.arange(B)[:, None], np.arange(T)[None, :], tokens] += mask
     grads, dz = decode_logits_backward(params, cfg, cache_dec, dlogits)
     return ll, grads, dz
 

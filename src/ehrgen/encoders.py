@@ -170,13 +170,8 @@ def poe_combine_backward(g1, g2, out, dmean, dvar):
 # reparameterized sampling
 # ---------------------------------------------------------------------------
 
-def reparam_sample(g, rng):
-    """mean + sqrt(var) * eta with eta ~ N(0, I)."""
-    eta = rng.standard_normal(g.mean.shape)
-    return sample_with_eta(g, eta)
-
-
 def sample_with_eta(g, eta):
+    """mean + sqrt(var) * eta; eta is the caller's standard-normal noise."""
     return g.mean + np.sqrt(g.var) * eta
 
 

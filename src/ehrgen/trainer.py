@@ -309,24 +309,6 @@ def _log_posterior_grad(g_data, params, scale):
     return scale * g_data - params
 
 
-def local_objective(parts, batch, theta, H, phi, noises):
-    """Variational objective J for the local latents and its phi gradient.
-
-    theta and H are treated as fixed posterior samples; common random
-    numbers come in through ``noises`` (one standard-normal array per
-    latent), so repeated calls are deterministic.
-    """
-    report, _, g_phi = step_gradients(parts, batch, theta, H, phi, noises,
-                                      len(batch))
-    return report, g_phi
-
-
-def global_grad_estimate(parts, batch, theta, H, phi, noises, n_total):
-    """``(g_theta, g_H)`` of ``step_gradients``; g_H is None for eva."""
-    _, g, _ = step_gradients(parts, batch, theta, H, phi, noises, n_total)
-    return g["theta"], g.get("H")
-
-
 # ---------------------------------------------------------------------------
 # preconditioned SGLD
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ same run has a ``conftest.py`` of its own.
 """
 
 import numpy as np
+from scipy.special import expit as sigmoid
 
 from ehrgen import _nn
 from ehrgen.corpus import PatientRecord
@@ -69,6 +70,79 @@ def assert_tree_close(analytic, numeric, tol, context=""):
     for path, num in numeric.items():
         err = rel_err(analytic_flat[path], num)
         assert err < tol, f"{context}: grad mismatch at {path}: rel err {err:.3g}"
+
+
+# ---------------------------------------------------------------------------
+# reference LSTM
+# ---------------------------------------------------------------------------
+
+def masked_lstm_forward(params, x, mask):
+    """Reference for ``_nn.lstm_forward``: every step runs on all B rows and
+    a masked step keeps the old state through the blend m * new + (1 - m) *
+    old. Accepts any 0/1 mask."""
+    B, L, _ = x.shape
+    H = params["Wh"].shape[0]
+    h = np.zeros((B, H))
+    c = np.zeros((B, H))
+    h_seq = np.zeros((B, L, H))
+    steps = []
+    for t in range(L):
+        m = mask[:, t:t + 1]
+        a = x[:, t] @ params["Wx"] + h @ params["Wh"] + params["b"]
+        i = sigmoid(a[:, :H])
+        f = sigmoid(a[:, H:2 * H])
+        g = np.tanh(a[:, 2 * H:3 * H])
+        o = sigmoid(a[:, 3 * H:])
+        c_cand = f * c + i * g
+        tc = np.tanh(c_cand)
+        h_cand = o * tc
+        c_new = m * c_cand + (1.0 - m) * c
+        h_new = m * h_cand + (1.0 - m) * h
+        steps.append((h, c, i, f, g, o, tc, m))
+        h, c = h_new, c_new
+        h_seq[:, t] = h
+    return h_seq, h, (params, x, steps)
+
+
+def masked_lstm_backward(cache, dh_seq=None, dh_last=None):
+    """Backprop through ``masked_lstm_forward``; returns (grads, dx)."""
+    params, x, steps = cache
+    B, L, _ = x.shape
+    H = params["Wh"].shape[0]
+    dWx = np.zeros_like(params["Wx"])
+    dWh = np.zeros_like(params["Wh"])
+    db = np.zeros_like(params["b"])
+    dx = np.zeros_like(x)
+    dh = np.zeros((B, H)) if dh_last is None else dh_last.copy()
+    dc = np.zeros((B, H))
+    for t in range(L - 1, -1, -1):
+        h_prev, c_prev, i, f, g, o, tc, m = steps[t]
+        if dh_seq is not None:
+            dh = dh + dh_seq[:, t]
+        dh_cand = m * dh
+        dh_carry = (1.0 - m) * dh
+        dc_cand = m * dc + dh_cand * o * (1.0 - tc * tc)
+        dc_carry = (1.0 - m) * dc
+        do = dh_cand * tc
+        df = dc_cand * c_prev
+        di = dc_cand * g
+        dg = dc_cand * i
+        dc = dc_cand * f + dc_carry
+        da = np.concatenate(
+            [
+                di * i * (1.0 - i),
+                df * f * (1.0 - f),
+                dg * (1.0 - g * g),
+                do * o * (1.0 - o),
+            ],
+            axis=1,
+        )
+        dWx += x[:, t].T @ da
+        dWh += h_prev.T @ da
+        db += da.sum(axis=0)
+        dx[:, t] = da @ params["Wx"].T
+        dh = da @ params["Wh"].T + dh_carry
+    return {"Wx": dWx, "Wh": dWh, "b": db}, dx
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,10 @@ from ehrgen.trainer import (
     build_parts,
     draw_local_noises,
     entropy_diag_gaussian,
-    global_grad_estimate,
     init_phi,
     kl_diag_gaussians,
-    local_objective,
     psgld_step,
+    step_gradients,
     train,
 )
 
@@ -234,9 +233,11 @@ def test_criterion_03_gradient_fidelity():
         noises = draw_local_noises(np.random.default_rng(2), parts, len(batch))
 
         def total():
-            return local_objective(parts, batch, theta, H, phi, noises)[0].total
+            return step_gradients(parts, batch, theta, H, phi, noises,
+                                  len(batch))[0].total
 
-        _, phi_grads = local_objective(parts, batch, theta, H, phi, noises)
+        _, _, phi_grads = step_gradients(parts, batch, theta, H, phi, noises,
+                                         len(batch))
         flat = dict(_nn.iter_arrays(phi_grads))
         fd = numerical_grad_tree(total, phi)
         worst[f"local/{variant}"] = max(rel_err(flat[p], fd[p]) for p in fd)
@@ -246,19 +247,22 @@ def test_criterion_03_gradient_fidelity():
         sub = batch.take(idx)
         nsub = {k: v[idx] for k, v in noises.items()}
         scale = len(batch) / len(idx)
-        g_theta, g_H = global_grad_estimate(parts, sub, theta, H, phi, nsub,
-                                            n_total=len(batch))
+        _, g, _ = step_gradients(parts, sub, theta, H, phi, nsub,
+                                 n_total=len(batch))
+        g_theta, g_H = g["theta"], g.get("H")
 
         def recon_side():
-            rep, _ = local_objective(parts, sub, theta, H, phi, nsub)
-            return scale * rep.recon - 0.5 * _nn.global_norm(theta) ** 2
+            rep = step_gradients(parts, sub, theta, H, phi, nsub, len(idx))[0]
+            return scale * rep.recon - 0.5 * sum(
+                float(np.sum(a * a)) for _, a in _nn.iter_arrays(theta))
 
         flat = dict(_nn.iter_arrays(g_theta))
         fd = numerical_grad_tree(recon_side, theta)
         worst[f"global/{variant}"] = max(rel_err(flat[p], fd[p]) for p in fd)
         if variant == "evac":
             def cross_side():
-                rep, _ = local_objective(parts, sub, theta, H, phi, nsub)
+                rep = step_gradients(parts, sub, theta, H, phi, nsub,
+                                     len(idx))[0]
                 return scale * rep.cross - 0.5 * float((H ** 2).sum())
 
             worst["global/H"] = rel_err(g_H, numerical_grad(cross_side, H))
@@ -310,8 +314,9 @@ def test_criterion_05_minibatch_unbiasedness():
     for variant in ("eva", "evac"):
         batch, parts, theta, H, phi, dec = tiny_setup(variant, n=6)
         noises = draw_local_noises(np.random.default_rng(9), parts, 6)
-        full_t, full_H = global_grad_estimate(parts, batch, theta, H, phi,
-                                              noises, n_total=6)
+        _, full, _ = step_gradients(parts, batch, theta, H, phi, noises,
+                                    n_total=6)
+        full_t, full_H = full["theta"], full.get("H")
         layout = _nn.Layout.of(full_t)
         acc_t = np.zeros(layout.size)
         acc_H = np.zeros_like(H) if H is not None else None
@@ -320,8 +325,9 @@ def test_criterion_05_minibatch_unbiasedness():
             idx = np.array(pair)
             sub = batch.take(idx)
             nsub = {k: v[idx] for k, v in noises.items()}
-            g_t, g_H = global_grad_estimate(parts, sub, theta, H, phi, nsub,
-                                            n_total=6)
+            _, g, _ = step_gradients(parts, sub, theta, H, phi, nsub,
+                                     n_total=6)
+            g_t, g_H = g["theta"], g.get("H")
             acc_t += 1.0 / len(pairs) * layout.flatten(g_t)
             if acc_H is not None:
                 acc_H += g_H / len(pairs)

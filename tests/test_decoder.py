@@ -170,19 +170,6 @@ class TestGradients:
         assert_tree_close(grads, numerical_grad_tree(total, params), 1e-5, "decoder")
         assert rel_err(dz, numerical_grad(total, z)) < 1e-5
 
-    def test_weighted_grads(self):
-        """Per-record weights scale each record's gradient contribution."""
-        rng, params, z, tokens, mask = make_case(7)
-        w = np.array([0.3, 2.0])
-
-        def total():
-            ll, _ = sequence_log_likelihood(params, SMALL, z, tokens, mask)
-            return float((w * ll).sum())
-
-        _, grads, dz = ll_and_grads(params, SMALL, z, tokens, mask, weights=w)
-        assert_tree_close(grads, numerical_grad_tree(total, params), 1e-5, "weighted")
-        assert rel_err(dz, numerical_grad(total, z)) < 1e-5
-
 
 class TestAncestralSampling:
     def test_deterministic_under_seed(self):

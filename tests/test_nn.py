@@ -10,7 +10,14 @@ import pytest
 
 from ehrgen import _nn
 
-from oracles import assert_tree_close, numerical_grad, numerical_grad_tree, rel_err
+from oracles import (
+    assert_tree_close,
+    masked_lstm_backward,
+    masked_lstm_forward,
+    numerical_grad,
+    numerical_grad_tree,
+    rel_err,
+)
 
 TOL = 1e-6
 
@@ -105,6 +112,83 @@ class TestLstm:
         rng = np.random.default_rng(5)
         params = _nn.lstm_init(rng, 3, 4)
         assert np.all(params["b"][4:8] >= 1.0)
+
+
+def prefix_mask(lengths, L):
+    return (np.arange(L) < np.asarray(lengths)[:, None]).astype(float)
+
+
+class TestActiveRowLstm:
+    """The active-row LSTM against the masked all-rows reference."""
+
+    CASES = {
+        "ragged": prefix_mask([5, 2, 7, 1, 3, 7], 7),
+        "reversed": prefix_mask([5, 2, 7, 1, 3, 7], 7)[:, ::-1],
+        "full": np.ones((3, 5)),
+        "one_live_step": prefix_mask([1, 4, 2], 4),
+        "one_live_step_reversed": prefix_mask([1, 4, 2], 4)[:, ::-1],
+        "single_row": prefix_mask([3], 6),
+        "single_row_reversed": prefix_mask([3], 6)[:, ::-1],
+        "empty_row": prefix_mask([4, 0, 2], 5),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("upstream", ["seq", "last", "both"])
+    def test_matches_masked_reference(self, case, upstream):
+        mask = self.CASES[case]
+        B, L = mask.shape
+        rng = np.random.default_rng(20)
+        params = _nn.lstm_init(rng, 3, 4)
+        x = rng.standard_normal((B, L, 3))
+        if case.endswith("reversed"):
+            x = x[:, ::-1]  # reversed views, as encode_sequence passes them
+        dh_seq = rng.standard_normal((B, L, 4)) if upstream != "last" else None
+        dh_last = rng.standard_normal((B, 4)) if upstream != "seq" else None
+
+        h_seq, h_last, cache = _nn.lstm_forward(params, x, mask)
+        ref_seq, ref_last, ref_cache = masked_lstm_forward(params, x, mask)
+        assert rel_err(h_seq, ref_seq) < 1e-12
+        assert rel_err(h_last, ref_last) < 1e-12
+
+        grads, dx = _nn.lstm_backward(cache, dh_seq=dh_seq, dh_last=dh_last)
+        ref_grads, ref_dx = masked_lstm_backward(ref_cache, dh_seq=dh_seq,
+                                                 dh_last=dh_last)
+        for key in ("Wx", "Wh", "b"):
+            assert rel_err(grads[key], ref_grads[key]) < 1e-12, key
+        assert rel_err(dx, ref_dx) < 1e-12
+
+    def test_row_without_live_steps_stays_zero(self):
+        """An all-masked row keeps h = c = 0 and adds nothing to the grads."""
+        rng = np.random.default_rng(21)
+        params = _nn.lstm_init(rng, 3, 4)
+        x = rng.standard_normal((3, 5, 3))
+        mask = prefix_mask([4, 0, 2], 5)
+        dh_seq = rng.standard_normal((3, 5, 4))
+        h_seq, h_last, cache = _nn.lstm_forward(params, x, mask)
+        np.testing.assert_array_equal(h_seq[1], 0.0)
+        np.testing.assert_array_equal(h_last[1], 0.0)
+        grads, dx = _nn.lstm_backward(cache, dh_seq=dh_seq)
+        np.testing.assert_array_equal(dx[1], 0.0)
+
+        keep = [0, 2]
+        _, _, cache2 = _nn.lstm_forward(params, x[keep], mask[keep])
+        grads2, dx2 = _nn.lstm_backward(cache2, dh_seq=dh_seq[keep])
+        for key in ("Wx", "Wh", "b"):
+            assert rel_err(grads[key], grads2[key]) < 1e-12, key
+        assert rel_err(dx[keep], dx2) < 1e-12
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 0, 1]],                   # a hole
+        [[1, 1, 0, 0], [0, 1, 1, 0]],  # a run touching neither end
+        [[1, 1, 0], [0, 1, 1]],        # one run from the start, one to the end
+    ])
+    def test_mask_outside_the_contract_rejected(self, rows):
+        rng = np.random.default_rng(22)
+        params = _nn.lstm_init(rng, 3, 4)
+        mask = np.array(rows, dtype=float)
+        x = rng.standard_normal(mask.shape + (3,))
+        with pytest.raises(ValueError, match="run"):
+            _nn.lstm_forward(params, x, mask)
 
 
 class TestConvolutions:
@@ -209,8 +293,6 @@ class TestTreeUtilities:
         assert paths == ["a", "b/x", "b/y"]
 
     def test_global_norm_and_clip(self):
-        tree = {"a": np.array([3.0]), "b": {"c": np.array([4.0])}}
-        assert np.isclose(_nn.global_norm(tree), 5.0)
         vec = np.array([3.0, 4.0])
         pre = _nn.clip_global_norm(vec, 2.5)  # clips in place, returns pre-clip norm
         assert np.isclose(pre, 5.0)

@@ -20,11 +20,10 @@ from ehrgen.trainer import (
     draw_local_noises,
     encode_posteriors,
     entropy_diag_gaussian,
-    global_grad_estimate,
     init_phi,
     kl_diag_gaussians,
-    local_objective,
     psgld_step,
+    step_gradients,
     train,
 )
 
@@ -110,7 +109,8 @@ class TestObjectiveDecomposition:
         """For the unconditional variant the bound is exact: -J = recon - KL."""
         parts, batch, theta, H, phi, _, _ = small_training_setup("eva")
         noises = draw_local_noises(np.random.default_rng(3), parts, len(batch))
-        report, _ = local_objective(parts, batch, theta, None, phi, noises)
+        report, _, _ = step_gradients(parts, batch, theta, None, phi, noises,
+                                      len(batch))
         q = encode_posteriors(parts, phi, batch)["z"]
         kl = kl_diag_gaussians(q, 0.0, 1.0)
         np.testing.assert_allclose(-report.total, report.recon - kl, rtol=1e-10)
@@ -120,7 +120,8 @@ class TestObjectiveDecomposition:
     def test_evac_term_accounting(self):
         parts, batch, theta, H, phi, _, _ = small_training_setup("evac")
         noises = draw_local_noises(np.random.default_rng(4), parts, len(batch))
-        report, _ = local_objective(parts, batch, theta, H, phi, noises)
+        report, _, _ = step_gradients(parts, batch, theta, H, phi, noises,
+                                      len(batch))
         np.testing.assert_allclose(
             report.total,
             -(report.recon + report.cross + report.entropy
@@ -139,8 +140,9 @@ class TestObjectiveDecomposition:
     def test_same_noise_is_deterministic(self):
         parts, batch, theta, H, phi, _, _ = small_training_setup("evac")
         noises = draw_local_noises(np.random.default_rng(5), parts, len(batch))
-        r1, g1 = local_objective(parts, batch, theta, H, phi, noises)
-        r2, g2 = local_objective(parts, batch, theta, H, phi, noises)
+        n = len(batch)
+        r1, _, g1 = step_gradients(parts, batch, theta, H, phi, noises, n)
+        r2, _, g2 = step_gradients(parts, batch, theta, H, phi, noises, n)
         assert r1.total == r2.total
         for (p1, a1), (p2, a2) in zip(_nn.iter_arrays(g1), _nn.iter_arrays(g2)):
             assert p1 == p2
@@ -155,10 +157,11 @@ class TestPhiGradients:
         noises = draw_local_noises(np.random.default_rng(6), parts, len(batch))
 
         def objective():
-            report, _ = local_objective(parts, batch, theta, H, phi, noises)
-            return report.total
+            return step_gradients(parts, batch, theta, H, phi, noises,
+                                  len(batch))[0].total
 
-        _, phi_grads = local_objective(parts, batch, theta, H, phi, noises)
+        _, _, phi_grads = step_gradients(parts, batch, theta, H, phi, noises,
+                                         len(batch))
         numeric = numerical_grad_tree(objective, phi, eps=1e-5)
         assert_tree_close(phi_grads, numeric, 5e-4, f"phi[{variant}]")
 
@@ -169,15 +172,16 @@ class TestGlobalGradients:
                                                                  t_max=4)
         noises = draw_local_noises(np.random.default_rng(7), parts, len(batch))
         n_total = 20  # pretend the corpus is larger than the minibatch
-        g_theta, g_H = global_grad_estimate(parts, batch, theta, None, phi,
-                                            noises, n_total)
-        assert g_H is None
+        _, g, _ = step_gradients(parts, batch, theta, None, phi, noises,
+                                 n_total)
+        assert set(g) == {"theta"}
+        g_theta = g["theta"]
         scale = n_total / len(batch)
 
         # z samples depend only on phi and noises, so theta FD is legitimate
         def data_term():
-            report, _ = local_objective(parts, batch, theta, None, phi, noises)
-            return report.recon
+            return step_gradients(parts, batch, theta, None, phi, noises,
+                                  len(batch))[0].recon
 
         numeric = numerical_grad_tree(data_term, theta, eps=1e-5)
         for path, arr in _nn.iter_arrays(g_theta):
@@ -189,12 +193,12 @@ class TestGlobalGradients:
                                                                  t_max=4)
         noises = draw_local_noises(np.random.default_rng(8), parts, len(batch))
         n_total = 12
-        _, g_H = global_grad_estimate(parts, batch, theta, H, phi, noises,
-                                      n_total)
+        _, g, _ = step_gradients(parts, batch, theta, H, phi, noises, n_total)
+        g_H = g["H"]
 
         def cross_term():
-            report, _ = local_objective(parts, batch, theta, H, phi, noises)
-            return report.cross
+            return step_gradients(parts, batch, theta, H, phi, noises,
+                                  len(batch))[0].cross
 
         numeric = numerical_grad(cross_term, H, eps=1e-5)
         expect = (n_total / len(batch)) * numeric - H
