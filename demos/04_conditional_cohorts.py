@@ -19,7 +19,7 @@ vocab = build_visit_vocab(real, max_size=128)
 real = replace_rare_visits(real, vocab)
 batch = encode_cohort(real, vocab, t_max=16)
 
-# full-length run (~4 min): the condition directions in H are the last
+# full-length run (~1.5 min): the condition directions in H are the last
 # thing to converge, so short runs leave some blocks unseparated
 config = TrainConfig(variant="evac", latent_dim=16, n_iters=3000, minibatch=32,
                      lr_global=2e-3, temperature=1.0, burn_in=600,

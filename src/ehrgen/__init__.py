@@ -28,7 +28,7 @@ _EXPORTS = {
     "analytic_group_unigram": ".simulate", "analytic_group_bigram": ".simulate",
     # latent hierarchy
     "HierarchyHyper": ".latent", "compose_intensities": ".latent",
-    "compose_patient_latent": ".latent", "latent_log_density": ".latent",
+    "latent_log_density": ".latent",
     "sample_prior_eva": ".latent", "sample_prior_evac": ".latent",
     # encoders
     "DiagGaussian": ".encoders", "EncoderConfig": ".encoders",

@@ -31,10 +31,6 @@ def log_softmax(x, axis=-1):
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
 
-def softmax(x, axis=-1):
-    return np.exp(log_softmax(x, axis=axis))
-
-
 # ---------------------------------------------------------------------------
 # parameter initialization
 # ---------------------------------------------------------------------------

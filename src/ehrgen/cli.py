@@ -312,17 +312,17 @@ def cmd_evaluate(args, out):
     metrics["unique_token_ratio_real"] = ev.unique_token_ratio(real)
     metrics["unique_token_ratio_synthetic"] = ev.unique_token_ratio(synth)
 
+    if args.model or args.topk:
+        train_r, test_r = ev.split_cohort(real, test_frac=args.test_frac,
+                                          seed=args.seed)
+
     if args.model:
         from .model import TrainedModel
 
         model = TrainedModel.load(_require_file(args.model, "model"))
-        _, test = ev.split_cohort(real, test_frac=args.test_frac,
-                                  seed=args.seed)
-        metrics["elbo_holdout"] = ev.elbo_holdout(model, test)
+        metrics["elbo_holdout"] = ev.elbo_holdout(model, test_r)
 
     if args.topk:
-        train_r, test_r = ev.split_cohort(real, test_frac=args.test_frac,
-                                          seed=args.seed)
         pred_real = ev.train_next_visit_predictor(train_r, seed=args.seed)
         pred_synth = ev.train_next_visit_predictor(synth, seed=args.seed)
         for k in args.topk:

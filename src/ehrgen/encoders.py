@@ -1,11 +1,12 @@
 """Amortized inference networks.
 
-Each latent variable gets a pair of experts producing diagonal Gaussians:
-a bidirectional LSTM over the token sequence and a feed-forward network over
-the binary condition vector. The two are fused exactly by a product of
-experts (precisions add), which sidesteps the question of where a static
-condition vector should be concatenated into a sequence; no concatenation
-path exists here.
+One pair of experts emits a diagonal Gaussian over all of a record's local
+latents at once (z, then w and b for the conditional model): a bidirectional
+LSTM over the token sequence and a feed-forward network over the binary
+condition vector. The two are fused exactly by a product of experts
+(precisions add, coordinate by coordinate), which sidesteps the question of
+where a static condition vector should be concatenated into a sequence; no
+concatenation path exists here.
 
 Variances come from a softplus head plus a small floor so product-of-experts
 precisions cannot overflow.
@@ -36,10 +37,15 @@ class DiagGaussian:
         if np.any(self.var <= 0):
             raise ValueError("variance must be strictly positive")
 
+    def cols(self, sl):
+        """The marginal over the columns ``sl`` of the last axis."""
+        return DiagGaussian(self.mean[..., sl], self.var[..., sl])
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Sizes for one latent variable's pair of encoders."""
+    """Sizes for the pair of encoders; ``out_dim`` counts every local
+    latent coordinate the pair emits."""
 
     vocab_size: int
     cond_dim: int

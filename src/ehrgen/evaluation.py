@@ -331,17 +331,18 @@ def elbo_holdout(model, cohort):
     snapshot = model.point_sample()
     parts = model.parts
     batch = encode_cohort(cohort, model.vocab, model.dec_cfg.t_max)
-    qs = encode_posteriors(parts, model.phi, batch)
-    q_z = qs["z"]
+    q = encode_posteriors(parts, model.phi, batch)
+    q_z = q.cols(parts.local_slices[0])
     recon, _ = sequence_log_likelihood(
         snapshot["theta"], model.dec_cfg, q_z.mean, batch.tokens, batch.mask)
     score = float(recon.sum())
     if model.variant == "eva":
         score -= kl_diag_gaussians(q_z, 0.0, 1.0)
     else:
-        pi = compose_intensities(batch.conditions, qs["w"].mean)
-        prior_mean = pi @ snapshot["H"].T + qs["b"].mean
+        q_w, q_b = (q.cols(sl) for sl in parts.local_slices[1:])
+        pi = compose_intensities(batch.conditions, q_w.mean)
+        prior_mean = pi @ snapshot["H"].T + q_b.mean
         score -= kl_diag_gaussians(q_z, prior_mean, model.hyper.tau)
-        score -= kl_diag_gaussians(qs["b"], 0.0, model.hyper.gamma)
-        score -= kl_diag_gaussians(qs["w"], 0.0, 1.0)
+        score -= kl_diag_gaussians(q_b, 0.0, model.hyper.gamma)
+        score -= kl_diag_gaussians(q_w, 0.0, 1.0)
     return score / len(batch)

@@ -38,12 +38,6 @@ def compose_intensities(y, w):
     return np.asarray(y, dtype=float) * sigmoid(np.asarray(w, dtype=float))
 
 
-def compose_patient_latent(H, pi, b, tau, rng):
-    """Draw z = H pi + b + eps with eps ~ N(0, tau I)."""
-    mean = pi @ H.T + np.asarray(b, dtype=float)
-    return mean + math.sqrt(tau) * rng.standard_normal(mean.shape)
-
-
 def latent_log_density(z, H, pi, b, tau):
     """log N(z | H pi + b, tau I); supports leading batch axes."""
     if tau <= 0:

@@ -19,7 +19,7 @@ from .decoder import DecoderConfig
 from .encoders import EncoderConfig
 from .latent import HierarchyHyper
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -28,19 +28,23 @@ class ModelParts:
 
     variant: str
     dec_cfg: DecoderConfig
-    enc_cfgs: dict
+    enc_cfg: EncoderConfig
     hyper: HierarchyHyper
 
     @property
-    def latent_names(self):
-        return ("z",) if self.variant == "eva" else ("z", "w", "b")
+    def local_slices(self):
+        """Columns of z, then w and b for evac, in the encoder output."""
+        d, k = self.dec_cfg.latent_dim, self.enc_cfg.cond_dim
+        if self.variant == "eva":
+            return (slice(0, d),)
+        return slice(0, d), slice(d, d + k), slice(d + k, d + k + d)
 
 
 @dataclass
 class TrainedModel:
     variant: str
     dec_cfg: DecoderConfig
-    enc_cfgs: dict
+    enc_cfg: EncoderConfig
     hyper: HierarchyHyper
     phi: dict
     reservoir: list  # snapshots {"theta": tree} (+ "H" for the conditional)
@@ -53,7 +57,7 @@ class TrainedModel:
     @property
     def parts(self):
         return ModelParts(variant=self.variant, dec_cfg=self.dec_cfg,
-                          enc_cfgs=self.enc_cfgs, hyper=self.hyper)
+                          enc_cfg=self.enc_cfg, hyper=self.hyper)
 
     @property
     def cond_dim(self):
@@ -76,7 +80,7 @@ class TrainedModel:
             "format_version": CHECKPOINT_VERSION,
             "variant": self.variant,
             "dec_cfg": asdict(self.dec_cfg),
-            "enc_cfgs": {k: asdict(v) for k, v in self.enc_cfgs.items()},
+            "enc_cfg": asdict(self.enc_cfg),
             "hyper": asdict(self.hyper),
             "condition_names": list(self.condition_names),
             "n_reservoir": len(self.reservoir),
@@ -126,8 +130,7 @@ class TrainedModel:
         return cls(
             variant=meta["variant"],
             dec_cfg=DecoderConfig(**dec_cfg),
-            enc_cfgs={k: EncoderConfig(**v)
-                      for k, v in meta["enc_cfgs"].items()},
+            enc_cfg=EncoderConfig(**meta["enc_cfg"]),
             hyper=HierarchyHyper(**meta["hyper"]),
             phi=phi,
             reservoir=reservoir,

@@ -166,38 +166,29 @@ def _check_finite(value, term):
 # ---------------------------------------------------------------------------
 
 def init_phi(parts, rng):
-    phi = {}
-    for name in parts.latent_names:
-        cfg = parts.enc_cfgs[name]
-        group = {"seq": init_sequence_encoder(cfg, rng)}
-        if parts.variant == "evac":
-            group["cond"] = init_condition_encoder(cfg, rng)
-        phi[name] = group
+    phi = {"seq": init_sequence_encoder(parts.enc_cfg, rng)}
+    if parts.variant == "evac":
+        phi["cond"] = init_condition_encoder(parts.enc_cfg, rng)
     return phi
 
 
 def encode_posteriors(parts, phi, batch):
-    """Variational posteriors for each latent (no caches); used at eval."""
-    out = {}
-    for name in parts.latent_names:
-        q, _, _ = _posterior_with_caches(parts, phi, name, batch)
-        out[name] = q["q"]
-    return out
+    """Variational posterior over all locals (no caches); used at eval.
+    Its columns are ``parts.local_slices``: z, then w and b for evac."""
+    return _posterior_with_caches(parts, phi, batch)[0]["q"]
 
 
-def _posterior_with_caches(parts, phi, name, batch):
-    cfg = parts.enc_cfgs[name]
-    q_seq, c_seq = encode_sequence(phi[name]["seq"], cfg, batch.tokens,
-                                   batch.mask)
+def _posterior_with_caches(parts, phi, batch):
+    cfg = parts.enc_cfg
+    q_seq, c_seq = encode_sequence(phi["seq"], cfg, batch.tokens, batch.mask)
     if parts.variant == "eva":
         return {"q": q_seq, "q_seq": q_seq}, c_seq, None
-    q_cond, c_cond = encode_conditions(phi[name]["cond"], cfg,
-                                       batch.conditions)
+    q_cond, c_cond = encode_conditions(phi["cond"], cfg, batch.conditions)
     q = poe_combine(q_seq, q_cond)
     return {"q": q, "q_seq": q_seq, "q_cond": q_cond}, c_seq, c_cond
 
 
-def _posterior_backward(parts, phi, name, qs, c_seq, c_cond, dmean, dvar):
+def _posterior_backward(parts, qs, c_seq, c_cond, dmean, dvar):
     """Push (dmean, dvar) on the fused posterior back into encoder grads."""
     if parts.variant == "eva":
         return {"seq": encode_sequence_backward(c_seq, dmean, dvar)}
@@ -210,12 +201,9 @@ def _posterior_backward(parts, phi, name, qs, c_seq, c_cond, dmean, dvar):
 
 
 def draw_local_noises(rng, parts, n):
-    """Fresh standard-normal reparameterization noise for each local."""
-    noises = {"z": rng.standard_normal((n, parts.enc_cfgs["z"].out_dim))}
-    if parts.variant == "evac":
-        noises["w"] = rng.standard_normal((n, parts.enc_cfgs["w"].out_dim))
-        noises["b"] = rng.standard_normal((n, parts.enc_cfgs["b"].out_dim))
-    return noises
+    """Fresh standard-normal reparameterization noise for all locals: one
+    (n, out_dim) array whose columns are ``parts.local_slices``."""
+    return rng.standard_normal((n, parts.enc_cfg.out_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -231,70 +219,65 @@ def step_gradients(parts, batch, theta, H, phi, noises, n_total):
     gradient; ``g_phi`` is the gradient of J for the encoders.
     """
     hyper = parts.hyper
-    posts, samples = {}, {}
-    for name in parts.latent_names:
-        qs, c_seq, c_cond = _posterior_with_caches(parts, phi, name, batch)
-        posts[name] = (qs, c_seq, c_cond)
-        samples[name] = sample_with_eta(qs["q"], noises[name])
+    qs, c_seq, c_cond = _posterior_with_caches(parts, phi, batch)
+    q = qs["q"]
+    sample = sample_with_eta(q, noises)
+    sz = parts.local_slices[0]
 
-    z_s = samples["z"]
+    z_s = sample[:, sz]
     ll, g_theta_data, dz_recon = ll_and_grads(
         theta, parts.dec_cfg, z_s, batch.tokens, batch.mask)
     recon = float(ll.sum())
     _check_finite(recon, "reconstruction")
 
-    q_z = posts["z"][0]["q"]
+    q_z = q.cols(sz)
     entropy = entropy_diag_gaussian(q_z)
     _check_finite(entropy, "entropy")
 
-    # per-latent gradients of J on the fused posterior (mean, var) and on
-    # the drawn samples
-    dmean = {n: np.zeros_like(posts[n][0]["q"].mean) for n in samples}
-    dvar = {n: np.zeros_like(posts[n][0]["q"].var) for n in samples}
-    dsample = {n: np.zeros_like(samples[n]) for n in samples}
+    # gradients of J on the fused posterior (mean, var) and on the drawn
+    # sample; each latent owns its columns
+    dmean = np.zeros_like(q.mean)
+    dvar = np.zeros_like(q.var)
+    dsample = np.zeros_like(sample)
 
     # reconstruction enters J negatively
-    dsample["z"] -= dz_recon
+    dsample[:, sz] -= dz_recon
     # entropy enters J negatively
-    dvar["z"] -= 0.5 / q_z.var
+    dvar[:, sz] -= 0.5 / q_z.var
 
     if parts.variant == "eva":
         # closed-form E_q[ln N(z; 0, I)]
         cross = float(-0.5 * np.sum(LN_2PI + q_z.mean ** 2 + q_z.var))
-        dmean["z"] += q_z.mean
-        dvar["z"] += 0.5
+        dmean[:, sz] += q_z.mean
+        dvar[:, sz] += 0.5
         kl_b = kl_w = 0.0
         g_data = {"theta": g_theta_data}
     else:
+        _, sw, sb = parts.local_slices
         ll_z, dz_c, dw_c, db_c, dH_data = latent_log_density_grads(
-            z_s, H, batch.conditions, samples["w"], samples["b"], hyper.tau)
+            z_s, H, batch.conditions, sample[:, sw], sample[:, sb],
+            hyper.tau)
         cross = float(ll_z.sum())
         g_data = {"theta": g_theta_data, "H": dH_data}
-        dsample["z"] -= dz_c
-        dsample["w"] -= dw_c
-        dsample["b"] -= db_c
-        q_w = posts["w"][0]["q"]
-        q_b = posts["b"][0]["q"]
+        dsample[:, sz] -= dz_c
+        dsample[:, sw] -= dw_c
+        dsample[:, sb] -= db_c
+        q_w, q_b = q.cols(sw), q.cols(sb)
         kl_w = kl_diag_gaussians(q_w, 0.0, 1.0)
         kl_b = kl_diag_gaussians(q_b, 0.0, hyper.gamma)
-        dmean["w"] += q_w.mean
-        dvar["w"] += 0.5 * (1.0 - 1.0 / q_w.var)
-        dmean["b"] += q_b.mean / hyper.gamma
-        dvar["b"] += 0.5 * (1.0 / hyper.gamma - 1.0 / q_b.var)
+        dmean[:, sw] += q_w.mean
+        dvar[:, sw] += 0.5 * (1.0 - 1.0 / q_w.var)
+        dmean[:, sb] += q_b.mean / hyper.gamma
+        dvar[:, sb] += 0.5 * (1.0 / hyper.gamma - 1.0 / q_b.var)
     _check_finite(cross, "latent cross")
     _check_finite(kl_b, "KL(b)")
     _check_finite(kl_w, "KL(w)")
 
     report = ElboReport.from_terms(recon, cross, entropy, kl_b, kl_w)
 
-    g_phi = {}
-    for name in parts.latent_names:
-        qs, c_seq, c_cond = posts[name]
-        dm_s, dv_s = sample_with_eta_backward(qs["q"], noises[name],
-                                              dsample[name])
-        g_phi[name] = _posterior_backward(
-            parts, phi, name, qs, c_seq, c_cond,
-            dmean[name] + dm_s, dvar[name] + dv_s)
+    dm_s, dv_s = sample_with_eta_backward(q, noises, dsample)
+    g_phi = _posterior_backward(parts, qs, c_seq, c_cond, dmean + dm_s,
+                                dvar + dv_s)
 
     g_globals = _log_posterior_grad(g_data, {"theta": theta, "H": H},
                                     n_total / len(batch))
@@ -367,17 +350,18 @@ def build_parts(config, vocab_size, cond_dim, t_max, dec_cfg=None):
     if dec_cfg is None:
         dec_cfg = DecoderConfig(vocab_size=vocab_size,
                                 latent_dim=config.latent_dim, t_max=t_max)
-    enc_kw = dict(vocab_size=vocab_size, cond_dim=max(cond_dim, 1),
-                  embed_dim=config.embed_dim, hidden=config.hidden,
-                  cond_hidden=config.cond_hidden)
-    enc_cfgs = {"z": EncoderConfig(out_dim=config.latent_dim, **enc_kw)}
+    # all locals share one encoder: z, then w and b for evac
+    out_dim = config.latent_dim
     if config.variant == "evac":
         if cond_dim < 1:
             raise ValueError("conditional variant needs condition columns")
-        enc_cfgs["w"] = EncoderConfig(out_dim=cond_dim, **enc_kw)
-        enc_cfgs["b"] = EncoderConfig(out_dim=config.latent_dim, **enc_kw)
+        out_dim += cond_dim + config.latent_dim
+    enc_cfg = EncoderConfig(vocab_size=vocab_size, cond_dim=max(cond_dim, 1),
+                            out_dim=out_dim, embed_dim=config.embed_dim,
+                            hidden=config.hidden,
+                            cond_hidden=config.cond_hidden)
     return ModelParts(variant=config.variant, dec_cfg=dec_cfg,
-                      enc_cfgs=enc_cfgs, hyper=config.hyper)
+                      enc_cfg=enc_cfg, hyper=config.hyper)
 
 
 def train(config, batch, vocab, condition_names=(), dec_cfg=None,
@@ -454,7 +438,7 @@ def train(config, batch, vocab, condition_names=(), dec_cfg=None,
     return TrainedModel(
         variant=config.variant,
         dec_cfg=parts.dec_cfg,
-        enc_cfgs=parts.enc_cfgs,
+        enc_cfg=parts.enc_cfg,
         hyper=parts.hyper,
         phi=phi,
         reservoir=[glob_layout.views(v) for v in state.reservoir],

@@ -245,7 +245,7 @@ def test_criterion_03_gradient_fidelity():
         # stochastic global gradient: FD the rescaled data terms plus prior
         idx = np.array([0, 2, 4])
         sub = batch.take(idx)
-        nsub = {k: v[idx] for k, v in noises.items()}
+        nsub = noises[idx]
         scale = len(batch) / len(idx)
         _, g, _ = step_gradients(parts, sub, theta, H, phi, nsub,
                                  n_total=len(batch))
@@ -324,7 +324,7 @@ def test_criterion_05_minibatch_unbiasedness():
         for pair in pairs:
             idx = np.array(pair)
             sub = batch.take(idx)
-            nsub = {k: v[idx] for k, v in noises.items()}
+            nsub = noises[idx]
             _, g, _ = step_gradients(parts, sub, theta, H, phi, nsub,
                                      n_total=6)
             g_t, g_H = g["theta"], g.get("H")

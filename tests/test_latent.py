@@ -9,7 +9,6 @@ from scipy.stats import multivariate_normal
 from ehrgen.latent import (
     HierarchyHyper,
     compose_intensities,
-    compose_patient_latent,
     latent_log_density,
     latent_log_density_grads,
     sample_prior_eva,
@@ -55,16 +54,6 @@ class TestCompose:
         rng = np.random.default_rng(0)
         pi = compose_intensities(np.ones(50), rng.standard_normal(50) * 10)
         assert np.all(pi >= 0) and np.all(pi <= 1)
-
-    def test_patient_latent_centered_on_mean(self):
-        H, y, w, b, _ = make_inputs(1)
-        pi = compose_intensities(y, w)
-        rng = np.random.default_rng(2)
-        draws = np.array([
-            compose_patient_latent(H, pi, b, 0.05, rng) for _ in range(4000)
-        ])
-        np.testing.assert_allclose(draws.mean(axis=0), H @ pi + b, atol=0.02)
-        np.testing.assert_allclose(draws.var(axis=0), 0.05, atol=0.01)
 
 
 class TestLogDensity:

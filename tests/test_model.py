@@ -70,7 +70,7 @@ class TestCheckpoint:
         assert back.variant == model.variant
         assert back.dec_cfg == model.dec_cfg
         assert isinstance(back.dec_cfg.dilations, tuple)
-        assert back.enc_cfgs == model.enc_cfgs
+        assert back.enc_cfg == model.enc_cfg
         assert back.hyper == model.hyper
         assert back.condition_names == model.condition_names
         assert back.vocab == model.vocab
@@ -91,13 +91,30 @@ class TestCheckpoint:
         assert back.variant == "eva"
         assert set(back.reservoir[0]) == {"theta"}
 
+    def test_evac_roundtrip_generates_same_cohort(self, tmp_path):
+        """One shared encoder config survives the round trip, and the
+        reloaded model draws the same cohort for the same seed."""
+        from ehrgen.generator import GenerationRequest, generate_cohort
+        model = quick_model(variant="evac")
+        path = tmp_path / "m.npz"
+        model.save(path)
+        back = TrainedModel.load(path)
+        assert back.enc_cfg == model.enc_cfg
+        assert set(back.phi) == {"seq", "cond"}
+        case = next(c for c in model.condition_names if c != "background")
+        request = GenerationRequest(count=6, mode="conditional",
+                                    conditions=(case,), seed=11)
+        a = generate_cohort(model, request)
+        b = generate_cohort(back, request)
+        assert [r.visits for r in a.records] == [r.visits for r in b.records]
+
     def test_version_check(self, tmp_path):
-        """A newer format version and format 1 (one array per leaf) are
-        both refused."""
+        """A newer format version, format 2 (one encoder config per
+        latent) and format 1 (one array per leaf) are all refused."""
         model = quick_model(variant="eva")
         path = tmp_path / "m.npz"
         model.save(path)
-        for version in (CHECKPOINT_VERSION + 1, 1):
+        for version in (CHECKPOINT_VERSION + 1, 2, 1):
             rewrite(path, lambda meta, arrays: meta.update(
                 format_version=version))
             with pytest.raises(ValueError, match="version"):

@@ -283,7 +283,6 @@ class TestActivations:
         x = rng.standard_normal((3, 5)) * 50
         ls = _nn.log_softmax(x)
         np.testing.assert_allclose(np.exp(ls).sum(axis=-1), 1.0, rtol=1e-12)
-        np.testing.assert_allclose(np.exp(ls), _nn.softmax(x), rtol=1e-12)
 
 
 class TestTreeUtilities:

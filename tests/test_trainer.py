@@ -111,7 +111,7 @@ class TestObjectiveDecomposition:
         noises = draw_local_noises(np.random.default_rng(3), parts, len(batch))
         report, _, _ = step_gradients(parts, batch, theta, None, phi, noises,
                                       len(batch))
-        q = encode_posteriors(parts, phi, batch)["z"]
+        q = encode_posteriors(parts, phi, batch)
         kl = kl_diag_gaussians(q, 0.0, 1.0)
         np.testing.assert_allclose(-report.total, report.recon - kl, rtol=1e-10)
         assert report.kl_fraction > 0.0
