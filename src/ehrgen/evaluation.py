@@ -7,9 +7,12 @@ predictor) and do not care about record order.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
+from scipy import sparse
 
 from . import _nn
 from .corpus import Cohort, encode_cohort, visit_key
@@ -22,18 +25,46 @@ from .latent import compose_intensities
 # n-gram marginals
 # ---------------------------------------------------------------------------
 
+class _IndependentPairs(Mapping):
+    """Read-only bigram table f(a, b) = f(a) f(b) over the unigram support S.
+
+    Entries are computed on demand; the |S|^2 pairs are never stored, and
+    only iterating the mapping visits them.
+    """
+
+    def __init__(self, unigram_freqs):
+        self.marginal = dict(unigram_freqs)
+        self.f = np.fromiter(self.marginal.values(), float, len(self.marginal))
+
+    def __getitem__(self, key):
+        try:
+            a, b = key
+            return self.marginal[a] * self.marginal[b]
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(key) from None
+
+    def __iter__(self):
+        return product(self.marginal, repeat=2)
+
+    def __len__(self):
+        return len(self.marginal) ** 2
+
+
 @dataclass(frozen=True)
 class NgramStats:
     """Relative frequencies of visit-token n-grams, n in {1, 2}."""
 
     n: int
-    freqs: dict
+    freqs: Mapping
 
     def __post_init__(self):
         if self.n not in (1, 2):
             raise ValueError("only unigrams and bigrams are supported")
         if self.freqs:
-            total = sum(self.freqs.values())
+            if isinstance(self.freqs, _IndependentPairs):
+                total = float(self.freqs.f.sum()) ** 2
+            else:
+                total = sum(self.freqs.values())
             if abs(total - 1.0) > 1e-9:
                 raise ValueError("frequencies must sum to 1")
 
@@ -68,19 +99,24 @@ def ngram_stats(cohort, n):
 
 
 def independent_bigram_baseline(unigram):
-    """Bigram table predicted by independence: f(a, b) = f(a) f(b)."""
+    """Bigram table predicted by independence: f(a, b) = f(a) f(b). Its
+    ``freqs`` is a read-only mapping over every pair of the unigram
+    support, computed on demand in O(|S|) memory."""
     if unigram.n != 1:
         raise ValueError("baseline needs unigram statistics")
-    freqs = {
-        (a, b): pa * pb
-        for a, pa in unigram.freqs.items()
-        for b, pb in unigram.freqs.items()
-    }
-    return NgramStats(n=2, freqs=freqs)
+    return NgramStats(n=2, freqs=_IndependentPairs(unigram.freqs))
 
 
 def pearson_marginal(a, b):
-    """Pearson correlation of two frequency maps over the union of keys."""
+    """Pearson correlation of two frequency maps over the union of keys.
+
+    Against an independence table the correlation comes from sums over the
+    other side's keys only, so the cost is that side's size, not |S|^2.
+    """
+    if isinstance(a.freqs, _IndependentPairs):
+        a, b = b, a
+    if isinstance(b.freqs, _IndependentPairs):
+        return _pearson_vs_independent(a.freqs, b.freqs)
     keys = sorted(set(a.freqs) | set(b.freqs))
     if len(keys) < 2:
         raise ValueError("need at least 2 distinct keys")
@@ -89,6 +125,31 @@ def pearson_marginal(a, b):
     if va.std() == 0.0 or vb.std() == 0.0:
         raise ValueError("degenerate (constant) frequency vector")
     return float(np.corrcoef(va, vb)[0, 1])
+
+
+def _pearson_vs_independent(x, table):
+    """Pearson of the map ``x`` against an ``_IndependentPairs`` table over
+    the union of their keys. The table is 0 on x's keys outside S x S and x
+    is 0 on the table's pairs it lacks, so with n keys in the union
+
+        cov = Σxy - Σx Σy / n,  var = Σv² - (Σv)² / n,
+
+    where Σxy runs over x's keys in S x S, Σy = (Σf)² and Σy² = (Σf²)²."""
+    f = table.marginal
+    xs = np.fromiter(x.values(), float, len(x))
+    inside = np.array([v * f[p] * f[q] for (p, q), v in x.items()
+                       if p in f and q in f])
+    n = len(table) + len(x) - len(inside)
+    if n < 2:
+        raise ValueError("need at least 2 distinct keys")
+    x_seen = np.append(xs, 0.0) if n > len(x) else xs
+    y_seen = np.append(table.f, 0.0) if n > len(table) else table.f
+    if np.ptp(x_seen) == 0.0 or np.ptp(y_seen) == 0.0:
+        raise ValueError("degenerate (constant) frequency vector")
+    sx, sxx = xs.sum(), xs @ xs
+    sy, syy = table.f.sum() ** 2, (table.f @ table.f) ** 2
+    cov = inside.sum() - sx * sy / n
+    return float(cov / np.sqrt((sxx - sx * sx / n) * (syy - sy * sy / n)))
 
 
 # ---------------------------------------------------------------------------
@@ -163,25 +224,34 @@ class NextVisitPredictor:
     vocab: object
     hidden: int
     codes: tuple
-    code_matrix: np.ndarray  # (vocab.size, n_codes) membership indicator
+    code_matrix: sparse.csr_matrix  # (vocab.size, n_codes) 0/1 membership
 
 
 def _code_axis(vocab):
+    """The sorted code axis and the sparse token -> code membership map;
+    the EOS and PAD rows are empty."""
     codes = sorted({c for e in vocab.entries for c in e.codes})
     idx = {c: j for j, c in enumerate(codes)}
-    M = np.zeros((vocab.size, len(codes)))
-    for e in vocab.entries:
-        for c in e.codes:
-            M[e.token_id, idx[c]] = 1.0
+    cols = [idx[c] for e in vocab.entries for c in e.codes]
+    indptr = np.cumsum([0] + [len(e.codes) for e in vocab.entries] + [0, 0])
+    M = sparse.csr_matrix((np.ones(len(cols)), cols, indptr),
+                          shape=(vocab.size, len(codes)))
     return tuple(codes), M
 
 
-def _predictor_forward(params, batch):
-    """Logits (B, T, V) and the (embedding, LSTM, head) caches."""
+def _predictor_states(params, batch):
+    """LSTM states (B, T, H) and the (embedding, LSTM) caches."""
     emb, c_emb = _nn.embedding(params["emb"], batch.tokens)
     h_seq, _, c_lstm = _nn.lstm_forward(params["lstm"], emb, batch.mask)
-    logits, c_head = _nn.dense(params["head"], h_seq)
-    return logits, (c_emb, c_lstm, c_head)
+    return h_seq, (c_emb, c_lstm)
+
+
+def _visit_targets(batch, vocab):
+    """Mask (B, T - 1) of the positions t whose token t+1 is a visit (not
+    EOS or padding), and those next tokens in row-major order."""
+    nxt = batch.tokens[:, 1:]
+    live = nxt < vocab.n_entries
+    return live, nxt[live]
 
 
 def train_next_visit_predictor(cohort, seed=0, hidden=64, embed=32,
@@ -189,7 +259,8 @@ def train_next_visit_predictor(cohort, seed=0, hidden=64, embed=32,
     """Fit next-token cross-entropy over the cohort's visit sequences.
 
     The position-t state predicts the token at t+1; end/padding slots are
-    never targets, so the model only learns visit-to-visit structure.
+    never targets, so the model only learns visit-to-visit structure. The
+    head runs on the target positions only.
     """
     if cohort.vocab is None:
         raise ValueError("cohort has no vocabulary attached")
@@ -207,24 +278,18 @@ def train_next_visit_predictor(cohort, seed=0, hidden=64, embed=32,
     params = layout.views(vec)
     adam = _nn.Adam(vec, lr=lr)
     n = len(batch)
-    eos = vocab.eos_id
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, minibatch):
             mb = batch.take(order[start:start + minibatch])
-            logits, (c_emb, c_lstm, c_head) = _predictor_forward(params, mb)
-            # position t predicts token t+1; exclude EOS targets
-            tgt = mb.tokens[:, 1:]
-            tgt_mask = mb.mask[:, 1:] * (tgt != eos)
-            lp = _nn.log_softmax(logits[:, :-1])
-            B, T1 = tgt.shape
-            probs = np.exp(lp)
-            dlog = -probs
-            dlog[np.arange(B)[:, None], np.arange(T1)[None, :], tgt] += 1.0
-            dlog *= tgt_mask[..., None]
-            dlogits = np.zeros_like(logits)
-            dlogits[:, :-1] = dlog  # ascent on log-likelihood
-            g_head, dh = _nn.dense_backward(c_head, dlogits)
+            h_seq, (c_emb, c_lstm) = _predictor_states(params, mb)
+            live, tgt = _visit_targets(mb, vocab)
+            logits, c_head = _nn.dense(params["head"], h_seq[:, :-1][live])
+            dlog = -np.exp(_nn.log_softmax(logits))
+            dlog[np.arange(len(tgt)), tgt] += 1.0  # ascent on log-likelihood
+            g_head, d_rows = _nn.dense_backward(c_head, dlog)
+            dh = np.zeros_like(h_seq)
+            dh[:, :-1][live] = d_rows
             g_lstm, demb = _nn.lstm_backward(c_lstm, dh_seq=dh)
             g_emb = _nn.embedding_backward(c_emb, demb)
             adam.step(vec, layout.flatten(
@@ -247,22 +312,19 @@ def topk_recall(predictor, cohort, k):
                  condition_names=list(cohort.condition_names), vocab=vocab)
     t_max = max(len(r.visits) for r in eligible)
     batch = encode_cohort(sub, vocab, t_max)
-    logits, _ = _predictor_forward(predictor.params, batch)
+    h_seq, _ = _predictor_states(predictor.params, batch)
+    live, nxt = _visit_targets(batch, vocab)
+    logits, _ = _nn.dense(predictor.params["head"], h_seq[:, :-1][live])
     # distribution over the next *visit*: terminal/padding ids cannot be it
-    logits[:, :, vocab.eos_id] = -np.inf
-    logits[:, :, vocab.pad_id] = -np.inf
+    logits[:, [vocab.eos_id, vocab.pad_id]] = -np.inf
     probs = np.exp(_nn.log_softmax(logits))
-    scores = probs @ predictor.code_matrix  # (B, T, n_codes)
+    M = predictor.code_matrix
+    scores = probs @ M  # (steps, n_codes)
     kk = min(k, len(predictor.codes))
-    recalls = []
-    for b, rec in enumerate(eligible):
-        for t in range(len(rec.visits) - 1):
-            truth = set(rec.visits[t + 1])
-            s = scores[b, t]
-            top = np.argpartition(-s, kk - 1)[:kk]
-            top_codes = {predictor.codes[j] for j in top}
-            recalls.append(len(truth & top_codes) / len(truth))
-    return float(np.mean(recalls))
+    top = np.argpartition(-scores, kk - 1, axis=1)[:, :kk]
+    # a visit's codes are its token's codes: encode_cohort rejects OOV visits
+    hits = np.asarray(M[nxt[:, None], top].sum(axis=1)).ravel()
+    return float(np.mean(hits / np.diff(M.indptr)[nxt]))
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +385,30 @@ def presence_disclosure(synthetic, known, order_sensitive=False):
 # held-out score
 # ---------------------------------------------------------------------------
 
+_HOLDOUT_CHUNK = 256  # records encoded and scored at once
+
+
 def elbo_holdout(model, cohort):
     """Average per-record plug-in ELBO estimate on held-out records: the
     decoder scored at the encoder means with the last posterior sample of
     the globals, minus the closed-form KL terms. Scoring at the mean instead
-    of averaging over q makes it no lower bound. Never exceeds 0."""
+    of averaging over q makes it no lower bound. Never exceeds 0.
+
+    Records are scored in chunks of ``_HOLDOUT_CHUNK``, so memory does not
+    grow with the held-out cohort."""
     snapshot = model.point_sample()
-    parts = model.parts
     batch = encode_cohort(cohort, model.vocab, model.dec_cfg.t_max)
+    n = len(batch)
+    score = 0.0
+    for start in range(0, n, _HOLDOUT_CHUNK):
+        chunk = batch.take(np.arange(start, min(start + _HOLDOUT_CHUNK, n)))
+        score += _holdout_score(model, snapshot, chunk)
+    return score / n
+
+
+def _holdout_score(model, snapshot, batch):
+    """Summed plug-in ELBO of one chunk of held-out records."""
+    parts = model.parts
     q = encode_posteriors(parts, model.phi, batch)
     q_z = q.cols(parts.local_slices[0])
     recon, _ = sequence_log_likelihood(
@@ -345,4 +423,4 @@ def elbo_holdout(model, cohort):
         score -= kl_diag_gaussians(q_z, prior_mean, model.hyper.tau)
         score -= kl_diag_gaussians(q_b, 0.0, model.hyper.gamma)
         score -= kl_diag_gaussians(q_w, 0.0, 1.0)
-    return score / len(batch)
+    return score

@@ -14,8 +14,11 @@ import numpy as np
 from scipy.special import expit as sigmoid
 
 from ehrgen import _nn
-from ehrgen.corpus import PatientRecord
-from ehrgen.decoder import decode_logits
+from ehrgen.corpus import Cohort, PatientRecord, encode_cohort
+from ehrgen.decoder import decode_logits, sequence_log_likelihood
+from ehrgen.evaluation import NgramStats
+from ehrgen.latent import compose_intensities
+from ehrgen.trainer import encode_posteriors, kl_diag_gaussians
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +170,131 @@ def prefix_sample(params, cfg, z, rng, eos_id, temperature=1.0, forbid=()):
         if not live:
             break
     return [s[:-1] if s[-1] == eos_id else s for s in seqs]
+
+
+# ---------------------------------------------------------------------------
+# reference evaluation
+# ---------------------------------------------------------------------------
+
+def dict_independent_bigram_baseline(unigram):
+    """Reference for ``independent_bigram_baseline``: every |S|^2 pair
+    stored in a dict."""
+    freqs = {
+        (a, b): pa * pb
+        for a, pa in unigram.freqs.items()
+        for b, pb in unigram.freqs.items()
+    }
+    return NgramStats(n=2, freqs=freqs)
+
+
+def dict_pearson_marginal(a, b):
+    """Reference for ``pearson_marginal``: both maps laid out over the
+    sorted union of keys and passed to ``np.corrcoef``."""
+    keys = sorted(set(a.freqs) | set(b.freqs))
+    if len(keys) < 2:
+        raise ValueError("need at least 2 distinct keys")
+    va = np.array([a.freqs.get(k, 0.0) for k in keys])
+    vb = np.array([b.freqs.get(k, 0.0) for k in keys])
+    if va.std() == 0.0 or vb.std() == 0.0:
+        raise ValueError("degenerate (constant) frequency vector")
+    return float(np.corrcoef(va, vb)[0, 1])
+
+
+def _full_width_forward(params, batch):
+    emb, c_emb = _nn.embedding(params["emb"], batch.tokens)
+    h_seq, _, c_lstm = _nn.lstm_forward(params["lstm"], emb, batch.mask)
+    logits, c_head = _nn.dense(params["head"], h_seq)
+    return logits, (c_emb, c_lstm, c_head)
+
+
+def full_width_predictor_params(cohort, seed=0, hidden=64, embed=32,
+                                epochs=8, minibatch=64, lr=5e-3):
+    """Reference for ``train_next_visit_predictor``: the head runs on every
+    position and a mask zeroes the gradient of the non-targets. Returns
+    the flat parameter vector."""
+    vocab = cohort.vocab
+    t_max = max(len(r.visits) for r in cohort.records)
+    batch = encode_cohort(cohort, vocab, t_max)
+    rng = np.random.default_rng(seed)
+    init = {
+        "emb": _nn.embedding_init(rng, vocab.size, embed),
+        "lstm": _nn.lstm_init(rng, embed, hidden),
+        "head": _nn.dense_init(rng, hidden, vocab.size),
+    }
+    layout = _nn.Layout.of(init)
+    vec = layout.flatten(init)
+    params = layout.views(vec)
+    adam = _nn.Adam(vec, lr=lr)
+    n = len(batch)
+    eos = vocab.eos_id
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, minibatch):
+            mb = batch.take(order[start:start + minibatch])
+            logits, (c_emb, c_lstm, c_head) = _full_width_forward(params, mb)
+            tgt = mb.tokens[:, 1:]
+            tgt_mask = mb.mask[:, 1:] * (tgt != eos)
+            lp = _nn.log_softmax(logits[:, :-1])
+            B, T1 = tgt.shape
+            dlog = -np.exp(lp)
+            dlog[np.arange(B)[:, None], np.arange(T1)[None, :], tgt] += 1.0
+            dlog *= tgt_mask[..., None]
+            dlogits = np.zeros_like(logits)
+            dlogits[:, :-1] = dlog
+            g_head, dh = _nn.dense_backward(c_head, dlogits)
+            g_lstm, demb = _nn.lstm_backward(c_lstm, dh_seq=dh)
+            g_emb = _nn.embedding_backward(c_emb, demb)
+            adam.step(vec, layout.flatten(
+                {"emb": g_emb, "lstm": g_lstm, "head": g_head}))
+    return vec
+
+
+def looped_topk_recall(predictor, cohort, k):
+    """Reference for ``topk_recall``: dense (B, T, V) probabilities, a dense
+    code matrix and a loop over records and steps."""
+    vocab = predictor.vocab
+    eligible = [r for r in cohort.records if len(r.visits) >= 2]
+    sub = Cohort(records=eligible,
+                 condition_names=list(cohort.condition_names), vocab=vocab)
+    t_max = max(len(r.visits) for r in eligible)
+    batch = encode_cohort(sub, vocab, t_max)
+    logits, _ = _full_width_forward(predictor.params, batch)
+    logits[:, :, vocab.eos_id] = -np.inf
+    logits[:, :, vocab.pad_id] = -np.inf
+    probs = np.exp(_nn.log_softmax(logits))
+    scores = probs @ predictor.code_matrix.toarray()
+    kk = min(k, len(predictor.codes))
+    recalls = []
+    for b, rec in enumerate(eligible):
+        for t in range(len(rec.visits) - 1):
+            truth = set(rec.visits[t + 1])
+            top = np.argpartition(-scores[b, t], kk - 1)[:kk]
+            top_codes = {predictor.codes[j] for j in top}
+            recalls.append(len(truth & top_codes) / len(truth))
+    return float(np.mean(recalls))
+
+
+def unchunked_elbo_holdout(model, cohort):
+    """Reference for ``elbo_holdout``: the whole cohort encoded and scored
+    in one pass."""
+    snapshot = model.point_sample()
+    parts = model.parts
+    batch = encode_cohort(cohort, model.vocab, model.dec_cfg.t_max)
+    q = encode_posteriors(parts, model.phi, batch)
+    q_z = q.cols(parts.local_slices[0])
+    recon, _ = sequence_log_likelihood(
+        snapshot["theta"], model.dec_cfg, q_z.mean, batch.tokens, batch.mask)
+    score = float(recon.sum())
+    if model.variant == "eva":
+        score -= kl_diag_gaussians(q_z, 0.0, 1.0)
+    else:
+        q_w, q_b = (q.cols(sl) for sl in parts.local_slices[1:])
+        pi = compose_intensities(batch.conditions, q_w.mean)
+        prior_mean = pi @ snapshot["H"].T + q_b.mean
+        score -= kl_diag_gaussians(q_z, prior_mean, model.hyper.tau)
+        score -= kl_diag_gaussians(q_b, 0.0, model.hyper.gamma)
+        score -= kl_diag_gaussians(q_w, 0.0, 1.0)
+    return score / len(batch)
 
 
 # ---------------------------------------------------------------------------

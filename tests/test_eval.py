@@ -1,11 +1,13 @@
 """Evaluation metrics: hand-computed n-gram/correlation/Jaccard values,
-rigged-predictor recall arithmetic, attack confusion-matrix cases, and the
-sign of the held-out bound."""
+rigged-predictor recall arithmetic, attack confusion-matrix cases, the sign
+of the held-out bound, and the fast paths against the reference
+implementations in ``oracles.py`` on a toy and a 1,500-visit-type cohort."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from ehrgen import _nn
 from ehrgen.corpus import (
@@ -15,11 +17,13 @@ from ehrgen.corpus import (
     VocabEntry,
     build_visit_vocab,
     encode_cohort,
+    replace_rare_visits,
 )
 from ehrgen.decoder import DecoderConfig
 from ehrgen.evaluation import (
     NextVisitPredictor,
     NgramStats,
+    _code_axis,
     avg_jaccard,
     avg_jaccard_counts,
     elbo_holdout,
@@ -34,6 +38,15 @@ from ehrgen.evaluation import (
 )
 from ehrgen.simulate import default_toy_spec, simulate_toy_cohort
 from ehrgen.trainer import TrainConfig, train
+
+from oracles import (
+    dict_independent_bigram_baseline,
+    dict_pearson_marginal,
+    full_width_predictor_params,
+    looped_topk_recall,
+    rel_err,
+    unchunked_elbo_holdout,
+)
 
 
 def mini_cohort():
@@ -193,14 +206,9 @@ def rigged_predictor(vocab, bias_probs):
         "head": {"W": np.zeros((hidden, vocab.size)),
                  "b": np.log(np.asarray(bias_probs))},
     }
-    codes = sorted({c for e in vocab.entries for c in e.codes})
-    idx = {c: j for j, c in enumerate(codes)}
-    M = np.zeros((vocab.size, len(codes)))
-    for e in vocab.entries:
-        for c in e.codes:
-            M[e.token_id, idx[c]] = 1.0
+    codes, M = _code_axis(vocab)
     return NextVisitPredictor(params=params, vocab=vocab, hidden=hidden,
-                              codes=tuple(codes), code_matrix=M)
+                              codes=codes, code_matrix=M)
 
 
 class TestTopkRecall:
@@ -326,3 +334,211 @@ class TestElboHoldout:
         bound = elbo_holdout(model, holdout)
         assert math.isfinite(bound)
         assert bound <= 0.0
+
+
+# ---------------------------------------------------------------------------
+# fast paths against the reference implementations
+# ---------------------------------------------------------------------------
+
+def _prepared(real, other, max_vocab):
+    """``real`` and ``other`` over the vocabulary of ``real``."""
+    vocab = build_visit_vocab(real, max_size=max_vocab)
+    return replace_rare_visits(real, vocab), replace_rare_visits(other, vocab)
+
+
+def _wide_cohort(n_records, seed, n_types=1500, n_codes=3000):
+    """Records over ``n_types`` visit types of 1-3 codes each: every next
+    visit repeats a fixed successor of the last one half of the time and is
+    drawn uniformly otherwise, so a predictor has something to learn."""
+    rng = np.random.default_rng(1234)  # the same visit types for every seed
+    types = [frozenset(f"c{j:04d}" for j in
+                       rng.choice(n_codes, size=rng.integers(1, 4),
+                                  replace=False))
+             for _ in range(n_types)]
+    successor = rng.permutation(n_types)
+    rng = np.random.default_rng(seed)
+    records = []
+    for i in range(n_records):
+        toks = [int(rng.integers(n_types))]
+        for _ in range(int(rng.integers(1, 16))):
+            follow = rng.random() < 0.5
+            toks.append(int(successor[toks[-1]]) if follow
+                        else int(rng.integers(n_types)))
+        records.append(PatientRecord(f"w{seed}-{i}",
+                                     tuple(types[t] for t in toks)))
+    return Cohort(records, [])
+
+
+@pytest.fixture(scope="module", params=["toy", "wide"])
+def eval_pair(request):
+    """(real, other): ``other`` is smaller, so its unigram support misses
+    tokens that ``real``'s bigrams use."""
+    if request.param == "toy":
+        spec = default_toy_spec(n_records=300)
+        real = simulate_toy_cohort(spec, seed=11)
+        other = simulate_toy_cohort(default_toy_spec(n_records=25), seed=12)
+        return _prepared(real, other, max_vocab=100)
+    real, other = _wide_cohort(1200, seed=1), _wide_cohort(150, seed=2)
+    real, other = _prepared(real, other, max_vocab=1500)
+    assert real.vocab.n_entries > 1400
+    return real, other
+
+
+class TestAgainstOracles:
+    TOL = 1e-12
+
+    def test_three_pearsons(self, eval_pair):
+        real, other = eval_pair
+        uni_r, uni_o = ngram_stats(real, 1), ngram_stats(other, 1)
+        bi_r, bi_o = ngram_stats(real, 2), ngram_stats(other, 2)
+        pairs = [
+            (uni_r, uni_o, uni_r, uni_o),
+            (bi_r, bi_o, bi_r, bi_o),
+            (bi_r, independent_bigram_baseline(uni_r),
+             bi_r, dict_independent_bigram_baseline(uni_r)),
+        ]
+        for a, b, ref_a, ref_b in pairs:
+            expected = dict_pearson_marginal(ref_a, ref_b)
+            assert abs(pearson_marginal(a, b) - expected) <= self.TOL
+            assert abs(pearson_marginal(b, a) - expected) <= self.TOL
+
+    def test_baseline_from_another_cohort(self, eval_pair):
+        real, other = eval_pair
+        bi_r, uni_o = ngram_stats(real, 2), ngram_stats(other, 1)
+        support = set(uni_o.freqs)
+        outside = [k for k in bi_r.freqs
+                   if k[0] not in support or k[1] not in support]
+        assert outside, "every real bigram lies in the other support"
+        base = independent_bigram_baseline(uni_o)
+        assert len(base.freqs) == len(support) ** 2
+        expected = dict_pearson_marginal(
+            bi_r, dict_independent_bigram_baseline(uni_o))
+        assert abs(pearson_marginal(bi_r, base) - expected) <= self.TOL
+
+    def test_one_epoch_predictor_parameters(self, eval_pair):
+        real, _ = eval_pair
+        pred = train_next_visit_predictor(real, seed=3, epochs=1)
+        got = _nn.Layout.of(pred.params).flatten(pred.params)
+        expected = full_width_predictor_params(real, seed=3, epochs=1)
+        assert rel_err(got, expected) <= self.TOL
+
+    def test_recall_at_k(self, eval_pair):
+        real, _ = eval_pair
+        train_part, test_part = split_cohort(real, test_frac=0.2, seed=0)
+        pred = train_next_visit_predictor(train_part, seed=0, epochs=2)
+        assert sparse.issparse(pred.code_matrix)
+        for k in (1, 5, 10, 20):
+            expected = looped_topk_recall(pred, test_part, k)
+            assert abs(topk_recall(pred, test_part, k) - expected) <= self.TOL
+
+
+class TestIndependenceFloorErrors:
+    """The closed form raises where the dict reference raises, and only
+    there."""
+
+    CASES = {
+        # one token, one bigram: a union of 1 key
+        "single key": (NgramStats(n=2, freqs={(0, 0): 1.0}),
+                       NgramStats(n=1, freqs={0: 1.0}), "2 distinct"),
+        # uniform unigram: the baseline is 1/4 on all four pairs
+        "constant baseline": (
+            NgramStats(n=2, freqs={(0, 1): 0.75, (1, 0): 0.25}),
+            NgramStats(n=1, freqs={0: 0.5, 1: 0.5}), "constant"),
+        # bigrams uniform over the same four pairs
+        "constant bigrams": (
+            NgramStats(n=2, freqs={(a, b): 0.25 for a in (0, 1)
+                                   for b in (0, 1)}),
+            NgramStats(n=1, freqs={0: 0.75, 1: 0.25}), "constant"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_value_error(self, case):
+        bi, uni, match = self.CASES[case]
+        with pytest.raises(ValueError, match=match):
+            dict_pearson_marginal(bi, dict_independent_bigram_baseline(uni))
+        with pytest.raises(ValueError, match=match):
+            pearson_marginal(bi, independent_bigram_baseline(uni))
+
+    @pytest.mark.parametrize("bi, uni", [
+        # equal bigrams on two of the four pairs: zeros on the other two
+        ({(0, 1): 0.5, (1, 0): 0.5}, {0: 0.75, 1: 0.25}),
+        # uniform unigram, but a bigram outside S x S where the table is 0
+        ({(0, 1): 0.5, (2, 2): 0.5}, {0: 0.5, 1: 0.5}),
+    ])
+    def test_constant_on_own_keys_only(self, bi, uni):
+        bi, uni = NgramStats(n=2, freqs=bi), NgramStats(n=1, freqs=uni)
+        expected = dict_pearson_marginal(
+            bi, dict_independent_bigram_baseline(uni))
+        got = pearson_marginal(bi, independent_bigram_baseline(uni))
+        assert abs(got - expected) <= 1e-12
+
+
+def test_independence_floor_at_cli_default_vocab(monkeypatch):
+    """A 20,000-token unigram (reachable at ``--max-vocab 50000``): the
+    400 M-pair table is never iterated, and the floor matches a NumPy
+    closed form over a sparse bigram matrix."""
+    table_type = type(independent_bigram_baseline(
+        NgramStats(n=1, freqs={0: 1.0})).freqs)
+
+    def refuse(self):
+        raise AssertionError("iterated the independence table")
+
+    monkeypatch.setattr(table_type, "__iter__", refuse)
+    rng = np.random.default_rng(0)
+    S, V = 20_000, 20_500
+    u = np.zeros(V)
+    u[:S] = rng.gamma(0.5, size=S)
+    u /= u.sum()
+    uni = NgramStats(n=1, freqs={i: float(u[i]) for i in range(S)})
+    base = independent_bigram_baseline(uni)
+    assert len(base.freqs) == 400_000_000
+    assert base.freqs[(3, 7)] == uni.freqs[3] * uni.freqs[7]
+    assert (S, 0) not in base.freqs
+
+    # 60,000 bigrams, a few hundred of them outside S x S
+    rows = rng.choice(V, size=60_000, p=np.append(np.full(S, 0.995 / S),
+                                                  np.full(V - S, 0.005 / (V - S))))
+    cols = rng.integers(0, S, size=60_000)
+    X = sparse.csr_matrix((rng.random(60_000), (rows, cols)), shape=(V, V))
+    X.sum_duplicates()
+    X /= X.sum()
+    coo = X.tocoo()
+    bi = NgramStats(n=2, freqs={(int(a), int(b)): float(x) for a, b, x
+                                in zip(coo.row, coo.col, coo.data)})
+    outside = int(np.count_nonzero(coo.row >= S))
+    assert outside > 0
+
+    n = S * S + outside
+    sx, sxx = coo.data.sum(), coo.data @ coo.data
+    sy, syy = u.sum() ** 2, (u @ u) ** 2
+    sxy = u @ (X @ u)
+    expected = (sxy - sx * sy / n) / np.sqrt((sxx - sx * sx / n)
+                                             * (syy - sy * sy / n))
+    assert abs(pearson_marginal(bi, base) - expected) <= 1e-12
+    assert abs(pearson_marginal(base, bi) - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("variant", ["eva", "evac"])
+def test_elbo_holdout_chunks_match_one_pass(variant):
+    """600 held-out records are scored in three chunks; the average equals
+    the one-pass reference."""
+    spec = default_toy_spec(n_records=40, background_groups=3,
+                            groups_per_condition=2, len_min=2, len_max=5)
+    cohort = simulate_toy_cohort(spec, seed=1)
+    vocab = build_visit_vocab(cohort, max_size=64)
+    batch = encode_cohort(cohort, vocab, t_max=5)
+    cfg = TrainConfig(variant=variant, latent_dim=3, n_iters=8, minibatch=8,
+                      embed_dim=4, hidden=5, cond_hidden=4, burn_in=2,
+                      thin=2, reservoir_size=2, seed=1)
+    dec_cfg = DecoderConfig(vocab_size=vocab.size, latent_dim=3, t_max=5,
+                            channels=4, kernel=2, dilations=(1, 2),
+                            n_upsample=1)
+    model = train(cfg, batch, vocab,
+                  condition_names=tuple(cohort.condition_names),
+                  dec_cfg=dec_cfg)
+    holdout = replace_rare_visits(simulate_toy_cohort(
+        default_toy_spec(n_records=600, background_groups=3,
+                         groups_per_condition=2, len_min=2, len_max=5),
+        seed=2), vocab)
+    expected = unchunked_elbo_holdout(model, holdout)
+    assert abs(elbo_holdout(model, holdout) - expected) <= 1e-12 * abs(expected)
