@@ -25,10 +25,19 @@ def softplus(x):
     return np.logaddexp(0.0, x)
 
 
-def log_softmax(x, axis=-1):
-    """Log-softmax with max subtraction (naive softmax overflows)."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+def softmax_xent(logits, targets):
+    """``(ll, dlogits)`` of a categorical over the last axis of ``logits``:
+    ``ll = log softmax(logits)[targets]`` at every index of ``targets``, and
+    ``dlogits = one_hot(targets) - softmax(logits)``, its gradient. One exp
+    of the max-shifted logits (a naive softmax overflows) serves both."""
+    g = logits - logits.max(axis=-1, keepdims=True)
+    at = np.indices(targets.shape, sparse=True) + (targets,)
+    picked = g[at]
+    np.exp(g, out=g)
+    norm = g.sum(axis=-1, keepdims=True)
+    g /= -norm
+    g[at] += 1.0
+    return picked - np.log(norm[..., 0]), g
 
 
 # ---------------------------------------------------------------------------

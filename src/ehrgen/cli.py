@@ -238,17 +238,13 @@ def cmd_train(args, out):
 
     checkpoint_fn = None
     if args.checkpoint_dir:
-        ckpt_dir = _resolve_out(os.path.join(args.checkpoint_dir, "x"))
-        ckpt_dir = os.path.dirname(ckpt_dir)
-        os.makedirs(ckpt_dir, exist_ok=True)
-
         def checkpoint_fn(it, snapshot):
-            arrays = {p: a for p, a in _nn.iter_arrays(snapshot)}
-            np.savez(os.path.join(ckpt_dir, f"snapshot_{it:07d}.npz"),
+            name = os.path.join(args.checkpoint_dir, f"snapshot_{it:07d}.npz")
+            np.savez(out.path(name),
                      meta=np.array(json.dumps(
                          {"iteration": it, "config_digest": digest,
                           "seed": args.seed})),
-                     **arrays)
+                     **dict(_nn.iter_arrays(snapshot)))
 
     try:
         model = train(config, batch, vocab,

@@ -311,6 +311,8 @@ def load_cohort(path):
                 first = False
                 continue
             first = False
+            if not isinstance(row, dict) or not {"id", "visits"} <= set(row):
+                raise ValueError(f"{path}: a record has no 'id' or 'visits'")
             records.append(row)
     if condition_names is None:
         seen = set()
@@ -322,6 +324,9 @@ def load_cohort(path):
     for row in records:
         cond = [0] * len(condition_names)
         for name in row.get("conditions", []):
+            if name not in name_index:
+                raise ValueError(f"{path}: record {row['id']} names condition "
+                                 f"{name!r}, which the header does not list")
             cond[name_index[name]] = 1
         out.append(
             PatientRecord(
@@ -360,8 +365,10 @@ def save_vocab(path, vocab, meta=None):
 def load_vocab(path):
     with open(path) as fh:
         lines = [ln for ln in (l.strip() for l in fh) if ln]
+    if not lines:
+        raise ValueError(f"{path}: empty vocabulary file")
     header = json.loads(lines[0])
-    if header.get("format") != "visit_vocab":
+    if not isinstance(header, dict) or header.get("format") != "visit_vocab":
         raise ValueError(f"{path}: not a visit vocabulary file")
     entries = []
     for ln in lines[1:]:

@@ -165,16 +165,14 @@ def decode_logits_backward(params, cfg, cache, dlogits):
 
 def sequence_log_likelihood(params, cfg, z, tokens, mask):
     """ln p(tokens | z) per record, masked positions excluded. Returns
-    (ll (B,), cache)."""
+    (ll (B,), cache); the cache holds the masked logit gradient that
+    ``ll_and_grads`` passes back through the decoder."""
     tokens = np.asarray(tokens)
     mask = np.asarray(mask, dtype=float)
     logits, cache_dec = decode_logits(params, cfg, z, tokens)
-    logp = _nn.log_softmax(logits)
-    B, T = tokens.shape
-    picked = logp[np.arange(B)[:, None], np.arange(T)[None, :], tokens]
-    ll = (picked * mask).sum(axis=1)
-    cache = (cache_dec, logp, tokens, mask)
-    return ll, cache
+    picked, dlogits = _nn.softmax_xent(logits, tokens)
+    dlogits *= mask[..., None]
+    return (picked * mask).sum(axis=1), (cache_dec, dlogits)
 
 
 def ll_and_grads(params, cfg, z, tokens, mask):
@@ -182,11 +180,8 @@ def ll_and_grads(params, cfg, z, tokens, mask):
 
     Returns (ll (B,), theta_grads, dz (B, D)).
     """
-    ll, cache = sequence_log_likelihood(params, cfg, z, tokens, mask)
-    cache_dec, logp, tokens, mask = cache
-    B, T = tokens.shape
-    dlogits = -np.exp(logp) * mask[..., None]
-    dlogits[np.arange(B)[:, None], np.arange(T)[None, :], tokens] += mask
+    ll, (cache_dec, dlogits) = sequence_log_likelihood(
+        params, cfg, z, tokens, mask)
     grads, dz = decode_logits_backward(params, cfg, cache_dec, dlogits)
     return ll, grads, dz
 

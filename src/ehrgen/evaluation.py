@@ -13,6 +13,7 @@ from itertools import product
 
 import numpy as np
 from scipy import sparse
+from scipy.special import softmax
 
 from . import _nn
 from .corpus import Cohort, encode_cohort, visit_key
@@ -285,8 +286,7 @@ def train_next_visit_predictor(cohort, seed=0, hidden=64, embed=32,
             h_seq, (c_emb, c_lstm) = _predictor_states(params, mb)
             live, tgt = _visit_targets(mb, vocab)
             logits, c_head = _nn.dense(params["head"], h_seq[:, :-1][live])
-            dlog = -np.exp(_nn.log_softmax(logits))
-            dlog[np.arange(len(tgt)), tgt] += 1.0  # ascent on log-likelihood
+            _, dlog = _nn.softmax_xent(logits, tgt)  # ascent on log-likelihood
             g_head, d_rows = _nn.dense_backward(c_head, dlog)
             dh = np.zeros_like(h_seq)
             dh[:, :-1][live] = d_rows
@@ -317,9 +317,8 @@ def topk_recall(predictor, cohort, k):
     logits, _ = _nn.dense(predictor.params["head"], h_seq[:, :-1][live])
     # distribution over the next *visit*: terminal/padding ids cannot be it
     logits[:, [vocab.eos_id, vocab.pad_id]] = -np.inf
-    probs = np.exp(_nn.log_softmax(logits))
     M = predictor.code_matrix
-    scores = probs @ M  # (steps, n_codes)
+    scores = softmax(logits, axis=1) @ M  # (steps, n_codes)
     kk = min(k, len(predictor.codes))
     top = np.argpartition(-scores, kk - 1, axis=1)[:, :kk]
     # a visit's codes are its token's codes: encode_cohort rejects OOV visits

@@ -88,56 +88,43 @@ def default_toy_spec(
     group_codes = tuple(
         tuple(f"C{g:03d}.{j}" for j in range(1 + g % 3)) for g in range(G)
     )
-    bg_block = tuple(range(background_groups))
+    bg_block = range(background_groups)
     blocks = [
-        tuple(
-            range(
-                background_groups + k * groups_per_condition,
-                background_groups + (k + 1) * groups_per_condition,
-            )
-        )
+        range(background_groups + k * groups_per_condition,
+              background_groups + (k + 1) * groups_per_condition)
         for k in range(n_conditions)
     ]
     condition_names = [f"cond_{k}" for k in range(n_conditions)] + [BACKGROUND]
-    condition_groups = tuple(blocks) + (bg_block,)
+    condition_groups = tuple(tuple(b) for b in blocks + [bg_block])
 
     K = n_conditions + 1
     transition = np.zeros((K, G, G))
     initial = np.zeros((K, G))
 
-    def sharp_row(rng, own, cross, p_cross):
+    def sharp_row(own, cross, p_cross):
         """Row concentrated on two preferred own-block successors."""
         row = np.zeros(G)
-        own = np.asarray(own)
         picks = rng.choice(own, size=2, replace=False)
         row[picks[0]] = 0.50
         row[picks[1]] = 0.20
-        rest = [g for g in own if g not in picks]
-        if rest:
-            row[rest] = (1.0 - 0.70 - p_cross) / len(rest)
+        rest = np.setdiff1d(own, picks)
+        if rest.size:
+            row[rest] = (1.0 - 0.70 - p_cross) / rest.size
         if cross is not None and p_cross > 0:
-            jumps = rng.choice(np.asarray(cross), size=2, replace=False)
+            jumps = rng.choice(cross, size=2, replace=False)
             row[jumps] = p_cross / 2.0
         return row / row.sum()
 
-    for k in range(K):
-        if k < n_conditions:
-            own, bg = blocks[k], bg_block
-            for g in range(G):
-                if g in own:
-                    transition[k, g] = sharp_row(rng, own, bg, p_cross=0.10)
-                elif g in bg:
-                    transition[k, g] = sharp_row(rng, bg, own, p_cross=0.25)
-                else:
-                    transition[k, g, own] = 1.0 / len(own)
-            initial[k, own] = 1.0 / len(own)
-        else:
-            for g in range(G):
-                if g in bg_block:
-                    transition[k, g] = sharp_row(rng, bg_block, None, p_cross=0.0)
-                else:
-                    transition[k, g, bg_block] = 1.0 / len(bg_block)
-            initial[k, bg_block] = 1.0 / len(bg_block)
+    for k, own in enumerate(blocks + [bg_block]):
+        transition[k, :, own] = 1.0 / len(own)  # by default, return home
+        initial[k, own] = 1.0 / len(own)
+        # sharp rows overwrite that in ascending order (background first),
+        # the order in which they draw from rng
+        sharp = ([(bg_block, own, 0.25), (own, bg_block, 0.10)]
+                 if k < n_conditions else [(bg_block, None, 0.0)])
+        for block, cross, p_cross in sharp:
+            for g in block:
+                transition[k, g] = sharp_row(block, cross, p_cross)
 
     weights = np.full(K, 1.0 / K)
     return ToyCorpusSpec(

@@ -11,7 +11,7 @@ same run has a ``conftest.py`` of its own.
 """
 
 import numpy as np
-from scipy.special import expit as sigmoid
+from scipy.special import expit as sigmoid, log_softmax, softmax
 
 from ehrgen import _nn
 from ehrgen.corpus import Cohort, PatientRecord, encode_cohort
@@ -173,6 +173,61 @@ def prefix_sample(params, cfg, z, rng, eos_id, temperature=1.0, forbid=()):
 
 
 # ---------------------------------------------------------------------------
+# reference toy-corpus builder
+# ---------------------------------------------------------------------------
+
+def looped_toy_transitions(n_conditions=4, background_groups=20,
+                           groups_per_condition=20, structure_seed=7):
+    """Reference for ``default_toy_spec``'s ``(transition, initial)``: every
+    one of the K * G rows is tested for block membership in turn."""
+    rng = np.random.default_rng(structure_seed)
+    G = background_groups + n_conditions * groups_per_condition
+    bg_block = tuple(range(background_groups))
+    blocks = [
+        tuple(range(background_groups + k * groups_per_condition,
+                    background_groups + (k + 1) * groups_per_condition))
+        for k in range(n_conditions)
+    ]
+    K = n_conditions + 1
+    transition = np.zeros((K, G, G))
+    initial = np.zeros((K, G))
+
+    def sharp_row(own, cross, p_cross):
+        row = np.zeros(G)
+        own = np.asarray(own)
+        picks = rng.choice(own, size=2, replace=False)
+        row[picks[0]] = 0.50
+        row[picks[1]] = 0.20
+        rest = [g for g in own if g not in picks]
+        if rest:
+            row[rest] = (1.0 - 0.70 - p_cross) / len(rest)
+        if cross is not None and p_cross > 0:
+            jumps = rng.choice(np.asarray(cross), size=2, replace=False)
+            row[jumps] = p_cross / 2.0
+        return row / row.sum()
+
+    for k in range(K):
+        if k < n_conditions:
+            own, bg = blocks[k], bg_block
+            for g in range(G):
+                if g in own:
+                    transition[k, g] = sharp_row(own, bg, p_cross=0.10)
+                elif g in bg:
+                    transition[k, g] = sharp_row(bg, own, p_cross=0.25)
+                else:
+                    transition[k, g, own] = 1.0 / len(own)
+            initial[k, own] = 1.0 / len(own)
+        else:
+            for g in range(G):
+                if g in bg_block:
+                    transition[k, g] = sharp_row(bg_block, None, p_cross=0.0)
+                else:
+                    transition[k, g, bg_block] = 1.0 / len(bg_block)
+            initial[k, bg_block] = 1.0 / len(bg_block)
+    return transition, initial
+
+
+# ---------------------------------------------------------------------------
 # reference evaluation
 # ---------------------------------------------------------------------------
 
@@ -234,7 +289,7 @@ def full_width_predictor_params(cohort, seed=0, hidden=64, embed=32,
             logits, (c_emb, c_lstm, c_head) = _full_width_forward(params, mb)
             tgt = mb.tokens[:, 1:]
             tgt_mask = mb.mask[:, 1:] * (tgt != eos)
-            lp = _nn.log_softmax(logits[:, :-1])
+            lp = log_softmax(logits[:, :-1], axis=-1)
             B, T1 = tgt.shape
             dlog = -np.exp(lp)
             dlog[np.arange(B)[:, None], np.arange(T1)[None, :], tgt] += 1.0
@@ -261,7 +316,7 @@ def looped_topk_recall(predictor, cohort, k):
     logits, _ = _full_width_forward(predictor.params, batch)
     logits[:, :, vocab.eos_id] = -np.inf
     logits[:, :, vocab.pad_id] = -np.inf
-    probs = np.exp(_nn.log_softmax(logits))
+    probs = softmax(logits, axis=-1)
     scores = probs @ predictor.code_matrix.toarray()
     kk = min(k, len(predictor.codes))
     recalls = []

@@ -296,6 +296,66 @@ class TestErrorPaths:
         assert not os.path.exists(metrics)
         assert not os.path.exists(model)
 
+    def test_failure_removes_checkpoint_snapshots(self, pipeline, tmp_path,
+                                                  capsys):
+        """Snapshots written before a failed save are removed with it."""
+        snaps = tmp_path / "snaps"
+        blocked = tmp_path / "taken"
+        blocked.mkdir()  # saving the model onto a directory fails
+        code = run(["train", "--cohort", pipeline["cohort"],
+                    "--vocab", pipeline["vocab"], "--out", str(blocked),
+                    "--checkpoint-dir", str(snaps)] + TRAIN_SMALL)
+        assert code == 2
+        assert read_stderr_json(capsys)["exit_code"] == 2
+        assert not list(snaps.iterdir())
+
+    def test_checkpoint_snapshots_written(self, pipeline, tmp_path):
+        snaps = tmp_path / "snaps"
+        assert run(["train", "--cohort", pipeline["cohort"],
+                    "--vocab", pipeline["vocab"],
+                    "--out", str(tmp_path / "m.npz"),
+                    "--checkpoint-dir", str(snaps)] + TRAIN_SMALL) == 0
+        names = sorted(p.name for p in snaps.iterdir())
+        assert names == ["snapshot_0000002.npz", "snapshot_0000004.npz"]
+
+
+class TestMalformedInputs:
+    """Bad input files exit 1 with a JSON error that names the file."""
+
+    def expect_error(self, capsys, argv, path, text):
+        assert run(argv) == 1
+        err = read_stderr_json(capsys)
+        assert err["exit_code"] == 1
+        assert str(path) in err["error"] and text in err["error"]
+
+    def test_empty_vocab(self, pipeline, tmp_path, capsys):
+        vocab = tmp_path / "empty.jsonl"
+        vocab.write_text("\n")
+        self.expect_error(capsys, [
+            "train", "--cohort", pipeline["cohort"], "--vocab", str(vocab),
+            "--out", str(tmp_path / "m.npz")] + TRAIN_SMALL, vocab, "empty")
+
+    @pytest.mark.parametrize("row", [{"visits": [["a"]]}, {"id": "p0"}, []])
+    def test_record_without_id_or_visits(self, tmp_path, capsys, row):
+        cohort = tmp_path / "c.jsonl"
+        cohort.write_text(json.dumps(row) + "\n")
+        self.expect_error(capsys, [
+            "preprocess", "--input", str(cohort),
+            "--out-cohort", str(tmp_path / "o.jsonl"),
+            "--out-vocab", str(tmp_path / "v.jsonl")], cohort, "'visits'")
+        assert not os.path.exists(tmp_path / "o.jsonl")
+
+    def test_unknown_condition(self, tmp_path, capsys):
+        cohort = tmp_path / "c.jsonl"
+        cohort.write_text(
+            json.dumps({"meta": {"condition_names": ["cond_0"]}}) + "\n"
+            + json.dumps({"id": "p7", "visits": [["a"]],
+                          "conditions": ["cond_9"]}) + "\n")
+        self.expect_error(capsys, [
+            "preprocess", "--input", str(cohort),
+            "--out-cohort", str(tmp_path / "o.jsonl"),
+            "--out-vocab", str(tmp_path / "v.jsonl")], cohort, "'cond_9'")
+
 
 class TestOutputDir:
     def test_relative_outputs_join_env_dir(self, tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ tests build on, so tolerances here are tight (1e-6 relative).
 
 import numpy as np
 import pytest
+from scipy.special import log_softmax, softmax
 
 from ehrgen import _nn
 
@@ -278,11 +279,46 @@ class TestActivations:
         assert out[0] >= 0.0 and np.isfinite(out[0])
         assert np.isclose(out[4], 800.0)  # asymptote, no overflow
 
-    def test_log_softmax_normalises(self):
+
+class TestSoftmaxXent:
+    @pytest.mark.parametrize("shape", [(7,), (3, 4), (2, 3, 4)],
+                             ids=["1d", "2d", "3d"])
+    @pytest.mark.parametrize("spread", [1.0, 1e3])
+    def test_matches_scipy(self, shape, spread):
+        """ll is the target's log-softmax and the gradient one-hot minus
+        softmax, for 1-D, 2-D and 3-D targets; ±1e3 logits overflow a
+        naive exp."""
         rng = np.random.default_rng(11)
-        x = rng.standard_normal((3, 5)) * 50
-        ls = _nn.log_softmax(x)
-        np.testing.assert_allclose(np.exp(ls).sum(axis=-1), 1.0, rtol=1e-12)
+        V = 6
+        logits = rng.uniform(-spread, spread, size=shape + (V,))
+        targets = rng.integers(0, V, size=shape)
+        ll, grad = _nn.softmax_xent(logits, targets)
+        assert ll.shape == shape and grad.shape == logits.shape
+        assert np.all(np.isfinite(ll)) and np.all(np.isfinite(grad))
+        ref_lp = log_softmax(logits, axis=-1)
+        picked = np.take_along_axis(ref_lp, targets[..., None], axis=-1)
+        np.testing.assert_allclose(ll, picked[..., 0], rtol=1e-12, atol=1e-12)
+        one_hot = np.eye(V)[targets]
+        np.testing.assert_allclose(grad, one_hot - softmax(logits, axis=-1),
+                                   rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(grad.sum(axis=-1), 0.0, atol=1e-12)
+
+    def test_leaves_logits_unchanged(self):
+        logits = np.random.default_rng(12).standard_normal((4, 5))
+        before = logits.copy()
+        _nn.softmax_xent(logits, np.array([0, 1, 2, 3]))
+        np.testing.assert_array_equal(logits, before)
+
+    def test_gradient_matches_fd(self):
+        rng = np.random.default_rng(13)
+        logits = rng.standard_normal((2, 3, 5)) * 3
+        targets = rng.integers(0, 5, size=(2, 3))
+        _, grad = _nn.softmax_xent(logits, targets)
+
+        def total():
+            return float(_nn.softmax_xent(logits, targets)[0].sum())
+
+        assert rel_err(grad, numerical_grad(total, logits)) < TOL
 
 
 class TestTreeUtilities:

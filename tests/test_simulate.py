@@ -18,6 +18,8 @@ from ehrgen.simulate import (
     simulate_toy_cohort,
 )
 
+from oracles import looped_toy_transitions
+
 
 def two_group_spec(n_records=500, len_min=4, len_max=4):
     """Hand-solvable 2-group, background-only chain."""
@@ -172,3 +174,25 @@ class TestDefaultSpec:
         spec = default_toy_spec(n_records=10)
         with pytest.raises(ValueError):
             condition_codes(spec, "nope")
+
+    @pytest.mark.parametrize("shape", [
+        {},
+        {"background_groups": 100, "groups_per_condition": 100},
+        {"n_conditions": 2, "background_groups": 7,
+         "groups_per_condition": 5, "structure_seed": 3},
+    ])
+    def test_matches_looped_builder(self, shape):
+        """The block-sliced builder draws the same rows from the same rng
+        stream as the row-by-row reference."""
+        spec = default_toy_spec(**shape)
+        transition, initial = looped_toy_transitions(**shape)
+        np.testing.assert_array_equal(spec.transition, transition)
+        np.testing.assert_array_equal(spec.initial, initial)
+
+    def test_blocks_partition_the_groups(self):
+        spec = default_toy_spec(n_conditions=3, background_groups=4,
+                                groups_per_condition=5)
+        assert spec.condition_groups[-1] == tuple(range(4))
+        assert spec.condition_groups[0] == tuple(range(4, 9))
+        assert sorted(g for b in spec.condition_groups for g in b) == \
+            list(range(spec.n_groups))
