@@ -19,7 +19,7 @@ _EXPORTS = {
     "PatientRecord": ".corpus", "Cohort": ".corpus", "VisitVocab": ".corpus",
     "VocabEntry": ".corpus", "EncodedBatch": ".corpus", "visit_key": ".corpus",
     "build_visit_vocab": ".corpus", "replace_rare_visits": ".corpus",
-    "encode_cohort": ".corpus", "decode_tokens": ".corpus",
+    "encode_cohort": ".corpus",
     "save_cohort": ".corpus", "load_cohort": ".corpus",
     "save_vocab": ".corpus", "load_vocab": ".corpus",
     # simulator
@@ -28,7 +28,6 @@ _EXPORTS = {
     "analytic_group_unigram": ".simulate", "analytic_group_bigram": ".simulate",
     # latent hierarchy
     "HierarchyHyper": ".latent", "compose_intensities": ".latent",
-    "latent_log_density": ".latent",
     "sample_prior_eva": ".latent", "sample_prior_evac": ".latent",
     # encoders
     "DiagGaussian": ".encoders", "EncoderConfig": ".encoders",

@@ -373,13 +373,11 @@ def clip_global_norm(vec, max_norm):
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Adam over one flat parameter vector."""
+    """Adam over one flat parameter vector; beta1 0.9, beta2 0.999 and
+    eps 1e-8."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
@@ -389,11 +387,11 @@ class Adam:
         if grads.shape != params.shape:
             raise ValueError(f"grads shape {grads.shape} != {params.shape}")
         self.t += 1
-        b1, b2, m, v = self.beta1, self.beta2, self.m, self.v
+        b1, b2, m, v = 0.9, 0.999, self.m, self.v
         corr1 = 1.0 - b1 ** self.t
         corr2 = 1.0 - b2 ** self.t
         m *= b1
         m += (1.0 - b1) * grads
         v *= b2
         v += (1.0 - b2) * grads * grads
-        params += self.lr * (m / corr1) / (np.sqrt(v / corr2) + self.eps)
+        params += self.lr * (m / corr1) / (np.sqrt(v / corr2) + 1e-8)

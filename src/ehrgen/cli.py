@@ -11,10 +11,12 @@ entry; command-line flags override file values. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 
 # Thread override must land before numpy initializes its BLAS thread pools,
 # which is why this module avoids importing the numeric stack at top level.
@@ -105,35 +107,39 @@ def config_digest(args):
 # output handling
 # ---------------------------------------------------------------------------
 
-def _resolve_out(path):
-    base = os.environ.get(OUTPUT_DIR_ENV)
-    if base and not os.path.isabs(path):
-        path = os.path.join(base, path)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    return path
-
-
 class _Outputs:
-    """Registry of files the running command intends to write; on failure
-    everything registered is removed so no partial artifacts survive."""
+    """Registry of files the running command intends to write, and of the
+    directories made for them; on failure the files are removed, then those
+    directories, deepest first, if empty, so no partial artifacts survive
+    and no directory that existed before the run is touched."""
 
     def __init__(self):
         self.paths = []
+        self.dirs = []  # made by path(), each after its parent
 
     def path(self, p):
-        resolved = _resolve_out(p)
-        self.paths.append(resolved)
-        return resolved
+        base = os.environ.get(OUTPUT_DIR_ENV)
+        if base and not os.path.isabs(p):
+            p = os.path.join(base, p)
+        missing = []
+        parent = os.path.dirname(p)
+        while parent and not os.path.isdir(parent):
+            missing.append(parent)
+            parent = os.path.dirname(parent)
+        if missing:
+            os.makedirs(missing[0], exist_ok=True)
+            self.dirs.extend(reversed(missing))
+        self.paths.append(p)
+        return p
 
     def cleanup(self):
-        for p in self.paths:
-            try:
-                if os.path.exists(p):
-                    os.remove(p)
-            except OSError:
-                pass
+        # a removal that fails (a file never written, a directory that is
+        # not empty) is skipped
+        for remove, paths in ((os.remove, self.paths),
+                              (os.rmdir, self.dirs[::-1])):
+            for p in paths:
+                with contextlib.suppress(OSError):
+                    remove(p)
 
 
 def _require_file(path, what):
@@ -203,24 +209,21 @@ def cmd_train(args, out):
 
     cohort = load_cohort(_require_file(args.cohort, "cohort"))
     vocab = load_vocab(_require_file(args.vocab, "vocabulary"))
-    try:
-        config = TrainConfig(
-            variant=args.variant, latent_dim=args.latent_dim,
-            n_iters=args.iters, minibatch=args.minibatch,
-            lr_phi=args.lr_phi, lr_global=args.lr_global,
-            psgld_alpha=args.psgld_alpha, psgld_lambda=args.psgld_lambda,
-            temperature=args.temperature, burn_in=args.burn_in,
-            thin=args.thin, reservoir_size=args.reservoir,
-            clip_norm=args.clip_norm, embed_dim=args.embed_dim,
-            hidden=args.hidden, cond_hidden=args.cond_hidden,
-            tau=args.tau, gamma=args.gamma, log_every=args.log_every,
-            seed=args.seed)
-        dec_cfg = DecoderConfig(
-            vocab_size=vocab.size, latent_dim=args.latent_dim,
-            t_max=args.t_max, channels=args.channels, kernel=args.kernel,
-            dilations=args.dilations, n_upsample=args.n_upsample)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    config = TrainConfig(
+        variant=args.variant, latent_dim=args.latent_dim,
+        n_iters=args.iters, minibatch=args.minibatch,
+        lr_phi=args.lr_phi, lr_global=args.lr_global,
+        psgld_alpha=args.psgld_alpha, psgld_lambda=args.psgld_lambda,
+        temperature=args.temperature, burn_in=args.burn_in,
+        thin=args.thin, reservoir_size=args.reservoir,
+        clip_norm=args.clip_norm, embed_dim=args.embed_dim,
+        hidden=args.hidden, cond_hidden=args.cond_hidden,
+        tau=args.tau, gamma=args.gamma, log_every=args.log_every,
+        seed=args.seed)
+    dec_cfg = DecoderConfig(
+        vocab_size=vocab.size, latent_dim=args.latent_dim,
+        t_max=args.t_max, channels=args.channels, kernel=args.kernel,
+        dilations=args.dilations, n_upsample=args.n_upsample)
     batch = encode_cohort(cohort, vocab, args.t_max)
 
     digest = config_digest(args)
@@ -234,7 +237,7 @@ def cmd_train(args, out):
 
         def metrics_sink(it, report):
             metrics_fh.write(json.dumps(
-                {"iteration": it, **report.as_dict()}) + "\n")
+                {"iteration": it, **asdict(report)}) + "\n")
 
     checkpoint_fn = None
     if args.checkpoint_dir:
@@ -265,14 +268,10 @@ def cmd_generate(args, out):
     from .model import TrainedModel
 
     model = TrainedModel.load(_require_file(args.model, "model checkpoint"))
-    try:
-        request = GenerationRequest(
-            count=args.count, mode=args.mode, conditions=args.conditions,
-            temperature=args.temperature, t_max=args.t_max, seed=args.seed,
-            policy=args.policy)
-        cohort = generate_cohort(model, request)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cohort = generate_cohort(model, GenerationRequest(
+        count=args.count, mode=args.mode, conditions=args.conditions,
+        temperature=args.temperature, t_max=args.t_max, seed=args.seed,
+        policy=args.policy))
     save_cohort(out.path(args.out), cohort,
                 meta={"config_digest": config_digest(args),
                       "seed": args.seed})
@@ -371,7 +370,7 @@ def cmd_attack(args, out):
     _json_report(out.path(args.out), {
         "schema": "attack/1", "config_digest": config_digest(args),
         "seed": args.seed, "n_known_in_training": n_in,
-        "n_known_outside": n_out, "outcome": outcome.as_dict(),
+        "n_known_outside": n_out, "outcome": asdict(outcome),
     })
     return 0
 
@@ -489,16 +488,10 @@ def main(argv=None):
     outputs = _Outputs()
     try:
         return args.func(args, outputs)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         outputs.cleanup()
         return _fail(1, exc)
-    except ValueError as exc:
-        outputs.cleanup()
-        return _fail(1, exc)
-    except (ArithmeticError, RuntimeError) as exc:
-        outputs.cleanup()
-        return _fail(2, exc)
-    except OSError as exc:
+    except (ArithmeticError, RuntimeError, OSError) as exc:
         outputs.cleanup()
         return _fail(2, exc)
 

@@ -206,7 +206,6 @@ class EncodedBatch:
     tokens: np.ndarray  # int64
     mask: np.ndarray  # float64, 1.0 on real steps including EOS
     conditions: np.ndarray  # float64 (N, K)
-    record_ids: list
 
     def __len__(self):
         return self.tokens.shape[0]
@@ -218,7 +217,6 @@ class EncodedBatch:
             tokens=self.tokens[idx],
             mask=self.mask[idx],
             conditions=self.conditions[idx],
-            record_ids=[self.record_ids[i] for i in idx],
         )
 
 
@@ -236,9 +234,7 @@ def encode_cohort(cohort, vocab, t_max):
     tokens = np.full((n, width), vocab.pad_id, dtype=np.int64)
     mask = np.zeros((n, width))
     conds = np.zeros((n, max(K, 1)))
-    ids = []
     for i, rec in enumerate(cohort.records):
-        ids.append(rec.id)
         body = rec.visits[:t_max]
         for t, visit in enumerate(body):
             tok = vocab.token_of(visit)
@@ -252,18 +248,7 @@ def encode_cohort(cohort, vocab, t_max):
         mask[i, : len(body) + 1] = 1.0
         if rec.conditions:
             conds[i, : len(rec.conditions)] = rec.conditions
-    return EncodedBatch(tokens=tokens, mask=mask, conditions=conds, record_ids=ids)
-
-
-def decode_tokens(token_row, vocab):
-    """Token ids back to a visit tuple; stops at the first EOS or PAD."""
-    visits = []
-    for tok in token_row:
-        tok = int(tok)
-        if tok in (vocab.eos_id, vocab.pad_id):
-            break
-        visits.append(vocab.codes_of(tok))
-    return tuple(visits)
+    return EncodedBatch(tokens=tokens, mask=mask, conditions=conds)
 
 
 # ---------------------------------------------------------------------------

@@ -223,7 +223,6 @@ class NextVisitPredictor:
 
     params: dict
     vocab: object
-    hidden: int
     codes: tuple
     code_matrix: sparse.csr_matrix  # (vocab.size, n_codes) 0/1 membership
 
@@ -295,8 +294,8 @@ def train_next_visit_predictor(cohort, seed=0, hidden=64, embed=32,
             adam.step(vec, layout.flatten(
                 {"emb": g_emb, "lstm": g_lstm, "head": g_head}))
     codes, M = _code_axis(vocab)
-    return NextVisitPredictor(params=params, vocab=vocab, hidden=hidden,
-                              codes=codes, code_matrix=M)
+    return NextVisitPredictor(params=params, vocab=vocab, codes=codes,
+                              code_matrix=M)
 
 
 def topk_recall(predictor, cohort, k):
@@ -339,13 +338,6 @@ class AttackOutcome:
     fn: int
     tn: int
     order_sensitive: bool
-
-    def as_dict(self):
-        return {
-            "sensitivity": self.sensitivity, "precision": self.precision,
-            "tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn,
-            "order_sensitive": self.order_sensitive,
-        }
 
 
 def _match_key(record, order_sensitive):

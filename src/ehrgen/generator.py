@@ -35,7 +35,6 @@ class GenerationRequest:
     count: int
     mode: str = "unconditional"
     conditions: tuple = ()  # names; used only in conditional mode
-    y: tuple | None = None  # explicit condition vector, overrides names
     temperature: float = 1.0
     t_max: int | None = None  # cap record length below the model maximum
     seed: int = 0
@@ -66,19 +65,9 @@ def condition_vector(model, names):
     return y
 
 
-def _request_y(model, request):
-    if request.y is not None:
-        y = np.asarray(request.y, dtype=float)
-        if y.shape != (model.cond_dim,):
-            raise ValueError("condition vector length mismatch")
-        return y
-    names = request.conditions if request.mode == "conditional" else ()
-    return condition_vector(model, names)
-
-
 def _draw_latents(model, snapshot, y, n, rng):
     if model.variant == "eva":
-        return sample_prior_eva(model.dec_cfg.latent_dim, rng, n=n)
+        return sample_prior_eva(model.dec_cfg.latent_dim, rng, n)
     _, _, z = sample_prior_evac(
         snapshot["H"], np.tile(y, (n, 1)),
         model.hyper.gamma, model.hyper.tau, rng)
@@ -98,7 +87,8 @@ def generate_cohort(model, request):
 
     y = None
     if model.variant == "evac":
-        y = _request_y(model, request)
+        y = condition_vector(
+            model, request.conditions if request.mode == "conditional" else ())
 
     rng = np.random.default_rng(request.seed)
     n = request.count

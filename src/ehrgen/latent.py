@@ -38,31 +38,15 @@ def compose_intensities(y, w):
     return np.asarray(y, dtype=float) * sigmoid(np.asarray(w, dtype=float))
 
 
-def latent_log_density(z, H, pi, b, tau):
-    """log N(z | H pi + b, tau I); supports leading batch axes."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    z = np.asarray(z, dtype=float)
-    resid = z - (np.asarray(pi, dtype=float) @ H.T + np.asarray(b, dtype=float))
-    D = z.shape[-1]
-    return -0.5 * D * math.log(2.0 * math.pi * tau) - np.sum(resid * resid, axis=-1) / (
-        2.0 * tau
-    )
-
-
 def latent_log_density_grads(z, H, y, w, b, tau):
     """Log-density plus gradients w.r.t. z, w, b, and H.
 
     Used both by the local objective (gradients into the sampled latents)
-    and by the global gradient step (gradient into H). Batched over the
-    leading axis; the H gradient is summed over the batch.
+    and by the global gradient step (gradient into H). Every argument but
+    H has one row per record; the H gradient is summed over the rows.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    w = np.atleast_2d(np.asarray(w, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
     sig = sigmoid(w)
     pi = y * sig
     resid = z - (pi @ H.T + b)
@@ -79,27 +63,18 @@ def latent_log_density_grads(z, H, y, w, b, tau):
     return ll, dz, dw, db, dH
 
 
-def sample_prior_eva(dim, rng, n=None):
-    """z ~ N(0, I); one row per draw when n is given."""
-    shape = (dim,) if n is None else (n, dim)
-    return rng.standard_normal(shape)
+def sample_prior_eva(dim, rng, n):
+    """z ~ N(0, I), one row per draw: (n, dim)."""
+    return rng.standard_normal((n, dim))
 
 
 def sample_prior_evac(H, y, gamma, tau, rng):
-    """Full ancestral draw of (w, b, z) for the conditional hierarchy.
-
-    ``y`` may be a single K-vector or a batch (N, K); shapes of the returned
-    latents follow it.
-    """
-    y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    y2 = np.atleast_2d(y)
-    n = y2.shape[0]
+    """Full ancestral draw of (w, b, z) for the conditional hierarchy, one
+    row per row of the (N, K) condition matrix ``y``."""
+    n = len(y)
     D, K = H.shape
     w = rng.standard_normal((n, K))
     b = math.sqrt(gamma) * rng.standard_normal((n, D))
-    pi = compose_intensities(y2, w)
+    pi = compose_intensities(y, w)
     z = pi @ H.T + b + math.sqrt(tau) * rng.standard_normal((n, D))
-    if single:
-        return w[0], b[0], z[0]
     return w, b, z

@@ -59,10 +59,6 @@ class TrainedModel:
         return ModelParts(variant=self.variant, dec_cfg=self.dec_cfg,
                           enc_cfg=self.enc_cfg, hyper=self.hyper)
 
-    @property
-    def cond_dim(self):
-        return len(self.condition_names)
-
     def point_sample(self):
         """Last retained posterior sample — the point-estimate ablation."""
         if not self.reservoir:

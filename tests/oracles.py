@@ -76,6 +76,19 @@ def assert_tree_close(analytic, numeric, tol, context=""):
 
 
 # ---------------------------------------------------------------------------
+# reference latent density
+# ---------------------------------------------------------------------------
+
+def latent_log_density(z, H, pi, b, tau):
+    """log N(z | H pi + b, tau I), the value that
+    ``latent.latent_log_density_grads`` returns; any leading batch axes."""
+    resid = z - (pi @ H.T + b)
+    D = z.shape[-1]
+    return (-0.5 * D * np.log(2.0 * np.pi * tau)
+            - np.sum(resid * resid, axis=-1) / (2.0 * tau))
+
+
+# ---------------------------------------------------------------------------
 # reference LSTM
 # ---------------------------------------------------------------------------
 

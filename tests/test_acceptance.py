@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import logit
 
 from ehrgen import _nn
 from ehrgen import evaluation as ev
@@ -30,7 +31,7 @@ from ehrgen.generator import (
     generate_case_control,
     generate_cohort,
 )
-from ehrgen.latent import latent_log_density
+from ehrgen.latent import latent_log_density_grads
 from ehrgen.simulate import condition_codes, default_toy_spec, simulate_toy_cohort
 from ehrgen.trainer import (
     SamplerState,
@@ -161,7 +162,9 @@ def test_criterion_01_closed_form_correctness():
     z = rng.standard_normal(D)
     tau = 0.1
     ref = stats.multivariate_normal(mean=H @ pi + b, cov=tau * np.eye(D))
-    got = latent_log_density(z, H, pi, b, tau)
+    # the trainer's density; y = 1 and w = logit(pi) give sigmoid(w) = pi
+    got = latent_log_density_grads(z[None], H, np.ones((1, K)),
+                                   logit(pi)[None], b[None], tau)[0][0]
     errs["latent(analytic)"] = abs(got - ref.logpdf(z)) / abs(ref.logpdf(z))
 
     elapsed = time.time() - t0

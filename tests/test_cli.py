@@ -298,8 +298,9 @@ class TestErrorPaths:
 
     def test_failure_removes_checkpoint_snapshots(self, pipeline, tmp_path,
                                                   capsys):
-        """Snapshots written before a failed save are removed with it."""
-        snaps = tmp_path / "snaps"
+        """Snapshots written before a failed save are removed with it, and
+        so are the directories the run made for them."""
+        snaps = tmp_path / "made" / "snaps"
         blocked = tmp_path / "taken"
         blocked.mkdir()  # saving the model onto a directory fails
         code = run(["train", "--cohort", pipeline["cohort"],
@@ -307,7 +308,27 @@ class TestErrorPaths:
                     "--checkpoint-dir", str(snaps)] + TRAIN_SMALL)
         assert code == 2
         assert read_stderr_json(capsys)["exit_code"] == 2
-        assert not list(snaps.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+    def test_failure_keeps_existing_checkpoint_dir(self, pipeline, tmp_path,
+                                                   capsys):
+        """A directory that existed before the run survives its cleanup,
+        and so does a file in it that the run did not write."""
+        snaps = tmp_path / "snaps"
+        snaps.mkdir()
+        (snaps / "keep.txt").write_text("mine")
+        blocked = tmp_path / "taken"
+        blocked.mkdir()
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        for ckpt in (snaps, empty):
+            code = run(["train", "--cohort", pipeline["cohort"],
+                        "--vocab", pipeline["vocab"], "--out", str(blocked),
+                        "--checkpoint-dir", str(ckpt)] + TRAIN_SMALL)
+            assert code == 2
+            assert read_stderr_json(capsys)["exit_code"] == 2
+        assert [p.name for p in snaps.iterdir()] == ["keep.txt"]
+        assert empty.is_dir() and not list(empty.iterdir())
 
     def test_checkpoint_snapshots_written(self, pipeline, tmp_path):
         snaps = tmp_path / "snaps"

@@ -9,7 +9,6 @@ from ehrgen.corpus import (
     VisitVocab,
     VocabEntry,
     build_visit_vocab,
-    decode_tokens,
     encode_cohort,
     load_cohort,
     load_vocab,
@@ -115,7 +114,6 @@ class TestEncoding:
         np.testing.assert_array_equal(batch.tokens[1], [2, vocab.eos_id, vocab.pad_id, vocab.pad_id])
         np.testing.assert_array_equal(batch.mask[0], [1, 1, 1, 0])
         np.testing.assert_array_equal(batch.mask[1], [1, 1, 0, 0])
-        assert batch.record_ids == ["p0", "p1"]
 
     def test_truncation_at_t_max(self):
         vocab = small_vocab()
@@ -143,13 +141,9 @@ class TestEncoding:
         sub = batch.take(np.array([2, 0]))
         assert len(sub) == 2
         np.testing.assert_array_equal(sub.tokens[0], batch.tokens[2])
-        assert sub.record_ids == ["p2", "p0"]
-
-    def test_decode_tokens_stops_at_eos(self):
-        vocab = small_vocab()
-        row = np.array([1, 0, vocab.eos_id, 2])
-        visits = decode_tokens(row, vocab)
-        assert visits == (frozenset({"b", "c"}), frozenset({"a"}))
+        np.testing.assert_array_equal(sub.tokens[1], batch.tokens[0])
+        np.testing.assert_array_equal(sub.mask, batch.mask[[2, 0]])
+        np.testing.assert_array_equal(sub.conditions, batch.conditions[[2, 0]])
 
 
 class TestDiskRoundTrip:

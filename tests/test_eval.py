@@ -207,8 +207,8 @@ def rigged_predictor(vocab, bias_probs):
                  "b": np.log(np.asarray(bias_probs))},
     }
     codes, M = _code_axis(vocab)
-    return NextVisitPredictor(params=params, vocab=vocab, hidden=hidden,
-                              codes=codes, code_matrix=M)
+    return NextVisitPredictor(params=params, vocab=vocab, codes=codes,
+                              code_matrix=M)
 
 
 class TestTopkRecall:

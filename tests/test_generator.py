@@ -81,16 +81,6 @@ class TestConditionVector:
         with pytest.raises(ValueError, match="unknown condition 'nope'"):
             condition_vector(EVAC, ("nope",))
 
-    def test_explicit_y_overrides_names(self):
-        y = tuple(1.0 if i == 0 else 0.0 for i in range(EVAC.cond_dim))
-        out = generate_cohort(EVAC, GenerationRequest(count=2, y=y, seed=1))
-        assert all(r.conditions == tuple(int(v) for v in y)
-                   for r in out.records)
-
-    def test_explicit_y_length_checked(self):
-        with pytest.raises(ValueError, match="length"):
-            generate_cohort(EVAC, GenerationRequest(count=1, y=(1.0,)))
-
 
 class TestGeneration:
     def test_count_ids_and_vocab(self):

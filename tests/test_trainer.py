@@ -2,13 +2,14 @@
 oracles, the objective decomposition identity, phi/theta/H gradients against
 finite differences, the Langevin sampler update rule, and loop bookkeeping."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from ehrgen import _nn
-from ehrgen.corpus import EncodedBatch, build_visit_vocab, encode_cohort
+from ehrgen.corpus import build_visit_vocab, encode_cohort
 from ehrgen.encoders import DiagGaussian
 from ehrgen.simulate import default_toy_spec, simulate_toy_cohort
 from ehrgen.trainer import (
@@ -132,9 +133,9 @@ class TestObjectiveDecomposition:
 
     def test_report_roundtrip(self):
         r = ElboReport.from_terms(-10.0, -2.0, 1.5, 0.3, 0.4)
-        d = r.as_dict()
-        assert set(d) == {"recon", "cross", "entropy", "kl_b", "kl_w",
-                          "total", "kl_fraction"}
+        d = dataclasses.asdict(r)
+        assert list(d) == ["recon", "cross", "entropy", "kl_b", "kl_w",
+                           "total", "kl_fraction"]
         np.testing.assert_allclose(d["total"], -(-10.0 - 2.0 + 1.5 - 0.3 - 0.4))
 
     def test_same_noise_is_deterministic(self):
@@ -369,6 +370,15 @@ class TestTrainLoop:
         empty = batch.take(np.array([], dtype=int))
         with pytest.raises(ValueError, match="empty"):
             train(self.small_config(), empty, vocab,
+                  dec_cfg=self.small_dec_cfg(vocab))
+
+    @pytest.mark.parametrize("variant", ["eva", "evac"])
+    def test_decoder_latent_dim_must_match_config(self, variant):
+        batch, vocab, cohort = self.make_batch_and_vocab()
+        cfg = self.small_config(variant=variant, latent_dim=6)
+        with pytest.raises(ValueError, match="latent_dim 3 .* latent_dim 6"):
+            train(cfg, batch, vocab,
+                  condition_names=tuple(cohort.condition_names),
                   dec_cfg=self.small_dec_cfg(vocab))
 
     def test_evac_needs_condition_columns(self):
