@@ -25,7 +25,7 @@ _EXPORTS = {
     # simulator
     "ToyCorpusSpec": ".simulate", "default_toy_spec": ".simulate",
     "simulate_toy_cohort": ".simulate", "condition_codes": ".simulate",
-    "analytic_group_unigram": ".simulate", "analytic_group_bigram": ".simulate",
+    "analytic_group_unigram": ".simulate",
     # latent hierarchy
     "HierarchyHyper": ".latent", "compose_intensities": ".latent",
     "sample_prior_eva": ".latent", "sample_prior_evac": ".latent",

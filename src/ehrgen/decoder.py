@@ -8,7 +8,9 @@ position t therefore depends on z and on tokens t-1 down to t-s only, where
     s = (kernel - 1) * sum(dilations) + 1.
 
 All forward passes return caches so the hand-written backward passes can
-produce exact gradients for both the decoder parameters and z.
+produce exact gradients for both the decoder parameters and z. The
+likelihood and its gradients run the V-wide head and the cross-entropy on
+the live (unmasked) positions only and scatter them back to (B, T).
 """
 
 from __future__ import annotations
@@ -112,15 +114,8 @@ def _latent_context_backward(params, cfg, cache, dctx):
     return grads, dz
 
 
-def decode_logits(params, cfg, z, tokens):
-    """Per-position vocabulary logits (B, T, V) for tokens (B, T).
-
-    Inputs are shifted right: position 0 sees only a learned start vector,
-    position t sees tokens[:, :t], so the last column never enters. Position
-    t does not depend on T either, so a prefix scores as it does inside the
-    full record; ``ancestral_sample`` computes the same logits one position
-    at a time.
-    """
+def _stack(params, cfg, z, tokens):
+    """Hidden states (B, T, C) below the vocabulary head, and their cache."""
     z = np.atleast_2d(np.asarray(z, dtype=float))
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
@@ -128,7 +123,6 @@ def decode_logits(params, cfg, z, tokens):
     T = tokens.shape[1]
     if T > cfg.seq_len:
         raise ValueError("sequence longer than configured maximum")
-
     ctx, cache_ctx = _latent_context(params, cfg, z, T)
     emb, cache_emb = _nn.embedding(params["emb"], tokens[:, :-1])
     x = np.empty((z.shape[0], T, cfg.channels))
@@ -141,15 +135,13 @@ def decode_logits(params, cfg, z, tokens):
         act, c_g = _nn.gated(pre)
         h = h + act
         conv_caches.append((c_conv, c_g))
-    logits, cache_head = _nn.dense(params["head"], h)
-    return logits, (cache_ctx, cache_emb, conv_caches, cache_head)
+    return h, (cache_ctx, cache_emb, conv_caches)
 
 
-def decode_logits_backward(params, cfg, cache, dlogits):
-    cache_ctx, cache_emb, conv_caches, cache_head = cache
+def _stack_backward(params, cfg, cache, dh):
+    """Gradients of every parameter but the head's, and dz, from dh."""
+    cache_ctx, cache_emb, conv_caches = cache
     grads = {}
-    g_head, dh = _nn.dense_backward(cache_head, dlogits)
-    grads["head"] = g_head
     for i in reversed(range(len(cfg.dilations))):
         c_conv, c_g = conv_caches[i]
         dpre = _nn.gated_backward(c_g, dh)
@@ -163,16 +155,34 @@ def decode_logits_backward(params, cfg, cache, dlogits):
     return grads, dz
 
 
+def decode_logits(params, cfg, z, tokens):
+    """Vocabulary logits (B, T, V) and the head's cache for tokens (B, T).
+
+    Inputs are shifted right: position 0 sees only a learned start vector,
+    position t sees tokens[:, :t], so the last column never enters. Position
+    t does not depend on T either, so a prefix scores as it does inside the
+    full record; ``ancestral_sample`` computes the same logits one position
+    at a time.
+    """
+    return _nn.dense(params["head"], _stack(params, cfg, z, tokens)[0])
+
+
 def sequence_log_likelihood(params, cfg, z, tokens, mask):
-    """ln p(tokens | z) per record, masked positions excluded. Returns
-    (ll (B,), cache); the cache holds the masked logit gradient that
-    ``ll_and_grads`` passes back through the decoder."""
+    """ln p(tokens | z) per record, each position weighted by ``mask``.
+    Returns (ll (B,), cache). Only the live positions (mask != 0) pass
+    through the vocabulary head and the cross-entropy; the cache holds the
+    stack's cache, the live indices, the head's cache and the weighted logit
+    gradient of the live rows, which ``ll_and_grads`` passes back."""
     tokens = np.asarray(tokens)
     mask = np.asarray(mask, dtype=float)
-    logits, cache_dec = decode_logits(params, cfg, z, tokens)
-    picked, dlogits = _nn.softmax_xent(logits, tokens)
-    dlogits *= mask[..., None]
-    return (picked * mask).sum(axis=1), (cache_dec, dlogits)
+    h, cache_stack = _stack(params, cfg, z, tokens)
+    live = np.nonzero(mask)
+    logits, cache_head = _nn.dense(params["head"], h[live])
+    picked, dlogits = _nn.softmax_xent(logits, tokens[live])
+    dlogits *= mask[live][:, None]
+    ll = np.zeros(mask.shape)
+    ll[live] = picked * mask[live]
+    return ll.sum(axis=1), (cache_stack, live, cache_head, dlogits)
 
 
 def ll_and_grads(params, cfg, z, tokens, mask):
@@ -180,9 +190,13 @@ def ll_and_grads(params, cfg, z, tokens, mask):
 
     Returns (ll (B,), theta_grads, dz (B, D)).
     """
-    ll, (cache_dec, dlogits) = sequence_log_likelihood(
+    ll, (cache_stack, live, cache_head, dlogits) = sequence_log_likelihood(
         params, cfg, z, tokens, mask)
-    grads, dz = decode_logits_backward(params, cfg, cache_dec, dlogits)
+    g_head, dh_live = _nn.dense_backward(cache_head, dlogits)
+    dh = np.zeros(np.shape(mask) + (cfg.channels,))
+    dh[live] = dh_live
+    grads, dz = _stack_backward(params, cfg, cache_stack, dh)
+    grads["head"] = g_head
     return ll, grads, dz
 
 

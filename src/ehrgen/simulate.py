@@ -219,18 +219,3 @@ def analytic_group_unigram(spec):
         occ = _occupancies(spec, k)
         counts += spec.mixture_weights[k] * (tail[:, None] * occ).sum(axis=0)
     return counts / counts.sum()
-
-
-def analytic_group_bigram(spec):
-    """Expected relative frequency of each ordered group pair."""
-    tail = _length_tail(spec)
-    counts = np.zeros((spec.n_groups, spec.n_groups))
-    for k in range(spec.n_conditions):
-        occ = _occupancies(spec, k)
-        P = spec.transition[k]
-        # a pair starting at step t exists iff T > t + 1
-        weights = tail[1:]
-        counts += spec.mixture_weights[k] * np.einsum(
-            "t,tg,gh->gh", weights, occ[: spec.len_max - 1], P
-        )
-    return counts / counts.sum()

@@ -15,9 +15,11 @@ from scipy.special import expit as sigmoid, log_softmax, softmax
 
 from ehrgen import _nn
 from ehrgen.corpus import Cohort, PatientRecord, encode_cohort
+from ehrgen import decoder
 from ehrgen.decoder import decode_logits, sequence_log_likelihood
 from ehrgen.evaluation import NgramStats
 from ehrgen.latent import compose_intensities
+from ehrgen.simulate import _length_tail, _occupancies
 from ehrgen.trainer import encode_posteriors, kl_diag_gaussians
 
 
@@ -162,6 +164,24 @@ def masked_lstm_backward(cache, dh_seq=None, dh_last=None):
 
 
 # ---------------------------------------------------------------------------
+# reference decoder likelihood
+# ---------------------------------------------------------------------------
+
+def full_width_ll_and_grads(params, cfg, z, tokens, mask):
+    """Reference for ``decoder.ll_and_grads``: the head and the
+    cross-entropy run at every (B, T) position, padding included, and the
+    mask weights the picked log-probabilities and the logit gradient."""
+    h, cache_stack = decoder._stack(params, cfg, z, tokens)
+    logits, cache_head = _nn.dense(params["head"], h)
+    picked, dlogits = _nn.softmax_xent(logits, tokens)
+    dlogits *= mask[..., None]
+    g_head, dh = _nn.dense_backward(cache_head, dlogits)
+    grads, dz = decoder._stack_backward(params, cfg, cache_stack, dh)
+    grads["head"] = g_head
+    return (picked * mask).sum(axis=1), grads, dz
+
+
+# ---------------------------------------------------------------------------
 # reference sampler
 # ---------------------------------------------------------------------------
 
@@ -186,7 +206,7 @@ def prefix_sample(params, cfg, z, rng, eos_id, temperature=1.0, forbid=()):
 
 
 # ---------------------------------------------------------------------------
-# reference toy-corpus builder
+# reference toy corpus
 # ---------------------------------------------------------------------------
 
 def looped_toy_transitions(n_conditions=4, background_groups=20,
@@ -238,6 +258,22 @@ def looped_toy_transitions(n_conditions=4, background_groups=20,
                     transition[k, g, bg_block] = 1.0 / len(bg_block)
             initial[k, bg_block] = 1.0 / len(bg_block)
     return transition, initial
+
+
+def analytic_group_bigram(spec):
+    """Expected relative frequency of each ordered group pair under the
+    toy spec, which the simulator's empirical bigrams are held to."""
+    tail = _length_tail(spec)
+    counts = np.zeros((spec.n_groups, spec.n_groups))
+    for k in range(spec.n_conditions):
+        occ = _occupancies(spec, k)
+        P = spec.transition[k]
+        # a pair starting at step t exists iff T > t + 1
+        weights = tail[1:]
+        counts += spec.mixture_weights[k] * np.einsum(
+            "t,tg,gh->gh", weights, occ[: spec.len_max - 1], P
+        )
+    return counts / counts.sum()
 
 
 # ---------------------------------------------------------------------------

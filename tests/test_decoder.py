@@ -17,6 +17,7 @@ from ehrgen.decoder import (
 
 from oracles import (
     assert_tree_close,
+    full_width_ll_and_grads,
     numerical_grad,
     numerical_grad_tree,
     prefix_sample,
@@ -170,6 +171,65 @@ class TestGradients:
         ll, grads, dz = ll_and_grads(params, SMALL, z, tokens, mask)
         assert_tree_close(grads, numerical_grad_tree(total, params), 1e-5, "decoder")
         assert rel_err(dz, numerical_grad(total, z)) < 1e-5
+
+
+class TestLivePositions:
+    """The head and the cross-entropy run on live positions only and give
+    the full-width path's numbers."""
+
+    # wide-eva's decoder: V 1,502, T 17
+    WIDE = DecoderConfig(vocab_size=1502, latent_dim=16, t_max=16)
+
+    def wide_case(self, seed, B=32):
+        """Ragged lengths, with row 0 full length and row 1 all padding."""
+        rng, params, z, tokens, _ = make_case(seed, cfg=self.WIDE, B=B)
+        lengths = rng.integers(1, self.WIDE.seq_len + 1, size=B)
+        lengths[:2] = self.WIDE.seq_len, 0
+        mask = (np.arange(self.WIDE.seq_len)[None, :]
+                < lengths[:, None]).astype(float)
+        return rng, params, z, tokens, mask
+
+    def assert_matches_full_width(self, params, z, tokens, mask):
+        ll, grads, dz = ll_and_grads(params, self.WIDE, z, tokens, mask)
+        ref_ll, ref_grads, ref_dz = full_width_ll_and_grads(
+            params, self.WIDE, z, tokens, mask)
+        assert rel_err(ll, ref_ll) < 1e-12
+        assert rel_err(sequence_log_likelihood(
+            params, self.WIDE, z, tokens, mask)[0], ref_ll) < 1e-12
+        assert_tree_close(grads, dict(decoder._nn.iter_arrays(ref_grads)),
+                          1e-12, "live positions")
+        assert rel_err(dz, ref_dz) < 1e-12
+        assert not dz[1].any()  # the all-padding row gets no gradient
+
+    def test_matches_full_width_oracle(self):
+        _, params, z, tokens, mask = self.wide_case(21)
+        self.assert_matches_full_width(params, z, tokens, mask)
+
+    def test_weighted_mask_matches_full_width_oracle(self):
+        """A mask of 0.5 weights scales both the picked log-probabilities
+        and the logit gradient, as in the full-width path."""
+        rng, params, z, tokens, mask = self.wide_case(22)
+        half = (mask > 0) & (rng.random(mask.shape) < 0.5)
+        mask[half] = 0.5
+        assert half.any() and (mask == 1.0).any()
+        self.assert_matches_full_width(params, z, tokens, mask)
+
+    def test_head_sees_live_rows_only(self, monkeypatch):
+        _, params, z, tokens, mask = self.wide_case(23)
+        head_rows = []
+        dense = decoder._nn.dense
+
+        def spy(p, x):
+            if p is params["head"]:
+                head_rows.append(x.shape)
+            return dense(p, x)
+
+        monkeypatch.setattr(decoder._nn, "dense", spy)
+        sequence_log_likelihood(params, self.WIDE, z, tokens, mask)
+        ll_and_grads(params, self.WIDE, z, tokens, mask)
+        live = np.count_nonzero(mask)
+        assert live < mask.size
+        assert head_rows == [(live, self.WIDE.channels)] * 2
 
 
 class TestAncestralSampling:

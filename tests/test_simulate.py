@@ -11,14 +11,13 @@ import pytest
 from ehrgen.corpus import visit_key
 from ehrgen.simulate import (
     ToyCorpusSpec,
-    analytic_group_bigram,
     analytic_group_unigram,
     condition_codes,
     default_toy_spec,
     simulate_toy_cohort,
 )
 
-from oracles import looped_toy_transitions
+from oracles import analytic_group_bigram, looped_toy_transitions
 
 
 def two_group_spec(n_records=500, len_min=4, len_max=4):
