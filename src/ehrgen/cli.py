@@ -2,9 +2,12 @@
 evaluate / attack.
 
 Every artifact embeds the sha256 digest of the effective configuration plus
-the seed, so identical invocations produce identical files. Config files are
-flat ``key=value`` lines (``#`` comments allowed) with a ``schema_version``
-entry; command-line flags override file values. Exit codes: 0 success,
+the seed, so identical invocations produce identical files. The ``train`` /
+``generate`` flags are the fields of ``TrainConfig`` and ``DecoderConfig`` /
+``GenerationRequest`` in kebab case, except ``--iters`` and ``--reservoir``.
+Config files are flat ``key=value`` lines (``#`` comments allowed) with a
+``schema_version`` entry; keys are the flag names with underscores, and
+command-line flags override file values. Exit codes: 0 success,
 1 configuration error, 2 runtime/numerical failure.
 """
 
@@ -16,7 +19,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 
 # Thread override must land before numpy initializes its BLAS thread pools,
 # which is why this module avoids importing the numeric stack at top level.
@@ -73,27 +76,17 @@ def parse_config_file(path):
 
 
 def _apply_config_defaults(subparser, values):
-    """Convert file values with each flag's own type and install them as
-    defaults, so explicit flags still win on the re-parse."""
+    """Install file values as defaults, so explicit flags still win on the
+    re-parse; argparse converts a string default with its flag's type."""
     actions = {a.dest: a for a in subparser._actions}
-    converted = {}
     for key, raw in values.items():
         if key not in actions:
             raise ConfigError(f"unknown config key: {key}")
-        action = actions[key]
-        if isinstance(action, (argparse._StoreTrueAction,
-                               argparse._StoreFalseAction)):
+        if isinstance(actions[key], argparse._StoreTrueAction):
             if raw.lower() not in ("true", "false", "1", "0"):
                 raise ConfigError(f"config key {key}: expected a boolean")
-            converted[key] = raw.lower() in ("true", "1")
-        elif action.type is not None:
-            try:
-                converted[key] = action.type(raw)
-            except ValueError as exc:
-                raise ConfigError(f"config key {key}: {exc}") from exc
-        else:
-            converted[key] = raw
-    subparser.set_defaults(**converted)
+            values[key] = raw.lower() in ("true", "1")
+    subparser.set_defaults(**values)
 
 
 def config_digest(args):
@@ -165,6 +158,32 @@ def _name_list(text):
     return tuple(x.strip() for x in text.split(",") if x.strip())
 
 
+# flag names that differ from their field, and the two missing defaults
+_FLAG_DESTS = {"n_iters": "iters", "reservoir_size": "reservoir"}
+_CLI_DEFAULTS = {"t_max": 16, "count": 1000}
+_LIST_TYPES = {"dilations": _int_list, "conditions": _name_list}
+
+
+def _add_config_flags(parser, cls, skip=("seed",)):
+    """One flag per field of the dataclass ``cls`` outside ``skip``, so each
+    default lives only there; a ``None`` default takes an int."""
+    for f in fields(cls):
+        if f.name in skip:
+            continue
+        default = _CLI_DEFAULTS[f.name] if f.default is MISSING else f.default
+        kind = int if default is None else type(default)
+        flag = "--" + _FLAG_DESTS.get(f.name, f.name).replace("_", "-")
+        parser.add_argument(flag, type=_LIST_TYPES.get(f.name, kind),
+                            default=default)
+
+
+def _config(cls, args, **given):
+    """``cls`` from ``given`` and, for every other field, its flag."""
+    return cls(**given, **{
+        f.name: getattr(args, _FLAG_DESTS.get(f.name, f.name))
+        for f in fields(cls) if f.name not in given})
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -209,21 +228,8 @@ def cmd_train(args, out):
 
     cohort = load_cohort(_require_file(args.cohort, "cohort"))
     vocab = load_vocab(_require_file(args.vocab, "vocabulary"))
-    config = TrainConfig(
-        variant=args.variant, latent_dim=args.latent_dim,
-        n_iters=args.iters, minibatch=args.minibatch,
-        lr_phi=args.lr_phi, lr_global=args.lr_global,
-        psgld_alpha=args.psgld_alpha, psgld_lambda=args.psgld_lambda,
-        temperature=args.temperature, burn_in=args.burn_in,
-        thin=args.thin, reservoir_size=args.reservoir,
-        clip_norm=args.clip_norm, embed_dim=args.embed_dim,
-        hidden=args.hidden, cond_hidden=args.cond_hidden,
-        tau=args.tau, gamma=args.gamma, log_every=args.log_every,
-        seed=args.seed)
-    dec_cfg = DecoderConfig(
-        vocab_size=vocab.size, latent_dim=args.latent_dim,
-        t_max=args.t_max, channels=args.channels, kernel=args.kernel,
-        dilations=args.dilations, n_upsample=args.n_upsample)
+    config = _config(TrainConfig, args)
+    dec_cfg = _config(DecoderConfig, args, vocab_size=vocab.size)
     batch = encode_cohort(cohort, vocab, args.t_max)
 
     digest = config_digest(args)
@@ -268,10 +274,7 @@ def cmd_generate(args, out):
     from .model import TrainedModel
 
     model = TrainedModel.load(_require_file(args.model, "model checkpoint"))
-    cohort = generate_cohort(model, GenerationRequest(
-        count=args.count, mode=args.mode, conditions=args.conditions,
-        temperature=args.temperature, t_max=args.t_max, seed=args.seed,
-        policy=args.policy))
+    cohort = generate_cohort(model, _config(GenerationRequest, args))
     save_cohort(out.path(args.out), cohort,
                 meta={"config_digest": config_digest(args),
                       "seed": args.seed})
@@ -380,6 +383,8 @@ def cmd_attack(args, out):
 # ---------------------------------------------------------------------------
 
 def build_parser():
+    from . import DecoderConfig, GenerationRequest, TrainConfig
+
     parser = _Parser(prog="ehrgen",
                      description="Synthetic EHR sequence modeling pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -415,42 +420,14 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--metrics", default=None)
     p.add_argument("--checkpoint-dir", default=None)
-    p.add_argument("--variant", choices=("eva", "evac"), default="eva")
-    p.add_argument("--t-max", type=int, default=16)
-    p.add_argument("--latent-dim", type=int, default=16)
-    p.add_argument("--channels", type=int, default=48)
-    p.add_argument("--kernel", type=int, default=3)
-    p.add_argument("--dilations", type=_int_list, default=(1, 2, 4))
-    p.add_argument("--n-upsample", type=int, default=2)
-    p.add_argument("--iters", type=int, default=2000)
-    p.add_argument("--minibatch", type=int, default=32)
-    p.add_argument("--lr-phi", type=float, default=1e-3)
-    p.add_argument("--lr-global", type=float, default=1e-3)
-    p.add_argument("--psgld-alpha", type=float, default=0.99)
-    p.add_argument("--psgld-lambda", type=float, default=1e-5)
-    p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--burn-in", type=int, default=None)
-    p.add_argument("--thin", type=int, default=200)
-    p.add_argument("--reservoir", type=int, default=10)
-    p.add_argument("--clip-norm", type=float, default=1e4)
-    p.add_argument("--embed-dim", type=int, default=32)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--cond-hidden", type=int, default=32)
-    p.add_argument("--tau", type=float, default=0.1)
-    p.add_argument("--gamma", type=float, default=0.1)
-    p.add_argument("--log-every", type=int, default=50)
+    _add_config_flags(p, TrainConfig)
+    # vocab_size comes from the vocabulary, latent_dim from TrainConfig
+    _add_config_flags(p, DecoderConfig, skip=("vocab_size", "latent_dim"))
 
     p = add("generate", cmd_generate, "sample a synthetic cohort")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--mode", choices=("unconditional", "conditional"),
-                   default="unconditional")
-    p.add_argument("--conditions", type=_name_list, default=())
-    p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--t-max", type=int, default=None)
-    p.add_argument("--policy", choices=("ensemble", "point"),
-                   default="ensemble")
+    _add_config_flags(p, GenerationRequest)
 
     p = add("evaluate", cmd_evaluate, "compare two cohorts (and a model)")
     p.add_argument("--real", required=True)
@@ -481,7 +458,10 @@ def main(argv=None):
         if args.config:
             _apply_config_defaults(subparsers[args.command],
                                    parse_config_file(args.config))
-            args = parser.parse_args(argv)
+            try:
+                args = parser.parse_args(argv)
+            except ConfigError as exc:  # argv parsed, so a file value failed
+                raise ConfigError(f"{args.config}: {exc}") from exc
     except ConfigError as exc:
         return _fail(1, exc)
 

@@ -217,6 +217,12 @@ def split_cohort(cohort, test_frac=0.2, seed=0):
 # next-visit predictor (downstream utility proxy)
 # ---------------------------------------------------------------------------
 
+PREDICTOR_HIDDEN = 64
+PREDICTOR_EMBED = 32
+PREDICTOR_MINIBATCH = 64
+PREDICTOR_LR = 5e-3
+
+
 @dataclass
 class NextVisitPredictor:
     """Small recurrent next-token model; scores codes for the next visit."""
@@ -254,8 +260,7 @@ def _visit_targets(batch, vocab):
     return live, nxt[live]
 
 
-def train_next_visit_predictor(cohort, seed=0, hidden=64, embed=32,
-                               epochs=8, minibatch=64, lr=5e-3):
+def train_next_visit_predictor(cohort, seed=0, epochs=8):
     """Fit next-token cross-entropy over the cohort's visit sequences.
 
     The position-t state predicts the token at t+1; end/padding slots are
@@ -269,19 +274,19 @@ def train_next_visit_predictor(cohort, seed=0, hidden=64, embed=32,
     batch = encode_cohort(cohort, vocab, t_max)
     rng = np.random.default_rng(seed)
     init = {
-        "emb": _nn.embedding_init(rng, vocab.size, embed),
-        "lstm": _nn.lstm_init(rng, embed, hidden),
-        "head": _nn.dense_init(rng, hidden, vocab.size),
+        "emb": _nn.embedding_init(rng, vocab.size, PREDICTOR_EMBED),
+        "lstm": _nn.lstm_init(rng, PREDICTOR_EMBED, PREDICTOR_HIDDEN),
+        "head": _nn.dense_init(rng, PREDICTOR_HIDDEN, vocab.size),
     }
     layout = _nn.Layout.of(init)
     vec = layout.flatten(init)
     params = layout.views(vec)
-    adam = _nn.Adam(vec, lr=lr)
+    adam = _nn.Adam(vec, lr=PREDICTOR_LR)
     n = len(batch)
     for _ in range(epochs):
         order = rng.permutation(n)
-        for start in range(0, n, minibatch):
-            mb = batch.take(order[start:start + minibatch])
+        for start in range(0, n, PREDICTOR_MINIBATCH):
+            mb = batch.take(order[start:start + PREDICTOR_MINIBATCH])
             h_seq, (c_emb, c_lstm) = _predictor_states(params, mb)
             live, tgt = _visit_targets(mb, vocab)
             logits, c_head = _nn.dense(params["head"], h_seq[:, :-1][live])

@@ -9,6 +9,7 @@ history. The format is versioned so stale files fail loudly.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -97,6 +98,17 @@ class TrainedModel:
 
     @classmethod
     def load(cls, path):
+        """Read a checkpoint; a file that is not a well-formed one raises
+        ValueError naming ``path``."""
+        try:
+            return cls._read(path)
+        except (AttributeError, EOFError, KeyError, TypeError, ValueError,
+                zipfile.BadZipFile) as exc:
+            raise ValueError(f"{path}: not a valid checkpoint: "
+                             f"{type(exc).__name__}: {exc}") from exc
+
+    @classmethod
+    def _read(cls, path):
         with np.load(path, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"]))
             if meta.get("format_version") != CHECKPOINT_VERSION:

@@ -17,7 +17,8 @@ from ehrgen import _nn
 from ehrgen.corpus import Cohort, PatientRecord, encode_cohort
 from ehrgen import decoder
 from ehrgen.decoder import decode_logits, sequence_log_likelihood
-from ehrgen.evaluation import NgramStats
+from ehrgen.evaluation import (PREDICTOR_EMBED, PREDICTOR_HIDDEN, PREDICTOR_LR,
+                               PREDICTOR_MINIBATCH, NgramStats)
 from ehrgen.latent import compose_intensities
 from ehrgen.simulate import _length_tail, _occupancies
 from ehrgen.trainer import encode_posteriors, kl_diag_gaussians
@@ -311,8 +312,7 @@ def _full_width_forward(params, batch):
     return logits, (c_emb, c_lstm, c_head)
 
 
-def full_width_predictor_params(cohort, seed=0, hidden=64, embed=32,
-                                epochs=8, minibatch=64, lr=5e-3):
+def full_width_predictor_params(cohort, seed=0, epochs=8):
     """Reference for ``train_next_visit_predictor``: the head runs on every
     position and a mask zeroes the gradient of the non-targets. Returns
     the flat parameter vector."""
@@ -321,20 +321,20 @@ def full_width_predictor_params(cohort, seed=0, hidden=64, embed=32,
     batch = encode_cohort(cohort, vocab, t_max)
     rng = np.random.default_rng(seed)
     init = {
-        "emb": _nn.embedding_init(rng, vocab.size, embed),
-        "lstm": _nn.lstm_init(rng, embed, hidden),
-        "head": _nn.dense_init(rng, hidden, vocab.size),
+        "emb": _nn.embedding_init(rng, vocab.size, PREDICTOR_EMBED),
+        "lstm": _nn.lstm_init(rng, PREDICTOR_EMBED, PREDICTOR_HIDDEN),
+        "head": _nn.dense_init(rng, PREDICTOR_HIDDEN, vocab.size),
     }
     layout = _nn.Layout.of(init)
     vec = layout.flatten(init)
     params = layout.views(vec)
-    adam = _nn.Adam(vec, lr=lr)
+    adam = _nn.Adam(vec, lr=PREDICTOR_LR)
     n = len(batch)
     eos = vocab.eos_id
     for _ in range(epochs):
         order = rng.permutation(n)
-        for start in range(0, n, minibatch):
-            mb = batch.take(order[start:start + minibatch])
+        for start in range(0, n, PREDICTOR_MINIBATCH):
+            mb = batch.take(order[start:start + PREDICTOR_MINIBATCH])
             logits, (c_emb, c_lstm, c_head) = _full_width_forward(params, mb)
             tgt = mb.tokens[:, 1:]
             tgt_mask = mb.mask[:, 1:] * (tgt != eos)

@@ -3,14 +3,21 @@ and the no-partial-outputs guarantee. Everything runs in process through
 ``main(argv)`` so monkeypatching and capture work normally."""
 
 import hashlib
+import inspect
 import json
 import os
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
-from ehrgen.cli import CONFIG_SCHEMA_VERSION, config_digest, main, parse_config_file
+from ehrgen.cli import (CONFIG_SCHEMA_VERSION, build_parser, config_digest,
+                        main, parse_config_file)
 from ehrgen.corpus import load_cohort, load_vocab
+from ehrgen.decoder import DecoderConfig
+from ehrgen.generator import GenerationRequest
+from ehrgen.simulate import default_toy_spec
+from ehrgen.trainer import TrainConfig
 
 
 def run(argv):
@@ -235,6 +242,20 @@ class TestConfigFile:
         assert run(["simulate", "--config", cfg, "--out", out]) == 1
         assert "records" in read_stderr_json(capsys)["error"]
 
+    @pytest.mark.parametrize("argv, line, flag", [
+        (["train", "--cohort", "c", "--vocab", "v"], "dilations = 1,x",
+         "--dilations"),
+        (["simulate"], "n_records = x", "--n-records"),
+    ])
+    def test_bad_value_names_file_and_flag(self, tmp_path, capsys, argv,
+                                           line, flag):
+        cfg = self.write_cfg(
+            tmp_path, f"schema_version = {CONFIG_SCHEMA_VERSION}\n{line}\n")
+        out = str(tmp_path / "o")
+        assert run(argv + ["--out", out, "--config", cfg]) == 1
+        err = read_stderr_json(capsys)["error"]
+        assert cfg in err and flag in err
+
     def test_config_file_missing(self, tmp_path, capsys):
         out = str(tmp_path / "c.jsonl")
         assert run(["simulate", "--config", str(tmp_path / "nope.cfg"),
@@ -276,6 +297,21 @@ class TestErrorPaths:
                     "--out", str(tmp_path / "m.npz")]
                    + TRAIN_SMALL + ["--iters", "0"]) == 1
         assert "iters" in read_stderr_json(capsys)["error"]
+
+    @pytest.mark.parametrize("argv, value", [
+        (["train", "--variant", "vae"], "vae"),
+        (["generate", "--mode", "joint"], "joint"),
+        (["generate", "--policy", "mean"], "mean"),
+    ])
+    def test_unknown_name_exits_1(self, pipeline, tmp_path, capsys, argv,
+                                  value):
+        inputs = {"train": ["--cohort", pipeline["cohort"],
+                            "--vocab", pipeline["vocab"]] + TRAIN_SMALL,
+                  "generate": ["--model", pipeline["model"]]}[argv[0]]
+        out = str(tmp_path / "o")
+        assert run(argv + inputs + ["--out", out]) == 1
+        assert value in read_stderr_json(capsys)["error"]
+        assert not os.path.exists(out)
 
     def test_failure_removes_partial_outputs(self, pipeline, tmp_path,
                                              monkeypatch, capsys):
@@ -376,6 +412,182 @@ class TestMalformedInputs:
             "preprocess", "--input", str(cohort),
             "--out-cohort", str(tmp_path / "o.jsonl"),
             "--out-vocab", str(tmp_path / "v.jsonl")], cohort, "'cond_9'")
+
+
+def write_bad_checkpoint(kind, good, path):
+    """A malformed copy of the real checkpoint ``good`` at ``path``."""
+    bodies = {"empty": b"", "not_npz": b'{"id": "p0", "visits": [["a"]]}\n',
+              "truncated": open(good, "rb").read()[:300]}
+    if kind in bodies:
+        open(path, "wb").write(bodies[kind])
+        return
+    with np.load(good) as data:
+        meta = json.loads(str(data["meta"]))
+        arrays = {k: data[k] for k in data.files if k != "meta"}
+    if kind == "no_variant":
+        del meta["variant"]
+    elif kind == "extra_train_config_key":
+        meta["train_config"]["retired_option"] = 1.0
+    elif kind == "meta_not_object":
+        meta = [meta]
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
+
+
+class TestMalformedCheckpoint:
+    """A checkpoint that is not well formed exits 1 with a JSON error that
+    names the file, from every command that reads one."""
+
+    @pytest.mark.parametrize("command", ["generate", "evaluate"])
+    @pytest.mark.parametrize("kind, text", [
+        ("no_variant", "'variant'"),
+        ("extra_train_config_key", "'retired_option'"),
+        ("meta_not_object", "'list'"),
+        ("not_npz", "pickled"),
+        ("truncated", "zip"),
+        ("empty", "EOFError"),
+    ])
+    def test_exits_1_naming_the_file(self, pipeline, tmp_path, capsys,
+                                     command, kind, text):
+        model = tmp_path / "bad.npz"
+        write_bad_checkpoint(kind, pipeline["model"], model)
+        out = tmp_path / "out"
+        argv = {"generate": ["generate"],
+                "evaluate": ["evaluate", "--real", pipeline["cohort"],
+                             "--synthetic", pipeline["synth"],
+                             "--vocab", pipeline["vocab"]]}[command]
+        assert run(argv + ["--model", str(model), "--out", str(out)]) == 1
+        err = read_stderr_json(capsys)
+        assert err["exit_code"] == 1
+        assert str(model) in err["error"] and text in err["error"]
+        assert not out.exists()
+
+
+# the two fields whose flag is not the field name in kebab case
+FLAG_DESTS = {"n_iters": "iters", "reservoir_size": "reservoir"}
+# (subcommand, config class, fields without a flag of their own)
+CONFIG_FLAGS = [
+    ("train", TrainConfig, ()),
+    ("train", DecoderConfig, ("vocab_size", "latent_dim")),
+    ("generate", GenerationRequest, ()),
+]
+# the only flags whose default is not their field's: those fields have none
+CLI_DEFAULTS = {("train", "t_max"): 16, ("generate", "count"): 1000}
+REQUIRED = {"train": ["--cohort", "c", "--vocab", "v", "--out", "o"],
+            "generate": ["--model", "m", "--out", "o"]}
+# a valid value other than the default for every field that has a flag
+NON_DEFAULT = {
+    TrainConfig: dict(
+        variant="evac", latent_dim=3, n_iters=7, minibatch=5, lr_phi=2e-3,
+        lr_global=3e-3, psgld_alpha=0.9, psgld_lambda=2e-5, temperature=0.5,
+        burn_in=3, thin=2, reservoir_size=4, clip_norm=50.0, embed_dim=6,
+        hidden=7, cond_hidden=8, tau=0.2, gamma=0.3, log_every=9, seed=11),
+    DecoderConfig: dict(t_max=5, channels=6, kernel=2, dilations=(1, 3),
+                        n_upsample=1),
+    GenerationRequest: dict(
+        count=12, mode="conditional", conditions=("cond_0", "cond_1"),
+        temperature=0.7, t_max=3, seed=13, policy="point"),
+}
+
+
+def flag_dest(name):
+    return FLAG_DESTS.get(name, name)
+
+
+def text_of(value):
+    return ",".join(map(str, value)) if isinstance(value, tuple) \
+        else str(value)
+
+
+class _Stop(Exception):
+    pass
+
+
+class TestConfigFlags:
+    """Every train / generate flag is a config field: it has the field's
+    default, and a flag or a config-file key reaches the config built."""
+
+    def test_every_field_has_a_flag_with_its_default(self):
+        parser, subparsers = build_parser()
+        for command, cls, skip in CONFIG_FLAGS:
+            args = parser.parse_args([command] + REQUIRED[command])
+            options = subparsers[command]._option_string_actions
+            for f in fields(cls):
+                if f.name in skip:
+                    continue
+                dest = flag_dest(f.name)
+                assert "--" + dest.replace("_", "-") in options, f.name
+                expected = (CLI_DEFAULTS[command, f.name]
+                            if f.default is MISSING else f.default)
+                assert getattr(args, dest) == expected, (command, f.name)
+
+    def test_simulate_defaults_are_default_toy_spec_defaults(self):
+        parser, _ = build_parser()
+        args = parser.parse_args(["simulate", "--out", "o"])
+        params = inspect.signature(default_toy_spec).parameters
+        for name in ("n_records", "n_conditions", "len_min", "len_max",
+                     "structure_seed"):
+            assert getattr(args, name) == params[name].default, name
+
+    def test_non_default_values_cover_every_field(self):
+        for command, cls, skip in CONFIG_FLAGS:
+            values = NON_DEFAULT[cls]
+            assert set(values) == {f.name for f in fields(cls)} - set(skip)
+            for f in fields(cls):
+                if f.name in values:
+                    assert values[f.name] != f.default, f.name
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """Record the configs the train and generate commands build."""
+        import ehrgen.generator
+        import ehrgen.trainer
+        seen = {}
+
+        def fake_train(config, *args, dec_cfg, **kwargs):
+            seen.update(config=config, dec_cfg=dec_cfg)
+            raise _Stop
+
+        def fake_generate(model, request):
+            seen.update(request=request)
+            raise _Stop
+
+        monkeypatch.setattr(ehrgen.trainer, "train", fake_train)
+        monkeypatch.setattr(ehrgen.generator, "generate_cohort",
+                            fake_generate)
+        return seen
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    @pytest.mark.parametrize("command", ["train", "generate"])
+    def test_values_reach_the_config(self, pipeline, tmp_path, seen,
+                                     source, command):
+        classes = [cls for c, cls, _ in CONFIG_FLAGS if c == command]
+        values = {flag_dest(name): text_of(value) for cls in classes
+                  for name, value in NON_DEFAULT[cls].items()}
+        argv = [command, "--out", str(tmp_path / "o")] + {
+            "train": ["--cohort", pipeline["cohort"],
+                      "--vocab", pipeline["vocab"]],
+            "generate": ["--model", pipeline["model"]]}[command]
+        if source == "flags":
+            for dest, text in values.items():
+                argv += ["--" + dest.replace("_", "-"), text]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"schema_version = {CONFIG_SCHEMA_VERSION}\n"
+                           + "".join(f"{k} = {v}\n"
+                                     for k, v in values.items()))
+            argv += ["--config", str(cfg)]
+        with pytest.raises(_Stop):
+            run(argv)
+        if command == "train":
+            train = NON_DEFAULT[TrainConfig]
+            assert seen["config"] == TrainConfig(**train)
+            assert seen["dec_cfg"] == DecoderConfig(
+                vocab_size=load_vocab(pipeline["vocab"]).size,
+                latent_dim=train["latent_dim"], **NON_DEFAULT[DecoderConfig])
+        else:
+            assert seen["request"] == GenerationRequest(
+                **NON_DEFAULT[GenerationRequest])
 
 
 class TestOutputDir:
