@@ -233,7 +233,7 @@ def encode_cohort(cohort, vocab, t_max):
     K = len(cohort.condition_names)
     tokens = np.full((n, width), vocab.pad_id, dtype=np.int64)
     mask = np.zeros((n, width))
-    conds = np.zeros((n, max(K, 1)))
+    conds = np.zeros((n, K))
     for i, rec in enumerate(cohort.records):
         body = rec.visits[:t_max]
         for t, visit in enumerate(body):

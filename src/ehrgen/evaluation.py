@@ -7,6 +7,7 @@ predictor) and do not care about record order.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import product
@@ -61,24 +62,25 @@ class NgramStats:
     def __post_init__(self):
         if self.n not in (1, 2):
             raise ValueError("only unigrams and bigrams are supported")
-        if self.freqs:
-            if isinstance(self.freqs, _IndependentPairs):
-                total = float(self.freqs.f.sum()) ** 2
-            else:
-                total = sum(self.freqs.values())
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError("frequencies must sum to 1")
+        if self.freqs and abs(_table_sums(self.freqs)[0] - 1.0) > 1e-9:
+            raise ValueError("frequencies must sum to 1")
+
+
+def _table_sums(freqs):
+    """(Σv, Σv², values held) of a frequency table. An independence table
+    holds f(a) f(b), so Σv = (Σf)², Σv² = (Σf²)², and its marginal f stands
+    in for the values held: they are constant, or all 0, exactly when f is."""
+    if isinstance(freqs, _IndependentPairs):
+        return freqs.f.sum() ** 2, (freqs.f @ freqs.f) ** 2, freqs.f
+    v = np.fromiter(freqs.values(), float, len(freqs))
+    return v.sum(), v @ v, v
 
 
 def _record_tokens(record, vocab):
-    toks = []
-    for visit in record.visits:
-        tok = vocab.token_of(visit)
-        if tok is None:
-            raise ValueError(
-                f"record {record.id!r} has an out-of-vocabulary visit; "
-                "preprocess the cohort first")
-        toks.append(tok)
+    toks = [vocab.token_of(visit) for visit in record.visits]
+    if None in toks:
+        raise ValueError(f"record {record.id!r} has an out-of-vocabulary "
+                         "visit; preprocess the cohort first")
     return toks
 
 
@@ -87,15 +89,11 @@ def ngram_stats(cohort, n):
     consecutive visit tokens within a record (n=2)."""
     if cohort.vocab is None:
         raise ValueError("cohort has no vocabulary attached")
-    counts = {}
+    counts = Counter()
     for rec in cohort.records:
         toks = _record_tokens(rec, cohort.vocab)
-        grams = toks if n == 1 else list(zip(toks, toks[1:]))
-        for g in grams:
-            counts[g] = counts.get(g, 0) + 1
-    total = sum(counts.values())
-    if total == 0:
-        return NgramStats(n=n, freqs={})
+        counts.update(toks if n == 1 else zip(toks, toks[1:]))
+    total = counts.total()
     return NgramStats(n=n, freqs={k: v / total for k, v in counts.items()})
 
 
@@ -109,48 +107,32 @@ def independent_bigram_baseline(unigram):
 
 
 def pearson_marginal(a, b):
-    """Pearson correlation of two frequency maps over the union of keys.
-
-    Against an independence table the correlation comes from sums over the
-    other side's keys only, so the cost is that side's size, not |S|^2.
-    """
-    if isinstance(a.freqs, _IndependentPairs):
-        a, b = b, a
-    if isinstance(b.freqs, _IndependentPairs):
-        return _pearson_vs_independent(a.freqs, b.freqs)
-    keys = sorted(set(a.freqs) | set(b.freqs))
-    if len(keys) < 2:
-        raise ValueError("need at least 2 distinct keys")
-    va = np.array([a.freqs.get(k, 0.0) for k in keys])
-    vb = np.array([b.freqs.get(k, 0.0) for k in keys])
-    if va.std() == 0.0 or vb.std() == 0.0:
-        raise ValueError("degenerate (constant) frequency vector")
-    return float(np.corrcoef(va, vb)[0, 1])
-
-
-def _pearson_vs_independent(x, table):
-    """Pearson of the map ``x`` against an ``_IndependentPairs`` table over
-    the union of their keys. The table is 0 on x's keys outside S x S and x
-    is 0 on the table's pairs it lacks, so with n keys in the union
+    """Pearson correlation of two frequency maps over the union of their n
+    keys, a key missing from one map counting as 0 there:
 
         cov = Σxy - Σx Σy / n,  var = Σv² - (Σv)² / n,
 
-    where Σxy runs over x's keys in S x S, Σy = (Σf)² and Σy² = (Σf²)²."""
-    f = table.marginal
-    xs = np.fromiter(x.values(), float, len(x))
-    inside = np.array([v * f[p] * f[q] for (p, q), v in x.items()
-                       if p in f and q in f])
-    n = len(table) + len(x) - len(inside)
+    where Σxy runs over the shared keys, found by walking the shorter map,
+    and the other sums come from ``_table_sums``. An independence table
+    costs O(|S|) unless it is the shorter map."""
+    short, long = sorted((a.freqs, b.freqs), key=len)
+    xy = np.array([v * w for k, v in short.items()
+                   if (w := long.get(k)) is not None])
+    n = len(short) + len(long) - len(xy)
     if n < 2:
         raise ValueError("need at least 2 distinct keys")
-    x_seen = np.append(xs, 0.0) if n > len(x) else xs
-    y_seen = np.append(table.f, 0.0) if n > len(table) else table.f
-    if np.ptp(x_seen) == 0.0 or np.ptp(y_seen) == 0.0:
+    (sx, vx), (sy, vy) = (_sum_and_var(t, n) for t in (short, long))
+    return float((xy.sum() - sx * sy / n) / np.sqrt(vx * vy))
+
+
+def _sum_and_var(table, n):
+    """Σv and n times the variance of ``table`` laid out over n keys."""
+    s, ss, held = _table_sums(table)
+    if n > len(table):  # the union holds keys this table is 0 on
+        held = np.append(held, 0.0)
+    if np.ptp(held) == 0.0:
         raise ValueError("degenerate (constant) frequency vector")
-    sx, sxx = xs.sum(), xs @ xs
-    sy, syy = table.f.sum() ** 2, (table.f @ table.f) ** 2
-    cov = inside.sum() - sx * sy / n
-    return float(cov / np.sqrt((sxx - sx * sx / n) * (syy - sy * sy / n)))
+    return s, ss - s * s / n
 
 
 # ---------------------------------------------------------------------------

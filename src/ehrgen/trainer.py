@@ -85,6 +85,12 @@ class TrainConfig:
             raise ValueError("psgld_lambda must be positive")
         if self.temperature < 0:
             raise ValueError("temperature must be non-negative")
+        for name in ("latent_dim", "embed_dim", "hidden", "cond_hidden",
+                     "log_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not 0 <= self.burn_in_iters < self.n_iters:
+            raise ValueError("burn_in must lie in [0, n_iters)")
 
     @property
     def burn_in_iters(self):

@@ -298,6 +298,40 @@ class TestErrorPaths:
                    + TRAIN_SMALL + ["--iters", "0"]) == 1
         assert "iters" in read_stderr_json(capsys)["error"]
 
+    @pytest.mark.parametrize("extra, field", [
+        (["--log-every", "0"], "log_every"),
+        (["--iters", "5", "--burn-in", "10"], "burn_in"),
+        (["--hidden", "0"], "hidden"),
+        (["--embed-dim", "0"], "embed_dim"),
+    ])
+    def test_config_error_names_field(self, pipeline, tmp_path, capsys,
+                                      extra, field):
+        out = str(tmp_path / "m.npz")
+        assert run(["train", "--cohort", pipeline["cohort"],
+                    "--vocab", pipeline["vocab"], "--out", out]
+                   + TRAIN_SMALL + extra) == 1
+        assert field in read_stderr_json(capsys)["error"]
+        assert not os.path.exists(out)
+
+    def test_evac_without_conditions_exits_1(self, pipeline, tmp_path,
+                                             capsys):
+        """evac needs condition columns: refused before training, not
+        after it, at generation."""
+        bare = str(tmp_path / "bare.jsonl")
+        with open(pipeline["cohort"]) as src, open(bare, "w") as dst:
+            for line in src:
+                row = json.loads(line)
+                if "meta" in row:
+                    row["meta"]["condition_names"] = []
+                else:
+                    row["conditions"] = []
+                dst.write(json.dumps(row) + "\n")
+        out = str(tmp_path / "m.npz")
+        assert run(["train", "--cohort", bare, "--vocab", pipeline["vocab"],
+                    "--out", out, "--variant", "evac"] + TRAIN_SMALL) == 1
+        assert "condition" in read_stderr_json(capsys)["error"]
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("argv, value", [
         (["train", "--variant", "vae"], "vae"),
         (["generate", "--mode", "joint"], "joint"),

@@ -472,6 +472,53 @@ class TestIndependenceFloorErrors:
         assert abs(got - expected) <= 1e-12
 
 
+class TestPearsonEdgeCases:
+    """The sums path against the ``np.corrcoef`` reference where the
+    union of keys is unusual, in both argument orders."""
+
+    TOL = 1e-12
+    CASES = {
+        "disjoint keys": ({0: 0.5, 1: 0.3, 2: 0.2}, {3: 0.6, 4: 0.4}),
+        "one shared key": ({0: 0.7, 1: 0.3}, {1: 0.4, 2: 0.6}),
+        "explicit zero entry": ({0: 0.6, 1: 0.4, 2: 0.0}, {0: 0.5, 2: 0.5}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_dict_pairs(self, case):
+        a, b = (NgramStats(n=1, freqs=f) for f in self.CASES[case])
+        expected = dict_pearson_marginal(a, b)
+        assert abs(pearson_marginal(a, b) - expected) <= self.TOL
+        assert abs(pearson_marginal(b, a) - expected) <= self.TOL
+
+    def test_uniform_table_is_constant(self):
+        """1/7 on seven keys: ``np.std`` reads 2.8e-17, not 0, so the
+        reference returns 1e-16 where the exact range check raises."""
+        uniform = NgramStats(n=1, freqs={k: 1 / 7 for k in range(7)})
+        ramp = NgramStats(n=1, freqs={k: (k + 1) / 28 for k in range(7)})
+        for a, b in ((uniform, ramp), (ramp, uniform)):
+            with pytest.raises(ValueError, match="constant"):
+                pearson_marginal(a, b)
+
+    @pytest.mark.parametrize("uni", [
+        {0: 0.7, 1: 0.3},
+        {0: 0.7, 1: 0.3, 2: 0.0},  # an explicit 0 in the marginal
+    ])
+    def test_independence_table_shorter_than_bigrams(self, uni):
+        """Nine bigrams against four or nine pairs, so the walk goes over
+        the independence table (on a tie, when it is the first argument).
+        Five bigrams lie outside S x S in the first case; the table holds
+        zeros in the second."""
+        bi = NgramStats(n=2, freqs={(p, q): (1 + p + 2 * q) / 36
+                                    for p in range(3) for q in range(3)})
+        uni = NgramStats(n=1, freqs=uni)
+        base = independent_bigram_baseline(uni)
+        assert len(base.freqs) <= len(bi.freqs)
+        expected = dict_pearson_marginal(
+            bi, dict_independent_bigram_baseline(uni))
+        assert abs(pearson_marginal(bi, base) - expected) <= self.TOL
+        assert abs(pearson_marginal(base, bi) - expected) <= self.TOL
+
+
 def test_independence_floor_at_cli_default_vocab(monkeypatch):
     """A 20,000-token unigram (reachable at ``--max-vocab 50000``): the
     400 M-pair table is never iterated, and the floor matches a NumPy

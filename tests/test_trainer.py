@@ -288,6 +288,26 @@ class TestTrainConfig:
         assert TrainConfig(n_iters=1000).burn_in_iters == 500
         assert TrainConfig(n_iters=1000, burn_in=10).burn_in_iters == 10
 
+    @pytest.mark.parametrize("kw, field", [
+        ({"log_every": 0}, "log_every"),
+        ({"latent_dim": 0}, "latent_dim"),
+        ({"embed_dim": 0}, "embed_dim"),
+        ({"hidden": 0}, "hidden"),
+        ({"cond_hidden": 0}, "cond_hidden"),
+        ({"burn_in": -1}, "burn_in"),
+        # no post-burn-in iteration is left to fill the reservoir
+        ({"n_iters": 5, "burn_in": 5}, "burn_in"),
+        ({"n_iters": 5, "burn_in": 10}, "burn_in"),
+    ])
+    def test_error_names_the_field(self, kw, field):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**kw)
+
+    def test_burn_in_bounds_accepted(self):
+        assert TrainConfig(n_iters=5, burn_in=0).burn_in_iters == 0
+        assert TrainConfig(n_iters=5, burn_in=4).burn_in_iters == 4
+        assert TrainConfig(n_iters=1).burn_in_iters == 0
+
 
 class TestTrainLoop:
     def make_batch_and_vocab(self, n=12, t_max=4, seed=0):
@@ -309,6 +329,24 @@ class TestTrainLoop:
         return DecoderConfig(vocab_size=vocab.size, latent_dim=3, t_max=t_max,
                              channels=4, kernel=2, dilations=(1, 2),
                              n_upsample=1)
+
+    def test_cohort_without_conditions(self):
+        """No condition columns: eva trains and generates, evac refuses to
+        train instead of failing later at generation."""
+        from ehrgen.generator import GenerationRequest, generate_cohort
+
+        _, vocab, cohort = self.make_batch_and_vocab()
+        bare = dataclasses.replace(cohort, condition_names=[], records=[
+            dataclasses.replace(r, conditions=()) for r in cohort.records])
+        batch = encode_cohort(bare, vocab, t_max=4)
+        assert batch.conditions.shape == (len(batch), 0)
+        model = train(self.small_config(), batch, vocab,
+                      dec_cfg=self.small_dec_cfg(vocab))
+        out = generate_cohort(model, GenerationRequest(count=3, t_max=4))
+        assert len(out.records) == 3
+        with pytest.raises(ValueError, match="condition columns"):
+            train(self.small_config(variant="evac"), batch, vocab,
+                  dec_cfg=self.small_dec_cfg(vocab))
 
     def test_zero_rates_leave_parameters_at_init(self):
         """lr 0 everywhere: training is the identity, regardless of length."""
