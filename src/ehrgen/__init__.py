@@ -27,7 +27,7 @@ _EXPORTS = {
     "simulate_toy_cohort": ".simulate", "condition_codes": ".simulate",
     "analytic_group_unigram": ".simulate",
     # latent hierarchy
-    "HierarchyHyper": ".latent", "compose_intensities": ".latent",
+    "compose_intensities": ".latent",
     "sample_prior_eva": ".latent", "sample_prior_evac": ".latent",
     # encoders
     "DiagGaussian": ".encoders", "EncoderConfig": ".encoders",

@@ -386,19 +386,18 @@ def elbo_holdout(model, cohort):
 
 def _holdout_score(model, snapshot, batch):
     """Summed plug-in ELBO of one chunk of held-out records."""
-    parts = model.parts
-    q = encode_posteriors(parts, model.phi, batch)
-    q_z = q.cols(parts.local_slices[0])
+    q = encode_posteriors(model, model.phi, batch)
+    q_z = q.cols(model.local_slices[0])
     recon, _ = sequence_log_likelihood(
         snapshot["theta"], model.dec_cfg, q_z.mean, batch.tokens, batch.mask)
     score = float(recon.sum())
     if model.variant == "eva":
         score -= kl_diag_gaussians(q_z, 0.0, 1.0)
     else:
-        q_w, q_b = (q.cols(sl) for sl in parts.local_slices[1:])
+        q_w, q_b = (q.cols(sl) for sl in model.local_slices[1:])
         pi = compose_intensities(batch.conditions, q_w.mean)
         prior_mean = pi @ snapshot["H"].T + q_b.mean
-        score -= kl_diag_gaussians(q_z, prior_mean, model.hyper.tau)
-        score -= kl_diag_gaussians(q_b, 0.0, model.hyper.gamma)
+        score -= kl_diag_gaussians(q_z, prior_mean, model.train_config.tau)
+        score -= kl_diag_gaussians(q_b, 0.0, model.train_config.gamma)
         score -= kl_diag_gaussians(q_w, 0.0, 1.0)
     return score

@@ -70,7 +70,7 @@ def _draw_latents(model, snapshot, y, n, rng):
         return sample_prior_eva(model.dec_cfg.latent_dim, rng, n)
     _, _, z = sample_prior_evac(
         snapshot["H"], np.tile(y, (n, 1)),
-        model.hyper.gamma, model.hyper.tau, rng)
+        model.train_config.gamma, model.train_config.tau, rng)
     return z
 
 

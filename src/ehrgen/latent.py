@@ -15,22 +15,9 @@ normal prior per element, matching the treatment of the decoder weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit as sigmoid
-
-
-@dataclass(frozen=True)
-class HierarchyHyper:
-    """Noise scale of z around H pi + b, and prior scale of the bias."""
-
-    tau: float = 0.1
-    gamma: float = 0.1
-
-    def __post_init__(self):
-        if self.tau <= 0 or self.gamma <= 0:
-            raise ValueError("tau and gamma must be positive")
 
 
 def compose_intensities(y, w):

@@ -1,16 +1,18 @@
 """Trained-model container and single-file checkpoints.
 
-A checkpoint is one ``.npz`` holding the encoder vector, the reservoir of
-posterior (theta, H) samples as one (R, P) array, and a JSON metadata string
-with both layouts, the configs, vocabulary, condition names, and training
-history. The format is versioned so stale files fail loudly.
+A format-4 checkpoint is one ``.npz``: the encoder vector ``phi``, the
+reservoir of posterior (theta, H) samples as one (R, P) array, and JSON
+metadata with the training and decoder configs, both layouts, the
+vocabulary, condition names, history and extras. ``load`` rebuilds the
+variant and the encoder config through ``build_parts``, so parts that
+disagree fail training's own checks. Older formats are refused by version.
 """
 
 from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -18,19 +20,22 @@ from . import _nn
 from .corpus import VisitVocab, VocabEntry
 from .decoder import DecoderConfig
 from .encoders import EncoderConfig
-from .latent import HierarchyHyper
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
-@dataclass(frozen=True)
+@dataclass
 class ModelParts:
-    """Static description shared by the objective and evaluation code."""
+    """Static description shared by the objective and evaluation code; the
+    variant, tau and gamma are read from ``train_config``."""
 
-    variant: str
+    train_config: object  # trainer.TrainConfig
     dec_cfg: DecoderConfig
     enc_cfg: EncoderConfig
-    hyper: HierarchyHyper
+
+    @property
+    def variant(self):
+        return self.train_config.variant
 
     @property
     def local_slices(self):
@@ -42,23 +47,15 @@ class ModelParts:
 
 
 @dataclass
-class TrainedModel:
-    variant: str
-    dec_cfg: DecoderConfig
-    enc_cfg: EncoderConfig
-    hyper: HierarchyHyper
+class TrainedModel(ModelParts):
+    """The parts plus what training learned."""
+
     phi: dict
     reservoir: list  # snapshots {"theta": tree} (+ "H" for the conditional)
     vocab: VisitVocab
     condition_names: tuple
-    train_config: object = None
     history: list = None
     extra: dict = None
-
-    @property
-    def parts(self):
-        return ModelParts(variant=self.variant, dec_cfg=self.dec_cfg,
-                          enc_cfg=self.enc_cfg, hyper=self.hyper)
 
     def point_sample(self):
         """Last retained posterior sample — the point-estimate ablation."""
@@ -75,16 +72,11 @@ class TrainedModel:
         reservoir = reservoir.reshape(len(self.reservoir), res_layout.size)
         meta = {
             "format_version": CHECKPOINT_VERSION,
-            "variant": self.variant,
+            "train_config": asdict(self.train_config),
             "dec_cfg": asdict(self.dec_cfg),
-            "enc_cfg": asdict(self.enc_cfg),
-            "hyper": asdict(self.hyper),
             "condition_names": list(self.condition_names),
-            "n_reservoir": len(self.reservoir),
             "phi_layout": phi_layout.spec(),
             "globals_layout": res_layout.spec(),
-            "train_config": (None if self.train_config is None
-                             else asdict(self.train_config)),
             "history": self.history or [],
             "vocab": [
                 {"codes": list(e.codes), "frequency": e.frequency}
@@ -116,11 +108,13 @@ class TrainedModel:
                     f"unsupported checkpoint version "
                     f"{meta.get('format_version')!r}")
             phi_vec, res = data["phi"], data["reservoir"]
+        from .trainer import TrainConfig, build_parts  # deferred: import cycle
+
         phi_layout = _nn.Layout(meta["phi_layout"])
         res_layout = _nn.Layout(meta["globals_layout"])
-        if res.shape != (meta["n_reservoir"], res_layout.size):
+        if res.ndim != 2 or res.shape[1] != res_layout.size:
             raise ValueError(f"reservoir shape {res.shape} does not match "
-                             "n_reservoir and the globals layout")
+                             "the globals layout")
         phi = phi_layout.views(phi_vec)  # raises on a length mismatch
         reservoir = [res_layout.views(row) for row in res]
         vocab = VisitVocab([
@@ -128,23 +122,21 @@ class TrainedModel:
                        frequency=int(e["frequency"]))
             for i, e in enumerate(meta["vocab"])
         ])
-        dec_cfg = meta["dec_cfg"]
-        dec_cfg["dilations"] = tuple(dec_cfg["dilations"])
-        train_config = None
-        if meta["train_config"] is not None:
-            from .trainer import TrainConfig  # deferred: avoids a cycle
+        condition_names = tuple(meta["condition_names"])
+        dec_cfg = _config_from(DecoderConfig, meta["dec_cfg"], "dec_cfg")
+        parts = build_parts(
+            _config_from(TrainConfig, meta["train_config"], "train_config"),
+            vocab.size, len(condition_names), dec_cfg.t_max, dec_cfg)
+        return cls(**vars(parts), phi=phi, reservoir=reservoir, vocab=vocab,
+                   condition_names=condition_names, history=meta["history"],
+                   extra=meta["extra"])
 
-            train_config = TrainConfig(**meta["train_config"])
-        return cls(
-            variant=meta["variant"],
-            dec_cfg=DecoderConfig(**dec_cfg),
-            enc_cfg=EncoderConfig(**meta["enc_cfg"]),
-            hyper=HierarchyHyper(**meta["hyper"]),
-            phi=phi,
-            reservoir=reservoir,
-            vocab=vocab,
-            condition_names=tuple(meta["condition_names"]),
-            train_config=train_config,
-            history=meta["history"],
-            extra=meta["extra"],
-        )
+
+def _config_from(cls, values, what):
+    """``cls(**values)`` with JSON lists as tuples. A missing field is
+    refused: its default would stand in for what the model trained with."""
+    missing = [f.name for f in fields(cls) if f.name not in values]
+    if missing:
+        raise ValueError(f"{what} lacks field {missing[0]!r}")
+    return cls(**{k: tuple(v) if isinstance(v, list) else v
+                  for k, v in values.items()})

@@ -38,7 +38,7 @@ from .encoders import (
     sample_with_eta,
     sample_with_eta_backward,
 )
-from .latent import HierarchyHyper, latent_log_density_grads
+from .latent import latent_log_density_grads
 from .model import ModelParts, TrainedModel
 
 VARIANTS = ("eva", "evac")
@@ -81,8 +81,9 @@ class TrainConfig:
             raise ValueError("reservoir_size and thin must be >= 1")
         if not (0.0 <= self.psgld_alpha <= 1.0):
             raise ValueError("psgld_alpha must lie in [0, 1]")
-        if self.psgld_lambda <= 0:
-            raise ValueError("psgld_lambda must be positive")
+        for name in ("psgld_lambda", "tau", "gamma"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.temperature < 0:
             raise ValueError("temperature must be non-negative")
         for name in ("latent_dim", "embed_dim", "hidden", "cond_hidden",
@@ -95,10 +96,6 @@ class TrainConfig:
     @property
     def burn_in_iters(self):
         return self.n_iters // 2 if self.burn_in is None else self.burn_in
-
-    @property
-    def hyper(self):
-        return HierarchyHyper(tau=self.tau, gamma=self.gamma)
 
 
 @dataclass
@@ -212,7 +209,6 @@ def step_gradients(parts, batch, theta, H, phi, noises, n_total):
     the data term times ``n_total / len(batch)`` plus the N(0, I) prior
     gradient; ``g_phi`` is the gradient of J for the encoders.
     """
-    hyper = parts.hyper
     qs, c_seq, c_cond = _posterior_with_caches(parts, phi, batch)
     q = qs["q"]
     sample = sample_with_eta(q, noises)
@@ -246,9 +242,9 @@ def step_gradients(parts, batch, theta, H, phi, noises, n_total):
         g_data = {"theta": g_theta_data}
     else:
         _, sw, sb = parts.local_slices
+        tau, gamma = parts.train_config.tau, parts.train_config.gamma
         ll_z, dz_c, dw_c, db_c, dH_data = latent_log_density_grads(
-            z_s, H, batch.conditions, sample[:, sw], sample[:, sb],
-            hyper.tau)
+            z_s, H, batch.conditions, sample[:, sw], sample[:, sb], tau)
         cross = float(ll_z.sum())
         g_data = {"theta": g_theta_data, "H": dH_data}
         dsample[:, sz] -= dz_c
@@ -256,11 +252,11 @@ def step_gradients(parts, batch, theta, H, phi, noises, n_total):
         dsample[:, sb] -= db_c
         q_w, q_b = q.cols(sw), q.cols(sb)
         kl_w = kl_diag_gaussians(q_w, 0.0, 1.0)
-        kl_b = kl_diag_gaussians(q_b, 0.0, hyper.gamma)
+        kl_b = kl_diag_gaussians(q_b, 0.0, gamma)
         dmean[:, sw] += q_w.mean
         dvar[:, sw] += 0.5 * (1.0 - 1.0 / q_w.var)
-        dmean[:, sb] += q_b.mean / hyper.gamma
-        dvar[:, sb] += 0.5 * (1.0 / hyper.gamma - 1.0 / q_b.var)
+        dmean[:, sb] += q_b.mean / gamma
+        dvar[:, sb] += 0.5 * (1.0 / gamma - 1.0 / q_b.var)
 
     report = ElboReport.from_terms(recon, cross, entropy, kl_b, kl_w)
 
@@ -354,13 +350,13 @@ def build_parts(config, vocab_size, cond_dim, t_max, dec_cfg=None):
                             out_dim=out_dim, embed_dim=config.embed_dim,
                             hidden=config.hidden,
                             cond_hidden=config.cond_hidden)
-    return ModelParts(variant=config.variant, dec_cfg=dec_cfg,
-                      enc_cfg=enc_cfg, hyper=config.hyper)
+    return ModelParts(train_config=config, dec_cfg=dec_cfg, enc_cfg=enc_cfg)
 
 
 def train(config, batch, vocab, condition_names=(), dec_cfg=None,
           metrics_sink=None, checkpoint_fn=None):
-    """Run the alternating scheme over an encoded cohort.
+    """Run the alternating scheme over an encoded cohort whose condition
+    columns ``condition_names`` labels, one name per column.
 
     metrics_sink(iteration, ElboReport) is called every iteration;
     checkpoint_fn(iteration, snapshot) fires whenever a thinned posterior
@@ -371,6 +367,9 @@ def train(config, batch, vocab, condition_names=(), dec_cfg=None,
         raise ValueError("empty training batch")
     t_max = batch.tokens.shape[1] - 1
     cond_dim = batch.conditions.shape[1]
+    if len(condition_names) != cond_dim:
+        raise ValueError(f"{len(condition_names)} condition_names for "
+                         f"{cond_dim} condition columns")
     parts = build_parts(config, vocab.size, cond_dim, t_max, dec_cfg)
 
     rng = np.random.default_rng(config.seed)
@@ -426,14 +425,6 @@ def train(config, batch, vocab, condition_names=(), dec_cfg=None,
             history.append({"iteration": it, **asdict(report)})
 
     return TrainedModel(
-        variant=config.variant,
-        dec_cfg=parts.dec_cfg,
-        enc_cfg=parts.enc_cfg,
-        hyper=parts.hyper,
-        phi=phi,
+        **vars(parts), phi=phi, vocab=vocab, history=history,
         reservoir=[glob_layout.views(v) for v in state.reservoir],
-        vocab=vocab,
-        condition_names=tuple(condition_names),
-        train_config=config,
-        history=history,
-    )
+        condition_names=tuple(condition_names))

@@ -300,7 +300,7 @@ def dict_pearson_marginal(a, b):
         raise ValueError("need at least 2 distinct keys")
     va = np.array([a.freqs.get(k, 0.0) for k in keys])
     vb = np.array([b.freqs.get(k, 0.0) for k in keys])
-    if va.std() == 0.0 or vb.std() == 0.0:
+    if np.ptp(va) == 0.0 or np.ptp(vb) == 0.0:
         raise ValueError("degenerate (constant) frequency vector")
     return float(np.corrcoef(va, vb)[0, 1])
 
@@ -382,21 +382,20 @@ def unchunked_elbo_holdout(model, cohort):
     """Reference for ``elbo_holdout``: the whole cohort encoded and scored
     in one pass."""
     snapshot = model.point_sample()
-    parts = model.parts
     batch = encode_cohort(cohort, model.vocab, model.dec_cfg.t_max)
-    q = encode_posteriors(parts, model.phi, batch)
-    q_z = q.cols(parts.local_slices[0])
+    q = encode_posteriors(model, model.phi, batch)
+    q_z = q.cols(model.local_slices[0])
     recon, _ = sequence_log_likelihood(
         snapshot["theta"], model.dec_cfg, q_z.mean, batch.tokens, batch.mask)
     score = float(recon.sum())
     if model.variant == "eva":
         score -= kl_diag_gaussians(q_z, 0.0, 1.0)
     else:
-        q_w, q_b = (q.cols(sl) for sl in parts.local_slices[1:])
+        q_w, q_b = (q.cols(sl) for sl in model.local_slices[1:])
         pi = compose_intensities(batch.conditions, q_w.mean)
         prior_mean = pi @ snapshot["H"].T + q_b.mean
-        score -= kl_diag_gaussians(q_z, prior_mean, model.hyper.tau)
-        score -= kl_diag_gaussians(q_b, 0.0, model.hyper.gamma)
+        score -= kl_diag_gaussians(q_z, prior_mean, model.train_config.tau)
+        score -= kl_diag_gaussians(q_b, 0.0, model.train_config.gamma)
         score -= kl_diag_gaussians(q_w, 0.0, 1.0)
     return score / len(batch)
 

@@ -459,7 +459,11 @@ def write_bad_checkpoint(kind, good, path):
         meta = json.loads(str(data["meta"]))
         arrays = {k: data[k] for k in data.files if k != "meta"}
     if kind == "no_variant":
-        del meta["variant"]
+        del meta["train_config"]["variant"]
+    elif kind == "no_kernel":
+        del meta["dec_cfg"]["kernel"]
+    elif kind == "short_vocab":  # one entry fewer than the decoder's head
+        del meta["vocab"][-1]
     elif kind == "extra_train_config_key":
         meta["train_config"]["retired_option"] = 1.0
     elif kind == "meta_not_object":
@@ -474,7 +478,10 @@ class TestMalformedCheckpoint:
 
     @pytest.mark.parametrize("command", ["generate", "evaluate"])
     @pytest.mark.parametrize("kind, text", [
+        # a default must not stand in for a field the model was trained with
         ("no_variant", "'variant'"),
+        ("no_kernel", "'kernel'"),
+        ("short_vocab", "vocab"),
         ("extra_train_config_key", "'retired_option'"),
         ("meta_not_object", "'list'"),
         ("not_npz", "pickled"),

@@ -491,13 +491,14 @@ class TestPearsonEdgeCases:
         assert abs(pearson_marginal(b, a) - expected) <= self.TOL
 
     def test_uniform_table_is_constant(self):
-        """1/7 on seven keys: ``np.std`` reads 2.8e-17, not 0, so the
-        reference returns 1e-16 where the exact range check raises."""
+        """1/7 on seven keys: ``np.std`` reads 2.8e-17, not 0, so only an
+        exact range check raises; the code and the reference both use one."""
         uniform = NgramStats(n=1, freqs={k: 1 / 7 for k in range(7)})
         ramp = NgramStats(n=1, freqs={k: (k + 1) / 28 for k in range(7)})
         for a, b in ((uniform, ramp), (ramp, uniform)):
-            with pytest.raises(ValueError, match="constant"):
-                pearson_marginal(a, b)
+            for pearson in (pearson_marginal, dict_pearson_marginal):
+                with pytest.raises(ValueError, match="constant"):
+                    pearson(a, b)
 
     @pytest.mark.parametrize("uni", [
         {0: 0.7, 1: 0.3},

@@ -7,7 +7,6 @@ from scipy.special import expit
 from scipy.stats import multivariate_normal
 
 from ehrgen.latent import (
-    HierarchyHyper,
     compose_intensities,
     latent_log_density_grads,
     sample_prior_eva,
@@ -29,16 +28,6 @@ def make_inputs(seed, batch=None):
     b = 0.3 * rng.standard_normal(zshape)
     z = rng.standard_normal(zshape)
     return H, y, w, b, z
-
-
-class TestHyper:
-    def test_rejects_nonpositive_scales(self):
-        with pytest.raises(ValueError):
-            HierarchyHyper(tau=0.0)
-        with pytest.raises(ValueError):
-            HierarchyHyper(gamma=-1.0)
-        h = HierarchyHyper()
-        assert h.tau == 0.1 and h.gamma == 0.1
 
 
 class TestCompose:

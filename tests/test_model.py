@@ -71,7 +71,6 @@ class TestCheckpoint:
         assert back.dec_cfg == model.dec_cfg
         assert isinstance(back.dec_cfg.dilations, tuple)
         assert back.enc_cfg == model.enc_cfg
-        assert back.hyper == model.hyper
         assert back.condition_names == model.condition_names
         assert back.vocab == model.vocab
         assert back.train_config == model.train_config
@@ -109,12 +108,13 @@ class TestCheckpoint:
         assert [r.visits for r in a.records] == [r.visits for r in b.records]
 
     def test_version_check(self, tmp_path):
-        """A newer format version, format 2 (one encoder config per
-        latent) and format 1 (one array per leaf) are all refused."""
+        """A newer format version, format 3 (derived parts stored beside
+        the training config), format 2 (one encoder config per latent) and
+        format 1 (one array per leaf) are all refused."""
         model = quick_model(variant="eva")
         path = tmp_path / "m.npz"
         model.save(path)
-        for version in (CHECKPOINT_VERSION + 1, 2, 1):
+        for version in (CHECKPOINT_VERSION + 1, 3, 2, 1):
             rewrite(path, lambda meta, arrays: meta.update(
                 format_version=version))
             with pytest.raises(ValueError, match="version"):
@@ -129,9 +129,12 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="layout"):
             TrainedModel.load(path)
         model.save(path)
-        rewrite(path, lambda meta, arrays: meta.update(n_reservoir=1))
-        with pytest.raises(ValueError, match="reservoir"):
-            TrainedModel.load(path)
+        for bad in (lambda r: r[:, :-1], np.ravel):
+            model.save(path)
+            rewrite(path, lambda meta, arrays: arrays.update(
+                reservoir=bad(arrays["reservoir"])))
+            with pytest.raises(ValueError, match="reservoir"):
+                TrainedModel.load(path)
 
     def test_loaded_model_generates(self, tmp_path):
         """A reloaded checkpoint must be usable end to end."""

@@ -298,6 +298,8 @@ class TestTrainConfig:
         # no post-burn-in iteration is left to fill the reservoir
         ({"n_iters": 5, "burn_in": 5}, "burn_in"),
         ({"n_iters": 5, "burn_in": 10}, "burn_in"),
+        ({"tau": 0.0}, "tau"),
+        ({"gamma": -1.0}, "gamma"),
     ])
     def test_error_names_the_field(self, kw, field):
         with pytest.raises(ValueError, match=field):
@@ -350,12 +352,13 @@ class TestTrainLoop:
 
     def test_zero_rates_leave_parameters_at_init(self):
         """lr 0 everywhere: training is the identity, regardless of length."""
-        batch, vocab, _ = self.make_batch_and_vocab()
+        batch, vocab, cohort = self.make_batch_and_vocab()
         runs = []
         for n_iters in (6, 12):
             cfg = self.small_config(n_iters=n_iters, lr_phi=0.0,
                                     lr_global=0.0, burn_in=2, thin=3)
             runs.append(train(cfg, batch, vocab,
+                              condition_names=cohort.condition_names,
                               dec_cfg=self.small_dec_cfg(vocab)))
         a, b = runs
         for (pa, xa), (pb, xb) in zip(_nn.iter_arrays(a.reservoir[0]),
@@ -367,39 +370,45 @@ class TestTrainLoop:
             np.testing.assert_array_equal(xa, xb)
 
     def test_reservoir_schedule_and_checkpoints(self):
-        batch, vocab, _ = self.make_batch_and_vocab()
+        batch, vocab, cohort = self.make_batch_and_vocab()
         seen = []
         cfg = self.small_config()  # burn_in=4, thin=2, size=2, 10 iters
-        model = train(cfg, batch, vocab, dec_cfg=self.small_dec_cfg(vocab),
+        model = train(cfg, batch, vocab,
+                      condition_names=cohort.condition_names,
+                      dec_cfg=self.small_dec_cfg(vocab),
                       checkpoint_fn=lambda it, snap: seen.append(it))
         assert seen == [4, 6, 8]
         assert len(model.reservoir) == 2  # deque kept the last two
         assert set(model.reservoir[0]) == {"theta"}
 
     def test_metrics_sink_every_iteration(self):
-        batch, vocab, _ = self.make_batch_and_vocab()
+        batch, vocab, cohort = self.make_batch_and_vocab()
         rows = []
         cfg = self.small_config(n_iters=7)
-        train(cfg, batch, vocab, dec_cfg=self.small_dec_cfg(vocab),
+        train(cfg, batch, vocab, condition_names=cohort.condition_names,
+              dec_cfg=self.small_dec_cfg(vocab),
               metrics_sink=lambda it, rep: rows.append((it, rep.total)))
         assert [r[0] for r in rows] == list(range(7))
         assert all(math.isfinite(t) for _, t in rows)
 
     def test_history_covers_first_and_last(self):
-        batch, vocab, _ = self.make_batch_and_vocab()
+        batch, vocab, cohort = self.make_batch_and_vocab()
         cfg = self.small_config(n_iters=11, log_every=5)
-        model = train(cfg, batch, vocab, dec_cfg=self.small_dec_cfg(vocab))
+        model = train(cfg, batch, vocab,
+                      condition_names=cohort.condition_names,
+                      dec_cfg=self.small_dec_cfg(vocab))
         its = [h["iteration"] for h in model.history]
         assert its == [0, 5, 10]
         assert "kl_fraction" in model.history[0]
 
     def test_divergence_raises_with_iteration(self):
-        batch, vocab, _ = self.make_batch_and_vocab()
+        batch, vocab, cohort = self.make_batch_and_vocab()
         batch.conditions[0, 0] = np.nan  # poisoned condition vector
         cfg = self.small_config(variant="evac", minibatch=12)
         with pytest.raises(TrainingDiverged) as err, \
                 np.errstate(invalid="ignore"):
-            train(cfg, batch, vocab, dec_cfg=self.small_dec_cfg(vocab))
+            train(cfg, batch, vocab, condition_names=cohort.condition_names,
+                  dec_cfg=self.small_dec_cfg(vocab))
         assert err.value.iteration == 0
         assert err.value.last_report is None
 
@@ -419,6 +428,19 @@ class TestTrainLoop:
                   condition_names=tuple(cohort.condition_names),
                   dec_cfg=self.small_dec_cfg(vocab))
 
+    @pytest.mark.parametrize("n_names", [0, 1])
+    def test_condition_names_must_label_every_column(self, n_names):
+        """With no names an evac model trained and then failed at
+        generation on a broadcast error; with one name its single entry
+        was silently broadcast over all five columns of H."""
+        batch, vocab, cohort = self.make_batch_and_vocab(n=20)
+        assert batch.conditions.shape[1] == 5
+        with pytest.raises(ValueError,
+                           match=f"{n_names} condition_names for 5 "):
+            train(self.small_config(variant="evac"), batch, vocab,
+                  condition_names=tuple(cohort.condition_names[:n_names]),
+                  dec_cfg=self.small_dec_cfg(vocab))
+
     def test_evac_needs_condition_columns(self):
         cfg = TrainConfig(variant="evac", latent_dim=3)
         with pytest.raises(ValueError, match="condition"):
@@ -426,11 +448,13 @@ class TestTrainLoop:
 
     def test_objective_improves_on_tiny_corpus(self):
         """Full-batch training on 12 records should lower J noticeably."""
-        batch, vocab, _ = self.make_batch_and_vocab(n=12)
+        batch, vocab, cohort = self.make_batch_and_vocab(n=12)
         cfg = self.small_config(n_iters=300, minibatch=12, lr_phi=5e-3,
                                 lr_global=5e-3, temperature=0.1,
                                 burn_in=150, thin=50, log_every=10)
-        model = train(cfg, batch, vocab, dec_cfg=self.small_dec_cfg(vocab))
+        model = train(cfg, batch, vocab,
+                      condition_names=cohort.condition_names,
+                      dec_cfg=self.small_dec_cfg(vocab))
         first = np.mean([h["total"] for h in model.history[:3]])
         last = np.mean([h["total"] for h in model.history[-3:]])
         assert last < first - 10.0
@@ -440,9 +464,10 @@ class TestTrainLoop:
         shrinks it by orders of magnitude every step, which shrinks pSGLD's
         preconditioner and inflates its noise; a clip of 10 took J from
         ~135 to over 15x that in 20 steps."""
-        batch, vocab, _ = self.make_batch_and_vocab(n=12)
+        batch, vocab, cohort = self.make_batch_and_vocab(n=12)
         rows = []
         train(TrainConfig(n_iters=20, seed=0), batch, vocab,
+              condition_names=cohort.condition_names,
               metrics_sink=lambda it, rep: rows.append(rep.total))
         assert all(math.isfinite(t) for t in rows)
         assert max(rows) < 5.0 * rows[0]
