@@ -321,27 +321,19 @@ def iter_arrays(tree, prefix=""):
 class Layout:
     """Where each leaf of a parameter tree sits in one flat float64 vector.
 
-    ``entries`` holds ``(path, shape, offset)`` in ``iter_arrays`` order.
-    ``Layout(spec)`` takes ``[(path, shape), ...]``, as ``spec()`` returns.
-    """
+    ``entries`` holds ``(path, shape, offset)`` in ``iter_arrays`` order."""
 
-    def __init__(self, spec):
+    def __init__(self, tree):
         self.entries, self.size = [], 0
-        for path, shape in spec:
-            self.entries.append((path, tuple(shape), self.size))
-            self.size += math.prod(shape)
-
-    @classmethod
-    def of(cls, tree):
-        return cls((path, arr.shape) for path, arr in iter_arrays(tree))
-
-    def spec(self):
-        return [(path, shape) for path, shape, _ in self.entries]
+        for path, arr in iter_arrays(tree):
+            self.entries.append((path, arr.shape, self.size))
+            self.size += arr.size
 
     def flatten(self, tree):
         """One new vector holding the leaves of ``tree``."""
         leaves = list(iter_arrays(tree))
-        if [(path, arr.shape) for path, arr in leaves] != self.spec():
+        if ([(path, arr.shape) for path, arr in leaves]
+                != [(path, shape) for path, shape, _ in self.entries]):
             raise ValueError("tree does not match the layout")
         return np.concatenate([arr.ravel() for _, arr in leaves])
 

@@ -13,6 +13,7 @@ the format version and the reserved-token ids.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -281,46 +282,42 @@ def save_cohort(path, cohort, meta=None):
             fh.write(json.dumps(row) + "\n")
 
 
+@contextlib.contextmanager
+def reading(path, what, *errors):
+    """Re-raise what a malformed file makes its reader raise, and any of
+    ``errors``, as one ValueError that names ``path``."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError, *errors) as exc:
+        raise ValueError(f"{path}: not a valid {what}: "
+                         f"{type(exc).__name__}: {exc}") from exc
+
+
 def load_cohort(path):
-    records = []
-    condition_names = None
-    with open(path) as fh:
-        first = True
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            if first and "meta" in row:
-                condition_names = row["meta"].get("condition_names")
-                first = False
-                continue
-            first = False
+    """Read a cohort file; a malformed one raises ValueError naming it."""
+    with reading(path, "cohort"), open(path) as fh:
+        rows = [json.loads(line) for line in fh if line.strip()]
+        names = None
+        if rows and "meta" in rows[0]:
+            names = rows.pop(0)["meta"].get("condition_names")
+        for row in rows:
             if not isinstance(row, dict) or not {"id", "visits"} <= set(row):
-                raise ValueError(f"{path}: a record has no 'id' or 'visits'")
-            records.append(row)
-    if condition_names is None:
-        seen = set()
-        for row in records:
-            seen.update(row.get("conditions", []))
-        condition_names = sorted(seen)
-    name_index = {name: k for k, name in enumerate(condition_names)}
-    out = []
-    for row in records:
-        cond = [0] * len(condition_names)
-        for name in row.get("conditions", []):
-            if name not in name_index:
-                raise ValueError(f"{path}: record {row['id']} names condition "
-                                 f"{name!r}, which the header does not list")
-            cond[name_index[name]] = 1
-        out.append(
-            PatientRecord(
-                id=row["id"],
-                visits=tuple(frozenset(v) for v in row["visits"]),
-                conditions=tuple(cond),
-            )
-        )
-    return Cohort(records=out, condition_names=list(condition_names))
+                raise ValueError("a record has no 'id' or 'visits'")
+        if names is None:
+            names = sorted({n for r in rows for n in r.get("conditions", [])})
+        index = {name: k for k, name in enumerate(names)}
+        out = []
+        for row in rows:
+            cond = [0] * len(names)
+            for name in row.get("conditions", []):
+                if name not in index:
+                    raise ValueError(f"record {row['id']} names condition "
+                                     f"{name!r}, not listed in the header")
+                cond[index[name]] = 1
+            out.append(PatientRecord(
+                id=row["id"], conditions=tuple(cond),
+                visits=tuple(frozenset(v) for v in row["visits"])))
+        return Cohort(records=out, condition_names=list(names))
 
 
 def save_vocab(path, vocab, meta=None):
@@ -348,24 +345,18 @@ def save_vocab(path, vocab, meta=None):
 
 
 def load_vocab(path):
-    with open(path) as fh:
-        lines = [ln for ln in (l.strip() for l in fh) if ln]
-    if not lines:
-        raise ValueError(f"{path}: empty vocabulary file")
-    header = json.loads(lines[0])
-    if not isinstance(header, dict) or header.get("format") != "visit_vocab":
-        raise ValueError(f"{path}: not a visit vocabulary file")
-    entries = []
-    for ln in lines[1:]:
-        row = json.loads(ln)
-        entries.append(
-            VocabEntry(
-                codes=tuple(row["codes"]),
-                token_id=int(row["token_id"]),
-                frequency=int(row["frequency"]),
-            )
-        )
-    vocab = VisitVocab(entries)
-    if vocab.eos_id != header["eos_id"] or vocab.pad_id != header["pad_id"]:
-        raise ValueError(f"{path}: reserved-token ids disagree with entries")
-    return vocab
+    """Read a vocabulary file; a malformed one raises ValueError naming it."""
+    with reading(path, "vocabulary"), open(path) as fh:
+        rows = [json.loads(line) for line in fh if line.strip()]
+        if not rows:
+            raise ValueError("empty vocabulary file")
+        header = rows[0]
+        if not isinstance(header, dict) or header.get("format") != "visit_vocab":
+            raise ValueError("not a visit vocabulary file")
+        vocab = VisitVocab([
+            VocabEntry(codes=tuple(row["codes"]), token_id=int(row["token_id"]),
+                       frequency=int(row["frequency"]))
+            for row in rows[1:]])
+        if vocab.eos_id != header["eos_id"] or vocab.pad_id != header["pad_id"]:
+            raise ValueError("reserved-token ids disagree with entries")
+        return vocab

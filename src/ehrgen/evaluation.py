@@ -45,6 +45,14 @@ class _IndependentPairs(Mapping):
         except (KeyError, TypeError, ValueError):
             raise KeyError(key) from None
 
+    def get(self, key, default=None):
+        # Mapping.get would add a __getitem__ call to each lookup
+        try:
+            a, b = key
+            return self.marginal[a] * self.marginal[b]
+        except (KeyError, TypeError, ValueError):
+            return default
+
     def __iter__(self):
         return product(self.marginal, repeat=2)
 
@@ -260,7 +268,7 @@ def train_next_visit_predictor(cohort, seed=0, epochs=8):
         "lstm": _nn.lstm_init(rng, PREDICTOR_EMBED, PREDICTOR_HIDDEN),
         "head": _nn.dense_init(rng, PREDICTOR_HIDDEN, vocab.size),
     }
-    layout = _nn.Layout.of(init)
+    layout = _nn.Layout(init)
     vec = layout.flatten(init)
     params = layout.views(vec)
     adam = _nn.Adam(vec, lr=PREDICTOR_LR)

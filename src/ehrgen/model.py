@@ -1,11 +1,12 @@
 """Trained-model container and single-file checkpoints.
 
-A format-4 checkpoint is one ``.npz``: the encoder vector ``phi``, the
+A format-5 checkpoint is one ``.npz``: the encoder vector ``phi``, the
 reservoir of posterior (theta, H) samples as one (R, P) array, and JSON
-metadata with the training and decoder configs, both layouts, the
-vocabulary, condition names, history and extras. ``load`` rebuilds the
-variant and the encoder config through ``build_parts``, so parts that
-disagree fail training's own checks. Older formats are refused by version.
+metadata with the training and decoder configs, the vocabulary, condition
+names, history and extras; no shape is stored. ``load`` rebuilds the parts
+through ``build_parts``, so parts that disagree fail training's own checks,
+derives every parameter shape from them and refuses arrays of other
+lengths. Older formats are refused by version.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import _nn
-from .corpus import VisitVocab, VocabEntry
+from .corpus import VisitVocab, VocabEntry, reading
 from .decoder import DecoderConfig
 from .encoders import EncoderConfig
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 @dataclass
@@ -66,8 +66,8 @@ class TrainedModel(ModelParts):
     # -- persistence --------------------------------------------------------
 
     def save(self, path):
-        phi_layout = _nn.Layout.of(self.phi)
-        res_layout = _nn.Layout.of(self.reservoir[0] if self.reservoir else {})
+        from .trainer import param_layouts  # deferred: import cycle
+        res_layout, phi_layout = param_layouts(self)
         reservoir = np.array([res_layout.flatten(s) for s in self.reservoir])
         reservoir = reservoir.reshape(len(self.reservoir), res_layout.size)
         meta = {
@@ -75,8 +75,6 @@ class TrainedModel(ModelParts):
             "train_config": asdict(self.train_config),
             "dec_cfg": asdict(self.dec_cfg),
             "condition_names": list(self.condition_names),
-            "phi_layout": phi_layout.spec(),
-            "globals_layout": res_layout.spec(),
             "history": self.history or [],
             "vocab": [
                 {"codes": list(e.codes), "frequency": e.frequency}
@@ -92,44 +90,34 @@ class TrainedModel(ModelParts):
     def load(cls, path):
         """Read a checkpoint; a file that is not a well-formed one raises
         ValueError naming ``path``."""
-        try:
-            return cls._read(path)
-        except (AttributeError, EOFError, KeyError, TypeError, ValueError,
-                zipfile.BadZipFile) as exc:
-            raise ValueError(f"{path}: not a valid checkpoint: "
-                             f"{type(exc).__name__}: {exc}") from exc
-
-    @classmethod
-    def _read(cls, path):
-        with np.load(path, allow_pickle=False) as data:
+        from .trainer import TrainConfig, build_parts, param_layouts  # cycle
+        with (reading(path, "checkpoint", EOFError, zipfile.BadZipFile),
+              np.load(path, allow_pickle=False) as data):
             meta = json.loads(str(data["meta"]))
             if meta.get("format_version") != CHECKPOINT_VERSION:
                 raise ValueError(
                     f"unsupported checkpoint version "
                     f"{meta.get('format_version')!r}")
             phi_vec, res = data["phi"], data["reservoir"]
-        from .trainer import TrainConfig, build_parts  # deferred: import cycle
-
-        phi_layout = _nn.Layout(meta["phi_layout"])
-        res_layout = _nn.Layout(meta["globals_layout"])
-        if res.ndim != 2 or res.shape[1] != res_layout.size:
-            raise ValueError(f"reservoir shape {res.shape} does not match "
-                             "the globals layout")
-        phi = phi_layout.views(phi_vec)  # raises on a length mismatch
-        reservoir = [res_layout.views(row) for row in res]
-        vocab = VisitVocab([
-            VocabEntry(codes=tuple(e["codes"]), token_id=i,
-                       frequency=int(e["frequency"]))
-            for i, e in enumerate(meta["vocab"])
-        ])
-        condition_names = tuple(meta["condition_names"])
-        dec_cfg = _config_from(DecoderConfig, meta["dec_cfg"], "dec_cfg")
-        parts = build_parts(
-            _config_from(TrainConfig, meta["train_config"], "train_config"),
-            vocab.size, len(condition_names), dec_cfg.t_max, dec_cfg)
-        return cls(**vars(parts), phi=phi, reservoir=reservoir, vocab=vocab,
-                   condition_names=condition_names, history=meta["history"],
-                   extra=meta["extra"])
+            vocab = VisitVocab([
+                VocabEntry(codes=tuple(e["codes"]), token_id=i,
+                           frequency=int(e["frequency"]))
+                for i, e in enumerate(meta["vocab"])
+            ])
+            condition_names = tuple(meta["condition_names"])
+            dec_cfg = _config_from(DecoderConfig, meta["dec_cfg"], "dec_cfg")
+            parts = build_parts(
+                _config_from(TrainConfig, meta["train_config"], "train_config"),
+                vocab.size, len(condition_names), dec_cfg.t_max, dec_cfg)
+            res_layout, phi_layout = param_layouts(parts)
+            if res.ndim != 2 or res.shape[1] != res_layout.size:
+                raise ValueError(f"reservoir shape {res.shape} does not match "
+                                 "the globals layout")
+            phi = phi_layout.views(phi_vec)  # raises on a length mismatch
+            reservoir = [res_layout.views(row) for row in res]
+            return cls(**vars(parts), phi=phi, reservoir=reservoir,
+                       vocab=vocab, condition_names=condition_names,
+                       history=meta["history"], extra=meta["extra"])
 
 
 def _config_from(cls, values, what):

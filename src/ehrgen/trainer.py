@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -156,11 +157,34 @@ def entropy_diag_gaussian(g):
 # posterior assembly
 # ---------------------------------------------------------------------------
 
+def init_globals(parts, rng):
+    """Decoder weights theta, then the condition embedding H for evac."""
+    globals_ = {"theta": init_decoder_params(parts.dec_cfg, rng)}
+    if parts.variant == "evac":
+        globals_["H"] = 0.1 * rng.standard_normal(
+            (parts.dec_cfg.latent_dim, parts.enc_cfg.cond_dim))
+    return globals_
+
+
 def init_phi(parts, rng):
     phi = {"seq": init_sequence_encoder(parts.enc_cfg, rng)}
     if parts.variant == "evac":
         phi["cond"] = init_condition_encoder(parts.enc_cfg, rng)
     return phi
+
+
+# stands in for a Generator in the init functions: each draw is a read-only
+# zero broadcast to its size, so nothing is drawn and nothing is allocated
+_NO_DRAWS = SimpleNamespace(
+    normal=lambda loc, scale, size: np.broadcast_to(0.0, size),
+    standard_normal=lambda size: np.broadcast_to(0.0, size))
+
+
+def param_layouts(parts):
+    """``(globals_layout, phi_layout)``: the shapes the configs in ``parts``
+    give theta, H and phi, from the init functions that draw them."""
+    return (_nn.Layout(init_globals(parts, _NO_DRAWS)),
+            _nn.Layout(init_phi(parts, _NO_DRAWS)))
 
 
 def encode_posteriors(parts, phi, batch):
@@ -373,13 +397,10 @@ def train(config, batch, vocab, condition_names=(), dec_cfg=None,
     parts = build_parts(config, vocab.size, cond_dim, t_max, dec_cfg)
 
     rng = np.random.default_rng(config.seed)
-    glob0 = {"theta": init_decoder_params(parts.dec_cfg, rng)}
-    if config.variant == "evac":
-        glob0["H"] = 0.1 * rng.standard_normal((config.latent_dim, cond_dim))
-    phi0 = init_phi(parts, rng)
+    glob_layout, phi_layout = param_layouts(parts)
     # one vector per parameter set; theta, H and phi are views into them
-    glob_layout, phi_layout = _nn.Layout.of(glob0), _nn.Layout.of(phi0)
-    glob_vec, phi_vec = glob_layout.flatten(glob0), phi_layout.flatten(phi0)
+    glob_vec = glob_layout.flatten(init_globals(parts, rng))
+    phi_vec = phi_layout.flatten(init_phi(parts, rng))
     globals_, phi = glob_layout.views(glob_vec), phi_layout.views(phi_vec)
     theta, H = globals_["theta"], globals_.get("H")
 

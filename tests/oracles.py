@@ -325,7 +325,7 @@ def full_width_predictor_params(cohort, seed=0, epochs=8):
         "lstm": _nn.lstm_init(rng, PREDICTOR_EMBED, PREDICTOR_HIDDEN),
         "head": _nn.dense_init(rng, PREDICTOR_HIDDEN, vocab.size),
     }
-    layout = _nn.Layout.of(init)
+    layout = _nn.Layout(init)
     vec = layout.flatten(init)
     params = layout.views(vec)
     adam = _nn.Adam(vec, lr=PREDICTOR_LR)

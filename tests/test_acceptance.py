@@ -320,7 +320,7 @@ def test_criterion_05_minibatch_unbiasedness():
         _, full, _ = step_gradients(parts, batch, theta, H, phi, noises,
                                     n_total=6)
         full_t, full_H = full["theta"], full.get("H")
-        layout = _nn.Layout.of(full_t)
+        layout = _nn.Layout(full_t)
         acc_t = np.zeros(layout.size)
         acc_H = np.zeros_like(H) if H is not None else None
         pairs = list(itertools.combinations(range(6), 2))

@@ -436,6 +436,35 @@ class TestMalformedInputs:
             "--out-vocab", str(tmp_path / "v.jsonl")], cohort, "'visits'")
         assert not os.path.exists(tmp_path / "o.jsonl")
 
+    @pytest.mark.parametrize("row, text", [
+        ({"token_id": 0, "codes": ["a"]}, "'frequency'"),
+        ([1, 2], "TypeError"),
+        ("not json", "Expecting value"),
+    ])
+    def test_malformed_vocab_row(self, pipeline, tmp_path, capsys, row,
+                                 text):
+        vocab = tmp_path / "v.jsonl"
+        lines = open(pipeline["vocab"]).read().splitlines()
+        body = row if isinstance(row, str) else json.dumps(row)
+        vocab.write_text("\n".join([lines[0], body, *lines[1:]]) + "\n")
+        self.expect_error(capsys, [
+            "train", "--cohort", pipeline["cohort"], "--vocab", str(vocab),
+            "--out", str(tmp_path / "m.npz")] + TRAIN_SMALL, vocab, text)
+
+    @pytest.mark.parametrize("line, text", [
+        (json.dumps({"id": "p0", "visits": [["a"]], "conditions": 5}),
+         "TypeError"),
+        ("not json", "Expecting value"),
+    ])
+    def test_malformed_cohort_row(self, tmp_path, capsys, line, text):
+        cohort = tmp_path / "c.jsonl"
+        cohort.write_text(line + "\n")
+        self.expect_error(capsys, [
+            "preprocess", "--input", str(cohort),
+            "--out-cohort", str(tmp_path / "o.jsonl"),
+            "--out-vocab", str(tmp_path / "v.jsonl")], cohort, text)
+        assert not os.path.exists(tmp_path / "o.jsonl")
+
     def test_unknown_condition(self, tmp_path, capsys):
         cohort = tmp_path / "c.jsonl"
         cohort.write_text(
@@ -446,6 +475,17 @@ class TestMalformedInputs:
             "preprocess", "--input", str(cohort),
             "--out-cohort", str(tmp_path / "o.jsonl"),
             "--out-vocab", str(tmp_path / "v.jsonl")], cohort, "'cond_9'")
+
+
+# config edits that change a parameter shape the saved arrays have
+SHAPE_EDITS = {
+    "kernel_3": ("dec_cfg", "kernel", 3),
+    "channels_6": ("dec_cfg", "channels", 6),
+    "n_upsample_2": ("dec_cfg", "n_upsample", 2),
+    "dilation_dropped": ("dec_cfg", "dilations", [1]),
+    "hidden_7": ("train_config", "hidden", 7),
+    "cond_hidden_9": ("train_config", "cond_hidden", 9),
+}
 
 
 def write_bad_checkpoint(kind, good, path):
@@ -468,6 +508,11 @@ def write_bad_checkpoint(kind, good, path):
         meta["train_config"]["retired_option"] = 1.0
     elif kind == "meta_not_object":
         meta = [meta]
+    elif kind == "extra_condition":
+        meta["condition_names"].append("cond_extra")
+    else:
+        config, field, value = SHAPE_EDITS[kind]
+        meta[config][field] = value
     with open(path, "wb") as fh:
         np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
 
@@ -487,6 +532,10 @@ class TestMalformedCheckpoint:
         ("not_npz", "pickled"),
         ("truncated", "zip"),
         ("empty", "EOFError"),
+        # every shape comes from the configs and is checked against the
+        # arrays
+        *[(kind, "layout") for kind in SHAPE_EDITS],
+        ("extra_condition", "layout"),
     ])
     def test_exits_1_naming_the_file(self, pipeline, tmp_path, capsys,
                                      command, kind, text):

@@ -4,6 +4,7 @@ of the held-out bound, and the fast paths against the reference
 implementations in ``oracles.py`` on a toy and a 1,500-visit-type cohort."""
 
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -97,6 +98,18 @@ class TestNgramStats:
         assert np.isclose(sum(base.freqs.values()), 1.0)
         with pytest.raises(ValueError):
             independent_bigram_baseline(base)
+
+    def test_independent_get_matches_mapping_get(self):
+        """A hit, a miss on either side and keys that are not pairs."""
+        table = independent_bigram_baseline(
+            NgramStats(n=1, freqs={0: 2 / 3, 1: 1 / 3})).freqs
+        keys = [(0, 1), (1, 1), (0, 9), (9, 0), 5, "ab", (0, 1, 1), ([0], 1)]
+        for key in keys:
+            for default in (None, -1.0):
+                assert table.get(key, default) == Mapping.get(
+                    table, key, default)
+        assert table.get((0, 1)) == (2 / 3) * (1 / 3)
+        assert table.get((0, 9)) is None
 
 
 class TestPearson:
@@ -401,6 +414,19 @@ class TestAgainstOracles:
             assert abs(pearson_marginal(a, b) - expected) <= self.TOL
             assert abs(pearson_marginal(b, a) - expected) <= self.TOL
 
+    def test_floor_walk_bit_identical_to_mapping_get(self, eval_pair):
+        """The table's own ``get`` gives the floor Pearson bit for bit, for
+        the real and for the other cohort's unigram."""
+        real, other = eval_pair
+        bi = ngram_stats(real, 2)
+        for uni in (ngram_stats(real, 1), ngram_stats(other, 1)):
+            base = independent_bigram_baseline(uni)
+            inherited = type("Inherited", (type(base.freqs),),
+                             {"get": Mapping.get})(uni.freqs)
+            slow = NgramStats(n=2, freqs=inherited)
+            assert pearson_marginal(bi, base) == pearson_marginal(bi, slow)
+            assert pearson_marginal(base, bi) == pearson_marginal(slow, bi)
+
     def test_baseline_from_another_cohort(self, eval_pair):
         real, other = eval_pair
         bi_r, uni_o = ngram_stats(real, 2), ngram_stats(other, 1)
@@ -417,7 +443,7 @@ class TestAgainstOracles:
     def test_one_epoch_predictor_parameters(self, eval_pair):
         real, _ = eval_pair
         pred = train_next_visit_predictor(real, seed=3, epochs=1)
-        got = _nn.Layout.of(pred.params).flatten(pred.params)
+        got = _nn.Layout(pred.params).flatten(pred.params)
         expected = full_width_predictor_params(real, seed=3, epochs=1)
         assert rel_err(got, expected) <= self.TOL
 

@@ -108,17 +108,48 @@ class TestCheckpoint:
         assert [r.visits for r in a.records] == [r.visits for r in b.records]
 
     def test_version_check(self, tmp_path):
-        """A newer format version, format 3 (derived parts stored beside
-        the training config), format 2 (one encoder config per latent) and
-        format 1 (one array per leaf) are all refused."""
+        """A newer format version, format 4 (both layouts stored beside the
+        configs), format 3 (derived parts stored beside the training
+        config), format 2 (one encoder config per latent) and format 1 (one
+        array per leaf) are all refused."""
         model = quick_model(variant="eva")
         path = tmp_path / "m.npz"
         model.save(path)
-        for version in (CHECKPOINT_VERSION + 1, 3, 2, 1):
+        for version in (CHECKPOINT_VERSION + 1, 4, 3, 2, 1):
             rewrite(path, lambda meta, arrays: meta.update(
                 format_version=version))
             with pytest.raises(ValueError, match="version"):
                 TrainedModel.load(path)
+
+    def test_meta_holds_no_shapes(self, tmp_path):
+        model = quick_model()
+        path = tmp_path / "m.npz"
+        model.save(path)
+        with np.load(path) as data:
+            meta = json.loads(str(data["meta"]))
+        assert set(meta) == {"format_version", "train_config", "dec_cfg",
+                             "condition_names", "history", "vocab", "extra"}
+
+    @pytest.mark.parametrize("variant", ["eva", "evac"])
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch,
+                                          variant):
+        model = quick_model(variant=variant)
+        path = tmp_path / "m.npz"
+        model.save(path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load made a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        back = TrainedModel.load(path)
+        trees_equal(back.phi, model.phi)
+        trees_equal(back.reservoir[-1], model.reservoir[-1])
+
+    def test_save_refuses_trees_the_configs_do_not_give(self, tmp_path):
+        model = quick_model()
+        model.phi["cond"]["l1"]["b"] = np.zeros(5)
+        with pytest.raises(ValueError, match="layout"):
+            model.save(tmp_path / "m.npz")
 
     def test_mismatched_vector_length_rejected(self, tmp_path):
         model = quick_model()
