@@ -63,7 +63,9 @@ class VisitVocab:
 
     def __init__(self, entries):
         self.entries = tuple(entries)
-        self._by_key = {e.codes: e.token_id for e in self.entries}
+        self._by_key = {visit_key(e.codes): e.token_id for e in self.entries}
+        if len(self._by_key) < len(self.entries):
+            raise ValueError("two entries have the same code-set")
         for i, e in enumerate(self.entries):
             if e.token_id != i:
                 raise ValueError("token ids must be dense and ordered")
@@ -306,6 +308,8 @@ def load_cohort(path):
         if names is None:
             names = sorted({n for r in rows for n in r.get("conditions", [])})
         index = {name: k for k, name in enumerate(names)}
+        if len(index) < len(names):
+            raise ValueError("the header lists a condition name twice")
         out = []
         for row in rows:
             cond = [0] * len(names)

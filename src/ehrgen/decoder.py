@@ -9,8 +9,8 @@ position t therefore depends on z and on tokens t-1 down to t-s only, where
 
 All forward passes return caches so the hand-written backward passes can
 produce exact gradients for both the decoder parameters and z. The
-likelihood and its gradients run the V-wide head and the cross-entropy on
-the live (unmasked) positions only and scatter them back to (B, T).
+likelihood runs the stack per length bucket, cut to the bucket's longest
+record, and the V-wide head and cross-entropy on live positions only.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _nn
+
+_BUCKET_COLUMNS = 16  # a thinner bucket saves less than its extra pass costs
 
 
 @dataclass(frozen=True)
@@ -80,11 +82,12 @@ def init_decoder_params(cfg, rng):
 # ---------------------------------------------------------------------------
 
 def _latent_context(params, cfg, z, out_len):
-    """Upsample z into (B, out_len, C) position-dependent context."""
+    """Upsample z into (B, out_len, C) position-dependent context. Upsampling
+    maps s to 2s and 2s + 1, so only seed positions below out_len are used."""
     C = cfg.channels
     seed_flat, cache_seed = _nn.dense(params["seed"], z)
     h = seed_flat.reshape(z.shape[0], cfg.seed_len, 2 * C)
-    h, cache_g0 = _nn.gated(h)
+    h, cache_g0 = _nn.gated(h[:, :-(-out_len // 2 ** cfg.n_upsample)])
     up_caches = []
     for i in range(cfg.n_upsample):
         h, c_up = _nn.conv_transpose1d(params[f"up{i}"], h)
@@ -108,8 +111,9 @@ def _latent_context_backward(params, cfg, cache, dctx):
         dh = _nn.gated_backward(c_g, dh)
         g_up, dh = _nn.conv_transpose1d_backward(c_up, dh)
         grads[f"up{i}"] = g_up
-    dh = _nn.gated_backward(cache_g0, dh)
-    g_seed, dz = _nn.dense_backward(cache_seed, dh.reshape(z_shape[0], -1))
+    dseed = np.zeros((z_shape[0], cfg.seed_len, 2 * cfg.channels))
+    dseed[:, :dh.shape[1]] = _nn.gated_backward(cache_g0, dh)
+    g_seed, dz = _nn.dense_backward(cache_seed, dseed.reshape(z_shape[0], -1))
     grads["seed"] = g_seed
     return grads, dz
 
@@ -169,33 +173,49 @@ def decode_logits(params, cfg, z, tokens):
 
 def sequence_log_likelihood(params, cfg, z, tokens, mask):
     """ln p(tokens | z) per record, each position weighted by ``mask``.
-    Returns (ll (B,), cache). Only the live positions (mask != 0) pass
-    through the vocabulary head and the cross-entropy; the cache holds the
-    stack's cache, the live indices, the head's cache and the weighted logit
-    gradient of the live rows, which ``ll_and_grads`` passes back."""
+    Returns (ll (B,), cache). The rows, sorted by last live column, run the
+    stack in equal-row buckets cut after their last live column; only the live
+    positions (mask != 0) go through the head and the cross-entropy. The cache
+    holds the buckets, the live indices, the head cache and logit gradient."""
+    z = np.atleast_2d(np.asarray(z, dtype=float))
     tokens = np.asarray(tokens)
     mask = np.asarray(mask, dtype=float)
-    h, cache_stack = _stack(params, cfg, z, tokens)
+    # each row's last live column + 1, and 1 for a row with none
+    reach = np.max((mask != 0) * np.arange(1, mask.shape[1] + 1), 1, initial=1)
+    order = np.argsort(reach, kind="stable")
+    h, buckets = np.zeros(mask.shape + (cfg.channels,)), []
+    for rows in filter(len, np.array_split(
+            order, math.ceil(reach.max() / _BUCKET_COLUMNS))):
+        width = reach[rows[-1]]
+        h[rows, :width], cache = _stack(params, cfg, z[rows],
+                                        tokens[rows, :width])
+        buckets.append((rows, width, cache))
     live = np.nonzero(mask)
     logits, cache_head = _nn.dense(params["head"], h[live])
     picked, dlogits = _nn.softmax_xent(logits, tokens[live])
     dlogits *= mask[live][:, None]
     ll = np.zeros(mask.shape)
     ll[live] = picked * mask[live]
-    return ll.sum(axis=1), (cache_stack, live, cache_head, dlogits)
+    return ll.sum(axis=1), (buckets, live, cache_head, dlogits)
 
 
 def ll_and_grads(params, cfg, z, tokens, mask):
     """Gradients of sum_b ll_b w.r.t. decoder params and z.
 
-    Returns (ll (B,), theta_grads, dz (B, D)).
+    Returns (ll (B,), theta_grads, dz (B, D)); the buckets' gradients sum.
     """
-    ll, (cache_stack, live, cache_head, dlogits) = sequence_log_likelihood(
+    ll, (buckets, live, cache_head, dlogits) = sequence_log_likelihood(
         params, cfg, z, tokens, mask)
     g_head, dh_live = _nn.dense_backward(cache_head, dlogits)
     dh = np.zeros(np.shape(mask) + (cfg.channels,))
     dh[live] = dh_live
-    grads, dz = _stack_backward(params, cfg, cache_stack, dh)
+    dz, bucket_grads = np.zeros((len(ll), cfg.latent_dim)), []
+    for rows, width, cache in buckets:
+        g, dz[rows] = _stack_backward(params, cfg, cache, dh[rows, :width])
+        bucket_grads.append(g)
+    grads = bucket_grads[0]
+    for (_, acc), *rest in zip(*map(_nn.iter_arrays, bucket_grads)):
+        acc += sum(leaf for _, leaf in rest)
     grads["head"] = g_head
     return ll, grads, dz
 

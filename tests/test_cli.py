@@ -436,6 +436,20 @@ class TestMalformedInputs:
             "--out-vocab", str(tmp_path / "v.jsonl")], cohort, "'visits'")
         assert not os.path.exists(tmp_path / "o.jsonl")
 
+    def test_vocab_entries_share_a_code_set(self, pipeline, tmp_path,
+                                            capsys):
+        """Token 0 could never be encoded if a later entry had its codes."""
+        vocab = tmp_path / "v.jsonl"
+        lines = open(pipeline["vocab"]).read().splitlines()
+        second = json.loads(lines[2])
+        second["codes"] = json.loads(lines[1])["codes"][::-1]
+        vocab.write_text("\n".join([*lines[:2], json.dumps(second),
+                                    *lines[3:]]) + "\n")
+        self.expect_error(capsys, [
+            "train", "--cohort", pipeline["cohort"], "--vocab", str(vocab),
+            "--out", str(tmp_path / "m.npz")] + TRAIN_SMALL, vocab,
+            "same code-set")
+
     @pytest.mark.parametrize("row, text", [
         ({"token_id": 0, "codes": ["a"]}, "'frequency'"),
         ([1, 2], "TypeError"),
@@ -475,6 +489,19 @@ class TestMalformedInputs:
             "preprocess", "--input", str(cohort),
             "--out-cohort", str(tmp_path / "o.jsonl"),
             "--out-vocab", str(tmp_path / "v.jsonl")], cohort, "'cond_9'")
+
+    def test_condition_listed_twice(self, tmp_path, capsys):
+        """The first column of a repeated name would never be set."""
+        cohort = tmp_path / "c.jsonl"
+        cohort.write_text(
+            json.dumps({"meta": {"condition_names": ["x", "x"]}}) + "\n"
+            + json.dumps({"id": "p0", "visits": [["a"]],
+                          "conditions": ["x"]}) + "\n")
+        self.expect_error(capsys, [
+            "preprocess", "--input", str(cohort),
+            "--out-cohort", str(tmp_path / "o.jsonl"),
+            "--out-vocab", str(tmp_path / "v.jsonl")], cohort, "twice")
+        assert not os.path.exists(tmp_path / "o.jsonl")
 
 
 # config edits that change a parameter shape the saved arrays have

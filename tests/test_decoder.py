@@ -174,32 +174,39 @@ class TestGradients:
 
 
 class TestLivePositions:
-    """The head and the cross-entropy run on live positions only and give
-    the full-width path's numbers."""
+    """The stack runs once per length bucket and the head and the
+    cross-entropy on live positions only, and they give the full-width
+    path's numbers."""
 
     # wide-eva's decoder: V 1,502, T 17
     WIDE = DecoderConfig(vocab_size=1502, latent_dim=16, t_max=16)
+    # long-eva's record lengths: T 65, default kernel, dilations and upsampling
+    LONG = DecoderConfig(vocab_size=30, latent_dim=4, t_max=64, channels=8)
 
-    def wide_case(self, seed, B=32):
+    def ragged_case(self, seed, cfg, B=32):
         """Ragged lengths, with row 0 full length and row 1 all padding."""
-        rng, params, z, tokens, _ = make_case(seed, cfg=self.WIDE, B=B)
-        lengths = rng.integers(1, self.WIDE.seq_len + 1, size=B)
-        lengths[:2] = self.WIDE.seq_len, 0
-        mask = (np.arange(self.WIDE.seq_len)[None, :]
+        rng, params, z, tokens, _ = make_case(seed, cfg=cfg, B=B)
+        lengths = rng.integers(1, cfg.seq_len + 1, size=B)
+        lengths[:2] = cfg.seq_len, 0
+        mask = (np.arange(cfg.seq_len)[None, :]
                 < lengths[:, None]).astype(float)
         return rng, params, z, tokens, mask
 
-    def assert_matches_full_width(self, params, z, tokens, mask):
-        ll, grads, dz = ll_and_grads(params, self.WIDE, z, tokens, mask)
+    def wide_case(self, seed):
+        return self.ragged_case(seed, self.WIDE)
+
+    def assert_matches_full_width(self, params, z, tokens, mask, cfg=WIDE):
+        ll, grads, dz = ll_and_grads(params, cfg, z, tokens, mask)
         ref_ll, ref_grads, ref_dz = full_width_ll_and_grads(
-            params, self.WIDE, z, tokens, mask)
+            params, cfg, z, tokens, mask)
         assert rel_err(ll, ref_ll) < 1e-12
         assert rel_err(sequence_log_likelihood(
-            params, self.WIDE, z, tokens, mask)[0], ref_ll) < 1e-12
+            params, cfg, z, tokens, mask)[0], ref_ll) < 1e-12
         assert_tree_close(grads, dict(decoder._nn.iter_arrays(ref_grads)),
                           1e-12, "live positions")
         assert rel_err(dz, ref_dz) < 1e-12
-        assert not dz[1].any()  # the all-padding row gets no gradient
+        dead = ~mask.any(axis=1)  # all-padding rows get no gradient
+        assert not ll[dead].any() and not dz[dead].any()
 
     def test_matches_full_width_oracle(self):
         _, params, z, tokens, mask = self.wide_case(21)
@@ -213,6 +220,43 @@ class TestLivePositions:
         mask[half] = 0.5
         assert half.any() and (mask == 1.0).any()
         self.assert_matches_full_width(params, z, tokens, mask)
+
+    @pytest.mark.parametrize("kind", ["ragged", "holes", "full", "one_row"])
+    def test_long_records_match_full_width_oracle(self, kind):
+        """t_max 64 runs several buckets; a mask with holes is cut at each
+        row's last live column, not at its live count."""
+        rng, params, z, tokens, mask = self.ragged_case(24, self.LONG)
+        if kind == "holes":
+            mask *= rng.random(mask.shape) < 0.6
+            assert (np.diff(mask, axis=1) > 0).any()  # not a prefix
+        elif kind == "full":
+            mask[:] = 1.0
+        elif kind == "one_row":  # 40 visits and the end, in 3 buckets
+            z, tokens, mask = z[:1], tokens[:1], mask[:1]
+            mask[0, 41:] = 0.0
+        self.assert_matches_full_width(params, z, tokens, mask, cfg=self.LONG)
+
+    def test_stack_runs_per_length_bucket(self, monkeypatch):
+        """Every row runs in exactly one bucket, cut to the bucket's last
+        live column, so the stack computes fewer positions than B * T."""
+        B, T = 32, self.LONG.seq_len
+        _, params, z, tokens, mask = self.ragged_case(25, self.LONG, B=B)
+        row_of = {v: b for b, v in enumerate(z[:, 0])}
+        calls = []
+        stack = decoder._stack
+
+        def spy(p, cfg, zb, tb):
+            calls.append(([row_of[v] for v in zb[:, 0]], tb.shape[1]))
+            return stack(p, cfg, zb, tb)
+
+        monkeypatch.setattr(decoder, "_stack", spy)
+        ll_and_grads(params, self.LONG, z, tokens, mask)
+        reach = np.array([np.flatnonzero(m).max() + 1 if m.any() else 1
+                          for m in mask])
+        assert len(calls) > 1
+        assert sorted(b for rows, _ in calls for b in rows) == list(range(B))
+        assert all(width <= reach[rows].max() for rows, width in calls)
+        assert sum(len(rows) * width for rows, width in calls) < B * T
 
     def test_head_sees_live_rows_only(self, monkeypatch):
         _, params, z, tokens, mask = self.wide_case(23)
