@@ -2,9 +2,13 @@
 
 A visit is a set of clinical code strings. Preprocessing maps each visit to a
 single categorical token: the most frequent code-sets form the vocabulary and
-every out-of-vocabulary visit is replaced by its best-overlapping entry. Two
-reserved tokens (EOS, PAD) sit after the data tokens so generation has a
-stopping rule and batches can be padded.
+every out-of-vocabulary visit is replaced by the entry sharing the most codes
+with it (ties: larger Jaccard similarity, higher frequency, then the codes; no
+shared code: the most frequent entry). Only the entries on the visit's codes'
+postings (a code -> entries index built once per call) are ranked, and the
+fallback is found once per call, so a rare visit costs its codes' postings,
+not the vocabulary size. Two reserved tokens (EOS, PAD) sit after the data
+tokens so generation has a stopping rule and batches can be padded.
 
 Cohorts are stored as line-delimited JSON, one patient per line, with an
 optional leading meta line; vocabularies likewise with a header line carrying
@@ -17,6 +21,7 @@ import contextlib
 import json
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -27,7 +32,7 @@ VOCAB_FORMAT_VERSION = 1
 
 
 def visit_key(codes) -> tuple:
-    """Canonical (sorted) code tuple for a visit; the dictionary key."""
+    """Canonical (sorted) code tuple for a visit, as built entries store it."""
     return tuple(sorted(codes))
 
 
@@ -55,7 +60,8 @@ class VocabEntry:
 
 
 class VisitVocab:
-    """Bidirectional map between frequent code-sets and dense token ids.
+    """Bidirectional map between frequent code-sets and dense token ids;
+    lookups take any iterable of codes and match it as a set.
 
     Data tokens occupy [0, n_entries); EOS and PAD follow at n_entries and
     n_entries + 1, so ids are dense in [0, size).
@@ -63,12 +69,16 @@ class VisitVocab:
 
     def __init__(self, entries):
         self.entries = tuple(entries)
-        self._by_key = {visit_key(e.codes): e.token_id for e in self.entries}
-        if len(self._by_key) < len(self.entries):
-            raise ValueError("two entries have the same code-set")
+        self._by_key = {}
         for i, e in enumerate(self.entries):
             if e.token_id != i:
                 raise ValueError("token ids must be dense and ordered")
+            key = frozenset(e.codes)
+            if not key or len(key) < len(e.codes):
+                raise ValueError(f"entry {i} has no codes or a repeated code")
+            self._by_key[key] = i
+        if len(self._by_key) < len(self.entries):
+            raise ValueError("two entries have the same code-set")
 
     @property
     def n_entries(self):
@@ -88,13 +98,13 @@ class VisitVocab:
         return len(self.entries) + 2
 
     def token_of(self, visit):
-        return self._by_key.get(visit_key(visit))
+        return self._by_key.get(frozenset(visit))
 
     def codes_of(self, token_id):
         return frozenset(self.entries[token_id].codes)
 
     def __contains__(self, visit):
-        return visit_key(visit) in self._by_key
+        return frozenset(visit) in self._by_key
 
     def __eq__(self, other):
         return isinstance(other, VisitVocab) and self.entries == other.entries
@@ -130,13 +140,12 @@ def build_visit_vocab(cohort, max_size):
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    counts = Counter()
-    for rec in cohort.records:
-        for visit in rec.visits:
-            counts[visit_key(visit)] += 1
+    counts = Counter(map(frozenset, chain.from_iterable(
+        rec.visits for rec in cohort.records)))
     if not counts:
         raise ValueError("empty corpus")
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    ranked = sorted(((visit_key(v), n) for v, n in counts.items()),
+                    key=lambda kv: (-kv[1], kv[0]))
     entries = [
         VocabEntry(codes=key, token_id=i, frequency=freq)
         for i, (key, freq) in enumerate(ranked[:max_size])
@@ -144,35 +153,36 @@ def build_visit_vocab(cohort, max_size):
     return VisitVocab(entries)
 
 
-def _best_replacement(visit, vocab):
-    """In-vocab entry maximizing |intersection| with the visit.
-
-    Ties break by larger Jaccard similarity, then higher frequency, then
-    lexicographic order; a visit with zero overlap everywhere falls back to
-    the most frequent entry.
-    """
-    codes = set(visit)
-    best = None
-    best_rank = None
-    for e in vocab.entries:
-        inter = len(codes.intersection(e.codes))
-        if inter == 0:
-            continue
-        jac = inter / float(len(codes) + len(e.codes) - inter)
-        rank = (-inter, -jac, -e.frequency, e.codes)
-        if best_rank is None or rank < best_rank:
-            best_rank = rank
-            best = e
-    if best is None:
-        # zero overlap everywhere: fall back to the most frequent entry
-        best = min(vocab.entries, key=lambda e: (-e.frequency, e.codes))
-    return frozenset(best.codes)
-
-
 def replace_rare_visits(cohort, vocab):
-    """Map every out-of-vocab visit to its best-matching vocabulary entry."""
+    """Map every out-of-vocab visit to its best-matching vocabulary entry.
+
+    An entry sharing ``inter`` codes with the visit ranks by
+    ``(-inter, -jaccard, -frequency, codes)``, lowest first; a visit that
+    shares no code with any entry takes the most frequent one.
+    """
     if vocab is None or vocab.n_entries == 0:
         raise ValueError("empty vocabulary")
+    entries = vocab.entries
+    postings = {}  # code -> ids of the entries holding it
+    for e in entries:
+        for code in e.codes:
+            postings.setdefault(code, []).append(e.token_id)
+    fallback = min(entries, key=lambda e: (-e.frequency, e.codes)).token_id
+
+    def best(visit):
+        codes = frozenset(visit)
+        shared = Counter(chain.from_iterable(postings.get(c, ()) for c in codes))
+        inter = max(shared.values(), default=0)
+
+        def rank(i):  # the rank of entry i, less its first part: -inter
+            e = entries[i]
+            jac = inter / float(len(codes) + len(e.codes) - inter)
+            return (-jac, -e.frequency, e.codes)
+
+        i = min((i for i, n in shared.items() if n == inter), key=rank,
+                default=fallback)
+        return frozenset(entries[i].codes)
+
     cache = {}
     new_records = []
     for rec in cohort.records:
@@ -182,10 +192,9 @@ def replace_rare_visits(cohort, vocab):
             if visit in vocab:
                 visits.append(visit)
                 continue
-            key = visit_key(visit)
-            if key not in cache:
-                cache[key] = _best_replacement(visit, vocab)
-            visits.append(cache[key])
+            if visit not in cache:
+                cache[visit] = best(visit)
+            visits.append(cache[visit])
             changed = True
         if changed:
             new_records.append(replace(rec, visits=tuple(visits)))

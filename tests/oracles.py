@@ -400,6 +400,32 @@ def unchunked_elbo_holdout(model, cohort):
     return score / len(batch)
 
 
+def looped_best_replacement(visit, vocab):
+    """Reference for ``corpus.replace_rare_visits``: the vocabulary entry
+    maximizing |intersection| with the visit, found by scanning every entry.
+
+    Ties break by larger Jaccard similarity, then higher frequency, then
+    lexicographic order; a visit with zero overlap everywhere falls back to
+    the most frequent entry.
+    """
+    codes = set(visit)
+    best = None
+    best_rank = None
+    for e in vocab.entries:
+        inter = len(codes.intersection(e.codes))
+        if inter == 0:
+            continue
+        jac = inter / float(len(codes) + len(e.codes) - inter)
+        rank = (-inter, -jac, -e.frequency, e.codes)
+        if best_rank is None or rank < best_rank:
+            best_rank = rank
+            best = e
+    if best is None:
+        # zero overlap everywhere: fall back to the most frequent entry
+        best = min(vocab.entries, key=lambda e: (-e.frequency, e.codes))
+    return frozenset(best.codes)
+
+
 # ---------------------------------------------------------------------------
 # small corpora
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ import pytest
 
 from ehrgen.cli import (CONFIG_SCHEMA_VERSION, build_parser, config_digest,
                         main, parse_config_file)
-from ehrgen.corpus import load_cohort, load_vocab
+from ehrgen.corpus import (build_visit_vocab, load_cohort, load_vocab,
+                           replace_rare_visits)
 from ehrgen.decoder import DecoderConfig
 from ehrgen.generator import GenerationRequest
 from ehrgen.simulate import default_toy_spec
@@ -100,6 +101,21 @@ class TestPipeline:
         for rec in cohort.records:
             for visit in rec.visits:
                 assert visit in vocab
+
+    def test_preprocess_replaces_rare_visits(self, pipeline, tmp_path):
+        """With a vocabulary smaller than the distinct visits, the written
+        cohort is the library's replacement and holds no rare visit."""
+        cohort, vocab = tmp_path / "cohort.jsonl", tmp_path / "vocab.jsonl"
+        assert run(["preprocess", "--input", pipeline["raw"],
+                    "--max-vocab", "6", "--out-cohort", str(cohort),
+                    "--out-vocab", str(vocab)]) == 0
+        raw, written = load_cohort(pipeline["raw"]), load_vocab(vocab)
+        assert written == build_visit_vocab(raw, 6)
+        want = replace_rare_visits(raw, written)
+        got = load_cohort(cohort)
+        assert got.records == want.records != raw.records
+        assert got.condition_names == raw.condition_names
+        assert all(v in written for rec in got.records for v in rec.visits)
 
     def test_metrics_stream(self, pipeline):
         lines = [json.loads(l) for l in open(pipeline["metrics"])]
@@ -449,6 +465,21 @@ class TestMalformedInputs:
             "train", "--cohort", pipeline["cohort"], "--vocab", str(vocab),
             "--out", str(tmp_path / "m.npz")] + TRAIN_SMALL, vocab,
             "same code-set")
+
+    @pytest.mark.parametrize("codes", [[], ["a", "a"]])
+    def test_vocab_entry_without_codes_or_with_a_repeated_code(
+            self, pipeline, tmp_path, capsys, codes):
+        """Looked up as a set, ["a", "a"] would stand for {"a"} while its
+        Jaccard similarity counted two codes."""
+        vocab = tmp_path / "v.jsonl"
+        lines = open(pipeline["vocab"]).read().splitlines()
+        last = json.loads(lines[-1])
+        last["codes"] = codes
+        vocab.write_text("\n".join([*lines[:-1], json.dumps(last)]) + "\n")
+        self.expect_error(capsys, [
+            "train", "--cohort", pipeline["cohort"], "--vocab", str(vocab),
+            "--out", str(tmp_path / "m.npz")] + TRAIN_SMALL, vocab,
+            "no codes or a repeated code")
 
     @pytest.mark.parametrize("row, text", [
         ({"token_id": 0, "codes": ["a"]}, "'frequency'"),

@@ -1,5 +1,7 @@
 """Corpus handling: records, visit vocabulary, token encoding, disk round-trips."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from ehrgen.corpus import (
     visit_key,
 )
 
-from oracles import tiny_records
+from oracles import looped_best_replacement, tiny_records
 
 
 def small_vocab():
@@ -70,6 +72,21 @@ class TestVocab:
         assert vocab.token_of(frozenset({"zz"})) is None
         assert frozenset({"a"}) in vocab
 
+    @pytest.mark.parametrize("visit", [("c", "b"), ["b", "c"], {"c", "b"}])
+    def test_lookup_takes_any_iterable_of_codes(self, visit):
+        vocab = small_vocab()
+        assert vocab.token_of(visit) == 1
+        assert visit in vocab
+
+    @pytest.mark.parametrize("codes", [(), ("a", "a"), ("b", "c", "b")])
+    def test_entry_without_codes_or_with_a_repeated_code(self, codes):
+        """A set-keyed lookup would match ("a", "a") for {"a"} while its
+        Jaccard similarity counted two codes."""
+        entries = [VocabEntry(codes=("x",), token_id=0, frequency=2),
+                   VocabEntry(codes=codes, token_id=1, frequency=1)]
+        with pytest.raises(ValueError, match="no codes or a repeated code"):
+            VisitVocab(entries)
+
     def test_max_size_truncates(self):
         cohort = Cohort(records=tiny_records(), condition_names=[])
         vocab = build_visit_vocab(cohort, max_size=2)
@@ -97,9 +114,133 @@ class TestRareReplacement:
         assert out.records[0].visits[1] == frozenset({"a"})
         assert out.vocab is vocab
 
+    def test_zero_overlap_fallback_reads_frequencies_not_token_order(self):
+        """A loaded vocabulary need not list its entries by frequency; the
+        fallback is the most frequent entry, ties broken on the codes."""
+        vocab = VisitVocab([
+            VocabEntry(codes=("a",), token_id=0, frequency=1),
+            VocabEntry(codes=("c",), token_id=1, frequency=5),
+            VocabEntry(codes=("b",), token_id=2, frequency=5),
+        ])
+        rec = PatientRecord("p", (frozenset({"zz"}),))
+        out = replace_rare_visits(Cohort([rec], []), vocab)
+        assert out.records[0].visits[0] == frozenset({"b"})
+
     def test_empty_vocab_rejected(self):
         with pytest.raises(ValueError):
             replace_rare_visits(Cohort(tiny_records(), []), None)
+
+
+def random_vocab(rng, alphabet, n_entries):
+    """Distinct code-sets of 1-3 codes, each stored in a random code order,
+    with small random frequencies (so ties are common) in no particular
+    token order."""
+    keys = {}
+    while len(keys) < n_entries:
+        codes = [str(c) for c in rng.choice(alphabet, rng.integers(1, 4),
+                                            replace=False)]
+        keys.setdefault(frozenset(codes), tuple(codes))
+    return VisitVocab([
+        VocabEntry(codes=codes, token_id=i, frequency=int(rng.integers(1, 5)))
+        for i, codes in enumerate(keys.values())])
+
+
+def deciding_level(visit, vocab):
+    """Which part of the rank picks the replacement of ``visit``: the index
+    (0 intersection, 1 Jaccard, 2 frequency, 3 codes) of the first part in
+    which the best and second-best entries sharing a code differ, "only"
+    for a single such entry, or ("zero", index) for the fallback, where 0 is
+    the frequency and 1 the codes."""
+    codes = set(visit)
+    ranks = sorted(
+        (-n, -n / float(len(codes) + len(e.codes) - n), -e.frequency, e.codes)
+        for e in vocab.entries
+        for n in [len(codes.intersection(e.codes))] if n)
+    if not ranks:
+        ranks = sorted((-e.frequency, e.codes) for e in vocab.entries)
+        return "zero", int(ranks[0][0] == ranks[1][0])
+    if len(ranks) == 1:
+        return "only"
+    return next(k for k in range(4) if ranks[0][k] != ranks[1][k])
+
+
+class TestReplacementOracle:
+    """``replace_rare_visits`` ranks only the entries on its code postings;
+    the looped scan over every entry is the reference."""
+
+    def test_equals_looped_scan(self):
+        rng = np.random.default_rng(20)
+        alphabet = [f"c{i}" for i in range(9)]
+        levels = Counter()
+        for trial in range(40):
+            vocab = random_vocab(rng, alphabet, int(rng.integers(2, 40)))
+            pool = alphabet + [f"new{trial}_{j}" for j in range(3)]
+            records = [
+                PatientRecord(f"p{i}", tuple(
+                    frozenset(str(c) for c in rng.choice(
+                        pool, rng.integers(1, 5), replace=False))
+                    for _ in range(int(rng.integers(1, 6)))))
+                for i in range(12)]
+            out = replace_rare_visits(Cohort(records, []), vocab)
+            for rec, got in zip(records, out.records):
+                want = tuple(v if v in vocab
+                             else looped_best_replacement(v, vocab)
+                             for v in rec.visits)
+                assert got.visits == want
+                levels.update(deciding_level(v, vocab)
+                              for v in rec.visits if v not in vocab)
+        # every tie-break level decided some replacement
+        assert {0, 1, 2, 3, "only", ("zero", 0), ("zero", 1)} <= set(levels)
+
+    def test_ranks_only_entries_sharing_a_code(self):
+        """Entries sharing no code with the rare visits are read a fixed
+        number of times per call, however many rare visits there are; an
+        entry is ranked at most once per rare visit it shares a code with,
+        plus once for the fallback, which is found once per call."""
+        reads = Counter()
+
+        class SpyEntry(VocabEntry):
+            def __getattribute__(self, name):
+                if name in ("codes", "frequency"):
+                    reads[object.__getattribute__(self, "token_id"), name] += 1
+                return object.__getattribute__(self, name)
+
+        n = 3000  # entry i holds a group code shared by 50 entries, and u<i>
+        order = np.random.default_rng(3).permutation(n)
+        plain = VisitVocab([
+            VocabEntry(codes=(f"g{i % 60}", f"u{i}"), token_id=i,
+                       frequency=int(order[i]) // 2)
+            for i in range(n)])
+        vocab = VisitVocab([SpyEntry(e.codes, e.token_id, e.frequency)
+                            for e in plain.entries])
+
+        def rare_visits(k):
+            return ([frozenset({f"x{j}", f"y{j}"}) for j in range(k)]
+                    + [frozenset({f"g{j}", f"z{j}"}) for j in range(k // 10)]
+                    + [frozenset({f"u{j}", "z"}) for j in range(k // 10)])
+
+        def replace_counting(visits):
+            reads.clear()
+            out = replace_rare_visits(Cohort(
+                [PatientRecord(f"p{i}", (v,)) for i, v in enumerate(visits)],
+                []), vocab)
+            seen = Counter(reads)
+            assert [r.visits[0] for r in out.records] == [
+                looped_best_replacement(v, plain) for v in visits]
+            return seen
+
+        many, few = replace_counting(rare_visits(200)), replace_counting(
+            rare_visits(20))
+        sharing = Counter(i for v in rare_visits(200) for i in range(n)
+                          if v.intersection(plain.entries[i].codes))
+        untouched = [i for i in range(n) if i not in sharing]
+        assert len(untouched) == 2000
+        for i in untouched:
+            for name in ("codes", "frequency"):
+                assert many[i, name] == few[i, name]
+            assert many[i, "frequency"] <= 1
+        for i in sharing:
+            assert many[i, "frequency"] <= 1 + sharing[i]
 
 
 class TestEncoding:
