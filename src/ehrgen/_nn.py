@@ -1,11 +1,12 @@
 """Minimal neural-net primitives in numpy with hand-written backward passes.
 
 Everything runs in float64. Each forward function returns ``(output, cache)``
-and has a matching ``*_backward`` that consumes the cache plus the upstream
-gradient and returns gradients for the parameters and the inputs. Parameter
-sets are plain dicts of named arrays; a ``Layout`` maps such a dict onto one
-flat vector, so optimizers, clipping and checkpoints treat every network as
-a single array.
+and has a matching ``*_backward`` that returns the input gradient; a layer
+with parameters takes ``(cache, grads, upstream)`` and adds its parameter
+gradients into ``grads``, a tree shaped like the parameters. Parameter sets
+are plain dicts of named arrays; a ``Layout`` maps such a dict onto one flat
+vector, so optimizers, clipping, checkpoints and backward passes (through
+``Layout.views`` of a zeroed vector) treat every network as a single array.
 """
 
 from __future__ import annotations
@@ -96,25 +97,22 @@ def dense(params, x):
     return out, (params, x)
 
 
-def dense_backward(cache, dout):
+def dense_backward(cache, grads, dout):
     params, x = cache
     x2 = x.reshape(-1, x.shape[-1])
     d2 = dout.reshape(-1, dout.shape[-1])
-    grads = {"W": x2.T @ d2, "b": d2.sum(axis=0)}
-    dx = dout @ params["W"].T
-    return grads, dx
+    grads["W"] += x2.T @ d2
+    grads["b"] += d2.sum(axis=0)
+    return dout @ params["W"].T
 
 
 def embedding(params, ids):
     out = params["E"][ids]
-    return out, (params["E"].shape, ids)
+    return out, ids
 
 
-def embedding_backward(cache, dout):
-    shape, ids = cache
-    dE = np.zeros(shape)
-    np.add.at(dE, ids.reshape(-1), dout.reshape(-1, dout.shape[-1]))
-    return {"E": dE}
+def embedding_backward(cache, grads, dout):
+    np.add.at(grads["E"], cache.reshape(-1), dout.reshape(-1, dout.shape[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -178,18 +176,16 @@ def lstm_forward(params, x, mask):
     return h_seq[inv], h[inv], cache
 
 
-def lstm_backward(cache, dh_seq=None, dh_last=None):
+def lstm_backward(cache, grads, dh_seq=None, dh_last=None):
     """Backprop through ``lstm_forward``, on the live rows of each step.
 
     ``dh_seq`` is the gradient w.r.t. the full hidden sequence (may be None),
-    ``dh_last`` w.r.t. the final state (may be None). Returns (grads, dx).
+    ``dh_last`` w.r.t. the final state (may be None). Adds the parameter
+    gradients into ``grads`` and returns dx.
     """
     params, xs, order, counts, steps = cache
     B, L, E = xs.shape
     H = params["Wh"].shape[0]
-    dWx = np.zeros_like(params["Wx"])
-    dWh = np.zeros_like(params["Wh"])
-    db = np.zeros_like(params["b"])
     dxs = np.zeros_like(xs)
     dh = np.zeros((B, H)) if dh_last is None else dh_last[order]
     dc = np.zeros((B, H))
@@ -216,14 +212,13 @@ def lstm_backward(cache, dh_seq=None, dh_last=None):
             ],
             axis=1,
         )
-        dWx += xs[:n, t].T @ da
-        dWh += h_prev.T @ da
-        db += da.sum(axis=0)
+        grads["Wx"] += xs[:n, t].T @ da
+        grads["Wh"] += h_prev.T @ da
+        grads["b"] += da.sum(axis=0)
         dxs[:n, t] = da @ params["Wx"].T
         dh[:n] = da @ params["Wh"].T
         dc[:n] = dc_n * f
-    grads = {"Wx": dWx, "Wh": dWh, "b": db}
-    return grads, dxs[np.argsort(order)]
+    return dxs[np.argsort(order)]
 
 
 # ---------------------------------------------------------------------------
@@ -244,21 +239,20 @@ def causal_conv1d(params, x, dilation):
     return out, (params, xp, dilation, L)
 
 
-def causal_conv1d_backward(cache, dout):
+def causal_conv1d_backward(cache, grads, dout):
     params, xp, dilation, L = cache
     W = params["W"]
     u, C, K = W.shape
     pad = (u - 1) * dilation
     d2 = dout.reshape(-1, K)
-    dW = np.empty_like(W)
     dxp = np.zeros_like(xp)
     for j in range(u):
         sl = xp[:, j * dilation:j * dilation + L]
         # one BLAS GEMM over the flattened batch x time rows
-        dW[j] = sl.reshape(-1, C).T @ d2
+        grads["W"][j] += sl.reshape(-1, C).T @ d2
         dxp[:, j * dilation:j * dilation + L] += dout @ W[j].T
-    grads = {"W": dW, "b": dout.sum(axis=(0, 1))}
-    return grads, dxp[:, pad:]
+    grads["b"] += dout.sum(axis=(0, 1))
+    return dxp[:, pad:]
 
 
 def conv_transpose1d(params, x):
@@ -272,17 +266,17 @@ def conv_transpose1d(params, x):
     return out, (params, x)
 
 
-def conv_transpose1d_backward(cache, dout):
+def conv_transpose1d_backward(cache, grads, dout):
     params, x = cache
     W = params["W"]
     _, C, K = W.shape
     d_even = dout[:, 0::2]
     d_odd = dout[:, 1::2]
     x2 = x.reshape(-1, C)
-    dW = np.stack([x2.T @ d_even.reshape(-1, K), x2.T @ d_odd.reshape(-1, K)])
-    grads = {"W": dW, "b": dout.sum(axis=(0, 1))}
-    dx = d_even @ W[0].T + d_odd @ W[1].T
-    return grads, dx
+    grads["W"][0] += x2.T @ d_even.reshape(-1, K)
+    grads["W"][1] += x2.T @ d_odd.reshape(-1, K)
+    grads["b"] += dout.sum(axis=(0, 1))
+    return d_even @ W[0].T + d_odd @ W[1].T
 
 
 # ---------------------------------------------------------------------------

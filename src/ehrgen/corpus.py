@@ -247,17 +247,14 @@ def encode_cohort(cohort, vocab, t_max):
     mask = np.zeros((n, width))
     conds = np.zeros((n, K))
     for i, rec in enumerate(cohort.records):
-        body = rec.visits[:t_max]
-        for t, visit in enumerate(body):
-            tok = vocab.token_of(visit)
-            if tok is None:
-                raise ValueError(
-                    f"out-of-vocabulary visit in patient {rec.id!r}; "
-                    "run replace_rare_visits first"
-                )
-            tokens[i, t] = tok
-        tokens[i, len(body)] = vocab.eos_id
-        mask[i, : len(body) + 1] = 1.0
+        row = [vocab.token_of(v) for v in rec.visits[:t_max]] + [vocab.eos_id]
+        if None in row:
+            raise ValueError(
+                f"out-of-vocabulary visit in patient {rec.id!r}; "
+                "run replace_rare_visits first"
+            )
+        tokens[i, :len(row)] = row
+        mask[i, :len(row)] = 1.0
         if rec.conditions:
             conds[i, : len(rec.conditions)] = rec.conditions
     return EncodedBatch(tokens=tokens, mask=mask, conditions=conds)
@@ -311,6 +308,9 @@ def load_cohort(path):
         names = None
         if rows and "meta" in rows[0]:
             names = rows.pop(0)["meta"].get("condition_names")
+            if names is not None and not (isinstance(names, list) and all(
+                    isinstance(name, str) for name in names)):
+                raise ValueError("condition_names is not a list of strings")
         for row in rows:
             if not isinstance(row, dict) or not {"id", "visits"} <= set(row):
                 raise ValueError("a record has no 'id' or 'visits'")

@@ -8,9 +8,9 @@ position t therefore depends on z and on tokens t-1 down to t-s only, where
     s = (kernel - 1) * sum(dilations) + 1.
 
 All forward passes return caches so the hand-written backward passes can
-produce exact gradients for both the decoder parameters and z. The
-likelihood runs the stack per length bucket, cut to the bucket's longest
-record, and the V-wide head and cross-entropy on live positions only.
+add exact decoder-parameter gradients into a caller's tree and return those
+for z. The likelihood runs the stack per length bucket, cut to the bucket's
+longest record, and the V-wide head and cross-entropy on live positions only.
 """
 
 from __future__ import annotations
@@ -101,21 +101,18 @@ def _latent_context(params, cfg, z, out_len):
     return h, cache
 
 
-def _latent_context_backward(params, cfg, cache, dctx):
+def _latent_context_backward(cfg, cache, grads, dctx):
     cache_seed, cache_g0, up_caches, cropped_from, z_shape = cache
-    grads = {}
     dh = np.zeros((dctx.shape[0], cropped_from, dctx.shape[2]))
     dh[:, :dctx.shape[1]] = dctx
     for i in reversed(range(cfg.n_upsample)):
         c_up, c_g = up_caches[i]
         dh = _nn.gated_backward(c_g, dh)
-        g_up, dh = _nn.conv_transpose1d_backward(c_up, dh)
-        grads[f"up{i}"] = g_up
+        dh = _nn.conv_transpose1d_backward(c_up, grads[f"up{i}"], dh)
     dseed = np.zeros((z_shape[0], cfg.seed_len, 2 * cfg.channels))
     dseed[:, :dh.shape[1]] = _nn.gated_backward(cache_g0, dh)
-    g_seed, dz = _nn.dense_backward(cache_seed, dseed.reshape(z_shape[0], -1))
-    grads["seed"] = g_seed
-    return grads, dz
+    return _nn.dense_backward(cache_seed, grads["seed"],
+                              dseed.reshape(z_shape[0], -1))
 
 
 def _stack(params, cfg, z, tokens):
@@ -142,21 +139,17 @@ def _stack(params, cfg, z, tokens):
     return h, (cache_ctx, cache_emb, conv_caches)
 
 
-def _stack_backward(params, cfg, cache, dh):
-    """Gradients of every parameter but the head's, and dz, from dh."""
+def _stack_backward(cfg, cache, grads, dh):
+    """Adds the gradients of every parameter but the head's into ``grads``
+    and returns dz, from dh."""
     cache_ctx, cache_emb, conv_caches = cache
-    grads = {}
     for i in reversed(range(len(cfg.dilations))):
         c_conv, c_g = conv_caches[i]
         dpre = _nn.gated_backward(c_g, dh)
-        g_conv, dh_in = _nn.causal_conv1d_backward(c_conv, dpre)
-        grads[f"conv{i}"] = g_conv
-        dh = dh + dh_in
-    g_ctx, dz = _latent_context_backward(params, cfg, cache_ctx, dh)
-    grads.update(g_ctx)
-    grads["bos"] = dh[:, 0].sum(axis=0)
-    grads["emb"] = _nn.embedding_backward(cache_emb, dh[:, 1:])
-    return grads, dz
+        dh = dh + _nn.causal_conv1d_backward(c_conv, grads[f"conv{i}"], dpre)
+    grads["bos"] += dh[:, 0].sum(axis=0)
+    _nn.embedding_backward(cache_emb, grads["emb"], dh[:, 1:])
+    return _latent_context_backward(cfg, cache_ctx, grads, dh)
 
 
 def decode_logits(params, cfg, z, tokens):
@@ -199,25 +192,21 @@ def sequence_log_likelihood(params, cfg, z, tokens, mask):
     return ll.sum(axis=1), (buckets, live, cache_head, dlogits)
 
 
-def ll_and_grads(params, cfg, z, tokens, mask):
+def ll_and_grads(params, cfg, z, tokens, mask, grads):
     """Gradients of sum_b ll_b w.r.t. decoder params and z.
 
-    Returns (ll (B,), theta_grads, dz (B, D)); the buckets' gradients sum.
+    Adds the parameter gradients into ``grads``, a tree shaped like
+    ``params``, one length bucket after another, and returns
+    (ll (B,), dz (B, D)).
     """
     ll, (buckets, live, cache_head, dlogits) = sequence_log_likelihood(
         params, cfg, z, tokens, mask)
-    g_head, dh_live = _nn.dense_backward(cache_head, dlogits)
     dh = np.zeros(np.shape(mask) + (cfg.channels,))
-    dh[live] = dh_live
-    dz, bucket_grads = np.zeros((len(ll), cfg.latent_dim)), []
+    dh[live] = _nn.dense_backward(cache_head, grads["head"], dlogits)
+    dz = np.zeros((len(ll), cfg.latent_dim))
     for rows, width, cache in buckets:
-        g, dz[rows] = _stack_backward(params, cfg, cache, dh[rows, :width])
-        bucket_grads.append(g)
-    grads = bucket_grads[0]
-    for (_, acc), *rest in zip(*map(_nn.iter_arrays, bucket_grads)):
-        acc += sum(leaf for _, leaf in rest)
-    grads["head"] = g_head
-    return ll, grads, dz
+        dz[rows] = _stack_backward(cfg, cache, grads, dh[rows, :width])
+    return ll, dz
 
 
 # ---------------------------------------------------------------------------

@@ -89,24 +89,16 @@ def encode_sequence(params, cfg, tokens, mask):
     return DiagGaussian(mean, var), cache
 
 
-def encode_sequence_backward(cache, dmean, dvar):
+def encode_sequence_backward(cache, grads, dmean, dvar):
+    """Adds the parameter gradients into the parameter-shaped ``grads``."""
     cfg, emb_cache, cache_f, cache_b, cache_m, cache_v, pre = cache
     dpre = dvar * sigmoid(pre)
-    g_m, dpool_m = _nn.dense_backward(cache_m, dmean)
-    g_v, dpool_v = _nn.dense_backward(cache_v, dpre)
-    dpool = dpool_m + dpool_v
+    dpool = (_nn.dense_backward(cache_m, grads["head_mean"], dmean)
+             + _nn.dense_backward(cache_v, grads["head_var"], dpre))
     H = dpool.shape[1] // 2
-    g_f, dx_f = _nn.lstm_backward(cache_f, dh_last=dpool[:, :H])
-    g_b, dx_b = _nn.lstm_backward(cache_b, dh_last=dpool[:, H:])
-    demb = dx_f + dx_b[:, ::-1]
-    g_e = _nn.embedding_backward(emb_cache, demb)
-    return {
-        "emb": g_e,
-        "fwd": g_f,
-        "bwd": g_b,
-        "head_mean": g_m,
-        "head_var": g_v,
-    }
+    dx_f = _nn.lstm_backward(cache_f, grads["fwd"], dh_last=dpool[:, :H])
+    dx_b = _nn.lstm_backward(cache_b, grads["bwd"], dh_last=dpool[:, H:])
+    _nn.embedding_backward(emb_cache, grads["emb"], dx_f + dx_b[:, ::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +124,13 @@ def encode_conditions(params, cfg, y):
     return DiagGaussian(mean, var), cache
 
 
-def encode_conditions_backward(cache, dmean, dvar):
+def encode_conditions_backward(cache, grads, dmean, dvar):
+    """Adds the parameter gradients into the parameter-shaped ``grads``."""
     cfg, cache_1, h, cache_m, cache_v, pre = cache
     dpre = dvar * sigmoid(pre)
-    g_m, dh_m = _nn.dense_backward(cache_m, dmean)
-    g_v, dh_v = _nn.dense_backward(cache_v, dpre)
-    da = (dh_m + dh_v) * (1.0 - h * h)
-    g_1, _ = _nn.dense_backward(cache_1, da)
-    return {"l1": g_1, "head_mean": g_m, "head_var": g_v}
+    dh = (_nn.dense_backward(cache_m, grads["head_mean"], dmean)
+          + _nn.dense_backward(cache_v, grads["head_var"], dpre))
+    _nn.dense_backward(cache_1, grads["l1"], dh * (1.0 - h * h))
 
 
 # ---------------------------------------------------------------------------

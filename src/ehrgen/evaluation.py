@@ -269,8 +269,8 @@ def train_next_visit_predictor(cohort, seed=0, epochs=8):
         "head": _nn.dense_init(rng, PREDICTOR_HIDDEN, vocab.size),
     }
     layout = _nn.Layout(init)
-    vec = layout.flatten(init)
-    params = layout.views(vec)
+    vec, grad = layout.flatten(init), np.zeros(layout.size)
+    params, grads = layout.views(vec), layout.views(grad)
     adam = _nn.Adam(vec, lr=PREDICTOR_LR)
     n = len(batch)
     for _ in range(epochs):
@@ -281,13 +281,12 @@ def train_next_visit_predictor(cohort, seed=0, epochs=8):
             live, tgt = _visit_targets(mb, vocab)
             logits, c_head = _nn.dense(params["head"], h_seq[:, :-1][live])
             _, dlog = _nn.softmax_xent(logits, tgt)  # ascent on log-likelihood
-            g_head, d_rows = _nn.dense_backward(c_head, dlog)
+            grad.fill(0.0)
             dh = np.zeros_like(h_seq)
-            dh[:, :-1][live] = d_rows
-            g_lstm, demb = _nn.lstm_backward(c_lstm, dh_seq=dh)
-            g_emb = _nn.embedding_backward(c_emb, demb)
-            adam.step(vec, layout.flatten(
-                {"emb": g_emb, "lstm": g_lstm, "head": g_head}))
+            dh[:, :-1][live] = _nn.dense_backward(c_head, grads["head"], dlog)
+            demb = _nn.lstm_backward(c_lstm, grads["lstm"], dh_seq=dh)
+            _nn.embedding_backward(c_emb, grads["emb"], demb)
+            adam.step(vec, grad)
     codes, M = _code_axis(vocab)
     return NextVisitPredictor(params=params, vocab=vocab, codes=codes,
                               code_matrix=M)
@@ -382,6 +381,8 @@ def elbo_holdout(model, cohort):
 
     Records are scored in chunks of ``_HOLDOUT_CHUNK``, so memory does not
     grow with the held-out cohort."""
+    if not cohort.records:
+        raise ValueError("cannot score an empty cohort")
     snapshot = model.point_sample()
     batch = encode_cohort(cohort, model.vocab, model.dec_cfg.t_max)
     n = len(batch)

@@ -17,6 +17,7 @@ KL(q(z|x) || N(0, I)) exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
@@ -182,7 +183,14 @@ _NO_DRAWS = SimpleNamespace(
 
 def param_layouts(parts):
     """``(globals_layout, phi_layout)``: the shapes the configs in ``parts``
-    give theta, H and phi, from the init functions that draw them."""
+    give theta, H and phi, from the init functions that draw them. They are
+    derived once per set of configs."""
+    return _layouts(parts.train_config, parts.dec_cfg, parts.enc_cfg)
+
+
+@functools.lru_cache(maxsize=16)
+def _layouts(train_config, dec_cfg, enc_cfg):
+    parts = ModelParts(train_config, dec_cfg, enc_cfg)
     return (_nn.Layout(init_globals(parts, _NO_DRAWS)),
             _nn.Layout(init_phi(parts, _NO_DRAWS)))
 
@@ -203,18 +211,6 @@ def _posterior_with_caches(parts, phi, batch):
     return {"q": q, "q_seq": q_seq, "q_cond": q_cond}, c_seq, c_cond
 
 
-def _posterior_backward(parts, qs, c_seq, c_cond, dmean, dvar):
-    """Push (dmean, dvar) on the fused posterior back into encoder grads."""
-    if parts.variant == "eva":
-        return {"seq": encode_sequence_backward(c_seq, dmean, dvar)}
-    dm_s, dv_s, dm_c, dv_c = poe_combine_backward(
-        qs["q_seq"], qs["q_cond"], qs["q"], dmean, dvar)
-    return {
-        "seq": encode_sequence_backward(c_seq, dm_s, dv_s),
-        "cond": encode_conditions_backward(c_cond, dm_c, dv_c),
-    }
-
-
 def draw_local_noises(rng, parts, n):
     """Fresh standard-normal reparameterization noise for all locals: one
     (n, out_dim) array whose columns are ``parts.local_slices``."""
@@ -225,22 +221,29 @@ def draw_local_noises(rng, parts, n):
 # step gradients (single forward/backward shared by both update rules)
 # ---------------------------------------------------------------------------
 
-def step_gradients(parts, batch, theta, H, phi, noises, n_total):
+def step_gradients(parts, batch, glob_vec, phi_vec, noises, n_total):
     """One forward/backward pass with common noise for both update rules.
 
-    Returns ``(report, g_globals, g_phi)``: ``g_globals`` (``{"theta":
-    tree}``, plus ``"H"`` for evac) estimates the log-posterior gradient as
-    the data term times ``n_total / len(batch)`` plus the N(0, I) prior
-    gradient; ``g_phi`` is the gradient of J for the encoders.
+    Reads the globals (theta, plus H for evac) and the encoders from the
+    flat ``glob_vec`` and ``phi_vec``, and returns ``(report, g_globals,
+    g_phi)``, new vectors in the same layouts that the backward passes add
+    into: ``g_globals`` estimates the log-posterior gradient as the data
+    term times ``n_total / len(batch)`` plus the N(0, I) prior gradient;
+    ``g_phi`` is the gradient of J for the encoders.
     """
-    qs, c_seq, c_cond = _posterior_with_caches(parts, phi, batch)
+    glob_layout, phi_layout = param_layouts(parts)
+    globals_ = glob_layout.views(glob_vec)
+    g_globals, g_phi = np.zeros(glob_layout.size), np.zeros(phi_layout.size)
+    g_glob_tree, g_enc = glob_layout.views(g_globals), phi_layout.views(g_phi)
+    qs, c_seq, c_cond = _posterior_with_caches(
+        parts, phi_layout.views(phi_vec), batch)
     q = qs["q"]
     sample = sample_with_eta(q, noises)
     sz = parts.local_slices[0]
 
     z_s = sample[:, sz]
-    ll, g_theta_data, dz_recon = ll_and_grads(
-        theta, parts.dec_cfg, z_s, batch.tokens, batch.mask)
+    ll, dz_recon = ll_and_grads(globals_["theta"], parts.dec_cfg, z_s,
+                                batch.tokens, batch.mask, g_glob_tree["theta"])
     recon = float(ll.sum())
 
     q_z = q.cols(sz)
@@ -263,14 +266,14 @@ def step_gradients(parts, batch, theta, H, phi, noises, n_total):
         dmean[:, sz] += q_z.mean
         dvar[:, sz] += 0.5
         kl_b = kl_w = 0.0
-        g_data = {"theta": g_theta_data}
     else:
         _, sw, sb = parts.local_slices
         tau, gamma = parts.train_config.tau, parts.train_config.gamma
-        ll_z, dz_c, dw_c, db_c, dH_data = latent_log_density_grads(
-            z_s, H, batch.conditions, sample[:, sw], sample[:, sb], tau)
+        ll_z, dz_c, dw_c, db_c, dH = latent_log_density_grads(
+            z_s, globals_["H"], batch.conditions, sample[:, sw],
+            sample[:, sb], tau)
         cross = float(ll_z.sum())
-        g_data = {"theta": g_theta_data, "H": dH_data}
+        g_glob_tree["H"] += dH
         dsample[:, sz] -= dz_c
         dsample[:, sw] -= dw_c
         dsample[:, sb] -= db_c
@@ -284,21 +287,19 @@ def step_gradients(parts, batch, theta, H, phi, noises, n_total):
 
     report = ElboReport.from_terms(recon, cross, entropy, kl_b, kl_w)
 
+    # push (dmean, dvar) on the fused posterior back into the encoders
     dm_s, dv_s = sample_with_eta_backward(q, noises, dsample)
-    g_phi = _posterior_backward(parts, qs, c_seq, c_cond, dmean + dm_s,
-                                dvar + dv_s)
+    dmean, dvar = dmean + dm_s, dvar + dv_s
+    if parts.variant == "evac":
+        dmean, dvar, dm_c, dv_c = poe_combine_backward(
+            qs["q_seq"], qs["q_cond"], q, dmean, dvar)
+        encode_conditions_backward(c_cond, g_enc["cond"], dm_c, dv_c)
+    encode_sequence_backward(c_seq, g_enc["seq"], dmean, dvar)
 
-    g_globals = _log_posterior_grad(g_data, {"theta": theta, "H": H},
-                                    n_total / len(batch))
+    # the N(0, I) prior contributes -params
+    g_globals *= n_total / len(batch)
+    g_globals -= glob_vec
     return report, g_globals, g_phi
-
-
-def _log_posterior_grad(g_data, params, scale):
-    """scale * g_data - params over the leaves of g_data (prior N(0, I))."""
-    if isinstance(g_data, dict):
-        return {k: _log_posterior_grad(g, params[k], scale)
-                for k, g in g_data.items()}
-    return scale * g_data - params
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +399,9 @@ def train(config, batch, vocab, condition_names=(), dec_cfg=None,
 
     rng = np.random.default_rng(config.seed)
     glob_layout, phi_layout = param_layouts(parts)
-    # one vector per parameter set; theta, H and phi are views into them
+    # one vector per parameter set; the updates and gradients are flat
     glob_vec = glob_layout.flatten(init_globals(parts, rng))
     phi_vec = phi_layout.flatten(init_phi(parts, rng))
-    globals_, phi = glob_layout.views(glob_vec), phi_layout.views(phi_vec)
-    theta, H = globals_["theta"], globals_.get("H")
 
     adam = _nn.Adam(phi_vec, lr=config.lr_phi)
     state = SamplerState.create(glob_vec, config.reservoir_size)
@@ -416,22 +415,21 @@ def train(config, batch, vocab, condition_names=(), dec_cfg=None,
         noises = draw_local_noises(rng, parts, len(mb))
 
         report, g_globals, g_phi = step_gradients(
-            parts, mb, theta, H, phi, noises, n)
+            parts, mb, glob_vec, phi_vec, noises, n)
         # any non-finite term makes the total non-finite
         if not math.isfinite(report.total):
             raise TrainingDiverged(it, last_report)
 
         # globals: ascend the rescaled log posterior
-        g = glob_layout.flatten(g_globals)
-        _nn.clip_global_norm(g, config.clip_norm)
-        psgld_step(state, glob_vec, g, config.lr_global,
+        _nn.clip_global_norm(g_globals, config.clip_norm)
+        psgld_step(state, glob_vec, g_globals, config.lr_global,
                    config.temperature, rng,
                    alpha=config.psgld_alpha, lam=config.psgld_lambda)
 
         # locals: descend J = ascend -J
-        g = -phi_layout.flatten(g_phi)
-        _nn.clip_global_norm(g, config.clip_norm)
-        adam.step(phi_vec, g)
+        g_phi *= -1.0
+        _nn.clip_global_norm(g_phi, config.clip_norm)
+        adam.step(phi_vec, g_phi)
 
         if it >= burn_in and (it - burn_in) % config.thin == 0:
             snapshot = glob_vec.copy()
@@ -446,6 +444,6 @@ def train(config, batch, vocab, condition_names=(), dec_cfg=None,
             history.append({"iteration": it, **asdict(report)})
 
     return TrainedModel(
-        **vars(parts), phi=phi, vocab=vocab, history=history,
-        reservoir=[glob_layout.views(v) for v in state.reservoir],
+        **vars(parts), phi=phi_layout.views(phi_vec), history=history,
+        vocab=vocab, reservoir=[glob_layout.views(v) for v in state.reservoir],
         condition_names=tuple(condition_names))

@@ -21,7 +21,8 @@ from ehrgen.evaluation import (PREDICTOR_EMBED, PREDICTOR_HIDDEN, PREDICTOR_LR,
                                PREDICTOR_MINIBATCH, NgramStats)
 from ehrgen.latent import compose_intensities
 from ehrgen.simulate import _length_tail, _occupancies
-from ehrgen.trainer import encode_posteriors, kl_diag_gaussians
+from ehrgen.trainer import (encode_posteriors, kl_diag_gaussians,
+                            param_layouts, step_gradients)
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +57,27 @@ def numerical_grad_tree(f, tree, eps=1e-5):
     ``_nn.iter_arrays``.
     """
     return {path: numerical_grad(f, arr, eps) for path, arr in _nn.iter_arrays(tree)}
+
+
+def zero_grads(tree):
+    """A zero gradient tree shaped like the parameter tree ``tree``, for a
+    backward pass to add into; its leaves are views of one flat vector."""
+    layout = _nn.Layout(tree)
+    return layout.views(np.zeros(layout.size))
+
+
+def tree_step_gradients(parts, batch, theta, H, phi, noises, n_total):
+    """``trainer.step_gradients`` on parameter trees; eva ignores H. The
+    trees are flattened at each call, so a finite-difference perturbation
+    of a leaf is seen, and both gradient vectors come back as view trees."""
+    glob_layout, phi_layout = param_layouts(parts)
+    globals_ = {"theta": theta}
+    if parts.variant == "evac":
+        globals_["H"] = H
+    report, g_globals, g_phi = step_gradients(
+        parts, batch, glob_layout.flatten(globals_), phi_layout.flatten(phi),
+        noises, n_total)
+    return report, glob_layout.views(g_globals), phi_layout.views(g_phi)
 
 
 def rel_err(approx, exact):
@@ -176,9 +198,9 @@ def full_width_ll_and_grads(params, cfg, z, tokens, mask):
     logits, cache_head = _nn.dense(params["head"], h)
     picked, dlogits = _nn.softmax_xent(logits, tokens)
     dlogits *= mask[..., None]
-    g_head, dh = _nn.dense_backward(cache_head, dlogits)
-    grads, dz = decoder._stack_backward(params, cfg, cache_stack, dh)
-    grads["head"] = g_head
+    grads = zero_grads(params)
+    dh = _nn.dense_backward(cache_head, grads["head"], dlogits)
+    dz = decoder._stack_backward(cfg, cache_stack, grads, dh)
     return (picked * mask).sum(axis=1), grads, dz
 
 
@@ -345,11 +367,11 @@ def full_width_predictor_params(cohort, seed=0, epochs=8):
             dlog *= tgt_mask[..., None]
             dlogits = np.zeros_like(logits)
             dlogits[:, :-1] = dlog
-            g_head, dh = _nn.dense_backward(c_head, dlogits)
-            g_lstm, demb = _nn.lstm_backward(c_lstm, dh_seq=dh)
-            g_emb = _nn.embedding_backward(c_emb, demb)
-            adam.step(vec, layout.flatten(
-                {"emb": g_emb, "lstm": g_lstm, "head": g_head}))
+            grads = zero_grads(params)
+            dh = _nn.dense_backward(c_head, grads["head"], dlogits)
+            demb = _nn.lstm_backward(c_lstm, grads["lstm"], dh_seq=dh)
+            _nn.embedding_backward(c_emb, grads["emb"], demb)
+            adam.step(vec, layout.flatten(grads))
     return vec
 
 

@@ -42,11 +42,11 @@ from ehrgen.trainer import (
     init_phi,
     kl_diag_gaussians,
     psgld_step,
-    step_gradients,
     train,
 )
 
-from oracles import numerical_grad, numerical_grad_tree, rel_err
+from oracles import (numerical_grad, numerical_grad_tree, rel_err,
+                     tree_step_gradients, zero_grads)
 
 
 def report(num, name, ok, detail):
@@ -223,7 +223,8 @@ def test_criterion_03_gradient_fidelity():
         return sequence_log_likelihood(theta, dec, z, batch.tokens,
                                        batch.mask)[0].sum()
 
-    _, g_theta, dz = ll_and_grads(theta, dec, z, batch.tokens, batch.mask)
+    g_theta = zero_grads(theta)
+    _, dz = ll_and_grads(theta, dec, z, batch.tokens, batch.mask, g_theta)
     flat = dict(_nn.iter_arrays(g_theta))
     fd = numerical_grad_tree(ll_sum, theta)
     worst["seq_ll"] = max(
@@ -236,11 +237,11 @@ def test_criterion_03_gradient_fidelity():
         noises = draw_local_noises(np.random.default_rng(2), parts, len(batch))
 
         def total():
-            return step_gradients(parts, batch, theta, H, phi, noises,
-                                  len(batch))[0].total
+            return tree_step_gradients(parts, batch, theta, H, phi, noises,
+                                       len(batch))[0].total
 
-        _, _, phi_grads = step_gradients(parts, batch, theta, H, phi, noises,
-                                         len(batch))
+        _, _, phi_grads = tree_step_gradients(parts, batch, theta, H, phi,
+                                              noises, len(batch))
         flat = dict(_nn.iter_arrays(phi_grads))
         fd = numerical_grad_tree(total, phi)
         worst[f"local/{variant}"] = max(rel_err(flat[p], fd[p]) for p in fd)
@@ -250,12 +251,13 @@ def test_criterion_03_gradient_fidelity():
         sub = batch.take(idx)
         nsub = noises[idx]
         scale = len(batch) / len(idx)
-        _, g, _ = step_gradients(parts, sub, theta, H, phi, nsub,
-                                 n_total=len(batch))
+        _, g, _ = tree_step_gradients(parts, sub, theta, H, phi, nsub,
+                                      n_total=len(batch))
         g_theta, g_H = g["theta"], g.get("H")
 
         def recon_side():
-            rep = step_gradients(parts, sub, theta, H, phi, nsub, len(idx))[0]
+            rep = tree_step_gradients(parts, sub, theta, H, phi, nsub,
+                                      len(idx))[0]
             return scale * rep.recon - 0.5 * sum(
                 float(np.sum(a * a)) for _, a in _nn.iter_arrays(theta))
 
@@ -264,8 +266,8 @@ def test_criterion_03_gradient_fidelity():
         worst[f"global/{variant}"] = max(rel_err(flat[p], fd[p]) for p in fd)
         if variant == "evac":
             def cross_side():
-                rep = step_gradients(parts, sub, theta, H, phi, nsub,
-                                     len(idx))[0]
+                rep = tree_step_gradients(parts, sub, theta, H, phi, nsub,
+                                          len(idx))[0]
                 return scale * rep.cross - 0.5 * float((H ** 2).sum())
 
             worst["global/H"] = rel_err(g_H, numerical_grad(cross_side, H))
@@ -317,8 +319,8 @@ def test_criterion_05_minibatch_unbiasedness():
     for variant in ("eva", "evac"):
         batch, parts, theta, H, phi, dec = tiny_setup(variant, n=6)
         noises = draw_local_noises(np.random.default_rng(9), parts, 6)
-        _, full, _ = step_gradients(parts, batch, theta, H, phi, noises,
-                                    n_total=6)
+        _, full, _ = tree_step_gradients(parts, batch, theta, H, phi, noises,
+                                         n_total=6)
         full_t, full_H = full["theta"], full.get("H")
         layout = _nn.Layout(full_t)
         acc_t = np.zeros(layout.size)
@@ -328,8 +330,8 @@ def test_criterion_05_minibatch_unbiasedness():
             idx = np.array(pair)
             sub = batch.take(idx)
             nsub = noises[idx]
-            _, g, _ = step_gradients(parts, sub, theta, H, phi, nsub,
-                                     n_total=6)
+            _, g, _ = tree_step_gradients(parts, sub, theta, H, phi, nsub,
+                                          n_total=6)
             g_t, g_H = g["theta"], g.get("H")
             acc_t += 1.0 / len(pairs) * layout.flatten(g_t)
             if acc_H is not None:

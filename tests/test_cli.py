@@ -521,6 +521,22 @@ class TestMalformedInputs:
             "--out-cohort", str(tmp_path / "o.jsonl"),
             "--out-vocab", str(tmp_path / "v.jsonl")], cohort, "'cond_9'")
 
+    @pytest.mark.parametrize("names", ["ab", ["a", 1], {"a": 1}])
+    def test_condition_names_not_a_list_of_strings(self, tmp_path, capsys,
+                                                   names):
+        """A string header would be read as one condition per character."""
+        cohort = tmp_path / "c.jsonl"
+        cohort.write_text(
+            json.dumps({"meta": {"condition_names": names}}) + "\n"
+            + json.dumps({"id": "p0", "visits": [["a"]],
+                          "conditions": ["a"]}) + "\n")
+        self.expect_error(capsys, [
+            "preprocess", "--input", str(cohort),
+            "--out-cohort", str(tmp_path / "o.jsonl"),
+            "--out-vocab", str(tmp_path / "v.jsonl")], cohort,
+            "list of strings")
+        assert not os.path.exists(tmp_path / "o.jsonl")
+
     def test_condition_listed_twice(self, tmp_path, capsys):
         """The first column of a repeated name would never be set."""
         cohort = tmp_path / "c.jsonl"

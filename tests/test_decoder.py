@@ -22,6 +22,7 @@ from oracles import (
     numerical_grad_tree,
     prefix_sample,
     rel_err,
+    zero_grads,
 )
 
 # small everywhere: V=6, receptive field (2-1)*(1+2)+1 = 4
@@ -168,7 +169,8 @@ class TestGradients:
             ll, _ = sequence_log_likelihood(params, SMALL, z, tokens, mask)
             return float(ll.sum())
 
-        ll, grads, dz = ll_and_grads(params, SMALL, z, tokens, mask)
+        grads = zero_grads(params)
+        ll, dz = ll_and_grads(params, SMALL, z, tokens, mask, grads)
         assert_tree_close(grads, numerical_grad_tree(total, params), 1e-5, "decoder")
         assert rel_err(dz, numerical_grad(total, z)) < 1e-5
 
@@ -196,7 +198,8 @@ class TestLivePositions:
         return self.ragged_case(seed, self.WIDE)
 
     def assert_matches_full_width(self, params, z, tokens, mask, cfg=WIDE):
-        ll, grads, dz = ll_and_grads(params, cfg, z, tokens, mask)
+        grads = zero_grads(params)
+        ll, dz = ll_and_grads(params, cfg, z, tokens, mask, grads)
         ref_ll, ref_grads, ref_dz = full_width_ll_and_grads(
             params, cfg, z, tokens, mask)
         assert rel_err(ll, ref_ll) < 1e-12
@@ -250,13 +253,31 @@ class TestLivePositions:
             return stack(p, cfg, zb, tb)
 
         monkeypatch.setattr(decoder, "_stack", spy)
-        ll_and_grads(params, self.LONG, z, tokens, mask)
+        ll_and_grads(params, self.LONG, z, tokens, mask, zero_grads(params))
         reach = np.array([np.flatnonzero(m).max() + 1 if m.any() else 1
                           for m in mask])
         assert len(calls) > 1
         assert sorted(b for rows, _ in calls for b in rows) == list(range(B))
         assert all(width <= reach[rows].max() for rows, width in calls)
         assert sum(len(rows) * width for rows, width in calls) < B * T
+
+    def test_buckets_add_into_grads(self):
+        """Every length bucket adds into the caller's tree: a pre-filled
+        tree ends at the pre-fill plus the gradient from zeros. Row 0 runs
+        the full 65 columns, so the 32 rows fill 5 buckets."""
+        rng, params, z, tokens, mask = self.ragged_case(26, self.LONG)
+        fresh = zero_grads(params)
+        ll, dz = ll_and_grads(params, self.LONG, z, tokens, mask, fresh)
+        prefill, grads = zero_grads(params), zero_grads(params)
+        for (_, pre), (_, leaf) in zip(decoder._nn.iter_arrays(prefill),
+                                       decoder._nn.iter_arrays(grads)):
+            pre[...] = leaf[...] = rng.standard_normal(pre.shape)
+        ll2, dz2 = ll_and_grads(params, self.LONG, z, tokens, mask, grads)
+        np.testing.assert_array_equal(ll2, ll)
+        np.testing.assert_array_equal(dz2, dz)
+        for (path, got), (_, pre), (_, new) in zip(
+                *map(decoder._nn.iter_arrays, (grads, prefill, fresh))):
+            assert rel_err(got, pre + new) < 1e-12, path
 
     def test_head_sees_live_rows_only(self, monkeypatch):
         _, params, z, tokens, mask = self.wide_case(23)
@@ -270,7 +291,7 @@ class TestLivePositions:
 
         monkeypatch.setattr(decoder._nn, "dense", spy)
         sequence_log_likelihood(params, self.WIDE, z, tokens, mask)
-        ll_and_grads(params, self.WIDE, z, tokens, mask)
+        ll_and_grads(params, self.WIDE, z, tokens, mask, zero_grads(params))
         live = np.count_nonzero(mask)
         assert live < mask.size
         assert head_rows == [(live, self.WIDE.channels)] * 2

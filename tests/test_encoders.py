@@ -19,7 +19,7 @@ from ehrgen.encoders import (
     sample_with_eta_backward,
 )
 
-from oracles import assert_tree_close, numerical_grad_tree, rel_err
+from oracles import assert_tree_close, numerical_grad_tree, rel_err, zero_grads
 
 CFG = EncoderConfig(vocab_size=9, cond_dim=3, out_dim=4, embed_dim=5,
                     hidden=6, cond_hidden=4)
@@ -85,7 +85,8 @@ class TestSequenceExpert:
             return float(np.sum(g.mean * probe_m) + np.sum(g.var * probe_v))
 
         _, cache = encode_sequence(params, CFG, tokens, mask)
-        grads = encode_sequence_backward(cache, probe_m, probe_v)
+        grads = zero_grads(params)
+        encode_sequence_backward(cache, grads, probe_m, probe_v)
         assert_tree_close(grads, numerical_grad_tree(run, params), 1e-5, "seq-enc")
 
 
@@ -102,7 +103,8 @@ class TestConditionExpert:
             return float(np.sum(g.mean * probe_m) + np.sum(g.var * probe_v))
 
         _, cache = encode_conditions(params, CFG, y)
-        grads = encode_conditions_backward(cache, probe_m, probe_v)
+        grads = zero_grads(params)
+        encode_conditions_backward(cache, grads, probe_m, probe_v)
         assert_tree_close(grads, numerical_grad_tree(run, params), 1e-6, "cond-enc")
 
     def test_variance_floor(self):

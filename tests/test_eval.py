@@ -326,10 +326,11 @@ class TestPresenceDisclosure:
 
 
 class TestElboHoldout:
-    @pytest.mark.parametrize("variant", ["eva", "evac"])
-    def test_bound_is_nonpositive(self, variant):
-        spec = default_toy_spec(n_records=14, background_groups=3,
-                                groups_per_condition=2, len_min=2, len_max=4)
+    SPEC = dict(n_records=14, background_groups=3, groups_per_condition=2,
+                len_min=2, len_max=4)
+
+    def tiny_model(self, variant):
+        spec = default_toy_spec(**self.SPEC)
         cohort = simulate_toy_cohort(spec, seed=1)
         vocab = build_visit_vocab(cohort, max_size=32)
         batch = encode_cohort(cohort, vocab, t_max=4)
@@ -339,13 +340,25 @@ class TestElboHoldout:
         dec_cfg = DecoderConfig(vocab_size=vocab.size, latent_dim=3, t_max=4,
                                 channels=4, kernel=2, dilations=(1, 2),
                                 n_upsample=1)
-        model = train(cfg, batch, vocab,
-                      condition_names=tuple(cohort.condition_names),
-                      dec_cfg=dec_cfg)
-        holdout = simulate_toy_cohort(spec, seed=2)
-        bound = elbo_holdout(model, holdout)
+        return train(cfg, batch, vocab,
+                     condition_names=tuple(cohort.condition_names),
+                     dec_cfg=dec_cfg)
+
+    @pytest.mark.parametrize("variant", ["eva", "evac"])
+    def test_bound_is_nonpositive(self, variant):
+        holdout = simulate_toy_cohort(default_toy_spec(**self.SPEC), seed=2)
+        bound = elbo_holdout(self.tiny_model(variant), holdout)
         assert math.isfinite(bound)
         assert bound <= 0.0
+
+    def test_empty_cohort_rejected(self):
+        """An average over no records is refused as bad input, not left
+        to divide by zero."""
+        model = self.tiny_model("eva")
+        empty = Cohort(records=[], condition_names=list(model.condition_names),
+                       vocab=model.vocab)
+        with pytest.raises(ValueError, match="empty cohort"):
+            elbo_holdout(model, empty)
 
 
 # ---------------------------------------------------------------------------

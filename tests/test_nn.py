@@ -18,6 +18,7 @@ from oracles import (
     numerical_grad,
     numerical_grad_tree,
     rel_err,
+    zero_grads,
 )
 
 TOL = 1e-6
@@ -41,7 +42,8 @@ class TestDense:
                 return scalar_loss(out, probe)
 
             out, cache = _nn.dense(params, x)
-            grads, dx = _nn.dense_backward(cache, probe)
+            grads = zero_grads(params)
+            dx = _nn.dense_backward(cache, grads, probe)
             assert_tree_close(grads, numerical_grad_tree(run, params), TOL, "dense")
             assert rel_err(dx, numerical_grad(run, x)) < TOL
 
@@ -57,7 +59,8 @@ class TestDense:
             return scalar_loss(out, probe)
 
         _, cache = _nn.dense(params, x)
-        grads, dx = _nn.dense_backward(cache, probe)
+        grads = zero_grads(params)
+        dx = _nn.dense_backward(cache, grads, probe)
         assert_tree_close(grads, numerical_grad_tree(run, params), TOL, "dense3d")
         assert rel_err(dx, numerical_grad(run, x)) < TOL
 
@@ -75,7 +78,8 @@ class TestEmbedding:
             return scalar_loss(out, probe)
 
         _, cache = _nn.embedding(params, ids)
-        grads = _nn.embedding_backward(cache, probe)
+        grads = zero_grads(params)
+        _nn.embedding_backward(cache, grads, probe)
         assert_tree_close(grads, numerical_grad_tree(run, params), TOL, "embedding")
 
 
@@ -93,7 +97,9 @@ class TestLstm:
             return scalar_loss(h_seq, probe_seq) + scalar_loss(h_last, probe_last)
 
         _, _, cache = _nn.lstm_forward(params, x, mask)
-        grads, dx = _nn.lstm_backward(cache, dh_seq=probe_seq, dh_last=probe_last)
+        grads = zero_grads(params)
+        dx = _nn.lstm_backward(cache, grads, dh_seq=probe_seq,
+                               dh_last=probe_last)
         assert_tree_close(grads, numerical_grad_tree(run, params), TOL, "lstm")
         assert rel_err(dx, numerical_grad(run, x)) < TOL
 
@@ -151,7 +157,8 @@ class TestActiveRowLstm:
         assert rel_err(h_seq, ref_seq) < 1e-12
         assert rel_err(h_last, ref_last) < 1e-12
 
-        grads, dx = _nn.lstm_backward(cache, dh_seq=dh_seq, dh_last=dh_last)
+        grads = zero_grads(params)
+        dx = _nn.lstm_backward(cache, grads, dh_seq=dh_seq, dh_last=dh_last)
         ref_grads, ref_dx = masked_lstm_backward(ref_cache, dh_seq=dh_seq,
                                                  dh_last=dh_last)
         for key in ("Wx", "Wh", "b"):
@@ -168,12 +175,14 @@ class TestActiveRowLstm:
         h_seq, h_last, cache = _nn.lstm_forward(params, x, mask)
         np.testing.assert_array_equal(h_seq[1], 0.0)
         np.testing.assert_array_equal(h_last[1], 0.0)
-        grads, dx = _nn.lstm_backward(cache, dh_seq=dh_seq)
+        grads = zero_grads(params)
+        dx = _nn.lstm_backward(cache, grads, dh_seq=dh_seq)
         np.testing.assert_array_equal(dx[1], 0.0)
 
         keep = [0, 2]
         _, _, cache2 = _nn.lstm_forward(params, x[keep], mask[keep])
-        grads2, dx2 = _nn.lstm_backward(cache2, dh_seq=dh_seq[keep])
+        grads2 = zero_grads(params)
+        dx2 = _nn.lstm_backward(cache2, grads2, dh_seq=dh_seq[keep])
         for key in ("Wx", "Wh", "b"):
             assert rel_err(grads[key], grads2[key]) < 1e-12, key
         assert rel_err(dx[keep], dx2) < 1e-12
@@ -206,7 +215,8 @@ class TestConvolutions:
                 return scalar_loss(out, probe)
 
             _, cache = _nn.causal_conv1d(params, x, dilation)
-            grads, dx = _nn.causal_conv1d_backward(cache, probe)
+            grads = zero_grads(params)
+            dx = _nn.causal_conv1d_backward(cache, grads, probe)
             assert_tree_close(grads, numerical_grad_tree(run, params), TOL,
                               f"conv d={dilation}")
             assert rel_err(dx, numerical_grad(run, x)) < TOL
@@ -236,7 +246,8 @@ class TestConvolutions:
 
             out, cache = _nn.conv_transpose1d(params, x)
             assert out.shape == (2, 2 * L, 2)
-            grads, dx = _nn.conv_transpose1d_backward(cache, probe)
+            grads = zero_grads(params)
+            dx = _nn.conv_transpose1d_backward(cache, grads, probe)
             assert_tree_close(grads, numerical_grad_tree(run, params), TOL,
                               f"deconv L={L}")
             assert rel_err(dx, numerical_grad(run, x)) < TOL
@@ -247,6 +258,50 @@ class TestConvolutions:
         for L in (1, 3, 5):
             out, _ = _nn.conv_transpose1d(params, rng.standard_normal((1, L, 2)))
             assert out.shape[1] == 2 * L
+
+
+def run_primitive(name, rng):
+    """(params, out, cache) of one parametrized primitive on random input."""
+    x = rng.standard_normal((3, 4, 2))
+    if name == "dense":
+        params = _nn.dense_init(rng, 2, 3)
+        return params, *_nn.dense(params, x)
+    if name == "embedding":
+        params = _nn.embedding_init(rng, 5, 2)
+        return params, *_nn.embedding(params, rng.integers(0, 5, (3, 4)))
+    if name == "lstm":
+        params = _nn.lstm_init(rng, 2, 3)
+        mask = prefix_mask([4, 2, 3], 4)
+        h_seq, _, cache = _nn.lstm_forward(params, x, mask)
+        return params, h_seq, cache
+    if name == "causal_conv1d":
+        params = _nn.conv1d_init(rng, 3, 2, 3)
+        return params, *_nn.causal_conv1d(params, x, 2)
+    params = _nn.conv_transpose1d_init(rng, 2, 3)
+    return params, *_nn.conv_transpose1d(params, x)
+
+
+@pytest.mark.parametrize("name", ["dense", "embedding", "lstm",
+                                  "causal_conv1d", "conv_transpose1d"])
+def test_backward_adds_into_grads(name):
+    """A pre-filled gradient tree ends at the pre-fill plus the gradient
+    the same backward pass writes into zeros, with the same input gradient."""
+    rng = np.random.default_rng(30)
+    params, out, cache = run_primitive(name, rng)
+    backward = getattr(_nn, f"{name}_backward")
+    probe = rng.standard_normal(out.shape)
+    fresh = zero_grads(params)
+    dx = backward(cache, fresh, probe)
+    prefill = {key: rng.standard_normal(arr.shape)
+               for key, arr in params.items()}
+    grads = {key: arr.copy() for key, arr in prefill.items()}
+    dx2 = backward(cache, grads, probe)
+    for key in params:
+        assert rel_err(grads[key], prefill[key] + fresh[key]) < 1e-12, key
+    if name == "embedding":
+        assert dx is None and dx2 is None
+    else:
+        np.testing.assert_array_equal(dx2, dx)
 
 
 class TestGated:

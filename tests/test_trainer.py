@@ -23,12 +23,14 @@ from ehrgen.trainer import (
     entropy_diag_gaussian,
     init_phi,
     kl_diag_gaussians,
+    param_layouts,
     psgld_step,
     step_gradients,
     train,
 )
 
-from oracles import assert_tree_close, numerical_grad, numerical_grad_tree, rel_err
+from oracles import (assert_tree_close, numerical_grad, numerical_grad_tree,
+                     rel_err, tree_step_gradients)
 
 
 def small_training_setup(variant, seed=0, n=8, t_max=5):
@@ -110,8 +112,8 @@ class TestObjectiveDecomposition:
         """For the unconditional variant the bound is exact: -J = recon - KL."""
         parts, batch, theta, H, phi, _, _ = small_training_setup("eva")
         noises = draw_local_noises(np.random.default_rng(3), parts, len(batch))
-        report, _, _ = step_gradients(parts, batch, theta, None, phi, noises,
-                                      len(batch))
+        report, _, _ = tree_step_gradients(parts, batch, theta, None, phi,
+                                           noises, len(batch))
         q = encode_posteriors(parts, phi, batch)
         kl = kl_diag_gaussians(q, 0.0, 1.0)
         np.testing.assert_allclose(-report.total, report.recon - kl, rtol=1e-10)
@@ -121,8 +123,8 @@ class TestObjectiveDecomposition:
     def test_evac_term_accounting(self):
         parts, batch, theta, H, phi, _, _ = small_training_setup("evac")
         noises = draw_local_noises(np.random.default_rng(4), parts, len(batch))
-        report, _, _ = step_gradients(parts, batch, theta, H, phi, noises,
-                                      len(batch))
+        report, _, _ = tree_step_gradients(parts, batch, theta, H, phi, noises,
+                                           len(batch))
         np.testing.assert_allclose(
             report.total,
             -(report.recon + report.cross + report.entropy
@@ -139,15 +141,20 @@ class TestObjectiveDecomposition:
         np.testing.assert_allclose(d["total"], -(-10.0 - 2.0 + 1.5 - 0.3 - 0.4))
 
     def test_same_noise_is_deterministic(self):
+        """Bit-identical reports and gradient vectors: each call adds into
+        freshly zeroed gradients, never into a reused buffer."""
         parts, batch, theta, H, phi, _, _ = small_training_setup("evac")
         noises = draw_local_noises(np.random.default_rng(5), parts, len(batch))
         n = len(batch)
-        r1, _, g1 = step_gradients(parts, batch, theta, H, phi, noises, n)
-        r2, _, g2 = step_gradients(parts, batch, theta, H, phi, noises, n)
+        glob_layout, phi_layout = param_layouts(parts)
+        vecs = (glob_layout.flatten({"theta": theta, "H": H}),
+                phi_layout.flatten(phi))
+        r1, gg1, g1 = step_gradients(parts, batch, *vecs, noises, n)
+        r2, gg2, g2 = step_gradients(parts, batch, *vecs, noises, n)
         assert r1.total == r2.total
-        for (p1, a1), (p2, a2) in zip(_nn.iter_arrays(g1), _nn.iter_arrays(g2)):
-            assert p1 == p2
-            np.testing.assert_array_equal(a1, a2)
+        assert gg1 is not gg2 and g1 is not g2
+        np.testing.assert_array_equal(gg1, gg2)
+        np.testing.assert_array_equal(g1, g2)
 
 
 class TestPhiGradients:
@@ -158,11 +165,11 @@ class TestPhiGradients:
         noises = draw_local_noises(np.random.default_rng(6), parts, len(batch))
 
         def objective():
-            return step_gradients(parts, batch, theta, H, phi, noises,
-                                  len(batch))[0].total
+            return tree_step_gradients(parts, batch, theta, H, phi, noises,
+                                       len(batch))[0].total
 
-        _, _, phi_grads = step_gradients(parts, batch, theta, H, phi, noises,
-                                         len(batch))
+        _, _, phi_grads = tree_step_gradients(parts, batch, theta, H, phi,
+                                              noises, len(batch))
         numeric = numerical_grad_tree(objective, phi, eps=1e-5)
         assert_tree_close(phi_grads, numeric, 5e-4, f"phi[{variant}]")
 
@@ -173,16 +180,16 @@ class TestGlobalGradients:
                                                                  t_max=4)
         noises = draw_local_noises(np.random.default_rng(7), parts, len(batch))
         n_total = 20  # pretend the corpus is larger than the minibatch
-        _, g, _ = step_gradients(parts, batch, theta, None, phi, noises,
-                                 n_total)
+        _, g, _ = tree_step_gradients(parts, batch, theta, None, phi, noises,
+                                      n_total)
         assert set(g) == {"theta"}
         g_theta = g["theta"]
         scale = n_total / len(batch)
 
         # z samples depend only on phi and noises, so theta FD is legitimate
         def data_term():
-            return step_gradients(parts, batch, theta, None, phi, noises,
-                                  len(batch))[0].recon
+            return tree_step_gradients(parts, batch, theta, None, phi, noises,
+                                       len(batch))[0].recon
 
         numeric = numerical_grad_tree(data_term, theta, eps=1e-5)
         for path, arr in _nn.iter_arrays(g_theta):
@@ -194,12 +201,13 @@ class TestGlobalGradients:
                                                                  t_max=4)
         noises = draw_local_noises(np.random.default_rng(8), parts, len(batch))
         n_total = 12
-        _, g, _ = step_gradients(parts, batch, theta, H, phi, noises, n_total)
+        _, g, _ = tree_step_gradients(parts, batch, theta, H, phi, noises,
+                                      n_total)
         g_H = g["H"]
 
         def cross_term():
-            return step_gradients(parts, batch, theta, H, phi, noises,
-                                  len(batch))[0].cross
+            return tree_step_gradients(parts, batch, theta, H, phi, noises,
+                                       len(batch))[0].cross
 
         numeric = numerical_grad(cross_term, H, eps=1e-5)
         expect = (n_total / len(batch)) * numeric - H
