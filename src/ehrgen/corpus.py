@@ -301,6 +301,11 @@ def reading(path, what, *errors):
                          f"{type(exc).__name__}: {exc}") from exc
 
 
+def _strings(value):
+    """Whether ``value`` is a JSON list of strings (a string is not one)."""
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def load_cohort(path):
     """Read a cohort file; a malformed one raises ValueError naming it."""
     with reading(path, "cohort"), open(path) as fh:
@@ -308,12 +313,18 @@ def load_cohort(path):
         names = None
         if rows and "meta" in rows[0]:
             names = rows.pop(0)["meta"].get("condition_names")
-            if names is not None and not (isinstance(names, list) and all(
-                    isinstance(name, str) for name in names)):
+            if names is not None and not _strings(names):
                 raise ValueError("condition_names is not a list of strings")
         for row in rows:
             if not isinstance(row, dict) or not {"id", "visits"} <= set(row):
                 raise ValueError("a record has no 'id' or 'visits'")
+            if not _strings(row.get("conditions", [])):
+                raise TypeError(f"record {row['id']}: conditions is not a "
+                                "list of strings")
+            if not (isinstance(row["visits"], list)
+                    and all(map(_strings, row["visits"]))):
+                raise TypeError(f"record {row['id']}: visits is not a list "
+                                "of lists of strings")
         if names is None:
             names = sorted({n for r in rows for n in r.get("conditions", [])})
         index = {name: k for k, name in enumerate(names)}

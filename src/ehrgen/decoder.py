@@ -213,25 +213,22 @@ def ll_and_grads(params, cfg, z, tokens, mask, grads):
 # sampling
 # ---------------------------------------------------------------------------
 
-def _step_logits(params, cfg, ctx, hist, rows, t, prev):
-    """Logits (len(rows), V) at position t for the records ``rows``.
+def _step_logits(params, cfg, x, windows):
+    """Logits (n, V) at the next position of the n records still drawing.
 
-    ``prev`` holds their tokens at t - 1 (unused at t = 0). Each conv
-    layer's input at t is written to ``hist[i][rows, t]`` and its taps are
-    read back from there in ``_nn.causal_conv1d``'s order, so one call
-    pushes one position through the stack and matches ``decode_logits`` at
-    position t.
+    ``x`` (n, C) is their input to the conv stack there. ``windows[i]`` holds
+    conv layer i's last (kernel - 1) * d + 1 inputs, oldest first and zero
+    before the record starts. The new input shifts in at the end (the list
+    entry is replaced), and the taps, every d-th slot, go through one GEMM,
+    so the logits match ``decode_logits``.
     """
-    x = params["bos"] if t == 0 else _nn.embedding(params["emb"], prev)[0]
-    h = x + ctx[rows, t]
+    h = x
     for i, d in enumerate(cfg.dilations):
-        hist[i][rows, t] = h
-        W, pre = params[f"conv{i}"]["W"], params[f"conv{i}"]["b"]
-        for j in range(cfg.kernel):
-            back = t - (cfg.kernel - 1 - j) * d
-            if back >= 0:  # earlier taps read the zero padding
-                pre = pre + hist[i][rows, back] @ W[j]
-        act, _ = _nn.gated(pre)
+        conv = params[f"conv{i}"]
+        windows[i] = np.concatenate((windows[i][:, 1:], h[:, None]), axis=1)
+        taps = windows[i][:, ::d].reshape(len(h), -1)
+        act, _ = _nn.gated(
+            taps @ conv["W"].reshape(-1, 2 * cfg.channels) + conv["b"])
         h = h + act
     logits, _ = _nn.dense(params["head"], h)
     return logits
@@ -248,12 +245,13 @@ def ancestral_sample(params, cfg, z, rng, eos_id, temperature=1.0,
     distribution renormalised over the non-terminal tokens: a record never
     comes back empty, and z keeps its prior law (it is not reweighted toward
     records that would not have ended at once). Records stop at their EOS
-    draw or after ``t_max`` visits, and leave the batch when they stop.
+    draw or after ``t_max`` visits.
 
-    The latent context is computed once, and each step pushes one position
-    through the stack against cached per-layer inputs (Fast WaveNet
-    generation, Paine et al. 2016), so the cost is linear in the record
-    length. The step logits equal ``decode_logits`` on the prefix.
+    The latent context is computed once, up to ``t_max``. Each conv layer
+    keeps a window of its inputs, one receptive field wide, for the records
+    still drawing (the Fast WaveNet queue, Paine et al. 2016); one boolean
+    mask drops ended records from every window. So the cost is linear in
+    the record length, and the step logits equal ``decode_logits``.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     if temperature <= 0:
@@ -262,14 +260,15 @@ def ancestral_sample(params, cfg, z, rng, eos_id, temperature=1.0,
     if n_steps < 1:
         raise ValueError("t_max must be >= 1")
     B = z.shape[0]
-    ctx, _ = _latent_context(params, cfg, z, cfg.t_max)
-    hist = [np.zeros((B, n_steps, cfg.channels)) for _ in cfg.dilations]
-    buf = np.zeros((B, n_steps), dtype=int)
-    length = np.full(B, n_steps)
-    rows = np.arange(B)  # records still drawing
+    ctx, _ = _latent_context(params, cfg, z, n_steps)
+    windows = [np.zeros((B, (cfg.kernel - 1) * d + 1, cfg.channels))
+               for d in cfg.dilations]
+    buf = np.full((B, n_steps), eos_id)  # a record ends at its first EOS
+    rows = np.arange(B)  # records still drawing, in order
     for t in range(n_steps):
-        step = _step_logits(params, cfg, ctx, hist, rows, t,
-                            buf[rows, t - 1]) / temperature
+        x = params["bos"] if t == 0 else _nn.embedding(params["emb"], draws)[0]
+        step = _step_logits(params, cfg, x + ctx[rows, t],
+                            windows) / temperature
         step[:, list(forbid) + ([eos_id] if t == 0 else [])] = -np.inf
         step -= step.max(axis=1, keepdims=True)
         cdf = np.cumsum(np.exp(step), axis=1)
@@ -279,8 +278,9 @@ def ancestral_sample(params, cfg, z, rng, eos_id, temperature=1.0,
                            cfg.vocab_size - 1)
         buf[rows, t] = draws
         ended = draws == eos_id
-        length[rows[ended]] = t
-        rows = rows[~ended]
-        if not rows.size:
-            break
-    return [buf[b, :length[b]].tolist() for b in range(B)]
+        if ended.any():
+            rows, draws = rows[~ended], draws[~ended]
+            windows = [win[~ended] for win in windows]
+            if not rows.size:
+                break
+    return [s[:s.index(eos_id)] if eos_id in s else s for s in buf.tolist()]

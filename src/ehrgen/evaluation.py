@@ -7,10 +7,9 @@ predictor) and do not care about record order.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 from scipy import sparse
@@ -97,12 +96,19 @@ def ngram_stats(cohort, n):
     consecutive visit tokens within a record (n=2)."""
     if cohort.vocab is None:
         raise ValueError("cohort has no vocabulary attached")
-    counts = Counter()
-    for rec in cohort.records:
-        toks = _record_tokens(rec, cohort.vocab)
-        counts.update(toks if n == 1 else zip(toks, toks[1:]))
-    total = counts.total()
-    return NgramStats(n=n, freqs={k: v / total for k, v in counts.items()})
+    rows = [_record_tokens(rec, cohort.vocab) for rec in cohort.records]
+    lengths = [len(toks) for toks in rows]
+    ids = np.fromiter(chain.from_iterable(rows), int, sum(lengths))
+    V = cohort.vocab.size
+    if n == 2:  # pair (a, b) has id a * V + b, and never spans two records
+        same = np.diff(np.repeat(np.arange(len(rows)), lengths)) == 0
+        ids = ids[:-1][same] * V + ids[1:][same]
+    # sorting, not np.bincount: a count array over pair ids has V^2 entries
+    keys, counts = np.unique(ids, return_counts=True)
+    freqs = (counts / counts.sum()).tolist()
+    keys = (keys.tolist() if n == 1 else
+            zip((keys // V).tolist(), (keys % V).tolist()))
+    return NgramStats(n=n, freqs=dict(zip(keys, freqs)))
 
 
 def independent_bigram_baseline(unigram):

@@ -34,7 +34,7 @@ BACKGROUND = "background"
 class GenerationRequest:
     count: int
     mode: str = "unconditional"
-    conditions: tuple = ()  # names; used only in conditional mode
+    conditions: tuple = ()  # names; conditional mode only
     temperature: float = 1.0
     t_max: int | None = None  # cap record length below the model maximum
     seed: int = 0
@@ -45,6 +45,8 @@ class GenerationRequest:
             raise ValueError("count must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.conditions and self.mode != "conditional":
+            raise ValueError("conditions need mode 'conditional'")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}")
         if self.temperature <= 0:
@@ -87,8 +89,7 @@ def generate_cohort(model, request):
 
     y = None
     if model.variant == "evac":
-        y = condition_vector(
-            model, request.conditions if request.mode == "conditional" else ())
+        y = condition_vector(model, request.conditions)
 
     rng = np.random.default_rng(request.seed)
     n = request.count

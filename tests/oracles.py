@@ -10,6 +10,8 @@ modules can import them by name even when another test directory on the
 same run has a ``conftest.py`` of its own.
 """
 
+from collections import Counter
+
 import numpy as np
 from scipy.special import expit as sigmoid, log_softmax, softmax
 
@@ -302,6 +304,17 @@ def analytic_group_bigram(spec):
 # ---------------------------------------------------------------------------
 # reference evaluation
 # ---------------------------------------------------------------------------
+
+def counter_ngram_stats(cohort, n):
+    """Reference for ``ngram_stats``: a ``Counter`` over each record's tokens
+    (n=1) or consecutive token pairs (n=2)."""
+    counts = Counter()
+    for rec in cohort.records:
+        toks = [cohort.vocab.token_of(visit) for visit in rec.visits]
+        counts.update(toks if n == 1 else zip(toks, toks[1:]))
+    total = counts.total()
+    return NgramStats(n=n, freqs={k: v / total for k, v in counts.items()})
+
 
 def dict_independent_bigram_baseline(unigram):
     """Reference for ``independent_bigram_baseline``: every |S|^2 pair

@@ -307,6 +307,15 @@ class TestErrorPaths:
         assert "evac" in read_stderr_json(capsys)["error"]
         assert not os.path.exists(out)
 
+    def test_conditions_without_conditional_mode_exit_1(self, pipeline,
+                                                        tmp_path, capsys):
+        """The default unconditional mode would ignore the names."""
+        out = str(tmp_path / "s.jsonl")
+        assert run(["generate", "--model", pipeline["model"], "--out", out,
+                    "--count", "2", "--conditions", "cond_0"]) == 1
+        assert "conditional" in read_stderr_json(capsys)["error"]
+        assert not os.path.exists(out)
+
     def test_bad_train_config_exits_1(self, pipeline, tmp_path, capsys):
         assert run(["train", "--cohort", pipeline["cohort"],
                     "--vocab", pipeline["vocab"],
@@ -535,6 +544,31 @@ class TestMalformedInputs:
             "--out-cohort", str(tmp_path / "o.jsonl"),
             "--out-vocab", str(tmp_path / "v.jsonl")], cohort,
             "list of strings")
+        assert not os.path.exists(tmp_path / "o.jsonl")
+
+    @pytest.mark.parametrize("field, value, text", [
+        ("conditions", "ab", "conditions is not a list of strings"),
+        ("conditions", ["a", 1], "conditions is not a list of strings"),
+        ("conditions", {"a": 1}, "conditions is not a list of strings"),
+        ("visits", ["E11", ["x", "y"]], "visits is not a list of lists"),
+        ("visits", "E11", "visits is not a list of lists"),
+        ("visits", [["x", 2]], "visits is not a list of lists"),
+        ("visits", {"x": ["y"]}, "visits is not a list of lists"),
+    ])
+    def test_record_fields_not_lists_of_strings(self, tmp_path, capsys,
+                                                field, value, text):
+        """A string would be read as one condition or one code per
+        character."""
+        cohort = tmp_path / "c.jsonl"
+        row = {"id": "p0", "visits": [["x"]], "conditions": ["a"]}
+        row[field] = value
+        cohort.write_text(
+            json.dumps({"meta": {"condition_names": ["a", "b"]}}) + "\n"
+            + json.dumps(row) + "\n")
+        self.expect_error(capsys, [
+            "preprocess", "--input", str(cohort),
+            "--out-cohort", str(tmp_path / "o.jsonl"),
+            "--out-vocab", str(tmp_path / "v.jsonl")], cohort, text)
         assert not os.path.exists(tmp_path / "o.jsonl")
 
     def test_condition_listed_twice(self, tmp_path, capsys):

@@ -371,9 +371,9 @@ class TestAncestralSampling:
         params["head"]["b"][4] = -1.0  # records end at different steps
         steps = []
 
-        def recording(params, cfg, ctx, hist, rows, t, prev):
-            logits = step_logits(params, cfg, ctx, hist, rows, t, prev)
-            steps.append((rows.copy(), t, logits.copy()))
+        def recording(params, cfg, x, windows):
+            logits = step_logits(params, cfg, x, windows)
+            steps.append(logits.copy())
             return logits
 
         step_logits = decoder._step_logits
@@ -383,12 +383,52 @@ class TestAncestralSampling:
         for b, seq in enumerate(out):
             tokens[b, :len(seq) + 1] = seq + [4]
         full, _ = decode_logits(params, LONG, z, tokens)
-        assert [t for _, t, _ in steps] == list(range(len(steps)))
         assert len(steps) > LONG.receptive_field
+        # the rows live at step t are the records with len(seq) >= t
+        live = [[b for b, seq in enumerate(out) if len(seq) >= t]
+                for t in range(len(steps))]
         # records left the batch at two or more different steps
-        assert len({len(rows) for rows, _, _ in steps}) > 2
-        for rows, t, logits in steps:
+        assert len({len(rows) for rows in live}) > 2
+        for t, (rows, logits) in enumerate(zip(live, steps)):
             assert rel_err(logits, full[rows, t]) < 1e-12
+
+    def test_steps_see_only_live_rows_through_windows(self, monkeypatch):
+        """Each step runs on the records still drawing, in order, and each
+        conv layer keeps one window of (kernel - 1) * d + 1 inputs."""
+        rng, params, z, _, _ = make_case(21, cfg=LONG, B=7)
+        params["head"]["b"][4] = -1.0
+        shapes = []
+
+        def spying(params, cfg, x, windows):
+            shapes.append((x.shape, [w.shape for w in windows]))
+            return step_logits(params, cfg, x, windows)
+
+        step_logits = decoder._step_logits
+        monkeypatch.setattr(decoder, "_step_logits", spying)
+        out = ancestral_sample(params, LONG, z, rng, eos_id=4)
+        n_live = [sum(len(seq) >= t for seq in out)
+                  for t in range(len(shapes))]
+        assert n_live[-1] < len(z)  # some records had ended
+        assert len(shapes) == min(LONG.t_max, max(map(len, out)) + 1)
+        for n, (x_shape, window_shapes) in zip(n_live, shapes):
+            assert x_shape == (n, LONG.channels)
+            assert window_shapes == [
+                (n, (LONG.kernel - 1) * d + 1, LONG.channels)
+                for d in LONG.dilations]
+
+    def test_capped_request_builds_context_to_the_cap(self, monkeypatch):
+        rng, params, z, _, _ = make_case(22, cfg=LONG, B=3)
+        widths = []
+
+        def spying(params, cfg, z, out_len):
+            widths.append(out_len)
+            return latent_context(params, cfg, z, out_len)
+
+        latent_context = decoder._latent_context
+        monkeypatch.setattr(decoder, "_latent_context", spying)
+        for cap in (1, 5, LONG.t_max + 4):
+            ancestral_sample(params, LONG, z, rng, eos_id=4, t_max=cap)
+        assert widths == [1, 5, LONG.t_max]
 
     @pytest.mark.parametrize("seed", [17, 18, 19])
     def test_matches_prefix_rescoring_oracle(self, seed):

@@ -41,6 +41,7 @@ from ehrgen.simulate import default_toy_spec, simulate_toy_cohort
 from ehrgen.trainer import TrainConfig, train
 
 from oracles import (
+    counter_ngram_stats,
     dict_independent_bigram_baseline,
     dict_pearson_marginal,
     full_width_predictor_params,
@@ -70,6 +71,31 @@ class TestNgramStats:
     def test_bigram_hand_counts(self):
         big = ngram_stats(mini_cohort(), 2)
         assert big.freqs == {(0, 1): 1.0}
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_counter_oracle(self, n):
+        """Same keys, as Python ints or int pairs, and the same frequencies;
+        no pair spans two records, and one-visit records add no pair."""
+        vocab = VisitVocab([VocabEntry(codes=(f"c{i}",), token_id=i,
+                                       frequency=1) for i in range(7)])
+        rng = np.random.default_rng(n)
+        records = [PatientRecord(f"r{i}", tuple(
+            frozenset({f"c{t}"}) for t in rng.integers(0, 7, size=length)))
+            for i, length in enumerate([1, 5, 1, 1, 12, 3, 30, 2])]
+        cohort = Cohort(records=records, condition_names=[], vocab=vocab)
+        got, want = ngram_stats(cohort, n), counter_ngram_stats(cohort, n)
+        assert list(got.freqs) == sorted(want.freqs)
+        assert all(type(k) is (int if n == 1 else tuple) for k in got.freqs)
+        for key, freq in want.freqs.items():
+            assert abs(got.freqs[key] - freq) <= 1e-12
+
+    def test_no_ngrams(self):
+        c = mini_cohort()
+        assert ngram_stats(c, 2).freqs != {}
+        c.records = [PatientRecord("r0", (frozenset({"a"}),))]
+        assert ngram_stats(c, 2).freqs == {}
+        c.records = []
+        assert ngram_stats(c, 1).freqs == ngram_stats(c, 2).freqs == {}
 
     def test_requires_vocab(self):
         c = mini_cohort()

@@ -51,6 +51,13 @@ class TestRequestValidation:
         with pytest.raises(ValueError):
             GenerationRequest(count=1, temperature=0.0)
 
+    def test_conditions_need_conditional_mode(self):
+        """Unconditional mode would drop the names and write background-only
+        records."""
+        with pytest.raises(ValueError, match="conditional"):
+            GenerationRequest(count=1, conditions=("cond_0",))
+        GenerationRequest(count=1, mode="conditional", conditions=("cond_0",))
+
     def test_conditional_needs_evac(self):
         req = GenerationRequest(count=2, mode="conditional",
                                 conditions=("cond_0",))
