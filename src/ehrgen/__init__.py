@@ -30,7 +30,7 @@ _EXPORTS = {
     "compose_intensities": ".latent",
     "sample_prior_eva": ".latent", "sample_prior_evac": ".latent",
     # encoders
-    "DiagGaussian": ".encoders", "EncoderConfig": ".encoders",
+    "DiagGaussian": ".encoders",
     "poe_combine": ".encoders", "sample_with_eta": ".encoders",
     "encode_sequence": ".encoders", "encode_conditions": ".encoders",
     "init_sequence_encoder": ".encoders",

@@ -164,11 +164,11 @@ _CLI_DEFAULTS = {"t_max": 16, "count": 1000}
 _LIST_TYPES = {"dilations": _int_list, "conditions": _name_list}
 
 
-def _add_config_flags(parser, cls, skip=("seed",)):
-    """One flag per field of the dataclass ``cls`` outside ``skip``, so each
-    default lives only there; a ``None`` default takes an int."""
+def _add_config_flags(parser, cls):
+    """One flag per field of ``cls`` but ``seed`` (every subcommand has one),
+    so each default lives only there; a ``None`` default takes an int."""
     for f in fields(cls):
-        if f.name in skip:
+        if f.name == "seed":
             continue
         default = _CLI_DEFAULTS[f.name] if f.default is MISSING else f.default
         kind = int if default is None else type(default)
@@ -229,7 +229,7 @@ def cmd_train(args, out):
     cohort = load_cohort(_require_file(args.cohort, "cohort"))
     vocab = load_vocab(_require_file(args.vocab, "vocabulary"))
     config = _config(TrainConfig, args)
-    dec_cfg = _config(DecoderConfig, args, vocab_size=vocab.size)
+    dec_cfg = _config(DecoderConfig, args)
     batch = encode_cohort(cohort, vocab, args.t_max)
 
     digest = config_digest(args)
@@ -421,8 +421,7 @@ def build_parser():
     p.add_argument("--metrics", default=None)
     p.add_argument("--checkpoint-dir", default=None)
     _add_config_flags(p, TrainConfig)
-    # vocab_size comes from the vocabulary, latent_dim from TrainConfig
-    _add_config_flags(p, DecoderConfig, skip=("vocab_size", "latent_dim"))
+    _add_config_flags(p, DecoderConfig)
 
     p = add("generate", cmd_generate, "sample a synthetic cohort")
     p.add_argument("--model", required=True)

@@ -27,8 +27,8 @@ _BUCKET_COLUMNS = 16  # a thinner bucket saves less than its extra pass costs
 
 @dataclass(frozen=True)
 class DecoderConfig:
-    vocab_size: int
-    latent_dim: int
+    """The conv stack's settings; ``init_decoder_params`` takes the sizes."""
+
     t_max: int
     channels: int = 48
     kernel: int = 3
@@ -36,10 +36,8 @@ class DecoderConfig:
     n_upsample: int = 2
 
     def __post_init__(self):
-        if self.vocab_size < 2:
-            raise ValueError("vocab_size must be at least 2")
-        if self.latent_dim < 1 or self.t_max < 1 or self.channels < 1:
-            raise ValueError("latent_dim, t_max and channels must be positive")
+        if self.t_max < 1 or self.channels < 1:
+            raise ValueError("t_max and channels must be positive")
         if self.kernel < 1:
             raise ValueError("kernel must be at least 1")
         if not self.dilations or any(d < 1 for d in self.dilations):
@@ -62,13 +60,13 @@ class DecoderConfig:
         return max(1, math.ceil(self.seq_len / 2 ** self.n_upsample))
 
 
-def init_decoder_params(cfg, rng):
+def init_decoder_params(cfg, vocab_size, latent_dim, rng):
     C = cfg.channels
     params = {
-        "seed": _nn.dense_init(rng, cfg.latent_dim, cfg.seed_len * 2 * C),
-        "emb": _nn.embedding_init(rng, cfg.vocab_size, C),
+        "seed": _nn.dense_init(rng, latent_dim, cfg.seed_len * 2 * C),
+        "emb": _nn.embedding_init(rng, vocab_size, C),
         "bos": rng.standard_normal(C) * 0.1,
-        "head": _nn.dense_init(rng, C, cfg.vocab_size),
+        "head": _nn.dense_init(rng, C, vocab_size),
     }
     for i in range(cfg.n_upsample):
         params[f"up{i}"] = _nn.conv_transpose1d_init(rng, C, 2 * C)
@@ -203,7 +201,7 @@ def ll_and_grads(params, cfg, z, tokens, mask, grads):
         params, cfg, z, tokens, mask)
     dh = np.zeros(np.shape(mask) + (cfg.channels,))
     dh[live] = _nn.dense_backward(cache_head, grads["head"], dlogits)
-    dz = np.zeros((len(ll), cfg.latent_dim))
+    dz = np.zeros((len(ll), np.shape(z)[-1]))
     for rows, width, cache in buckets:
         dz[rows] = _stack_backward(cfg, cache, grads, dh[rows, :width])
     return ll, dz
@@ -274,8 +272,7 @@ def ancestral_sample(params, cfg, z, rng, eos_id, temperature=1.0,
         cdf = np.cumsum(np.exp(step), axis=1)
         u = rng.random(len(rows)) * cdf[:, -1]
         # the first index whose cdf exceeds u
-        draws = np.minimum((cdf <= u[:, None]).sum(axis=1),
-                           cfg.vocab_size - 1)
+        draws = np.minimum((cdf <= u[:, None]).sum(axis=1), cdf.shape[1] - 1)
         buf[rows, t] = draws
         ended = draws == eos_id
         if ended.any():

@@ -8,8 +8,8 @@ condition vector. The two are fused exactly by a product of experts
 where a static condition vector should be concatenated into a sequence; no
 concatenation path exists here.
 
-Variances come from a softplus head plus a small floor so product-of-experts
-precisions cannot overflow.
+Variances come from a softplus head plus the small floor ``VAR_FLOOR`` so
+product-of-experts precisions cannot overflow.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import numpy as np
 from scipy.special import expit as sigmoid
 
 from . import _nn
+
+VAR_FLOOR = 1e-6
 
 
 @dataclass
@@ -42,35 +44,21 @@ class DiagGaussian:
         return DiagGaussian(self.mean[..., sl], self.var[..., sl])
 
 
-@dataclass(frozen=True)
-class EncoderConfig:
-    """Sizes for the pair of encoders; ``out_dim`` counts every local
-    latent coordinate the pair emits."""
-
-    vocab_size: int
-    cond_dim: int
-    out_dim: int
-    embed_dim: int = 32
-    hidden: int = 64
-    cond_hidden: int = 32
-    var_floor: float = 1e-6
-
-
 # ---------------------------------------------------------------------------
 # sequence expert (bi-LSTM)
 # ---------------------------------------------------------------------------
 
-def init_sequence_encoder(cfg, rng):
+def init_sequence_encoder(vocab_size, embed_dim, hidden, out_dim, rng):
     return {
-        "emb": _nn.embedding_init(rng, cfg.vocab_size, cfg.embed_dim),
-        "fwd": _nn.lstm_init(rng, cfg.embed_dim, cfg.hidden),
-        "bwd": _nn.lstm_init(rng, cfg.embed_dim, cfg.hidden),
-        "head_mean": _nn.dense_init(rng, 2 * cfg.hidden, cfg.out_dim),
-        "head_var": _nn.dense_init(rng, 2 * cfg.hidden, cfg.out_dim),
+        "emb": _nn.embedding_init(rng, vocab_size, embed_dim),
+        "fwd": _nn.lstm_init(rng, embed_dim, hidden),
+        "bwd": _nn.lstm_init(rng, embed_dim, hidden),
+        "head_mean": _nn.dense_init(rng, 2 * hidden, out_dim),
+        "head_var": _nn.dense_init(rng, 2 * hidden, out_dim),
     }
 
 
-def encode_sequence(params, cfg, tokens, mask):
+def encode_sequence(params, tokens, mask):
     """Diagonal Gaussian from the concatenated final states of both
     directions. Masked (PAD) positions never influence the output."""
     mask = np.asarray(mask, dtype=float)
@@ -84,14 +72,14 @@ def encode_sequence(params, cfg, tokens, mask):
     pooled = np.concatenate([h_f, h_b], axis=1)
     mean, cache_m = _nn.dense(params["head_mean"], pooled)
     pre, cache_v = _nn.dense(params["head_var"], pooled)
-    var = _nn.softplus(pre) + cfg.var_floor
-    cache = (cfg, emb_cache, cache_f, cache_b, cache_m, cache_v, pre)
+    var = _nn.softplus(pre) + VAR_FLOOR
+    cache = (emb_cache, cache_f, cache_b, cache_m, cache_v, pre)
     return DiagGaussian(mean, var), cache
 
 
 def encode_sequence_backward(cache, grads, dmean, dvar):
     """Adds the parameter gradients into the parameter-shaped ``grads``."""
-    cfg, emb_cache, cache_f, cache_b, cache_m, cache_v, pre = cache
+    emb_cache, cache_f, cache_b, cache_m, cache_v, pre = cache
     dpre = dvar * sigmoid(pre)
     dpool = (_nn.dense_backward(cache_m, grads["head_mean"], dmean)
              + _nn.dense_backward(cache_v, grads["head_var"], dpre))
@@ -105,28 +93,28 @@ def encode_sequence_backward(cache, grads, dmean, dvar):
 # condition expert (feed-forward)
 # ---------------------------------------------------------------------------
 
-def init_condition_encoder(cfg, rng):
+def init_condition_encoder(cond_dim, hidden, out_dim, rng):
     return {
-        "l1": _nn.dense_init(rng, cfg.cond_dim, cfg.cond_hidden),
-        "head_mean": _nn.dense_init(rng, cfg.cond_hidden, cfg.out_dim),
-        "head_var": _nn.dense_init(rng, cfg.cond_hidden, cfg.out_dim),
+        "l1": _nn.dense_init(rng, cond_dim, hidden),
+        "head_mean": _nn.dense_init(rng, hidden, out_dim),
+        "head_var": _nn.dense_init(rng, hidden, out_dim),
     }
 
 
-def encode_conditions(params, cfg, y):
+def encode_conditions(params, y):
     y = np.asarray(y, dtype=float)
     a, cache_1 = _nn.dense(params["l1"], y)
     h = np.tanh(a)
     mean, cache_m = _nn.dense(params["head_mean"], h)
     pre, cache_v = _nn.dense(params["head_var"], h)
-    var = _nn.softplus(pre) + cfg.var_floor
-    cache = (cfg, cache_1, h, cache_m, cache_v, pre)
+    var = _nn.softplus(pre) + VAR_FLOOR
+    cache = (cache_1, h, cache_m, cache_v, pre)
     return DiagGaussian(mean, var), cache
 
 
 def encode_conditions_backward(cache, grads, dmean, dvar):
     """Adds the parameter gradients into the parameter-shaped ``grads``."""
-    cfg, cache_1, h, cache_m, cache_v, pre = cache
+    cache_1, h, cache_m, cache_v, pre = cache
     dpre = dvar * sigmoid(pre)
     dh = (_nn.dense_backward(cache_m, grads["head_mean"], dmean)
           + _nn.dense_backward(cache_v, grads["head_var"], dpre))

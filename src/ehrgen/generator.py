@@ -51,6 +51,8 @@ class GenerationRequest:
             raise ValueError(f"unknown policy {self.policy!r}")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
+        if self.t_max is not None and self.t_max < 1:
+            raise ValueError("t_max must be >= 1")
 
 
 def condition_vector(model, names):
@@ -69,7 +71,7 @@ def condition_vector(model, names):
 
 def _draw_latents(model, snapshot, y, n, rng):
     if model.variant == "eva":
-        return sample_prior_eva(model.dec_cfg.latent_dim, rng, n)
+        return sample_prior_eva(model.train_config.latent_dim, rng, n)
     _, _, z = sample_prior_evac(
         snapshot["H"], np.tile(y, (n, 1)),
         model.train_config.gamma, model.train_config.tau, rng)
@@ -83,8 +85,6 @@ def generate_cohort(model, request):
         raise ValueError("conditional generation requires evac")
     if not model.reservoir:
         raise ValueError("model has an empty posterior reservoir")
-    if request.t_max is not None and request.t_max < 1:
-        raise ValueError("t_max must be >= 1")
     vocab = model.vocab
 
     y = None

@@ -1,12 +1,14 @@
 """Trained-model container and single-file checkpoints.
 
-A format-5 checkpoint is one ``.npz``: the encoder vector ``phi``, the
+A format-6 checkpoint is one ``.npz``: the encoder vector ``phi``, the
 reservoir of posterior (theta, H) samples as one (R, P) array, and JSON
 metadata with the training and decoder configs, the vocabulary, condition
-names, history and extras; no shape is stored. ``load`` rebuilds the parts
-through ``build_parts``, so parts that disagree fail training's own checks,
-derives every parameter shape from them and refuses arrays of other
-lengths. Older formats are refused by version.
+names, history and extras; no shape or size is stored. The vocabulary size
+comes from the vocabulary, the condition count from the condition names,
+the latent size and the encoder widths from the training config, and the
+decoder's widths and length from its config. ``load`` rebuilds the parts
+through ``build_parts``, derives every parameter shape from them and
+refuses arrays of other lengths. Older formats are refused by version.
 """
 
 from __future__ import annotations
@@ -19,19 +21,19 @@ import numpy as np
 
 from .corpus import VisitVocab, VocabEntry, reading
 from .decoder import DecoderConfig
-from .encoders import EncoderConfig
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 @dataclass
 class ModelParts:
     """Static description shared by the objective and evaluation code; the
-    variant, tau and gamma are read from ``train_config``."""
+    variant, latent size, tau and gamma are read from ``train_config``."""
 
     train_config: object  # trainer.TrainConfig
     dec_cfg: DecoderConfig
-    enc_cfg: EncoderConfig
+    vocab_size: int
+    cond_dim: int  # condition columns
 
     @property
     def variant(self):
@@ -40,7 +42,7 @@ class ModelParts:
     @property
     def local_slices(self):
         """Columns of z, then w and b for evac, in the encoder output."""
-        d, k = self.dec_cfg.latent_dim, self.enc_cfg.cond_dim
+        d, k = self.train_config.latent_dim, self.cond_dim
         if self.variant == "eva":
             return (slice(0, d),)
         return slice(0, d), slice(d, d + k), slice(d + k, d + k + d)
@@ -112,7 +114,7 @@ class TrainedModel(ModelParts):
             res_layout, phi_layout = param_layouts(parts)
             if res.ndim != 2 or res.shape[1] != res_layout.size:
                 raise ValueError(f"reservoir shape {res.shape} does not match "
-                                 "the globals layout")
+                                 "the layout the configs and vocab give")
             phi = phi_layout.views(phi_vec)  # raises on a length mismatch
             reservoir = [res_layout.views(row) for row in res]
             return cls(**vars(parts), phi=phi, reservoir=reservoir,

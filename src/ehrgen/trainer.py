@@ -28,7 +28,6 @@ import numpy as np
 from . import _nn
 from .decoder import DecoderConfig, init_decoder_params, ll_and_grads
 from .encoders import (
-    EncoderConfig,
     encode_conditions,
     encode_conditions_backward,
     encode_sequence,
@@ -160,17 +159,22 @@ def entropy_diag_gaussian(g):
 
 def init_globals(parts, rng):
     """Decoder weights theta, then the condition embedding H for evac."""
-    globals_ = {"theta": init_decoder_params(parts.dec_cfg, rng)}
+    d = parts.train_config.latent_dim
+    globals_ = {"theta": init_decoder_params(parts.dec_cfg, parts.vocab_size,
+                                             d, rng)}
     if parts.variant == "evac":
-        globals_["H"] = 0.1 * rng.standard_normal(
-            (parts.dec_cfg.latent_dim, parts.enc_cfg.cond_dim))
+        globals_["H"] = 0.1 * rng.standard_normal((d, parts.cond_dim))
     return globals_
 
 
 def init_phi(parts, rng):
-    phi = {"seq": init_sequence_encoder(parts.enc_cfg, rng)}
+    """The encoders; both emit every local coordinate, ``local_slices``."""
+    cfg, width = parts.train_config, parts.local_slices[-1].stop
+    phi = {"seq": init_sequence_encoder(parts.vocab_size, cfg.embed_dim,
+                                        cfg.hidden, width, rng)}
     if parts.variant == "evac":
-        phi["cond"] = init_condition_encoder(parts.enc_cfg, rng)
+        phi["cond"] = init_condition_encoder(parts.cond_dim, cfg.cond_hidden,
+                                             width, rng)
     return phi
 
 
@@ -185,12 +189,13 @@ def param_layouts(parts):
     """``(globals_layout, phi_layout)``: the shapes the configs in ``parts``
     give theta, H and phi, from the init functions that draw them. They are
     derived once per set of configs."""
-    return _layouts(parts.train_config, parts.dec_cfg, parts.enc_cfg)
+    return _layouts(parts.train_config, parts.dec_cfg, parts.vocab_size,
+                    parts.cond_dim)
 
 
 @functools.lru_cache(maxsize=16)
-def _layouts(train_config, dec_cfg, enc_cfg):
-    parts = ModelParts(train_config, dec_cfg, enc_cfg)
+def _layouts(*fields):
+    parts = ModelParts(*fields)
     return (_nn.Layout(init_globals(parts, _NO_DRAWS)),
             _nn.Layout(init_phi(parts, _NO_DRAWS)))
 
@@ -202,19 +207,18 @@ def encode_posteriors(parts, phi, batch):
 
 
 def _posterior_with_caches(parts, phi, batch):
-    cfg = parts.enc_cfg
-    q_seq, c_seq = encode_sequence(phi["seq"], cfg, batch.tokens, batch.mask)
+    q_seq, c_seq = encode_sequence(phi["seq"], batch.tokens, batch.mask)
     if parts.variant == "eva":
         return {"q": q_seq, "q_seq": q_seq}, c_seq, None
-    q_cond, c_cond = encode_conditions(phi["cond"], cfg, batch.conditions)
+    q_cond, c_cond = encode_conditions(phi["cond"], batch.conditions)
     q = poe_combine(q_seq, q_cond)
     return {"q": q, "q_seq": q_seq, "q_cond": q_cond}, c_seq, c_cond
 
 
 def draw_local_noises(rng, parts, n):
     """Fresh standard-normal reparameterization noise for all locals: one
-    (n, out_dim) array whose columns are ``parts.local_slices``."""
-    return rng.standard_normal((n, parts.enc_cfg.out_dim))
+    (n, width) array whose columns are ``parts.local_slices``."""
+    return rng.standard_normal((n, parts.local_slices[-1].stop))
 
 
 # ---------------------------------------------------------------------------
@@ -357,25 +361,10 @@ def psgld_step(state, params, grad, step_size, temperature, rng,
 # ---------------------------------------------------------------------------
 
 def build_parts(config, vocab_size, cond_dim, t_max, dec_cfg=None):
-    if dec_cfg is None:
-        dec_cfg = DecoderConfig(vocab_size=vocab_size,
-                                latent_dim=config.latent_dim, t_max=t_max)
-    if dec_cfg.vocab_size != vocab_size:
-        raise ValueError("decoder vocab size does not match the vocabulary")
-    if dec_cfg.latent_dim != config.latent_dim:
-        raise ValueError(f"decoder latent_dim {dec_cfg.latent_dim} does not "
-                         f"match the config's latent_dim {config.latent_dim}")
-    # all locals share one encoder: z, then w and b for evac
-    out_dim = config.latent_dim
-    if config.variant == "evac":
-        if cond_dim < 1:
-            raise ValueError("conditional variant needs condition columns")
-        out_dim += cond_dim + config.latent_dim
-    enc_cfg = EncoderConfig(vocab_size=vocab_size, cond_dim=max(cond_dim, 1),
-                            out_dim=out_dim, embed_dim=config.embed_dim,
-                            hidden=config.hidden,
-                            cond_hidden=config.cond_hidden)
-    return ModelParts(train_config=config, dec_cfg=dec_cfg, enc_cfg=enc_cfg)
+    if config.variant == "evac" and cond_dim < 1:
+        raise ValueError("conditional variant needs condition columns")
+    return ModelParts(config, dec_cfg or DecoderConfig(t_max=t_max),
+                      vocab_size, cond_dim)
 
 
 def train(config, batch, vocab, condition_names=(), dec_cfg=None,
@@ -391,6 +380,9 @@ def train(config, batch, vocab, condition_names=(), dec_cfg=None,
     if n < 1:
         raise ValueError("empty training batch")
     t_max = batch.tokens.shape[1] - 1
+    if dec_cfg is not None and dec_cfg.t_max != t_max:
+        raise ValueError(f"dec_cfg.t_max {dec_cfg.t_max} does not match the "
+                         f"batch's t_max {t_max}")
     cond_dim = batch.conditions.shape[1]
     if len(condition_names) != cond_dim:
         raise ValueError(f"{len(condition_names)} condition_names for "

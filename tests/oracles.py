@@ -221,7 +221,7 @@ def prefix_sample(params, cfg, z, rng, eos_id, temperature=1.0, forbid=()):
         step[:, list(forbid) + ([eos_id] if t == 0 else [])] = -np.inf
         cdf = np.cumsum(np.exp(step - step.max(axis=1, keepdims=True)), axis=1)
         u = rng.random(len(live)) * cdf[:, -1]
-        draws = np.minimum((cdf <= u[:, None]).sum(axis=1), cfg.vocab_size - 1)
+        draws = np.minimum((cdf <= u[:, None]).sum(axis=1), cdf.shape[1] - 1)
         for b, tok in zip(live, draws):
             seqs[b].append(int(tok))
         live = [b for b, tok in zip(live, draws) if tok != eos_id]

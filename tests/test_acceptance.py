@@ -64,11 +64,11 @@ def tiny_setup(variant, seed=0, n=6, t_max=4):
     batch = encode_cohort(cohort, vocab, t_max=t_max)
     cfg = TrainConfig(variant=variant, latent_dim=3, embed_dim=4, hidden=5,
                       cond_hidden=4, seed=seed)
-    dec = DecoderConfig(vocab_size=vocab.size, latent_dim=3, t_max=t_max,
-                        channels=4, kernel=2, dilations=(1, 2), n_upsample=1)
+    dec = DecoderConfig(t_max=t_max, channels=4, kernel=2, dilations=(1, 2),
+                        n_upsample=1)
     parts = build_parts(cfg, vocab.size, batch.conditions.shape[1], t_max, dec)
     rng = np.random.default_rng(seed + 5)
-    theta = init_decoder_params(dec, rng)
+    theta = init_decoder_params(dec, vocab.size, cfg.latent_dim, rng)
     H = None
     if variant == "evac":
         H = 0.1 * rng.standard_normal((3, batch.conditions.shape[1]))
@@ -180,16 +180,17 @@ def test_criterion_01_closed_form_correctness():
 def test_criterion_02_causality_and_receptive_field():
     """Tokens at >= t or < t-s never reach the step-t logits."""
     t0 = time.time()
-    cfg = DecoderConfig(vocab_size=8, latent_dim=4, t_max=27, channels=8,
-                        kernel=3, dilations=(1, 2, 4), n_upsample=3)
+    V = 8
+    cfg = DecoderConfig(t_max=27, channels=8, kernel=3, dilations=(1, 2, 4),
+                        n_upsample=3)
     s = cfg.receptive_field
     assert s == 15
     rng = np.random.default_rng(2024)
     future_trials = window_trials = 0
     for trial in range(100):
-        params = init_decoder_params(cfg, rng)
-        z = rng.standard_normal((1, cfg.latent_dim))
-        tokens = rng.integers(0, cfg.vocab_size, size=(1, cfg.seq_len))
+        params = init_decoder_params(cfg, V, 4, rng)
+        z = rng.standard_normal((1, 4))
+        tokens = rng.integers(0, V, size=(1, cfg.seq_len))
         if trial % 2 == 0:
             t = int(rng.integers(1, cfg.seq_len))
             j = int(rng.integers(t, cfg.seq_len))  # at or after step t
@@ -200,7 +201,7 @@ def test_criterion_02_causality_and_receptive_field():
             window_trials += 1
         base, _ = decode_logits(params, cfg, z, tokens)
         mutated = tokens.copy()
-        mutated[0, j] = (mutated[0, j] + 1 + rng.integers(cfg.vocab_size - 1)) % cfg.vocab_size
+        mutated[0, j] = (mutated[0, j] + 1 + rng.integers(V - 1)) % V
         moved, _ = decode_logits(params, cfg, z, mutated)
         assert np.array_equal(base[0, t], moved[0, t]), (trial, t, j)
     elapsed = time.time() - t0
@@ -217,7 +218,7 @@ def test_criterion_03_gradient_fidelity():
 
     batch, parts, theta, H, phi, dec = tiny_setup("eva")
     rng = np.random.default_rng(1)
-    z = rng.standard_normal((len(batch), dec.latent_dim))
+    z = rng.standard_normal((len(batch), parts.train_config.latent_dim))
 
     def ll_sum():
         return sequence_log_likelihood(theta, dec, z, batch.tokens,

@@ -316,6 +316,13 @@ class TestErrorPaths:
         assert "conditional" in read_stderr_json(capsys)["error"]
         assert not os.path.exists(out)
 
+    def test_generate_t_max_0_exits_1(self, pipeline, tmp_path, capsys):
+        out = str(tmp_path / "s.jsonl")
+        assert run(["generate", "--model", pipeline["model"], "--out", out,
+                    "--count", "2", "--t-max", "0"]) == 1
+        assert "t_max" in read_stderr_json(capsys)["error"]
+        assert not os.path.exists(out)
+
     def test_bad_train_config_exits_1(self, pipeline, tmp_path, capsys):
         assert run(["train", "--cohort", pipeline["cohort"],
                     "--vocab", pipeline["vocab"],
@@ -618,6 +625,10 @@ def write_bad_checkpoint(kind, good, path):
         meta = [meta]
     elif kind == "extra_condition":
         meta["condition_names"].append("cond_extra")
+    elif kind == "format_5":  # its dec_cfg held the vocabulary and latent sizes
+        meta["format_version"] = 5
+        meta["dec_cfg"].update(vocab_size=len(meta["vocab"]) + 2,
+                               latent_dim=meta["train_config"]["latent_dim"])
     else:
         config, field, value = SHAPE_EDITS[kind]
         meta[config][field] = value
@@ -644,6 +655,7 @@ class TestMalformedCheckpoint:
         # arrays
         *[(kind, "layout") for kind in SHAPE_EDITS],
         ("extra_condition", "layout"),
+        ("format_5", "version 5"),
     ])
     def test_exits_1_naming_the_file(self, pipeline, tmp_path, capsys,
                                      command, kind, text):
@@ -663,11 +675,11 @@ class TestMalformedCheckpoint:
 
 # the two fields whose flag is not the field name in kebab case
 FLAG_DESTS = {"n_iters": "iters", "reservoir_size": "reservoir"}
-# (subcommand, config class, fields without a flag of their own)
+# (subcommand, config class)
 CONFIG_FLAGS = [
-    ("train", TrainConfig, ()),
-    ("train", DecoderConfig, ("vocab_size", "latent_dim")),
-    ("generate", GenerationRequest, ()),
+    ("train", TrainConfig),
+    ("train", DecoderConfig),
+    ("generate", GenerationRequest),
 ]
 # the only flags whose default is not their field's: those fields have none
 CLI_DEFAULTS = {("train", "t_max"): 16, ("generate", "count"): 1000}
@@ -707,12 +719,10 @@ class TestConfigFlags:
 
     def test_every_field_has_a_flag_with_its_default(self):
         parser, subparsers = build_parser()
-        for command, cls, skip in CONFIG_FLAGS:
+        for command, cls in CONFIG_FLAGS:
             args = parser.parse_args([command] + REQUIRED[command])
             options = subparsers[command]._option_string_actions
             for f in fields(cls):
-                if f.name in skip:
-                    continue
                 dest = flag_dest(f.name)
                 assert "--" + dest.replace("_", "-") in options, f.name
                 expected = (CLI_DEFAULTS[command, f.name]
@@ -728,9 +738,9 @@ class TestConfigFlags:
             assert getattr(args, name) == params[name].default, name
 
     def test_non_default_values_cover_every_field(self):
-        for command, cls, skip in CONFIG_FLAGS:
+        for command, cls in CONFIG_FLAGS:
             values = NON_DEFAULT[cls]
-            assert set(values) == {f.name for f in fields(cls)} - set(skip)
+            assert set(values) == {f.name for f in fields(cls)}
             for f in fields(cls):
                 if f.name in values:
                     assert values[f.name] != f.default, f.name
@@ -759,7 +769,7 @@ class TestConfigFlags:
     @pytest.mark.parametrize("command", ["train", "generate"])
     def test_values_reach_the_config(self, pipeline, tmp_path, seen,
                                      source, command):
-        classes = [cls for c, cls, _ in CONFIG_FLAGS if c == command]
+        classes = [cls for c, cls in CONFIG_FLAGS if c == command]
         values = {flag_dest(name): text_of(value) for cls in classes
                   for name, value in NON_DEFAULT[cls].items()}
         argv = [command, "--out", str(tmp_path / "o")] + {
@@ -781,8 +791,7 @@ class TestConfigFlags:
             train = NON_DEFAULT[TrainConfig]
             assert seen["config"] == TrainConfig(**train)
             assert seen["dec_cfg"] == DecoderConfig(
-                vocab_size=load_vocab(pipeline["vocab"]).size,
-                latent_dim=train["latent_dim"], **NON_DEFAULT[DecoderConfig])
+                **NON_DEFAULT[DecoderConfig])
         else:
             assert seen["request"] == GenerationRequest(
                 **NON_DEFAULT[GenerationRequest])

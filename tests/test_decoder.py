@@ -25,19 +25,21 @@ from oracles import (
     zero_grads,
 )
 
-# small everywhere: V=6, receptive field (2-1)*(1+2)+1 = 4
-SMALL = DecoderConfig(vocab_size=6, latent_dim=3, t_max=7, channels=4,
-                      kernel=2, dilations=(1, 2), n_upsample=1)
+# vocabulary and latent sizes, unless a case gives its own
+V, D = 6, 3
+# small everywhere: receptive field (2-1)*(1+2)+1 = 4
+SMALL = DecoderConfig(t_max=7, channels=4, kernel=2, dilations=(1, 2),
+                      n_upsample=1)
 # t_max past the receptive field (3*(1+2)+1 = 10), two upsampling stages
-LONG = DecoderConfig(vocab_size=6, latent_dim=3, t_max=17, channels=4,
-                     kernel=4, dilations=(1, 2), n_upsample=2)
+LONG = DecoderConfig(t_max=17, channels=4, kernel=4, dilations=(1, 2),
+                     n_upsample=2)
 
 
-def make_case(seed, cfg=SMALL, B=2):
+def make_case(seed, cfg=SMALL, B=2, sizes=(V, D)):
     rng = np.random.default_rng(seed)
-    params = init_decoder_params(cfg, rng)
-    z = rng.standard_normal((B, cfg.latent_dim))
-    tokens = rng.integers(0, cfg.vocab_size, size=(B, cfg.seq_len))
+    params = init_decoder_params(cfg, *sizes, rng)
+    z = rng.standard_normal((B, sizes[1]))
+    tokens = rng.integers(0, sizes[0], size=(B, cfg.seq_len))
     lengths = rng.integers(1, cfg.seq_len + 1, size=B)
     mask = (np.arange(cfg.seq_len)[None, :] < lengths[:, None]).astype(float)
     return rng, params, z, tokens, mask
@@ -46,27 +48,24 @@ def make_case(seed, cfg=SMALL, B=2):
 class TestConfig:
     def test_receptive_field_formula(self):
         assert SMALL.receptive_field == 4
-        cfg = DecoderConfig(vocab_size=8, latent_dim=4, t_max=16,
-                            kernel=3, dilations=(1, 2, 4))
+        cfg = DecoderConfig(t_max=16, kernel=3, dilations=(1, 2, 4))
         assert cfg.receptive_field == 15
-        degenerate = DecoderConfig(vocab_size=2, latent_dim=1, t_max=1,
-                                   kernel=1, dilations=(1,))
+        degenerate = DecoderConfig(t_max=1, kernel=1, dilations=(1,))
         assert degenerate.receptive_field == 1
 
     def test_seed_len_covers_sequence(self):
         for t_max in (1, 3, 8, 16):
             for ups in (0, 1, 2):
-                cfg = DecoderConfig(vocab_size=4, latent_dim=2, t_max=t_max,
-                                    n_upsample=ups)
+                cfg = DecoderConfig(t_max=t_max, n_upsample=ups)
                 assert cfg.seed_len * 2 ** ups >= cfg.seq_len
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
-            DecoderConfig(vocab_size=1, latent_dim=2, t_max=4)
+            DecoderConfig(t_max=0)
         with pytest.raises(ValueError):
-            DecoderConfig(vocab_size=4, latent_dim=2, t_max=4, dilations=())
+            DecoderConfig(t_max=4, dilations=())
         with pytest.raises(ValueError):
-            DecoderConfig(vocab_size=4, latent_dim=2, t_max=4, n_upsample=-1)
+            DecoderConfig(t_max=4, n_upsample=-1)
 
 
 class TestCausality:
@@ -76,7 +75,7 @@ class TestCausality:
         logits, _ = decode_logits(params, SMALL, z, tokens)
         for t_perturb in range(SMALL.seq_len):
             tokens2 = tokens.copy()
-            tokens2[:, t_perturb] = (tokens2[:, t_perturb] + 1) % SMALL.vocab_size
+            tokens2[:, t_perturb] = (tokens2[:, t_perturb] + 1) % V
             logits2, _ = decode_logits(params, SMALL, z, tokens2)
             np.testing.assert_array_equal(
                 logits[:, : t_perturb + 1], logits2[:, : t_perturb + 1]
@@ -87,8 +86,8 @@ class TestCausality:
 
     def test_receptive_field_cutoff(self):
         """Tokens older than the receptive field leave a logit untouched."""
-        cfg = DecoderConfig(vocab_size=6, latent_dim=3, t_max=11, channels=4,
-                            kernel=2, dilations=(1, 2), n_upsample=1)
+        cfg = DecoderConfig(t_max=11, channels=4, kernel=2, dilations=(1, 2),
+                            n_upsample=1)
         s = cfg.receptive_field  # 4
         rng, params, z, tokens, _ = make_case(1, cfg=cfg)
         logits, _ = decode_logits(params, cfg, z, tokens)
@@ -108,14 +107,14 @@ class TestCausality:
         """decode_logits on tokens[:, :t + 1] gives the full-width logits at
         position t, past the receptive field and through the cropped
         latent context; ancestral_sample relies on this."""
-        cfg = DecoderConfig(vocab_size=6, latent_dim=3, t_max=11, channels=4,
-                            kernel=2, dilations=(1, 2), n_upsample=2)
+        cfg = DecoderConfig(t_max=11, channels=4, kernel=2, dilations=(1, 2),
+                            n_upsample=2)
         assert cfg.t_max > cfg.receptive_field
         rng, params, z, tokens, _ = make_case(15, cfg=cfg, B=3)
         full, _ = decode_logits(params, cfg, z, tokens)
         for t in range(cfg.seq_len):
             part, _ = decode_logits(params, cfg, z, tokens[:, :t + 1])
-            assert part.shape == (3, t + 1, cfg.vocab_size)
+            assert part.shape == (3, t + 1, V)
             assert rel_err(part[:, t], full[:, t]) < 1e-12
 
     def test_latent_reaches_every_position(self):
@@ -145,7 +144,7 @@ class TestLikelihood:
         params["head"]["W"][:] = 0.0
         params["head"]["b"][:] = 0.0
         ll, _ = sequence_log_likelihood(params, SMALL, z, tokens, mask)
-        expect = -mask.sum(axis=1) * np.log(SMALL.vocab_size)
+        expect = -mask.sum(axis=1) * np.log(V)
         np.testing.assert_allclose(ll, expect, rtol=1e-12)
 
     def test_masked_positions_do_not_count(self):
@@ -180,14 +179,16 @@ class TestLivePositions:
     cross-entropy on live positions only, and they give the full-width
     path's numbers."""
 
-    # wide-eva's decoder: V 1,502, T 17
-    WIDE = DecoderConfig(vocab_size=1502, latent_dim=16, t_max=16)
-    # long-eva's record lengths: T 65, default kernel, dilations and upsampling
-    LONG = DecoderConfig(vocab_size=30, latent_dim=4, t_max=64, channels=8)
+    # wide-eva's decoder: V 1,502, D 16, T 17
+    WIDE, WIDE_SIZES = DecoderConfig(t_max=16), (1502, 16)
+    # long-eva's record lengths: T 65, default kernel, dilations and
+    # upsampling; V 30, D 4
+    LONG, LONG_SIZES = DecoderConfig(t_max=64, channels=8), (30, 4)
 
-    def ragged_case(self, seed, cfg, B=32):
+    def ragged_case(self, seed, cfg, B=32, sizes=LONG_SIZES):
         """Ragged lengths, with row 0 full length and row 1 all padding."""
-        rng, params, z, tokens, _ = make_case(seed, cfg=cfg, B=B)
+        rng, params, z, tokens, _ = make_case(seed, cfg=cfg, B=B,
+                                              sizes=sizes)
         lengths = rng.integers(1, cfg.seq_len + 1, size=B)
         lengths[:2] = cfg.seq_len, 0
         mask = (np.arange(cfg.seq_len)[None, :]
@@ -195,7 +196,7 @@ class TestLivePositions:
         return rng, params, z, tokens, mask
 
     def wide_case(self, seed):
-        return self.ragged_case(seed, self.WIDE)
+        return self.ragged_case(seed, self.WIDE, sizes=self.WIDE_SIZES)
 
     def assert_matches_full_width(self, params, z, tokens, mask, cfg=WIDE):
         grads = zero_grads(params)
@@ -313,7 +314,7 @@ class TestAncestralSampling:
 
     def test_forbid_excludes_tokens(self):
         rng, params, z, _, _ = make_case(10)
-        big = np.random.default_rng(0).standard_normal((40, SMALL.latent_dim))
+        big = np.random.default_rng(0).standard_normal((40, D))
         out = ancestral_sample(params, SMALL, big, rng, eos_id=4, forbid=(5,))
         assert all(5 not in seq for seq in out)
 
@@ -338,13 +339,13 @@ class TestAncestralSampling:
     def test_samples_follow_step_distribution(self):
         """First-step draws match the EOS-masked softmax of the step-0
         logits, and second-step draws the softmax given the first token."""
-        cfg = DecoderConfig(vocab_size=4, latent_dim=2, t_max=2, channels=3,
-                            kernel=2, dilations=(1,), n_upsample=1)
+        cfg = DecoderConfig(t_max=2, channels=3, kernel=2, dilations=(1,),
+                            n_upsample=1)
         rng = np.random.default_rng(14)
-        params = init_decoder_params(cfg, rng)
+        params = init_decoder_params(cfg, 4, 2, rng)
         params["head"]["W"] *= 20.0  # make the steps far from uniform
         n = 20000
-        z = np.tile(rng.standard_normal(cfg.latent_dim), (n, 1))
+        z = np.tile(rng.standard_normal(2), (n, 1))
         out = ancestral_sample(params, cfg, z, rng, eos_id=0)
         first = np.array([seq[0] for seq in out])
         logits, _ = decode_logits(params, cfg, z[:1], np.zeros((1, 1), int))

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from ehrgen.encoders import (
+    VAR_FLOOR,
     DiagGaussian,
-    EncoderConfig,
     encode_conditions,
     encode_conditions_backward,
     encode_sequence,
@@ -21,16 +21,23 @@ from ehrgen.encoders import (
 
 from oracles import assert_tree_close, numerical_grad_tree, rel_err, zero_grads
 
-CFG = EncoderConfig(vocab_size=9, cond_dim=3, out_dim=4, embed_dim=5,
-                    hidden=6, cond_hidden=4)
+V, K, OUT = 9, 3, 4  # vocabulary, condition columns, output width
+
+
+def init_seq(rng):
+    return init_sequence_encoder(V, 5, 6, OUT, rng)
+
+
+def init_cond(rng):
+    return init_condition_encoder(K, 4, OUT, rng)
 
 
 def make_batch(seed, B=3, L=6):
     rng = np.random.default_rng(seed)
-    tokens = rng.integers(0, CFG.vocab_size, size=(B, L))
+    tokens = rng.integers(0, V, size=(B, L))
     lengths = rng.integers(1, L + 1, size=B)
     mask = (np.arange(L)[None, :] < lengths[:, None]).astype(float)
-    y = (rng.random((B, CFG.cond_dim)) < 0.5).astype(float)
+    y = (rng.random((B, K)) < 0.5).astype(float)
     return tokens, mask, y
 
 
@@ -47,44 +54,44 @@ class TestDiagGaussian:
 class TestSequenceExpert:
     def test_output_shapes_and_floor(self):
         rng = np.random.default_rng(0)
-        params = init_sequence_encoder(CFG, rng)
+        params = init_seq(rng)
         tokens, mask, _ = make_batch(1)
-        g, _ = encode_sequence(params, CFG, tokens, mask)
-        assert g.mean.shape == (3, CFG.out_dim)
-        assert np.all(g.var >= CFG.var_floor)
+        g, _ = encode_sequence(params, tokens, mask)
+        assert g.mean.shape == (3, OUT)
+        assert np.all(g.var >= VAR_FLOOR)
 
     def test_pad_contents_do_not_matter(self):
         """Changing tokens under the mask must not move the posterior."""
         rng = np.random.default_rng(2)
-        params = init_sequence_encoder(CFG, rng)
+        params = init_seq(rng)
         tokens, mask, _ = make_batch(3)
-        g, _ = encode_sequence(params, CFG, tokens, mask)
+        g, _ = encode_sequence(params, tokens, mask)
         tokens2 = tokens.copy()
-        tokens2[mask == 0] = (tokens2[mask == 0] + 1) % CFG.vocab_size
-        g2, _ = encode_sequence(params, CFG, tokens2, mask)
+        tokens2[mask == 0] = (tokens2[mask == 0] + 1) % V
+        g2, _ = encode_sequence(params, tokens2, mask)
         np.testing.assert_array_equal(g.mean, g2.mean)
         np.testing.assert_array_equal(g.var, g2.var)
 
     def test_empty_mask_rejected(self):
         rng = np.random.default_rng(4)
-        params = init_sequence_encoder(CFG, rng)
+        params = init_seq(rng)
         tokens, mask, _ = make_batch(5)
         mask[1] = 0.0
         with pytest.raises(ValueError, match="unmasked"):
-            encode_sequence(params, CFG, tokens, mask)
+            encode_sequence(params, tokens, mask)
 
     def test_backward_matches_fd(self):
         rng = np.random.default_rng(6)
-        params = init_sequence_encoder(CFG, rng)
+        params = init_seq(rng)
         tokens, mask, _ = make_batch(7, B=2, L=4)
-        probe_m = rng.standard_normal((2, CFG.out_dim))
-        probe_v = rng.standard_normal((2, CFG.out_dim))
+        probe_m = rng.standard_normal((2, OUT))
+        probe_v = rng.standard_normal((2, OUT))
 
         def run():
-            g, _ = encode_sequence(params, CFG, tokens, mask)
+            g, _ = encode_sequence(params, tokens, mask)
             return float(np.sum(g.mean * probe_m) + np.sum(g.var * probe_v))
 
-        _, cache = encode_sequence(params, CFG, tokens, mask)
+        _, cache = encode_sequence(params, tokens, mask)
         grads = zero_grads(params)
         encode_sequence_backward(cache, grads, probe_m, probe_v)
         assert_tree_close(grads, numerical_grad_tree(run, params), 1e-5, "seq-enc")
@@ -93,29 +100,29 @@ class TestSequenceExpert:
 class TestConditionExpert:
     def test_backward_matches_fd(self):
         rng = np.random.default_rng(8)
-        params = init_condition_encoder(CFG, rng)
+        params = init_cond(rng)
         _, _, y = make_batch(9, B=4)
-        probe_m = rng.standard_normal((4, CFG.out_dim))
-        probe_v = rng.standard_normal((4, CFG.out_dim))
+        probe_m = rng.standard_normal((4, OUT))
+        probe_v = rng.standard_normal((4, OUT))
 
         def run():
-            g, _ = encode_conditions(params, CFG, y)
+            g, _ = encode_conditions(params, y)
             return float(np.sum(g.mean * probe_m) + np.sum(g.var * probe_v))
 
-        _, cache = encode_conditions(params, CFG, y)
+        _, cache = encode_conditions(params, y)
         grads = zero_grads(params)
         encode_conditions_backward(cache, grads, probe_m, probe_v)
         assert_tree_close(grads, numerical_grad_tree(run, params), 1e-6, "cond-enc")
 
     def test_variance_floor(self):
         rng = np.random.default_rng(10)
-        params = init_condition_encoder(CFG, rng)
+        params = init_cond(rng)
         # drive the pre-softplus head very negative
         params["head_var"]["b"][:] = -50.0
         params["head_var"]["W"][:] = 0.0
-        g, _ = encode_conditions(params, CFG, np.zeros((1, CFG.cond_dim)))
-        assert np.all(g.var >= CFG.var_floor)
-        assert np.all(g.var <= CFG.var_floor * 2)
+        g, _ = encode_conditions(params, np.zeros((1, K)))
+        assert np.all(g.var >= VAR_FLOOR)
+        assert np.all(g.var <= VAR_FLOOR * 2)
 
 
 def product_moments_by_quadrature(m1, v1, m2, v2):

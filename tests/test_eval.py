@@ -363,9 +363,8 @@ class TestElboHoldout:
         cfg = TrainConfig(variant=variant, latent_dim=3, n_iters=8,
                           minibatch=7, embed_dim=4, hidden=5, cond_hidden=4,
                           burn_in=2, thin=2, reservoir_size=2, seed=1)
-        dec_cfg = DecoderConfig(vocab_size=vocab.size, latent_dim=3, t_max=4,
-                                channels=4, kernel=2, dilations=(1, 2),
-                                n_upsample=1)
+        dec_cfg = DecoderConfig(t_max=4, channels=4, kernel=2,
+                                dilations=(1, 2), n_upsample=1)
         return train(cfg, batch, vocab,
                      condition_names=tuple(cohort.condition_names),
                      dec_cfg=dec_cfg)
@@ -642,8 +641,7 @@ def test_elbo_holdout_chunks_match_one_pass(variant):
     cfg = TrainConfig(variant=variant, latent_dim=3, n_iters=8, minibatch=8,
                       embed_dim=4, hidden=5, cond_hidden=4, burn_in=2,
                       thin=2, reservoir_size=2, seed=1)
-    dec_cfg = DecoderConfig(vocab_size=vocab.size, latent_dim=3, t_max=5,
-                            channels=4, kernel=2, dilations=(1, 2),
+    dec_cfg = DecoderConfig(t_max=5, channels=4, kernel=2, dilations=(1, 2),
                             n_upsample=1)
     model = train(cfg, batch, vocab,
                   condition_names=tuple(cohort.condition_names),

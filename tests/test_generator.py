@@ -26,8 +26,7 @@ def quick_model(variant="evac", seed=0, n_iters=8):
     cfg = TrainConfig(variant=variant, latent_dim=3, n_iters=n_iters,
                       minibatch=8, embed_dim=4, hidden=5, cond_hidden=4,
                       burn_in=2, thin=2, reservoir_size=3, seed=seed)
-    dec_cfg = DecoderConfig(vocab_size=vocab.size, latent_dim=3, t_max=4,
-                            channels=4, kernel=2, dilations=(1, 2),
+    dec_cfg = DecoderConfig(t_max=4, channels=4, kernel=2, dilations=(1, 2),
                             n_upsample=1)
     return train(cfg, batch, vocab,
                  condition_names=tuple(cohort.condition_names),
@@ -50,6 +49,13 @@ class TestRequestValidation:
             GenerationRequest(count=1, policy="median")
         with pytest.raises(ValueError):
             GenerationRequest(count=1, temperature=0.0)
+
+    @pytest.mark.parametrize("t_max", [0, -3])
+    def test_bad_t_max(self, t_max):
+        """Refused by the request, before any model is read."""
+        with pytest.raises(ValueError, match="t_max"):
+            GenerationRequest(count=1, t_max=t_max)
+        GenerationRequest(count=1, t_max=1)
 
     def test_conditions_need_conditional_mode(self):
         """Unconditional mode would drop the names and write background-only

@@ -22,8 +22,7 @@ def quick_model(variant="evac", seed=0):
     cfg = TrainConfig(variant=variant, latent_dim=3, n_iters=6, minibatch=5,
                       embed_dim=4, hidden=5, cond_hidden=4, burn_in=2, thin=2,
                       reservoir_size=2, seed=seed)
-    dec_cfg = DecoderConfig(vocab_size=vocab.size, latent_dim=3, t_max=4,
-                            channels=4, kernel=2, dilations=(1, 2),
+    dec_cfg = DecoderConfig(t_max=4, channels=4, kernel=2, dilations=(1, 2),
                             n_upsample=1)
     return train(cfg, batch, vocab,
                  condition_names=tuple(cohort.condition_names),
@@ -70,7 +69,8 @@ class TestCheckpoint:
         assert back.variant == model.variant
         assert back.dec_cfg == model.dec_cfg
         assert isinstance(back.dec_cfg.dilations, tuple)
-        assert back.enc_cfg == model.enc_cfg
+        assert (back.vocab_size, back.cond_dim) == (model.vocab_size,
+                                                    model.cond_dim)
         assert back.condition_names == model.condition_names
         assert back.vocab == model.vocab
         assert back.train_config == model.train_config
@@ -91,14 +91,15 @@ class TestCheckpoint:
         assert set(back.reservoir[0]) == {"theta"}
 
     def test_evac_roundtrip_generates_same_cohort(self, tmp_path):
-        """One shared encoder config survives the round trip, and the
-        reloaded model draws the same cohort for the same seed."""
+        """The encoder sizes survive the round trip, and the reloaded model
+        draws the same cohort for the same seed."""
         from ehrgen.generator import GenerationRequest, generate_cohort
         model = quick_model(variant="evac")
         path = tmp_path / "m.npz"
         model.save(path)
         back = TrainedModel.load(path)
-        assert back.enc_cfg == model.enc_cfg
+        assert (back.vocab_size, back.cond_dim) == (model.vocab_size,
+                                                    model.cond_dim)
         assert set(back.phi) == {"seq", "cond"}
         case = next(c for c in model.condition_names if c != "background")
         request = GenerationRequest(count=6, mode="conditional",
@@ -108,14 +109,15 @@ class TestCheckpoint:
         assert [r.visits for r in a.records] == [r.visits for r in b.records]
 
     def test_version_check(self, tmp_path):
-        """A newer format version, format 4 (both layouts stored beside the
-        configs), format 3 (derived parts stored beside the training
+        """A newer format version, format 5 (the vocabulary and latent sizes
+        stored in the decoder config), format 4 (both layouts stored beside
+        the configs), format 3 (derived parts stored beside the training
         config), format 2 (one encoder config per latent) and format 1 (one
         array per leaf) are all refused."""
         model = quick_model(variant="eva")
         path = tmp_path / "m.npz"
         model.save(path)
-        for version in (CHECKPOINT_VERSION + 1, 4, 3, 2, 1):
+        for version in (CHECKPOINT_VERSION + 1, 5, 4, 3, 2, 1):
             rewrite(path, lambda meta, arrays: meta.update(
                 format_version=version))
             with pytest.raises(ValueError, match="version"):
@@ -129,6 +131,9 @@ class TestCheckpoint:
             meta = json.loads(str(data["meta"]))
         assert set(meta) == {"format_version", "train_config", "dec_cfg",
                              "condition_names", "history", "vocab", "extra"}
+        # the sizes come from the vocabulary and the training config
+        assert set(meta["dec_cfg"]) == {"t_max", "channels", "kernel",
+                                        "dilations", "n_upsample"}
 
     @pytest.mark.parametrize("variant", ["eva", "evac"])
     def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch,

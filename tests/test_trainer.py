@@ -43,13 +43,13 @@ def small_training_setup(variant, seed=0, n=8, t_max=5):
     config = TrainConfig(variant=variant, latent_dim=3, embed_dim=4, hidden=5,
                          cond_hidden=4, minibatch=n, seed=seed)
     from ehrgen.decoder import DecoderConfig
-    dec_cfg = DecoderConfig(vocab_size=vocab.size, latent_dim=3, t_max=t_max,
-                            channels=4, kernel=2, dilations=(1, 2), n_upsample=1)
+    dec_cfg = DecoderConfig(t_max=t_max, channels=4, kernel=2,
+                            dilations=(1, 2), n_upsample=1)
     parts = build_parts(config, vocab.size, batch.conditions.shape[1], t_max,
                         dec_cfg=dec_cfg)
     rng = np.random.default_rng(seed + 100)
     from ehrgen.decoder import init_decoder_params
-    theta = init_decoder_params(dec_cfg, rng)
+    theta = init_decoder_params(dec_cfg, vocab.size, config.latent_dim, rng)
     H = 0.1 * rng.standard_normal((3, batch.conditions.shape[1]))
     phi = init_phi(parts, rng)
     return parts, batch, theta, H, phi, vocab, cohort
@@ -334,11 +334,10 @@ class TestTrainLoop:
         base.update(kw)
         return TrainConfig(**base)
 
-    def small_dec_cfg(self, vocab, t_max=4):
+    def small_dec_cfg(self, t_max=4):
         from ehrgen.decoder import DecoderConfig
-        return DecoderConfig(vocab_size=vocab.size, latent_dim=3, t_max=t_max,
-                             channels=4, kernel=2, dilations=(1, 2),
-                             n_upsample=1)
+        return DecoderConfig(t_max=t_max, channels=4, kernel=2,
+                             dilations=(1, 2), n_upsample=1)
 
     def test_cohort_without_conditions(self):
         """No condition columns: eva trains and generates, evac refuses to
@@ -351,12 +350,12 @@ class TestTrainLoop:
         batch = encode_cohort(bare, vocab, t_max=4)
         assert batch.conditions.shape == (len(batch), 0)
         model = train(self.small_config(), batch, vocab,
-                      dec_cfg=self.small_dec_cfg(vocab))
+                      dec_cfg=self.small_dec_cfg())
         out = generate_cohort(model, GenerationRequest(count=3, t_max=4))
         assert len(out.records) == 3
         with pytest.raises(ValueError, match="condition columns"):
             train(self.small_config(variant="evac"), batch, vocab,
-                  dec_cfg=self.small_dec_cfg(vocab))
+                  dec_cfg=self.small_dec_cfg())
 
     def test_zero_rates_leave_parameters_at_init(self):
         """lr 0 everywhere: training is the identity, regardless of length."""
@@ -367,7 +366,7 @@ class TestTrainLoop:
                                     lr_global=0.0, burn_in=2, thin=3)
             runs.append(train(cfg, batch, vocab,
                               condition_names=cohort.condition_names,
-                              dec_cfg=self.small_dec_cfg(vocab)))
+                              dec_cfg=self.small_dec_cfg()))
         a, b = runs
         for (pa, xa), (pb, xb) in zip(_nn.iter_arrays(a.reservoir[0]),
                                       _nn.iter_arrays(b.reservoir[0])):
@@ -383,7 +382,7 @@ class TestTrainLoop:
         cfg = self.small_config()  # burn_in=4, thin=2, size=2, 10 iters
         model = train(cfg, batch, vocab,
                       condition_names=cohort.condition_names,
-                      dec_cfg=self.small_dec_cfg(vocab),
+                      dec_cfg=self.small_dec_cfg(),
                       checkpoint_fn=lambda it, snap: seen.append(it))
         assert seen == [4, 6, 8]
         assert len(model.reservoir) == 2  # deque kept the last two
@@ -394,7 +393,7 @@ class TestTrainLoop:
         rows = []
         cfg = self.small_config(n_iters=7)
         train(cfg, batch, vocab, condition_names=cohort.condition_names,
-              dec_cfg=self.small_dec_cfg(vocab),
+              dec_cfg=self.small_dec_cfg(),
               metrics_sink=lambda it, rep: rows.append((it, rep.total)))
         assert [r[0] for r in rows] == list(range(7))
         assert all(math.isfinite(t) for _, t in rows)
@@ -404,7 +403,7 @@ class TestTrainLoop:
         cfg = self.small_config(n_iters=11, log_every=5)
         model = train(cfg, batch, vocab,
                       condition_names=cohort.condition_names,
-                      dec_cfg=self.small_dec_cfg(vocab))
+                      dec_cfg=self.small_dec_cfg())
         its = [h["iteration"] for h in model.history]
         assert its == [0, 5, 10]
         assert "kl_fraction" in model.history[0]
@@ -416,7 +415,7 @@ class TestTrainLoop:
         with pytest.raises(TrainingDiverged) as err, \
                 np.errstate(invalid="ignore"):
             train(cfg, batch, vocab, condition_names=cohort.condition_names,
-                  dec_cfg=self.small_dec_cfg(vocab))
+                  dec_cfg=self.small_dec_cfg())
         assert err.value.iteration == 0
         assert err.value.last_report is None
 
@@ -425,16 +424,18 @@ class TestTrainLoop:
         empty = batch.take(np.array([], dtype=int))
         with pytest.raises(ValueError, match="empty"):
             train(self.small_config(), empty, vocab,
-                  dec_cfg=self.small_dec_cfg(vocab))
+                  dec_cfg=self.small_dec_cfg())
 
-    @pytest.mark.parametrize("variant", ["eva", "evac"])
-    def test_decoder_latent_dim_must_match_config(self, variant):
+    @pytest.mark.parametrize("t_max", [2, 8])
+    def test_decoder_t_max_must_match_batch(self, t_max):
+        """A longer t_max would generate records from positions training
+        never saw; a shorter one cannot score the batch's longer records."""
         batch, vocab, cohort = self.make_batch_and_vocab()
-        cfg = self.small_config(variant=variant, latent_dim=6)
-        with pytest.raises(ValueError, match="latent_dim 3 .* latent_dim 6"):
-            train(cfg, batch, vocab,
+        assert batch.tokens.shape[1] - 1 == 4
+        with pytest.raises(ValueError, match=f"t_max {t_max} .* t_max 4"):
+            train(self.small_config(), batch, vocab,
                   condition_names=tuple(cohort.condition_names),
-                  dec_cfg=self.small_dec_cfg(vocab))
+                  dec_cfg=self.small_dec_cfg(t_max=t_max))
 
     @pytest.mark.parametrize("n_names", [0, 1])
     def test_condition_names_must_label_every_column(self, n_names):
@@ -447,7 +448,7 @@ class TestTrainLoop:
                            match=f"{n_names} condition_names for 5 "):
             train(self.small_config(variant="evac"), batch, vocab,
                   condition_names=tuple(cohort.condition_names[:n_names]),
-                  dec_cfg=self.small_dec_cfg(vocab))
+                  dec_cfg=self.small_dec_cfg())
 
     def test_evac_needs_condition_columns(self):
         cfg = TrainConfig(variant="evac", latent_dim=3)
@@ -462,7 +463,7 @@ class TestTrainLoop:
                                 burn_in=150, thin=50, log_every=10)
         model = train(cfg, batch, vocab,
                       condition_names=cohort.condition_names,
-                      dec_cfg=self.small_dec_cfg(vocab))
+                      dec_cfg=self.small_dec_cfg())
         first = np.mean([h["total"] for h in model.history[:3]])
         last = np.mean([h["total"] for h in model.history[-3:]])
         assert last < first - 10.0
@@ -485,7 +486,7 @@ class TestTrainLoop:
         cfg = self.small_config(variant="evac")
         model = train(cfg, batch, vocab,
                       condition_names=tuple(cohort.condition_names),
-                      dec_cfg=self.small_dec_cfg(vocab))
+                      dec_cfg=self.small_dec_cfg())
         assert model.variant == "evac"
         assert set(model.reservoir[0]) == {"theta", "H"}
         assert model.reservoir[0]["H"].shape == (3, len(cohort.condition_names))
