@@ -37,7 +37,7 @@ floor = ev.pearson_marginal(real_bi, ev.independent_bigram_baseline(real_uni))
 print(f"unigram pearson {rho_uni:.3f}")
 print(f"bigram  pearson {rho_bi:.3f}  (independent-unigram floor {floor:.3f})")
 
-print(f"avg jaccard between visits: real {ev.avg_jaccard(real):.3f} synth {ev.avg_jaccard(synth):.3f}")
+print(f"avg jaccard between visits: real {ev.avg_jaccard_counts(real)[0]:.3f} synth {ev.avg_jaccard_counts(synth)[0]:.3f}")
 print(f"unique-token ratio:         real {ev.unique_token_ratio(real):.3f} synth {ev.unique_token_ratio(synth):.3f}")
 
 # ensemble vs point: averaging over posterior samples adds diversity

@@ -35,26 +35,26 @@ _EXPORTS = {
     "encode_sequence": ".encoders", "encode_conditions": ".encoders",
     "init_sequence_encoder": ".encoders",
     "init_condition_encoder": ".encoders",
+    "kl_diag_gaussians": ".encoders", "entropy_diag_gaussian": ".encoders",
     # decoder
     "DecoderConfig": ".decoder", "init_decoder_params": ".decoder",
     "decode_logits": ".decoder", "sequence_log_likelihood": ".decoder",
     "ancestral_sample": ".decoder",
+    # model description
+    "TrainConfig": ".model", "ModelParts": ".model", "TrainedModel": ".model",
+    "init_phi": ".model", "encode_posteriors": ".model",
     # trainer
-    "TrainConfig": ".trainer", "ElboReport": ".trainer",
-    "SamplerState": ".trainer", "TrainingDiverged": ".trainer",
-    "kl_diag_gaussians": ".trainer", "entropy_diag_gaussian": ".trainer",
-    "psgld_step": ".trainer", "train": ".trainer", "build_parts": ".trainer",
-    "draw_local_noises": ".trainer", "encode_posteriors": ".trainer",
-    "init_phi": ".trainer", "step_gradients": ".trainer",
-    # model container
-    "TrainedModel": ".model", "ModelParts": ".model",
+    "ElboReport": ".trainer", "SamplerState": ".trainer",
+    "TrainingDiverged": ".trainer", "psgld_step": ".trainer",
+    "train": ".trainer", "draw_local_noises": ".trainer",
+    "step_gradients": ".trainer",
     # generation
     "GenerationRequest": ".generator", "generate_cohort": ".generator",
     "generate_case_control": ".generator", "condition_vector": ".generator",
     # evaluation
     "NgramStats": ".evaluation", "AttackOutcome": ".evaluation",
     "ngram_stats": ".evaluation", "pearson_marginal": ".evaluation",
-    "independent_bigram_baseline": ".evaluation", "avg_jaccard": ".evaluation",
+    "independent_bigram_baseline": ".evaluation",
     "avg_jaccard_counts": ".evaluation", "unique_token_ratio": ".evaluation",
     "split_cohort": ".evaluation", "NextVisitPredictor": ".evaluation",
     "train_next_visit_predictor": ".evaluation", "topk_recall": ".evaluation",

@@ -5,10 +5,7 @@ Every artifact embeds the sha256 digest of the effective configuration plus
 the seed, so identical invocations produce identical files. The ``train`` /
 ``generate`` flags are the fields of ``TrainConfig`` and ``DecoderConfig`` /
 ``GenerationRequest`` in kebab case, except ``--iters`` and ``--reservoir``.
-Config files are flat ``key=value`` lines (``#`` comments allowed) with a
-``schema_version`` entry; keys are the flag names with underscores, and
-command-line flags override file values. Exit codes: 0 success,
-1 configuration error, 2 runtime/numerical failure.
+Exit codes: 0 success, 1 configuration error, 2 runtime/numerical failure.
 """
 
 from __future__ import annotations
@@ -29,10 +26,6 @@ if _threads:
                  "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         os.environ.setdefault(_var, _threads)
 
-CONFIG_SCHEMA_VERSION = 1
-OUTPUT_DIR_ENV = "EHRGEN_OUTPUT_DIR"
-
-
 class ConfigError(Exception):
     pass
 
@@ -51,47 +44,11 @@ def _fail(code, message):
 
 
 # ---------------------------------------------------------------------------
-# config files and digests
+# digests
 # ---------------------------------------------------------------------------
 
-def parse_config_file(path):
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, val = line.split("=", 1)
-            values[key.strip()] = val.strip()
-    version = values.pop("schema_version", None)
-    if version is None:
-        raise ConfigError(f"{path}: missing schema_version")
-    if version != str(CONFIG_SCHEMA_VERSION):
-        raise ConfigError(f"{path}: unsupported schema_version {version}")
-    return values
-
-
-def _apply_config_defaults(subparser, values):
-    """Install file values as defaults, so explicit flags still win on the
-    re-parse; argparse converts a string default with its flag's type."""
-    actions = {a.dest: a for a in subparser._actions}
-    for key, raw in values.items():
-        if key not in actions:
-            raise ConfigError(f"unknown config key: {key}")
-        if isinstance(actions[key], argparse._StoreTrueAction):
-            if raw.lower() not in ("true", "false", "1", "0"):
-                raise ConfigError(f"config key {key}: expected a boolean")
-            values[key] = raw.lower() in ("true", "1")
-    subparser.set_defaults(**values)
-
-
 def config_digest(args):
-    payload = {k: v for k, v in sorted(vars(args).items())
-               if k not in ("func", "config")}
+    payload = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     blob = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -111,9 +68,6 @@ class _Outputs:
         self.dirs = []  # made by path(), each after its parent
 
     def path(self, p):
-        base = os.environ.get(OUTPUT_DIR_ENV)
-        if base and not os.path.isabs(p):
-            p = os.path.join(base, p)
         missing = []
         parent = os.path.dirname(p)
         while parent and not os.path.isdir(parent):
@@ -392,8 +346,6 @@ def build_parser():
 
     def add(name, fn, help_):
         p = sub.add_parser(name, help=help_)
-        p.add_argument("--config", default=None,
-                       help="key=value config file; flags override")
         p.add_argument("--seed", type=int, default=0)
         p.set_defaults(func=fn)
         subparsers[name] = p
@@ -451,16 +403,9 @@ def build_parser():
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, subparsers = build_parser()
+    parser, _ = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.config:
-            _apply_config_defaults(subparsers[args.command],
-                                   parse_config_file(args.config))
-            try:
-                args = parser.parse_args(argv)
-            except ConfigError as exc:  # argv parsed, so a file value failed
-                raise ConfigError(f"{args.config}: {exc}") from exc
     except ConfigError as exc:
         return _fail(1, exc)
 

@@ -44,6 +44,23 @@ class DiagGaussian:
         return DiagGaussian(self.mean[..., sl], self.var[..., sl])
 
 
+def kl_diag_gaussians(q, prior_mean, prior_var):
+    """KL(q || N(prior_mean, prior_var I)) summed over all dimensions."""
+    pv = float(prior_var)
+    if pv <= 0:
+        raise ValueError("prior variance must be positive")
+    if np.any(q.var <= 0):
+        raise ValueError("variance must be strictly positive")
+    d = q.mean - prior_mean
+    return float(0.5 * np.sum(q.var / pv + d * d / pv - 1.0 + np.log(pv / q.var)))
+
+
+def entropy_diag_gaussian(g):
+    if np.any(g.var <= 0):
+        raise ValueError("variance must be strictly positive")
+    return float(0.5 * np.sum(1.0 + np.log(2.0 * np.pi * g.var)))
+
+
 # ---------------------------------------------------------------------------
 # sequence expert (bi-LSTM)
 # ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ from scipy.special import softmax
 
 from . import _nn
 from .corpus import Cohort, encode_cohort, visit_key
-from .trainer import encode_posteriors, kl_diag_gaussians
 from .decoder import sequence_log_likelihood
+from .encoders import kl_diag_gaussians
 from .latent import compose_intensities
+from .model import encode_posteriors
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +155,9 @@ def _sum_and_var(table, n):
 # ---------------------------------------------------------------------------
 
 def avg_jaccard_counts(cohort):
-    """(value, n_used, n_skipped); records with a single visit are skipped."""
+    """(value, n_used, n_skipped): value is the mean over records of the
+    mean consecutive-visit Jaccard similarity; records with a single visit
+    are skipped."""
     per_record = []
     skipped = 0
     for rec in cohort.records:
@@ -169,12 +172,6 @@ def avg_jaccard_counts(cohort):
     if not per_record:
         raise ValueError("no records with at least two visits")
     return float(np.mean(per_record)), len(per_record), skipped
-
-
-def avg_jaccard(cohort):
-    """Mean over records of the mean consecutive-visit Jaccard similarity."""
-    value, _, _ = avg_jaccard_counts(cohort)
-    return value
 
 
 def unique_token_ratio(cohort):

@@ -1,4 +1,5 @@
-"""Trained-model container and single-file checkpoints.
+"""The model: configs, parameter shapes and initialisation, the encoders'
+posterior and the trained-model checkpoint; ``trainer`` fits it.
 
 A format-6 checkpoint is one ``.npz``: the encoder vector ``phi``, the
 reservoir of posterior (theta, H) samples as one (R, P) array, and JSON
@@ -6,23 +7,87 @@ metadata with the training and decoder configs, the vocabulary, condition
 names, history and extras; no shape or size is stored. The vocabulary size
 comes from the vocabulary, the condition count from the condition names,
 the latent size and the encoder widths from the training config, and the
-decoder's widths and length from its config. ``load`` rebuilds the parts
-through ``build_parts``, derives every parameter shape from them and
+decoder's widths and length from its config. ``load`` rebuilds the
+``ModelParts`` from them, derives every parameter shape from the parts and
 refuses arrays of other lengths. Older formats are refused by version.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import zipfile
 from dataclasses import asdict, dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
+from . import _nn
 from .corpus import VisitVocab, VocabEntry, reading
-from .decoder import DecoderConfig
+from .decoder import DecoderConfig, init_decoder_params
+from .encoders import (
+    encode_conditions,
+    encode_sequence,
+    init_condition_encoder,
+    init_sequence_encoder,
+    poe_combine,
+)
+
+VARIANTS = ("eva", "evac")
 
 CHECKPOINT_VERSION = 6
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    variant: str = "eva"
+    latent_dim: int = 16
+    n_iters: int = 2000
+    minibatch: int = 32
+    lr_phi: float = 1e-3
+    lr_global: float = 1e-3
+    psgld_alpha: float = 0.99
+    psgld_lambda: float = 1e-5
+    temperature: float = 1.0  # pSGLD noise variance scales by T
+    burn_in: int | None = None  # default: half the iteration budget
+    thin: int = 200
+    reservoir_size: int = 10
+    clip_norm: float = 1e4  # globals grad is scaled by n/B; a tight clip diverges
+    embed_dim: int = 32
+    hidden: int = 64
+    cond_hidden: int = 32
+    tau: float = 0.1
+    gamma: float = 0.1
+    log_every: int = 50
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}")
+        # rate 0 is allowed so "no learning" degenerates to the identity
+        if self.lr_phi < 0 or self.lr_global < 0:
+            raise ValueError("learning rates must be non-negative")
+        if self.minibatch < 1 or self.n_iters < 1:
+            raise ValueError("minibatch and n_iters must be >= 1")
+        if self.reservoir_size < 1 or self.thin < 1:
+            raise ValueError("reservoir_size and thin must be >= 1")
+        if not (0.0 <= self.psgld_alpha <= 1.0):
+            raise ValueError("psgld_alpha must lie in [0, 1]")
+        for name in ("psgld_lambda", "tau", "gamma"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.temperature < 0:
+            raise ValueError("temperature must be non-negative")
+        for name in ("latent_dim", "embed_dim", "hidden", "cond_hidden",
+                     "log_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not 0 <= self.burn_in_iters < self.n_iters:
+            raise ValueError("burn_in must lie in [0, n_iters)")
+
+    @property
+    def burn_in_iters(self):
+        return self.n_iters // 2 if self.burn_in is None else self.burn_in
 
 
 @dataclass
@@ -30,10 +95,14 @@ class ModelParts:
     """Static description shared by the objective and evaluation code; the
     variant, latent size, tau and gamma are read from ``train_config``."""
 
-    train_config: object  # trainer.TrainConfig
+    train_config: TrainConfig
     dec_cfg: DecoderConfig
     vocab_size: int
     cond_dim: int  # condition columns
+
+    def __post_init__(self):
+        if self.variant == "evac" and self.cond_dim < 1:
+            raise ValueError("conditional variant needs condition columns")
 
     @property
     def variant(self):
@@ -46,6 +115,65 @@ class ModelParts:
         if self.variant == "eva":
             return (slice(0, d),)
         return slice(0, d), slice(d, d + k), slice(d + k, d + k + d)
+
+
+def init_globals(parts, rng):
+    """Decoder weights theta, then the condition embedding H for evac."""
+    d = parts.train_config.latent_dim
+    globals_ = {"theta": init_decoder_params(parts.dec_cfg, parts.vocab_size,
+                                             d, rng)}
+    if parts.variant == "evac":
+        globals_["H"] = 0.1 * rng.standard_normal((d, parts.cond_dim))
+    return globals_
+
+
+def init_phi(parts, rng):
+    """The encoders; both emit every local coordinate, ``local_slices``."""
+    cfg, width = parts.train_config, parts.local_slices[-1].stop
+    phi = {"seq": init_sequence_encoder(parts.vocab_size, cfg.embed_dim,
+                                        cfg.hidden, width, rng)}
+    if parts.variant == "evac":
+        phi["cond"] = init_condition_encoder(parts.cond_dim, cfg.cond_hidden,
+                                             width, rng)
+    return phi
+
+
+# stands in for a Generator in the init functions: each draw is a read-only
+# zero broadcast to its size, so nothing is drawn and nothing is allocated
+_NO_DRAWS = SimpleNamespace(
+    normal=lambda loc, scale, size: np.broadcast_to(0.0, size),
+    standard_normal=lambda size: np.broadcast_to(0.0, size))
+
+
+def param_layouts(parts):
+    """``(globals_layout, phi_layout)``: the shapes the configs in ``parts``
+    give theta, H and phi, from the init functions that draw them. They are
+    derived once per set of configs."""
+    return _layouts(parts.train_config, parts.dec_cfg, parts.vocab_size,
+                    parts.cond_dim)
+
+
+@functools.lru_cache(maxsize=16)
+def _layouts(*fields):
+    parts = ModelParts(*fields)
+    return (_nn.Layout(init_globals(parts, _NO_DRAWS)),
+            _nn.Layout(init_phi(parts, _NO_DRAWS)))
+
+
+def encode_posteriors(parts, phi, batch):
+    """Variational posterior over all locals (no caches); used at eval.
+    Its columns are ``parts.local_slices``: z, then w and b for evac."""
+    return posterior_with_caches(parts, phi, batch)[0]["q"]
+
+
+def posterior_with_caches(parts, phi, batch):
+    """The fused posterior ``q`` and each expert's, and their caches."""
+    q_seq, c_seq = encode_sequence(phi["seq"], batch.tokens, batch.mask)
+    if parts.variant == "eva":
+        return {"q": q_seq, "q_seq": q_seq}, c_seq, None
+    q_cond, c_cond = encode_conditions(phi["cond"], batch.conditions)
+    q = poe_combine(q_seq, q_cond)
+    return {"q": q, "q_seq": q_seq, "q_cond": q_cond}, c_seq, c_cond
 
 
 @dataclass
@@ -68,7 +196,6 @@ class TrainedModel(ModelParts):
     # -- persistence --------------------------------------------------------
 
     def save(self, path):
-        from .trainer import param_layouts  # deferred: import cycle
         res_layout, phi_layout = param_layouts(self)
         reservoir = np.array([res_layout.flatten(s) for s in self.reservoir])
         reservoir = reservoir.reshape(len(self.reservoir), res_layout.size)
@@ -92,7 +219,6 @@ class TrainedModel(ModelParts):
     def load(cls, path):
         """Read a checkpoint; a file that is not a well-formed one raises
         ValueError naming ``path``."""
-        from .trainer import TrainConfig, build_parts, param_layouts  # cycle
         with (reading(path, "checkpoint", EOFError, zipfile.BadZipFile),
               np.load(path, allow_pickle=False) as data):
             meta = json.loads(str(data["meta"]))
@@ -107,10 +233,10 @@ class TrainedModel(ModelParts):
                 for i, e in enumerate(meta["vocab"])
             ])
             condition_names = tuple(meta["condition_names"])
-            dec_cfg = _config_from(DecoderConfig, meta["dec_cfg"], "dec_cfg")
-            parts = build_parts(
+            parts = ModelParts(
                 _config_from(TrainConfig, meta["train_config"], "train_config"),
-                vocab.size, len(condition_names), dec_cfg.t_max, dec_cfg)
+                _config_from(DecoderConfig, meta["dec_cfg"], "dec_cfg"),
+                vocab.size, len(condition_names))
             res_layout, phi_layout = param_layouts(parts)
             if res.ndim != 2 or res.shape[1] != res_layout.size:
                 raise ValueError(f"reservoir shape {res.shape} does not match "

@@ -1,4 +1,4 @@
-"""Hybrid training: SGMCMC over global weights, amortized VI for locals.
+"""The update scheme: SGMCMC over global weights, amortized VI for locals.
 
 One iteration draws a minibatch, samples the local latents from their
 variational posteriors, and then applies two updates computed from that same
@@ -17,86 +17,29 @@ KL(q(z|x) || N(0, I)) exactly.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import _nn
-from .decoder import DecoderConfig, init_decoder_params, ll_and_grads
+from .decoder import DecoderConfig, ll_and_grads
 from .encoders import (
-    encode_conditions,
     encode_conditions_backward,
-    encode_sequence,
     encode_sequence_backward,
-    init_condition_encoder,
-    init_sequence_encoder,
-    poe_combine,
+    entropy_diag_gaussian,
+    kl_diag_gaussians,
     poe_combine_backward,
     sample_with_eta,
     sample_with_eta_backward,
 )
 from .latent import latent_log_density_grads
-from .model import ModelParts, TrainedModel
-
-VARIANTS = ("eva", "evac")
+# perfbench/pipeline.py builds ``trainer.TrainConfig``, so it is kept here
+from .model import (ModelParts, TrainConfig, TrainedModel, init_globals,
+                    init_phi, param_layouts, posterior_with_caches)
 
 LN_2PI = math.log(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    variant: str = "eva"
-    latent_dim: int = 16
-    n_iters: int = 2000
-    minibatch: int = 32
-    lr_phi: float = 1e-3
-    lr_global: float = 1e-3
-    psgld_alpha: float = 0.99
-    psgld_lambda: float = 1e-5
-    temperature: float = 1.0  # pSGLD noise variance scales by T
-    burn_in: int | None = None  # default: half the iteration budget
-    thin: int = 200
-    reservoir_size: int = 10
-    clip_norm: float = 1e4  # globals grad is scaled by n/B; a tight clip diverges
-    embed_dim: int = 32
-    hidden: int = 64
-    cond_hidden: int = 32
-    tau: float = 0.1
-    gamma: float = 0.1
-    log_every: int = 50
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        # rate 0 is allowed so "no learning" degenerates to the identity
-        if self.lr_phi < 0 or self.lr_global < 0:
-            raise ValueError("learning rates must be non-negative")
-        if self.minibatch < 1 or self.n_iters < 1:
-            raise ValueError("minibatch and n_iters must be >= 1")
-        if self.reservoir_size < 1 or self.thin < 1:
-            raise ValueError("reservoir_size and thin must be >= 1")
-        if not (0.0 <= self.psgld_alpha <= 1.0):
-            raise ValueError("psgld_alpha must lie in [0, 1]")
-        for name in ("psgld_lambda", "tau", "gamma"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
-        for name in ("latent_dim", "embed_dim", "hidden", "cond_hidden",
-                     "log_every"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not 0 <= self.burn_in_iters < self.n_iters:
-            raise ValueError("burn_in must lie in [0, n_iters)")
-
-    @property
-    def burn_in_iters(self):
-        return self.n_iters // 2 if self.burn_in is None else self.burn_in
 
 
 @dataclass
@@ -132,89 +75,6 @@ class TrainingDiverged(RuntimeError):
         self.last_report = last_report
 
 
-# ---------------------------------------------------------------------------
-# closed-form Gaussian quantities
-# ---------------------------------------------------------------------------
-
-def kl_diag_gaussians(q, prior_mean, prior_var):
-    """KL(q || N(prior_mean, prior_var I)) summed over all dimensions."""
-    pv = float(prior_var)
-    if pv <= 0:
-        raise ValueError("prior variance must be positive")
-    if np.any(q.var <= 0):
-        raise ValueError("variance must be strictly positive")
-    d = q.mean - prior_mean
-    return float(0.5 * np.sum(q.var / pv + d * d / pv - 1.0 + np.log(pv / q.var)))
-
-
-def entropy_diag_gaussian(g):
-    if np.any(g.var <= 0):
-        raise ValueError("variance must be strictly positive")
-    return float(0.5 * np.sum(1.0 + np.log(2.0 * math.pi * g.var)))
-
-
-# ---------------------------------------------------------------------------
-# posterior assembly
-# ---------------------------------------------------------------------------
-
-def init_globals(parts, rng):
-    """Decoder weights theta, then the condition embedding H for evac."""
-    d = parts.train_config.latent_dim
-    globals_ = {"theta": init_decoder_params(parts.dec_cfg, parts.vocab_size,
-                                             d, rng)}
-    if parts.variant == "evac":
-        globals_["H"] = 0.1 * rng.standard_normal((d, parts.cond_dim))
-    return globals_
-
-
-def init_phi(parts, rng):
-    """The encoders; both emit every local coordinate, ``local_slices``."""
-    cfg, width = parts.train_config, parts.local_slices[-1].stop
-    phi = {"seq": init_sequence_encoder(parts.vocab_size, cfg.embed_dim,
-                                        cfg.hidden, width, rng)}
-    if parts.variant == "evac":
-        phi["cond"] = init_condition_encoder(parts.cond_dim, cfg.cond_hidden,
-                                             width, rng)
-    return phi
-
-
-# stands in for a Generator in the init functions: each draw is a read-only
-# zero broadcast to its size, so nothing is drawn and nothing is allocated
-_NO_DRAWS = SimpleNamespace(
-    normal=lambda loc, scale, size: np.broadcast_to(0.0, size),
-    standard_normal=lambda size: np.broadcast_to(0.0, size))
-
-
-def param_layouts(parts):
-    """``(globals_layout, phi_layout)``: the shapes the configs in ``parts``
-    give theta, H and phi, from the init functions that draw them. They are
-    derived once per set of configs."""
-    return _layouts(parts.train_config, parts.dec_cfg, parts.vocab_size,
-                    parts.cond_dim)
-
-
-@functools.lru_cache(maxsize=16)
-def _layouts(*fields):
-    parts = ModelParts(*fields)
-    return (_nn.Layout(init_globals(parts, _NO_DRAWS)),
-            _nn.Layout(init_phi(parts, _NO_DRAWS)))
-
-
-def encode_posteriors(parts, phi, batch):
-    """Variational posterior over all locals (no caches); used at eval.
-    Its columns are ``parts.local_slices``: z, then w and b for evac."""
-    return _posterior_with_caches(parts, phi, batch)[0]["q"]
-
-
-def _posterior_with_caches(parts, phi, batch):
-    q_seq, c_seq = encode_sequence(phi["seq"], batch.tokens, batch.mask)
-    if parts.variant == "eva":
-        return {"q": q_seq, "q_seq": q_seq}, c_seq, None
-    q_cond, c_cond = encode_conditions(phi["cond"], batch.conditions)
-    q = poe_combine(q_seq, q_cond)
-    return {"q": q, "q_seq": q_seq, "q_cond": q_cond}, c_seq, c_cond
-
-
 def draw_local_noises(rng, parts, n):
     """Fresh standard-normal reparameterization noise for all locals: one
     (n, width) array whose columns are ``parts.local_slices``."""
@@ -239,7 +99,7 @@ def step_gradients(parts, batch, glob_vec, phi_vec, noises, n_total):
     globals_ = glob_layout.views(glob_vec)
     g_globals, g_phi = np.zeros(glob_layout.size), np.zeros(phi_layout.size)
     g_glob_tree, g_enc = glob_layout.views(g_globals), phi_layout.views(g_phi)
-    qs, c_seq, c_cond = _posterior_with_caches(
+    qs, c_seq, c_cond = posterior_with_caches(
         parts, phi_layout.views(phi_vec), batch)
     q = qs["q"]
     sample = sample_with_eta(q, noises)
@@ -360,13 +220,6 @@ def psgld_step(state, params, grad, step_size, temperature, rng,
 # the training loop
 # ---------------------------------------------------------------------------
 
-def build_parts(config, vocab_size, cond_dim, t_max, dec_cfg=None):
-    if config.variant == "evac" and cond_dim < 1:
-        raise ValueError("conditional variant needs condition columns")
-    return ModelParts(config, dec_cfg or DecoderConfig(t_max=t_max),
-                      vocab_size, cond_dim)
-
-
 def train(config, batch, vocab, condition_names=(), dec_cfg=None,
           metrics_sink=None, checkpoint_fn=None):
     """Run the alternating scheme over an encoded cohort whose condition
@@ -387,7 +240,8 @@ def train(config, batch, vocab, condition_names=(), dec_cfg=None,
     if len(condition_names) != cond_dim:
         raise ValueError(f"{len(condition_names)} condition_names for "
                          f"{cond_dim} condition columns")
-    parts = build_parts(config, vocab.size, cond_dim, t_max, dec_cfg)
+    parts = ModelParts(config, dec_cfg or DecoderConfig(t_max=t_max),
+                       vocab.size, cond_dim)
 
     rng = np.random.default_rng(config.seed)
     glob_layout, phi_layout = param_layouts(parts)

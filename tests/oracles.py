@@ -21,10 +21,11 @@ from ehrgen import decoder
 from ehrgen.decoder import decode_logits, sequence_log_likelihood
 from ehrgen.evaluation import (PREDICTOR_EMBED, PREDICTOR_HIDDEN, PREDICTOR_LR,
                                PREDICTOR_MINIBATCH, NgramStats)
+from ehrgen.encoders import kl_diag_gaussians
 from ehrgen.latent import compose_intensities
+from ehrgen.model import encode_posteriors, param_layouts
 from ehrgen.simulate import _length_tail, _occupancies
-from ehrgen.trainer import (encode_posteriors, kl_diag_gaussians,
-                            param_layouts, step_gradients)
+from ehrgen.trainer import step_gradients
 
 
 # ---------------------------------------------------------------------------

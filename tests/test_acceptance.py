@@ -25,25 +25,17 @@ from ehrgen.decoder import (
     ll_and_grads,
     sequence_log_likelihood,
 )
-from ehrgen.encoders import DiagGaussian, poe_combine
+from ehrgen.encoders import (DiagGaussian, entropy_diag_gaussian,
+                             kl_diag_gaussians, poe_combine)
 from ehrgen.generator import (
     GenerationRequest,
     generate_case_control,
     generate_cohort,
 )
 from ehrgen.latent import latent_log_density_grads
+from ehrgen.model import ModelParts, TrainConfig, init_phi
 from ehrgen.simulate import condition_codes, default_toy_spec, simulate_toy_cohort
-from ehrgen.trainer import (
-    SamplerState,
-    TrainConfig,
-    build_parts,
-    draw_local_noises,
-    entropy_diag_gaussian,
-    init_phi,
-    kl_diag_gaussians,
-    psgld_step,
-    train,
-)
+from ehrgen.trainer import SamplerState, draw_local_noises, psgld_step, train
 
 from oracles import (numerical_grad, numerical_grad_tree, rel_err,
                      tree_step_gradients, zero_grads)
@@ -66,7 +58,7 @@ def tiny_setup(variant, seed=0, n=6, t_max=4):
                       cond_hidden=4, seed=seed)
     dec = DecoderConfig(t_max=t_max, channels=4, kernel=2, dilations=(1, 2),
                         n_upsample=1)
-    parts = build_parts(cfg, vocab.size, batch.conditions.shape[1], t_max, dec)
+    parts = ModelParts(cfg, dec, vocab.size, batch.conditions.shape[1])
     rng = np.random.default_rng(seed + 5)
     theta = init_decoder_params(dec, vocab.size, cfg.latent_dim, rng)
     H = None

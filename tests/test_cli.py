@@ -11,8 +11,7 @@ from dataclasses import MISSING, fields
 import numpy as np
 import pytest
 
-from ehrgen.cli import (CONFIG_SCHEMA_VERSION, build_parser, config_digest,
-                        main, parse_config_file)
+from ehrgen.cli import build_parser, config_digest, main
 from ehrgen.corpus import (build_visit_vocab, load_cohort, load_vocab,
                            replace_rare_visits)
 from ehrgen.decoder import DecoderConfig
@@ -198,84 +197,12 @@ class TestDeterminism:
 
     def test_digest_tracks_arguments(self):
         import argparse
-        ns1 = argparse.Namespace(seed=0, n=5, func=print, config=None)
-        ns2 = argparse.Namespace(seed=0, n=5, func=open, config="x")
-        ns3 = argparse.Namespace(seed=1, n=5, func=print, config=None)
-        assert config_digest(ns1) == config_digest(ns2)  # func/config ignored
+        ns1 = argparse.Namespace(seed=0, n=5, func=print)
+        ns2 = argparse.Namespace(seed=0, n=5, func=open)
+        ns3 = argparse.Namespace(seed=1, n=5, func=print)
+        assert config_digest(ns1) == config_digest(ns2)  # func ignored
         assert config_digest(ns1) != config_digest(ns3)
         assert len(config_digest(ns1)) == 16
-
-
-class TestConfigFile:
-    def write_cfg(self, tmp_path, body):
-        path = tmp_path / "run.cfg"
-        path.write_text(body)
-        return str(path)
-
-    def test_values_and_comments(self, tmp_path):
-        cfg = self.write_cfg(tmp_path, (
-            f"schema_version = {CONFIG_SCHEMA_VERSION}\n"
-            "# a comment\n"
-            "n_records = 12\n"
-            "\n"
-            "seed = 9\n"
-        ))
-        values = parse_config_file(cfg)
-        assert values == {"n_records": "12", "seed": "9"}
-
-    def test_config_supplies_defaults(self, tmp_path):
-        cfg = self.write_cfg(tmp_path, (
-            f"schema_version = {CONFIG_SCHEMA_VERSION}\n"
-            "n_records = 12\n"
-        ))
-        out = str(tmp_path / "c.jsonl")
-        assert run(["simulate", "--config", cfg, "--out", out]) == 0
-        assert len(load_cohort(out)) == 12
-
-    def test_explicit_flag_beats_config(self, tmp_path):
-        cfg = self.write_cfg(tmp_path, (
-            f"schema_version = {CONFIG_SCHEMA_VERSION}\n"
-            "n_records = 12\n"
-        ))
-        out = str(tmp_path / "c.jsonl")
-        assert run(["simulate", "--config", cfg, "--out", out,
-                    "--n-records", "8"]) == 0
-        assert len(load_cohort(out)) == 8
-
-    def test_missing_schema_version(self, tmp_path, capsys):
-        cfg = self.write_cfg(tmp_path, "n_records = 12\n")
-        out = str(tmp_path / "c.jsonl")
-        assert run(["simulate", "--config", cfg, "--out", out]) == 1
-        err = read_stderr_json(capsys)
-        assert "schema_version" in err["error"]
-
-    def test_unknown_key(self, tmp_path, capsys):
-        cfg = self.write_cfg(tmp_path, (
-            f"schema_version = {CONFIG_SCHEMA_VERSION}\n"
-            "records = 12\n"
-        ))
-        out = str(tmp_path / "c.jsonl")
-        assert run(["simulate", "--config", cfg, "--out", out]) == 1
-        assert "records" in read_stderr_json(capsys)["error"]
-
-    @pytest.mark.parametrize("argv, line, flag", [
-        (["train", "--cohort", "c", "--vocab", "v"], "dilations = 1,x",
-         "--dilations"),
-        (["simulate"], "n_records = x", "--n-records"),
-    ])
-    def test_bad_value_names_file_and_flag(self, tmp_path, capsys, argv,
-                                           line, flag):
-        cfg = self.write_cfg(
-            tmp_path, f"schema_version = {CONFIG_SCHEMA_VERSION}\n{line}\n")
-        out = str(tmp_path / "o")
-        assert run(argv + ["--out", out, "--config", cfg]) == 1
-        err = read_stderr_json(capsys)["error"]
-        assert cfg in err and flag in err
-
-    def test_config_file_missing(self, tmp_path, capsys):
-        out = str(tmp_path / "c.jsonl")
-        assert run(["simulate", "--config", str(tmp_path / "nope.cfg"),
-                    "--out", out]) == 1
 
 
 class TestErrorPaths:
@@ -715,7 +642,7 @@ class _Stop(Exception):
 
 class TestConfigFlags:
     """Every train / generate flag is a config field: it has the field's
-    default, and a flag or a config-file key reaches the config built."""
+    default, and its value reaches the config built."""
 
     def test_every_field_has_a_flag_with_its_default(self):
         parser, subparsers = build_parser()
@@ -765,10 +692,8 @@ class TestConfigFlags:
                             fake_generate)
         return seen
 
-    @pytest.mark.parametrize("source", ["flags", "config"])
     @pytest.mark.parametrize("command", ["train", "generate"])
-    def test_values_reach_the_config(self, pipeline, tmp_path, seen,
-                                     source, command):
+    def test_values_reach_the_config(self, pipeline, tmp_path, seen, command):
         classes = [cls for c, cls in CONFIG_FLAGS if c == command]
         values = {flag_dest(name): text_of(value) for cls in classes
                   for name, value in NON_DEFAULT[cls].items()}
@@ -776,15 +701,8 @@ class TestConfigFlags:
             "train": ["--cohort", pipeline["cohort"],
                       "--vocab", pipeline["vocab"]],
             "generate": ["--model", pipeline["model"]]}[command]
-        if source == "flags":
-            for dest, text in values.items():
-                argv += ["--" + dest.replace("_", "-"), text]
-        else:
-            cfg = tmp_path / "run.cfg"
-            cfg.write_text(f"schema_version = {CONFIG_SCHEMA_VERSION}\n"
-                           + "".join(f"{k} = {v}\n"
-                                     for k, v in values.items()))
-            argv += ["--config", str(cfg)]
+        for dest, text in values.items():
+            argv += ["--" + dest.replace("_", "-"), text]
         with pytest.raises(_Stop):
             run(argv)
         if command == "train":
@@ -795,17 +713,3 @@ class TestConfigFlags:
         else:
             assert seen["request"] == GenerationRequest(
                 **NON_DEFAULT[GenerationRequest])
-
-
-class TestOutputDir:
-    def test_relative_outputs_join_env_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("EHRGEN_OUTPUT_DIR", str(tmp_path))
-        assert run(["simulate", "--out", "nested/c.jsonl",
-                    "--n-records", "5"]) == 0
-        assert (tmp_path / "nested" / "c.jsonl").exists()
-
-    def test_absolute_outputs_ignore_env_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("EHRGEN_OUTPUT_DIR", str(tmp_path / "elsewhere"))
-        target = str(tmp_path / "direct.jsonl")
-        assert run(["simulate", "--out", target, "--n-records", "5"]) == 0
-        assert os.path.exists(target)

@@ -25,7 +25,6 @@ from ehrgen.evaluation import (
     NextVisitPredictor,
     NgramStats,
     _code_axis,
-    avg_jaccard,
     avg_jaccard_counts,
     elbo_holdout,
     independent_bigram_baseline,
@@ -176,14 +175,14 @@ class TestDiversity:
         # {a,b} vs {b,c}: intersection 1, union 3
         rec = PatientRecord("p", (frozenset({"a", "b"}), frozenset({"b", "c"})))
         c = Cohort([rec], [])
-        np.testing.assert_allclose(avg_jaccard(c), 1 / 3, rtol=1e-12)
+        np.testing.assert_allclose(avg_jaccard_counts(c)[0], 1 / 3, rtol=1e-12)
 
     def test_jaccard_identical_and_disjoint(self):
         same = PatientRecord("p", (frozenset({"a"}), frozenset({"a"})))
         disjoint = PatientRecord("q", (frozenset({"a"}), frozenset({"b"})))
-        assert avg_jaccard(Cohort([same], [])) == 1.0
-        assert avg_jaccard(Cohort([disjoint], [])) == 0.0
-        both = avg_jaccard(Cohort([same, disjoint], []))
+        assert avg_jaccard_counts(Cohort([same], []))[0] == 1.0
+        assert avg_jaccard_counts(Cohort([disjoint], []))[0] == 0.0
+        both = avg_jaccard_counts(Cohort([same, disjoint], []))[0]
         np.testing.assert_allclose(both, 0.5)
 
     def test_jaccard_skips_single_visit_records(self):
@@ -194,7 +193,7 @@ class TestDiversity:
         value, used, skipped = avg_jaccard_counts(Cohort(recs, []))
         assert (value, used, skipped) == (1.0, 1, 1)
         with pytest.raises(ValueError):
-            avg_jaccard(Cohort([recs[1]], []))
+            avg_jaccard_counts(Cohort([recs[1]], []))
 
     def test_unique_token_ratio(self):
         rep = PatientRecord("p", (frozenset({"a"}), frozenset({"b"}),

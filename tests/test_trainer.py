@@ -10,20 +10,16 @@ import pytest
 
 from ehrgen import _nn
 from ehrgen.corpus import build_visit_vocab, encode_cohort
-from ehrgen.encoders import DiagGaussian
+from ehrgen.encoders import (DiagGaussian, entropy_diag_gaussian,
+                             kl_diag_gaussians)
+from ehrgen.model import (ModelParts, TrainConfig, encode_posteriors, init_phi,
+                          param_layouts)
 from ehrgen.simulate import default_toy_spec, simulate_toy_cohort
 from ehrgen.trainer import (
     ElboReport,
     SamplerState,
-    TrainConfig,
     TrainingDiverged,
-    build_parts,
     draw_local_noises,
-    encode_posteriors,
-    entropy_diag_gaussian,
-    init_phi,
-    kl_diag_gaussians,
-    param_layouts,
     psgld_step,
     step_gradients,
     train,
@@ -45,8 +41,7 @@ def small_training_setup(variant, seed=0, n=8, t_max=5):
     from ehrgen.decoder import DecoderConfig
     dec_cfg = DecoderConfig(t_max=t_max, channels=4, kernel=2,
                             dilations=(1, 2), n_upsample=1)
-    parts = build_parts(config, vocab.size, batch.conditions.shape[1], t_max,
-                        dec_cfg=dec_cfg)
+    parts = ModelParts(config, dec_cfg, vocab.size, batch.conditions.shape[1])
     rng = np.random.default_rng(seed + 100)
     from ehrgen.decoder import init_decoder_params
     theta = init_decoder_params(dec_cfg, vocab.size, config.latent_dim, rng)
@@ -453,7 +448,7 @@ class TestTrainLoop:
     def test_evac_needs_condition_columns(self):
         cfg = TrainConfig(variant="evac", latent_dim=3)
         with pytest.raises(ValueError, match="condition"):
-            build_parts(cfg, vocab_size=8, cond_dim=0, t_max=4)
+            ModelParts(cfg, self.small_dec_cfg(), vocab_size=8, cond_dim=0)
 
     def test_objective_improves_on_tiny_corpus(self):
         """Full-batch training on 12 records should lower J noticeably."""
