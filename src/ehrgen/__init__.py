@@ -6,73 +6,47 @@ to binary condition labels so cohorts can be generated on demand. Training
 mixes stochastic-gradient MCMC over the decoder weights with amortized
 variational inference for the per-record latents.
 
-Attribute access is lazy so that the command-line entry point can configure
-threading before the numeric stack loads.
+``EHRGEN_THREADS`` sets the BLAS thread variables it names below, unless
+they are set already. BLAS reads them when NumPy loads, so the variable
+takes effect only when this package is imported before NumPy.
 """
 
-import importlib
+import os
+
+_threads = os.environ.get("EHRGEN_THREADS")
+if _threads:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        os.environ.setdefault(_var, _threads)
+
+# every submodule import loads NumPy, so all of them come after the block
+from .corpus import (
+    Cohort, EncodedBatch, PatientRecord, VisitVocab, VocabEntry,
+    build_visit_vocab, encode_cohort, load_cohort, load_vocab,
+    replace_rare_visits, save_cohort, save_vocab, visit_key)
+from .simulate import (
+    ToyCorpusSpec, analytic_group_unigram, condition_codes, default_toy_spec,
+    simulate_toy_cohort)
+from .latent import compose_intensities, sample_prior_eva, sample_prior_evac
+from .encoders import (
+    DiagGaussian, encode_conditions, encode_sequence, entropy_diag_gaussian,
+    init_condition_encoder, init_sequence_encoder, kl_diag_gaussians,
+    poe_combine, sample_with_eta)
+from .decoder import (
+    DecoderConfig, ancestral_sample, decode_logits, init_decoder_params,
+    sequence_log_likelihood)
+from .model import (
+    ModelParts, TrainConfig, TrainedModel, encode_posteriors, init_phi)
+from .trainer import (
+    ElboReport, SamplerState, TrainingDiverged, draw_local_noises,
+    psgld_step, step_gradients, train)
+from .generator import (
+    GenerationRequest, condition_vector, generate_case_control,
+    generate_cohort)
+from .evaluation import (
+    AttackOutcome, NextVisitPredictor, NgramStats, avg_jaccard_counts,
+    elbo_holdout, independent_bigram_baseline, ngram_stats, pearson_marginal,
+    presence_disclosure, split_cohort, topk_recall,
+    train_next_visit_predictor, unique_token_ratio)
 
 __version__ = "0.1.0"
-
-_EXPORTS = {
-    # corpus
-    "PatientRecord": ".corpus", "Cohort": ".corpus", "VisitVocab": ".corpus",
-    "VocabEntry": ".corpus", "EncodedBatch": ".corpus", "visit_key": ".corpus",
-    "build_visit_vocab": ".corpus", "replace_rare_visits": ".corpus",
-    "encode_cohort": ".corpus",
-    "save_cohort": ".corpus", "load_cohort": ".corpus",
-    "save_vocab": ".corpus", "load_vocab": ".corpus",
-    # simulator
-    "ToyCorpusSpec": ".simulate", "default_toy_spec": ".simulate",
-    "simulate_toy_cohort": ".simulate", "condition_codes": ".simulate",
-    "analytic_group_unigram": ".simulate",
-    # latent hierarchy
-    "compose_intensities": ".latent",
-    "sample_prior_eva": ".latent", "sample_prior_evac": ".latent",
-    # encoders
-    "DiagGaussian": ".encoders",
-    "poe_combine": ".encoders", "sample_with_eta": ".encoders",
-    "encode_sequence": ".encoders", "encode_conditions": ".encoders",
-    "init_sequence_encoder": ".encoders",
-    "init_condition_encoder": ".encoders",
-    "kl_diag_gaussians": ".encoders", "entropy_diag_gaussian": ".encoders",
-    # decoder
-    "DecoderConfig": ".decoder", "init_decoder_params": ".decoder",
-    "decode_logits": ".decoder", "sequence_log_likelihood": ".decoder",
-    "ancestral_sample": ".decoder",
-    # model description
-    "TrainConfig": ".model", "ModelParts": ".model", "TrainedModel": ".model",
-    "init_phi": ".model", "encode_posteriors": ".model",
-    # trainer
-    "ElboReport": ".trainer", "SamplerState": ".trainer",
-    "TrainingDiverged": ".trainer", "psgld_step": ".trainer",
-    "train": ".trainer", "draw_local_noises": ".trainer",
-    "step_gradients": ".trainer",
-    # generation
-    "GenerationRequest": ".generator", "generate_cohort": ".generator",
-    "generate_case_control": ".generator", "condition_vector": ".generator",
-    # evaluation
-    "NgramStats": ".evaluation", "AttackOutcome": ".evaluation",
-    "ngram_stats": ".evaluation", "pearson_marginal": ".evaluation",
-    "independent_bigram_baseline": ".evaluation",
-    "avg_jaccard_counts": ".evaluation", "unique_token_ratio": ".evaluation",
-    "split_cohort": ".evaluation", "NextVisitPredictor": ".evaluation",
-    "train_next_visit_predictor": ".evaluation", "topk_recall": ".evaluation",
-    "presence_disclosure": ".evaluation", "elbo_holdout": ".evaluation",
-}
-
-__all__ = sorted(_EXPORTS) + ["__version__"]
-
-
-def __getattr__(name):
-    target = _EXPORTS.get(name)
-    if target is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(target, __name__)
-    value = getattr(module, name)
-    globals()[name] = value  # cache for subsequent lookups
-    return value
-
-
-def __dir__():
-    return __all__

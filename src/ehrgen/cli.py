@@ -6,6 +6,8 @@ the seed, so identical invocations produce identical files. The ``train`` /
 ``generate`` flags are the fields of ``TrainConfig`` and ``DecoderConfig`` /
 ``GenerationRequest`` in kebab case, except ``--iters`` and ``--reservoir``.
 Exit codes: 0 success, 1 configuration error, 2 runtime/numerical failure.
+``EHRGEN_THREADS`` is applied by the package, which this module's own
+import loads first.
 """
 
 from __future__ import annotations
@@ -18,13 +20,15 @@ import os
 import sys
 from dataclasses import MISSING, asdict, fields
 
-# Thread override must land before numpy initializes its BLAS thread pools,
-# which is why this module avoids importing the numeric stack at top level.
-_threads = os.environ.get("EHRGEN_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
+import numpy as np
+
+from . import _nn, evaluation as ev, generator, simulate as sim, trainer
+from .corpus import (build_visit_vocab, encode_cohort, load_cohort,
+                     load_vocab, replace_rare_visits, save_cohort, save_vocab)
+from .decoder import DecoderConfig
+from .generator import GenerationRequest
+from .model import TrainConfig, TrainedModel
+
 
 class ConfigError(Exception):
     pass
@@ -143,9 +147,6 @@ def _config(cls, args, **given):
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args, out):
-    from . import simulate as sim
-    from .corpus import save_cohort
-
     spec = sim.default_toy_spec(
         n_records=args.n_records, n_conditions=args.n_conditions,
         len_min=args.len_min, len_max=args.len_max,
@@ -158,9 +159,6 @@ def cmd_simulate(args, out):
 
 
 def cmd_preprocess(args, out):
-    from .corpus import (build_visit_vocab, load_cohort,
-                         replace_rare_visits, save_cohort, save_vocab)
-
     cohort = load_cohort(_require_file(args.input, "input cohort"))
     vocab = build_visit_vocab(cohort, max_size=args.max_vocab)
     processed = replace_rare_visits(cohort, vocab)
@@ -173,13 +171,6 @@ def cmd_preprocess(args, out):
 
 
 def cmd_train(args, out):
-    import numpy as np
-
-    from . import _nn
-    from .corpus import encode_cohort, load_cohort, load_vocab
-    from .decoder import DecoderConfig
-    from .trainer import TrainConfig, train
-
     cohort = load_cohort(_require_file(args.cohort, "cohort"))
     vocab = load_vocab(_require_file(args.vocab, "vocabulary"))
     config = _config(TrainConfig, args)
@@ -210,10 +201,10 @@ def cmd_train(args, out):
                      **dict(_nn.iter_arrays(snapshot)))
 
     try:
-        model = train(config, batch, vocab,
-                      condition_names=cohort.condition_names,
-                      dec_cfg=dec_cfg, metrics_sink=metrics_sink,
-                      checkpoint_fn=checkpoint_fn)
+        model = trainer.train(config, batch, vocab,
+                              condition_names=cohort.condition_names,
+                              dec_cfg=dec_cfg, metrics_sink=metrics_sink,
+                              checkpoint_fn=checkpoint_fn)
     finally:
         if metrics_fh is not None:
             metrics_fh.close()
@@ -223,12 +214,8 @@ def cmd_train(args, out):
 
 
 def cmd_generate(args, out):
-    from .corpus import save_cohort
-    from .generator import GenerationRequest, generate_cohort
-    from .model import TrainedModel
-
     model = TrainedModel.load(_require_file(args.model, "model checkpoint"))
-    cohort = generate_cohort(model, _config(GenerationRequest, args))
+    cohort = generator.generate_cohort(model, _config(GenerationRequest, args))
     save_cohort(out.path(args.out), cohort,
                 meta={"config_digest": config_digest(args),
                       "seed": args.seed})
@@ -236,9 +223,8 @@ def cmd_generate(args, out):
 
 
 def cmd_evaluate(args, out):
-    from . import evaluation as ev
-    from .corpus import load_cohort, load_vocab
-
+    if any(k < 1 for k in args.topk):
+        raise ConfigError(f"--topk values must be >= 1, got {args.topk}")
     real = load_cohort(_require_file(args.real, "real cohort"))
     synth = load_cohort(_require_file(args.synthetic, "synthetic cohort"))
     vocab = load_vocab(_require_file(args.vocab, "vocabulary"))
@@ -269,8 +255,6 @@ def cmd_evaluate(args, out):
                                           seed=args.seed)
 
     if args.model:
-        from .model import TrainedModel
-
         model = TrainedModel.load(_require_file(args.model, "model"))
         metrics["elbo_holdout"] = ev.elbo_holdout(model, test_r)
 
@@ -300,11 +284,6 @@ def cmd_evaluate(args, out):
 
 
 def cmd_attack(args, out):
-    import numpy as np
-
-    from . import evaluation as ev
-    from .corpus import load_cohort
-
     synth = load_cohort(_require_file(args.synthetic, "synthetic cohort"))
     members = load_cohort(_require_file(args.train_cohort, "training cohort"))
     outsiders = load_cohort(
@@ -337,8 +316,6 @@ def cmd_attack(args, out):
 # ---------------------------------------------------------------------------
 
 def build_parser():
-    from . import DecoderConfig, GenerationRequest, TrainConfig
-
     parser = _Parser(prog="ehrgen",
                      description="Synthetic EHR sequence modeling pipeline")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -250,6 +250,23 @@ class TestErrorPaths:
         assert "t_max" in read_stderr_json(capsys)["error"]
         assert not os.path.exists(out)
 
+    def test_topk_below_1_exits_1_before_training(self, pipeline, tmp_path,
+                                                  capsys, monkeypatch):
+        import ehrgen.evaluation
+
+        def refuse(*a, **k):
+            raise AssertionError("predictor trained before --topk was checked")
+
+        monkeypatch.setattr(ehrgen.evaluation, "train_next_visit_predictor",
+                            refuse)
+        out = str(tmp_path / "eval.json")
+        assert run(["evaluate", "--real", pipeline["cohort"],
+                    "--synthetic", pipeline["synth"],
+                    "--vocab", pipeline["vocab"], "--out", out,
+                    "--topk", "5,0"]) == 1
+        assert "--topk" in read_stderr_json(capsys)["error"]
+        assert not os.path.exists(out)
+
     def test_bad_train_config_exits_1(self, pipeline, tmp_path, capsys):
         assert run(["train", "--cohort", pipeline["cohort"],
                     "--vocab", pipeline["vocab"],

@@ -1,48 +1,128 @@
-"""The package's lazy export table names only attributes that exist, and its
-modules import each other in one direction."""
+"""The package exports what its modules define, applies ``EHRGEN_THREADS``
+on a plain import, and its modules import each other in one direction."""
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import ehrgen
 
 PACKAGE_DIR = pathlib.Path(ehrgen.__file__).parent
 
+EXPORTS = {
+    "corpus": ["PatientRecord", "Cohort", "VisitVocab", "VocabEntry",
+               "EncodedBatch", "visit_key", "build_visit_vocab",
+               "replace_rare_visits", "encode_cohort", "save_cohort",
+               "load_cohort", "save_vocab", "load_vocab"],
+    "simulate": ["ToyCorpusSpec", "default_toy_spec", "simulate_toy_cohort",
+                 "condition_codes", "analytic_group_unigram"],
+    "latent": ["compose_intensities", "sample_prior_eva",
+               "sample_prior_evac"],
+    "encoders": ["DiagGaussian", "poe_combine", "sample_with_eta",
+                 "encode_sequence", "encode_conditions",
+                 "init_sequence_encoder", "init_condition_encoder",
+                 "kl_diag_gaussians", "entropy_diag_gaussian"],
+    "decoder": ["DecoderConfig", "init_decoder_params", "decode_logits",
+                "sequence_log_likelihood", "ancestral_sample"],
+    "model": ["TrainConfig", "ModelParts", "TrainedModel", "init_phi",
+              "encode_posteriors"],
+    "trainer": ["ElboReport", "SamplerState", "TrainingDiverged",
+                "psgld_step", "train", "draw_local_noises",
+                "step_gradients"],
+    "generator": ["GenerationRequest", "generate_cohort",
+                  "generate_case_control", "condition_vector"],
+    "evaluation": ["NgramStats", "AttackOutcome", "ngram_stats",
+                   "pearson_marginal", "independent_bigram_baseline",
+                   "avg_jaccard_counts", "unique_token_ratio",
+                   "split_cohort", "NextVisitPredictor",
+                   "train_next_visit_predictor", "topk_recall",
+                   "presence_disclosure", "elbo_holdout"],
+}
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+
 
 def test_every_exported_name_resolves():
-    """``dir(ehrgen)`` lists ``__all__``; a name left in the export table
-    after its definition is deleted would fail here, not on first use."""
-    missing = []
-    for name in dir(ehrgen):
-        try:
-            getattr(ehrgen, name)
-        except AttributeError:
-            missing.append(name)
-    assert missing == []
+    """Each public name is its module's own object, re-exported."""
+    wrong = [f"{module}.{name}" for module, names in EXPORTS.items()
+             for name in names
+             if getattr(ehrgen, name, None) is not getattr(
+                 sys.modules[f"ehrgen.{module}"], name)]
+    assert sum(map(len, EXPORTS.values())) == 64
+    assert wrong == []
 
 
-def test_model_and_evaluation_do_not_load_the_trainer():
-    """The model description and the metrics read no part of the update
-    scheme, so importing them leaves ``ehrgen.trainer`` unloaded."""
-    code = ("import sys, ehrgen.model, ehrgen.evaluation; "
-            "print('ehrgen.trainer' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+@pytest.mark.parametrize("given, expected", [
+    ({}, dict.fromkeys(THREAD_VARS, "2")),
+    ({"OPENBLAS_NUM_THREADS": "3"},
+     {**dict.fromkeys(THREAD_VARS, "2"), "OPENBLAS_NUM_THREADS": "3"}),
+])
+def test_plain_import_applies_ehrgen_threads(given, expected):
+    """``EHRGEN_THREADS`` sets each thread variable not already set, on a
+    library import as on the command line."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(given, EHRGEN_THREADS="2",
+               PYTHONPATH=str(PACKAGE_DIR.parent))
+    code = "import json, os, ehrgen; print(json.dumps(dict(os.environ)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    seen = json.loads(out)
+    assert {var: seen.get(var) for var in THREAD_VARS} == expected
+
+
+def relative_imports():
+    """Module name -> the package modules it imports, from the source."""
+    modules = {path.stem for path in PACKAGE_DIR.glob("*.py")}
+    graph = {}
+    for name in modules:
+        tree = ast.parse((PACKAGE_DIR / f"{name}.py").read_text())
+        targets = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module:
+                    targets.add(node.module)
+                else:
+                    # ``from . import x`` names a module, or a package export
+                    targets |= {a.name if a.name in modules else "__init__"
+                                for a in node.names}
+        graph[name] = targets
+    return graph
+
+
+def reachable(graph, start):
+    seen, todo = set(), [start]
+    while todo:
+        for target in graph[todo.pop()] - seen:
+            seen.add(target)
+            todo.append(target)
+    return seen
+
+
+def test_relative_imports_run_one_way():
+    """No module reaches itself through the package's imports."""
+    graph = relative_imports()
+    assert [name for name in sorted(graph)
+            if name in reachable(graph, name)] == []
+
+
+def test_model_and_evaluation_do_not_import_the_trainer():
+    """The model description and the metrics read no part of the update
+    scheme."""
+    graph = relative_imports()
+    assert "trainer" not in reachable(graph, "model")
+    assert "trainer" not in reachable(graph, "evaluation")
 
 
 def test_no_function_level_relative_imports():
-    """A package import inside a function hides a cycle. Only the command
-    line defers its imports, so that ``EHRGEN_THREADS`` is applied before
-    the numeric stack loads."""
+    """A package import inside a function hides a cycle."""
     found = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
-        if path.name == "cli.py":
-            continue
         tree = ast.parse(path.read_text())
         for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
