@@ -14,12 +14,21 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import expit as sigmoid
 
 
 # ---------------------------------------------------------------------------
 # elementwise nonlinearities
 # ---------------------------------------------------------------------------
+
+def sigmoid(x):
+    """1 / (1 + exp(-x)), elementwise; -x is capped at 709 so that exp
+    never overflows (sigmoid(-1000) is 1.2e-308, not 0)."""
+    e = np.negative(x, out=np.empty(np.shape(x)))
+    np.minimum(e, 709.0, out=e)
+    np.exp(e, out=e)
+    e += 1.0
+    return np.reciprocal(e, out=e)
+
 
 def softplus(x):
     """log(1 + exp(x)), overflow-safe."""
@@ -162,8 +171,8 @@ def lstm_forward(params, x, mask):
     for t, n in enumerate(counts):
         h_prev, c_prev = h[:n].copy(), c[:n].copy()
         a = xs[:n, t] @ params["Wx"] + h_prev @ params["Wh"] + params["b"]
-        i = sigmoid(a[:, :H])
-        f = sigmoid(a[:, H:2 * H])
+        i_f = sigmoid(a[:, :2 * H])  # the input and forget gates
+        i, f = i_f[:, :H], i_f[:, H:]
         g = np.tanh(a[:, 2 * H:3 * H])
         o = sigmoid(a[:, 3 * H:])
         c[:n] = f * c_prev + i * g

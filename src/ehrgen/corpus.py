@@ -69,11 +69,11 @@ class VisitVocab:
 
     def __init__(self, entries):
         self.entries = tuple(entries)
+        self._codesets = tuple(frozenset(e.codes) for e in self.entries)
         self._by_key = {}
-        for i, e in enumerate(self.entries):
+        for i, (e, key) in enumerate(zip(self.entries, self._codesets)):
             if e.token_id != i:
                 raise ValueError("token ids must be dense and ordered")
-            key = frozenset(e.codes)
             if not key or len(key) < len(e.codes):
                 raise ValueError(f"entry {i} has no codes or a repeated code")
             self._by_key[key] = i
@@ -101,7 +101,7 @@ class VisitVocab:
         return self._by_key.get(frozenset(visit))
 
     def codes_of(self, token_id):
-        return frozenset(self.entries[token_id].codes)
+        return self._codesets[token_id]
 
     def __contains__(self, visit):
         return frozenset(visit) in self._by_key

@@ -211,24 +211,23 @@ def ll_and_grads(params, cfg, z, tokens, mask, grads):
 # sampling
 # ---------------------------------------------------------------------------
 
-def _step_logits(params, cfg, x, windows):
+def _step_logits(layers, head, x, windows):
     """Logits (n, V) at the next position of the n records still drawing.
 
-    ``x`` (n, C) is their input to the conv stack there. ``windows[i]`` holds
-    conv layer i's last (kernel - 1) * d + 1 inputs, oldest first and zero
-    before the record starts. The new input shifts in at the end (the list
-    entry is replaced), and the taps, every d-th slot, go through one GEMM,
-    so the logits match ``decode_logits``.
+    ``x`` (n, C) is their input to the conv stack there, and ``layers``
+    holds each conv layer's ``(dilation, W as (kernel * C, 2C), b)``.
+    ``windows[i]`` holds conv layer i's last (kernel - 1) * d + 1 inputs,
+    oldest first and zero before the record starts. The new input shifts in
+    at the end (the list entry is replaced), and the taps, every d-th slot,
+    go through one GEMM, so the logits match ``decode_logits``.
     """
     h = x
-    for i, d in enumerate(cfg.dilations):
-        conv = params[f"conv{i}"]
+    for i, (d, W, b) in enumerate(layers):
         windows[i] = np.concatenate((windows[i][:, 1:], h[:, None]), axis=1)
         taps = windows[i][:, ::d].reshape(len(h), -1)
-        act, _ = _nn.gated(
-            taps @ conv["W"].reshape(-1, 2 * cfg.channels) + conv["b"])
+        act, _ = _nn.gated(taps @ W + b)
         h = h + act
-    logits, _ = _nn.dense(params["head"], h)
+    logits, _ = _nn.dense(head, h)
     return logits
 
 
@@ -261,23 +260,28 @@ def ancestral_sample(params, cfg, z, rng, eos_id, temperature=1.0,
     ctx, _ = _latent_context(params, cfg, z, n_steps)
     windows = [np.zeros((B, (cfg.kernel - 1) * d + 1, cfg.channels))
                for d in cfg.dilations]
+    layers = [(d, params[f"conv{i}"]["W"].reshape(-1, 2 * cfg.channels),
+               params[f"conv{i}"]["b"]) for i, d in enumerate(cfg.dilations)]
+    E = params["emb"]["E"]
+    masked = list(forbid)
+    masked_first = masked + [eos_id]
     buf = np.full((B, n_steps), eos_id)  # a record ends at its first EOS
     rows = np.arange(B)  # records still drawing, in order
     for t in range(n_steps):
-        x = params["bos"] if t == 0 else _nn.embedding(params["emb"], draws)[0]
-        step = _step_logits(params, cfg, x + ctx[rows, t],
-                            windows) / temperature
-        step[:, list(forbid) + ([eos_id] if t == 0 else [])] = -np.inf
+        x = params["bos"] if t == 0 else E[draws]
+        step = _step_logits(layers, params["head"], x + ctx[rows, t], windows)
+        step /= temperature
+        step[:, masked if t else masked_first] = -np.inf
         step -= step.max(axis=1, keepdims=True)
-        cdf = np.cumsum(np.exp(step), axis=1)
+        cdf = np.cumsum(np.exp(step, out=step), axis=1, out=step)
         u = rng.random(len(rows)) * cdf[:, -1]
         # the first index whose cdf exceeds u
         draws = np.minimum((cdf <= u[:, None]).sum(axis=1), cdf.shape[1] - 1)
         buf[rows, t] = draws
-        ended = draws == eos_id
-        if ended.any():
-            rows, draws = rows[~ended], draws[~ended]
-            windows = [win[~ended] for win in windows]
+        keep = draws != eos_id
+        if not keep.all():
+            rows, draws = rows[keep], draws[keep]
+            windows = [win[keep] for win in windows]
             if not rows.size:
                 break
     return [s[:s.index(eos_id)] if eos_id in s else s for s in buf.tolist()]

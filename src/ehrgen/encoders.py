@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit as sigmoid
 
 from . import _nn
 
@@ -97,7 +96,7 @@ def encode_sequence(params, tokens, mask):
 def encode_sequence_backward(cache, grads, dmean, dvar):
     """Adds the parameter gradients into the parameter-shaped ``grads``."""
     emb_cache, cache_f, cache_b, cache_m, cache_v, pre = cache
-    dpre = dvar * sigmoid(pre)
+    dpre = dvar * _nn.sigmoid(pre)
     dpool = (_nn.dense_backward(cache_m, grads["head_mean"], dmean)
              + _nn.dense_backward(cache_v, grads["head_var"], dpre))
     H = dpool.shape[1] // 2
@@ -132,7 +131,7 @@ def encode_conditions(params, y):
 def encode_conditions_backward(cache, grads, dmean, dvar):
     """Adds the parameter gradients into the parameter-shaped ``grads``."""
     cache_1, h, cache_m, cache_v, pre = cache
-    dpre = dvar * sigmoid(pre)
+    dpre = dvar * _nn.sigmoid(pre)
     dh = (_nn.dense_backward(cache_m, grads["head_mean"], dmean)
           + _nn.dense_backward(cache_v, grads["head_var"], dpre))
     _nn.dense_backward(cache_1, grads["l1"], dh * (1.0 - h * h))

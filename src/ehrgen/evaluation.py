@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from itertools import chain, product
 
 import numpy as np
-from scipy import sparse
-from scipy.special import softmax
 
 from . import _nn
 from .corpus import Cohort, encode_cohort, visit_key
@@ -223,19 +221,34 @@ class NextVisitPredictor:
     params: dict
     vocab: object
     codes: tuple
-    code_matrix: sparse.csr_matrix  # (vocab.size, n_codes) 0/1 membership
+    members: np.ndarray  # token * len(codes) + code per membership, ascending
+
+    def code_scores(self, probs):
+        """(n, n_codes) code probabilities from (n, vocab.size) token ones.
+
+        Pass k adds, for every code with more than k tokens, the probability
+        of its k-th token in ascending id order, so each score is the sum
+        that the CSR product ``probs @ membership`` forms, bit for bit."""
+        tok, col = np.divmod(self.members, len(self.codes))
+        by_code = np.argsort(col, kind="stable")
+        tok, col = tok[by_code], col[by_code]
+        rank = np.arange(len(col)) - np.searchsorted(col, col)
+        # every code has a token, so pass 0 fills each column once, in order
+        scores = probs.take(tok[rank == 0], axis=1)
+        for k in range(1, rank.max(initial=0) + 1):
+            at = rank == k
+            scores[:, col[at]] += probs.take(tok[at], axis=1)
+        return scores
 
 
 def _code_axis(vocab):
-    """The sorted code axis and the sparse token -> code membership map;
-    the EOS and PAD rows are empty."""
+    """The sorted code axis and the token -> code membership ids; the EOS
+    and PAD tokens have none."""
     codes = sorted({c for e in vocab.entries for c in e.codes})
     idx = {c: j for j, c in enumerate(codes)}
-    cols = [idx[c] for e in vocab.entries for c in e.codes]
-    indptr = np.cumsum([0] + [len(e.codes) for e in vocab.entries] + [0, 0])
-    M = sparse.csr_matrix((np.ones(len(cols)), cols, indptr),
-                          shape=(vocab.size, len(codes)))
-    return tuple(codes), M
+    members = sorted(e.token_id * len(codes) + idx[c]
+                     for e in vocab.entries for c in e.codes)
+    return tuple(codes), np.array(members, dtype=np.int64)
 
 
 def _predictor_states(params, batch):
@@ -290,9 +303,7 @@ def train_next_visit_predictor(cohort, seed=0, epochs=8):
             demb = _nn.lstm_backward(c_lstm, grads["lstm"], dh_seq=dh)
             _nn.embedding_backward(c_emb, grads["emb"], demb)
             adam.step(vec, grad)
-    codes, M = _code_axis(vocab)
-    return NextVisitPredictor(params=params, vocab=vocab, codes=codes,
-                              code_matrix=M)
+    return NextVisitPredictor(params, vocab, *_code_axis(vocab))
 
 
 def topk_recall(predictor, cohort, k):
@@ -313,13 +324,17 @@ def topk_recall(predictor, cohort, k):
     logits, _ = _nn.dense(predictor.params["head"], h_seq[:, :-1][live])
     # distribution over the next *visit*: terminal/padding ids cannot be it
     logits[:, [vocab.eos_id, vocab.pad_id]] = -np.inf
-    M = predictor.code_matrix
-    scores = softmax(logits, axis=1) @ M  # (steps, n_codes)
-    kk = min(k, len(predictor.codes))
+    logits -= logits.max(axis=1, keepdims=True)
+    probs = np.exp(logits, out=logits)
+    probs /= probs.sum(axis=1, keepdims=True)
+    scores = predictor.code_scores(probs)  # (steps, n_codes)
+    n_codes = len(predictor.codes)
+    kk = min(k, n_codes)
     top = np.argpartition(-scores, kk - 1, axis=1)[:, :kk]
     # a visit's codes are its token's codes: encode_cohort rejects OOV visits
-    hits = np.asarray(M[nxt[:, None], top].sum(axis=1)).ravel()
-    return float(np.mean(hits / np.diff(M.indptr)[nxt]))
+    hits = np.isin(nxt[:, None] * n_codes + top, predictor.members).sum(axis=1)
+    per_token = np.bincount(predictor.members // n_codes, minlength=vocab.size)
+    return float(np.mean(hits / per_token[nxt]))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import expit as sigmoid
+
+from ._nn import sigmoid
 
 
 def compose_intensities(y, w):

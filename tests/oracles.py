@@ -402,7 +402,9 @@ def looped_topk_recall(predictor, cohort, k):
     logits[:, :, vocab.eos_id] = -np.inf
     logits[:, :, vocab.pad_id] = -np.inf
     probs = softmax(logits, axis=-1)
-    scores = probs @ predictor.code_matrix.toarray()
+    membership = np.zeros((vocab.size, len(predictor.codes)))
+    membership[np.divmod(predictor.members, len(predictor.codes))] = 1.0
+    scores = probs @ membership
     kk = min(k, len(predictor.codes))
     recalls = []
     for b, rec in enumerate(eligible):

@@ -244,9 +244,18 @@ def rigged_predictor(vocab, bias_probs):
         "head": {"W": np.zeros((hidden, vocab.size)),
                  "b": np.log(np.asarray(bias_probs))},
     }
-    codes, M = _code_axis(vocab)
-    return NextVisitPredictor(params=params, vocab=vocab, codes=codes,
-                              code_matrix=M)
+    return NextVisitPredictor(params, vocab, *_code_axis(vocab))
+
+
+def csr_code_scores(pred, probs):
+    """Reference for ``NextVisitPredictor.code_scores``: ``probs`` times a
+    SciPy CSR token -> code membership matrix built from the vocabulary."""
+    col = {c: j for j, c in enumerate(pred.codes)}
+    rows = [(e.token_id, col[c]) for e in pred.vocab.entries for c in e.codes]
+    tok, cols = np.array(rows).T
+    M = sparse.csr_matrix((np.ones(len(rows)), (tok, cols)),
+                          shape=(pred.vocab.size, len(pred.codes)))
+    return probs @ M
 
 
 class TestTopkRecall:
@@ -293,6 +302,16 @@ class TestTopkRecall:
         pred = rigged_predictor(self.VOCAB, [0.5, 0.3, 0.1, 0.1, 1e-9, 1e-9])
         with pytest.raises(ValueError):
             topk_recall(pred, self.cohort_one_step(), k=0)
+
+    def test_code_scores_bit_identical_to_csr_product(self):
+        """With a three-code entry, code a has three tokens and b two, so
+        the scores take three passes; each equals the CSR product's sum."""
+        vocab = VisitVocab(self.VOCAB.entries + (
+            VocabEntry(codes=("a", "b", "c"), token_id=4, frequency=1),))
+        pred = rigged_predictor(vocab, np.full(vocab.size, 1 / vocab.size))
+        probs = np.random.default_rng(0).dirichlet(np.ones(vocab.size), 50)
+        assert np.array_equal(pred.code_scores(probs),
+                              csr_code_scores(pred, probs))
 
     def test_learns_deterministic_alternation(self):
         """On an a->b->a->b corpus a trained predictor gets recall 1."""
@@ -488,7 +507,9 @@ class TestAgainstOracles:
         real, _ = eval_pair
         train_part, test_part = split_cohort(real, test_frac=0.2, seed=0)
         pred = train_next_visit_predictor(train_part, seed=0, epochs=2)
-        assert sparse.issparse(pred.code_matrix)
+        probs = np.random.default_rng(0).dirichlet(np.ones(real.vocab.size), 20)
+        assert np.array_equal(pred.code_scores(probs),
+                              csr_code_scores(pred, probs))
         for k in (1, 5, 10, 20):
             expected = looped_topk_recall(pred, test_part, k)
             assert abs(topk_recall(pred, test_part, k) - expected) <= self.TOL

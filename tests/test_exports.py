@@ -1,5 +1,6 @@
 """The package exports what its modules define, applies ``EHRGEN_THREADS``
-on a plain import, and its modules import each other in one direction."""
+on a plain import, runs without SciPy, and its modules import each other in
+one direction."""
 
 import ast
 import json
@@ -74,6 +75,34 @@ def test_plain_import_applies_ehrgen_threads(given, expected):
                          capture_output=True, text=True).stdout
     seen = json.loads(out)
     assert {var: seen.get(var) for var in THREAD_VARS} == expected
+
+
+NO_SCIPY_RUN = """
+import sys
+sys.modules["scipy"] = None  # any SciPy import now raises ImportError
+import ehrgen as eg
+real = eg.simulate_toy_cohort(eg.default_toy_spec(n_records=60), seed=1)
+vocab = eg.build_visit_vocab(real, max_size=40)
+real = eg.replace_rare_visits(real, vocab)
+batch = eg.encode_cohort(real, vocab, t_max=8)
+config = eg.TrainConfig(variant="evac", latent_dim=4, n_iters=2,
+                        minibatch=16, burn_in=0, thin=1, reservoir_size=2)
+model = eg.train(config, batch, vocab, condition_names=real.condition_names)
+synth = eg.generate_cohort(model, eg.GenerationRequest(count=20, seed=0))
+pred = eg.train_next_visit_predictor(real, epochs=1)
+print(eg.topk_recall(pred, synth, 5), eg.elbo_holdout(model, real))
+"""
+
+
+def test_runs_without_scipy():
+    """Training, generation and the metrics need NumPy only; SciPy is a
+    test dependency."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    run = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    recall, elbo = map(float, run.stdout.split())
+    assert 0.0 <= recall <= 1.0 and elbo < 0.0
 
 
 def relative_imports():

@@ -5,9 +5,11 @@ on random inputs; these layers are the foundation the model-level gradient
 tests build on, so tolerances here are tight (1e-6 relative).
 """
 
+import warnings
+
 import numpy as np
 import pytest
-from scipy.special import log_softmax, softmax
+from scipy.special import expit, log_softmax, softmax
 
 from ehrgen import _nn
 
@@ -333,6 +335,31 @@ class TestActivations:
         np.testing.assert_allclose(out[1:4], np.log1p(np.exp(x[1:4])), rtol=1e-12)
         assert out[0] >= 0.0 and np.isfinite(out[0])
         assert np.isclose(out[4], 800.0)  # asymptote, no overflow
+
+    def test_sigmoid_within_2_ulp_of_expit(self):
+        """Both compute 1 / (1 + exp(-x)), NumPy's exp and libm's differ
+        in the last bit at times, and that bit passes through unchanged
+        where exp(-x) is large. In the binade 2**53 <= exp(-x) < 2**54 it
+        also decides how 1 + exp(-x) rounds, which can add 2 ulp there."""
+        x = np.concatenate([np.linspace(-700.0, 700.0, 1_400_001),
+                            np.linspace(-40.0, 40.0, 800_001)])
+        ref = expit(x)
+        ulps = np.abs(_nn.sigmoid(x) - ref) / np.spacing(ref)
+        tie_binade = (-x >= 53 * np.log(2)) & (-x < 54 * np.log(2))
+        assert ulps[~tie_binade].max() <= 2
+        assert ulps[tie_binade].max() <= 4
+
+    def test_sigmoid_saturates_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, hi = _nn.sigmoid(np.array([-1000.0, 1000.0]))
+        assert 0.0 <= lo <= 1e-300 and hi == 1.0
+
+    def test_sigmoid_of_0d_input(self):
+        for x in (np.float64(-2.5), np.array(-2.5), -2.5):
+            out = _nn.sigmoid(x)
+            assert np.shape(out) == ()
+            assert abs(out - expit(-2.5)) <= 2 * np.spacing(expit(-2.5))
 
 
 class TestSoftmaxXent:
