@@ -215,10 +215,12 @@ def cmd_train(args, out):
 
 def cmd_generate(args, out):
     model = TrainedModel.load(_require_file(args.model, "model checkpoint"))
-    cohort = generator.generate_cohort(model, _config(GenerationRequest, args))
+    request = _config(GenerationRequest, args)
+    cohort = generator.generate_cohort(model, request)
     save_cohort(out.path(args.out), cohort,
                 meta={"config_digest": config_digest(args),
-                      "seed": args.seed})
+                      "seed": args.seed,
+                      **generator.generation_counts(model, request, cohort)})
     return 0
 
 

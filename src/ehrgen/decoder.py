@@ -211,65 +211,114 @@ def ll_and_grads(params, cfg, z, tokens, mask, grads):
 # sampling
 # ---------------------------------------------------------------------------
 
-def _step_logits(layers, head, x, windows):
-    """Logits (n, V) at the next position of the n records still drawing.
+def _grouped_affine(x, W, b, segments):
+    """x @ W[g] + b[g] on each group's rows; ``segments`` lists the groups
+    with rows as (g, lo, hi), a contiguous row range of ``x``."""
+    out = np.empty((len(x), b[0].shape[0]))
+    for g, lo, hi in segments:
+        np.matmul(x[lo:hi], W[g], out=out[lo:hi])
+        out[lo:hi] += b[g]
+    return out
 
-    ``x`` (n, C) is their input to the conv stack there, and ``layers``
-    holds each conv layer's ``(dilation, W as (kernel * C, 2C), b)``.
-    ``windows[i]`` holds conv layer i's last (kernel - 1) * d + 1 inputs,
-    oldest first and zero before the record starts. The new input shifts in
-    at the end (the list entry is replaced), and the taps, every d-th slot,
-    go through one GEMM, so the logits match ``decode_logits``.
+
+def _step_logits(layers, head, x, windows, t, segments):
+    """Logits (n, V) at position t of the n records still drawing.
+
+    ``x`` (n, C) is their input to the conv stack there, in group-major
+    order, and ``segments`` gives each group's rows. ``layers`` holds each
+    conv layer's ``(ring, Ws, bs)``, with group g's weights as
+    ``(kernel * C, 2C)`` at ``Ws[g]``, and ``head`` its ``(Ws, bs)``.
+    ``windows[i]`` is conv layer i's ring of its last (kernel - 1) * d + 1
+    inputs: position t lives in slot t mod the ring size, and a slot not
+    yet written is zero, as before the record starts. The new input is
+    written at its slot, and ``ring[t mod size]`` reads the taps, every d-th
+    position back from t, oldest first, into one GEMM per group, so the
+    logits match ``decode_logits``.
     """
     h = x
-    for i, (d, W, b) in enumerate(layers):
-        windows[i] = np.concatenate((windows[i][:, 1:], h[:, None]), axis=1)
-        taps = windows[i][:, ::d].reshape(len(h), -1)
-        act, _ = _nn.gated(taps @ W + b)
+    for (ring, W, b), win in zip(layers, windows):
+        slot = t % win.shape[1]
+        win[:, slot] = h
+        taps = np.take(win, ring[slot], axis=1).reshape(len(h), -1)
+        act, _ = _nn.gated(_grouped_affine(taps, W, b, segments))
         h = h + act
-    logits, _ = _nn.dense(head, h)
-    return logits
+    return _grouped_affine(h, *head, segments)
+
+
+def _segments(groups, n_groups):
+    """(g, lo, hi) row ranges of the groups present in sorted ``groups``."""
+    bounds = np.searchsorted(groups, np.arange(n_groups + 1)).tolist()
+    return [(g, lo, hi) for g, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+            if hi > lo]
 
 
 def ancestral_sample(params, cfg, z, rng, eos_id, temperature=1.0,
                      forbid=(), t_max=None):
     """Draw one token sequence per latent row, position by position.
 
-    Returns a list of B token lists, each 1 to ``t_max`` tokens long (the
-    smaller of ``t_max`` and ``cfg.t_max``; ``cfg.t_max`` when None), with
-    the end marker stripped. ``forbid`` tokens are never drawn, and EOS
-    is masked at step 0, so the first visit comes from the step-0
-    distribution renormalised over the non-terminal tokens: a record never
-    comes back empty, and z keeps its prior law (it is not reweighted toward
-    records that would not have ended at once). Records stop at their EOS
-    draw or after ``t_max`` visits.
+    ``params`` is a sequence of G decoder parameter trees (say, posterior
+    snapshots) and ``z`` a matching sequence of G latent arrays: the rows
+    of ``z[g]`` decode with ``params[g]``. Returns one token list per row,
+    group-major (the rows of ``z[0]``, then of ``z[1]``, ...), each 1 to
+    ``t_max`` tokens long (the smaller of ``t_max`` and ``cfg.t_max``;
+    ``cfg.t_max`` when None), with the end marker stripped. ``forbid``
+    tokens are never drawn, and EOS is masked at step 0, so the first visit
+    comes from the step-0 distribution renormalised over the non-terminal
+    tokens: a record never comes back empty, and z keeps its prior law (it
+    is not reweighted toward records that would not have ended at once).
+    Records stop at their EOS draw or after ``t_max`` visits.
 
-    The latent context is computed once, up to ``t_max``. Each conv layer
-    keeps a window of its inputs, one receptive field wide, for the records
-    still drawing (the Fast WaveNet queue, Paine et al. 2016); one boolean
-    mask drops ended records from every window. So the cost is linear in
-    the record length, and the step logits equal ``decode_logits``.
+    All groups run in one position-by-position loop. The caller draws the
+    latents first (``generate_cohort``: group by group, in ascending
+    snapshot order); the only draw here is one ``rng.random(n)`` per step
+    over the n records still drawing, in group-major order. So a smaller
+    ``t_max`` only stops the draws early, and one group draws what earlier
+    versions drew for the same seed; several groups draw differently from
+    earlier versions, which sampled each group in its own call.
+
+    The latent context is computed once per group, up to ``t_max``. Each
+    conv layer and the head multiply each group's rows by that group's
+    weights; everything else runs once per step over all rows. Each conv
+    layer keeps a ring buffer of its inputs, one receptive field wide, for
+    the records still drawing (the Fast WaveNet queue, Paine et al. 2016);
+    one boolean mask drops ended records from every ring. So the cost is
+    linear in the record length, and the step logits equal
+    ``decode_logits``.
     """
-    z = np.atleast_2d(np.asarray(z, dtype=float))
+    z = [np.atleast_2d(np.asarray(zg, dtype=float)) for zg in z]
+    if len(params) != len(z) or not z:
+        raise ValueError("need one latent array per parameter tree")
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     n_steps = cfg.t_max if t_max is None else min(t_max, cfg.t_max)
     if n_steps < 1:
         raise ValueError("t_max must be >= 1")
-    B = z.shape[0]
-    ctx, _ = _latent_context(params, cfg, z, n_steps)
-    windows = [np.zeros((B, (cfg.kernel - 1) * d + 1, cfg.channels))
-               for d in cfg.dilations]
-    layers = [(d, params[f"conv{i}"]["W"].reshape(-1, 2 * cfg.channels),
-               params[f"conv{i}"]["b"]) for i, d in enumerate(cfg.dilations)]
-    E = params["emb"]["E"]
+    groups = np.repeat(np.arange(len(z)), [len(zg) for zg in z])
+    segments = _segments(groups, len(z))
+    k, C = cfg.kernel, cfg.channels
+    ctx = np.empty((len(groups), n_steps, C))
+    for g, lo, hi in segments:
+        ctx[lo:hi] = _latent_context(params[g], cfg, z[g], n_steps)[0]
+    layers = []
+    for i, d in enumerate(cfg.dilations):
+        size = (k - 1) * d + 1
+        ring = np.arange(size)[:, None] - d * np.arange(k - 1, -1, -1)
+        conv = [p[f"conv{i}"] for p in params]
+        layers.append((ring % size, [c["W"].reshape(-1, 2 * C) for c in conv],
+                       [c["b"] for c in conv]))
+    head = ([p["head"]["W"] for p in params], [p["head"]["b"] for p in params])
+    E = np.concatenate([p["emb"]["E"] for p in params])  # group g at g * V
+    offsets = groups * (len(E) // len(z))
+    bos = np.stack([p["bos"] for p in params])
     masked = list(forbid)
     masked_first = masked + [eos_id]
-    buf = np.full((B, n_steps), eos_id)  # a record ends at its first EOS
-    rows = np.arange(B)  # records still drawing, in order
+    buf = np.full((len(groups), n_steps), eos_id)  # ends at its first EOS
+    rows = np.arange(len(groups))  # records still drawing, in order
+    windows = [np.zeros((len(rows), len(ring), C)) for ring, _, _ in layers]
     for t in range(n_steps):
-        x = params["bos"] if t == 0 else E[draws]
-        step = _step_logits(layers, params["head"], x + ctx[rows, t], windows)
+        x = bos[groups] if t == 0 else E[offsets + draws]
+        step = _step_logits(layers, head, x + ctx[rows, t], windows, t,
+                            segments)
         step /= temperature
         step[:, masked if t else masked_first] = -np.inf
         step -= step.max(axis=1, keepdims=True)
@@ -280,8 +329,9 @@ def ancestral_sample(params, cfg, z, rng, eos_id, temperature=1.0,
         buf[rows, t] = draws
         keep = draws != eos_id
         if not keep.all():
-            rows, draws = rows[keep], draws[keep]
-            windows = [win[keep] for win in windows]
+            rows, draws, offsets = rows[keep], draws[keep], offsets[keep]
             if not rows.size:
                 break
+            windows = [win[keep] for win in windows]
+            segments = _segments(groups[rows], len(z))
     return [s[:s.index(eos_id)] if eos_id in s else s for s in buf.tolist()]

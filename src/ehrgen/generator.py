@@ -3,16 +3,22 @@
 Records are generated by drawing one (theta, H) snapshot per record from the
 posterior reservoir (ensemble policy) or reusing the last snapshot (point
 policy), drawing latents from the prior, and ancestral-sampling tokens.
-Records sharing a snapshot are decoded together in one batch.
+The records of every snapshot group are decoded in one position-by-position
+loop, each group with its own snapshot's weights.
+
+The random stream is, in order: the ensemble picks (the point policy draws
+none); the latents of each group, in ascending snapshot order; then one
+uniform per record still drawing at each step, the records ordered by
+snapshot and then by index. So a request's t_max only stops the draws
+early, under either policy: a capped cohort is the uncapped one truncated.
+Point cohorts for a given seed are those of earlier versions; ensemble
+cohorts differ from those of versions that ran one sampling loop per
+snapshot group, which drew the latents and tokens group by group.
 
 Each record has 1 to t_max visits (the model's t_max, or the request's when
 smaller). The first visit is drawn with the end marker masked, so no record
 comes back empty and no record is redrawn; cohorts for a given seed differ
 from those of versions that redrew empty records.
-
-A request's t_max stops the sampler early. Under the point policy a capped
-cohort is the uncapped one truncated; under the ensemble policy it is not,
-because the skipped draws shift the later snapshot groups' draws.
 """
 
 from __future__ import annotations
@@ -78,6 +84,14 @@ def _draw_latents(model, snapshot, y, n, rng):
     return z
 
 
+def _snapshot_picks(model, request, rng):
+    """The reservoir snapshot of each record: uniform under the ensemble
+    policy, the last one under the point policy, which draws nothing."""
+    if request.policy == "ensemble":
+        return rng.integers(len(model.reservoir), size=request.count)
+    return np.full(request.count, len(model.reservoir) - 1)
+
+
 def generate_cohort(model, request):
     """Sample ``request.count`` records; returns a Cohort in the same shape
     the corpus loader produces, so it can replace real data downstream."""
@@ -92,23 +106,17 @@ def generate_cohort(model, request):
         y = condition_vector(model, request.conditions)
 
     rng = np.random.default_rng(request.seed)
-    n = request.count
-    if request.policy == "ensemble":
-        picks = rng.integers(len(model.reservoir), size=n)
-    else:
-        picks = np.full(n, len(model.reservoir) - 1)
-
-    visits_out = [None] * n
-    for snap_idx in np.unique(picks):
-        snapshot = model.reservoir[int(snap_idx)]
-        rows = np.flatnonzero(picks == snap_idx)
-        z = _draw_latents(model, snapshot, y, len(rows), rng)
-        sampled = ancestral_sample(
-            snapshot["theta"], model.dec_cfg, z, rng,
-            eos_id=vocab.eos_id, temperature=request.temperature,
-            forbid=(vocab.pad_id,), t_max=request.t_max)
-        for row, toks in zip(rows, sampled):
-            visits_out[row] = toks
+    picks = _snapshot_picks(model, request, rng)
+    snaps, sizes = np.unique(picks, return_counts=True)
+    z = [_draw_latents(model, model.reservoir[s], y, n, rng)
+         for s, n in zip(snaps, sizes)]
+    sampled = ancestral_sample(
+        [model.reservoir[s]["theta"] for s in snaps], model.dec_cfg, z, rng,
+        eos_id=vocab.eos_id, temperature=request.temperature,
+        forbid=(vocab.pad_id,), t_max=request.t_max)
+    visits_out = [None] * request.count
+    for row, toks in zip(np.argsort(picks, kind="stable"), sampled):
+        visits_out[row] = toks
 
     conds = tuple(int(v) for v in y) if y is not None else ()
     records = [
@@ -122,6 +130,23 @@ def generate_cohort(model, request):
     return Cohort(records=records,
                   condition_names=list(model.condition_names),
                   vocab=vocab)
+
+
+def generation_counts(model, request, cohort):
+    """The counts behind a cohort that ``generate_cohort`` returned for
+    ``request``: the records drawn from each reservoir snapshot, and the
+    records stopped at the length cap (the smaller of the request's and
+    the model's t_max) rather than by drawing the end marker. The snapshot
+    picks are the first draws from the request's seed, so they are drawn
+    again here."""
+    rng = np.random.default_rng(request.seed)
+    picks = _snapshot_picks(model, request, rng)
+    cap = min(request.t_max or model.dec_cfg.t_max, model.dec_cfg.t_max)
+    at_cap = sum(len(r.visits) == cap for r in cohort.records)
+    return {"records_per_snapshot":
+            np.bincount(picks, minlength=len(model.reservoir)).tolist(),
+            "stopped_at_cap": at_cap,
+            "stopped_at_eos": len(cohort) - at_cap}
 
 
 def generate_case_control(model, condition, n_case, n_control, seed):

@@ -231,6 +231,38 @@ def prefix_sample(params, cfg, z, rng, eos_id, temperature=1.0, forbid=()):
     return [s[:-1] if s[-1] == eos_id else s for s in seqs]
 
 
+def grouped_prefix_sample(thetas, cfg, picks, draw_latents, rng, eos_id,
+                          temperature=1.0, forbid=()):
+    """Quadratic reference for sampling several snapshot groups in one loop,
+    with ``generate_cohort``'s random stream after the snapshot picks: record
+    r decodes with ``thetas[picks[r]]``. The latents come first,
+    ``draw_latents(s, n, rng)`` for each snapshot s in ascending order; then,
+    at each step, every live record's whole prefix is rescored, one record
+    at a time, with ``decode_logits`` under its own snapshot, and one
+    uniform vector is drawn over the live records ordered by snapshot, then
+    by index. Returns the token lists in record order."""
+    picks = [int(s) for s in picks]
+    order = sorted(range(len(picks)), key=lambda r: (picks[r], r))
+    z = {}
+    for s in sorted(set(picks)):
+        rows = [r for r in order if picks[r] == s]
+        z.update(zip(rows, draw_latents(s, len(rows), rng)))
+    seqs, live = {r: [] for r in order}, order
+    for t in range(cfg.t_max):
+        for r, u in zip(live, rng.random(len(live))):
+            prefix = np.array([seqs[r] + [0]])
+            step = decode_logits(thetas[picks[r]], cfg, z[r][None],
+                                 prefix)[0][0, t] / temperature
+            step[list(forbid) + ([eos_id] if t == 0 else [])] = -np.inf
+            cdf = np.cumsum(np.exp(step - step.max()))
+            seqs[r].append(min(int((cdf <= u * cdf[-1]).sum()), len(cdf) - 1))
+        live = [r for r in live if seqs[r][-1] != eos_id]
+        if not live:
+            break
+    return [seqs[r][:-1] if seqs[r][-1] == eos_id else seqs[r]
+            for r in range(len(picks))]
+
+
 # ---------------------------------------------------------------------------
 # reference toy corpus
 # ---------------------------------------------------------------------------

@@ -139,6 +139,23 @@ class TestPipeline:
         bg = synth.condition_names.index("background")
         assert all(r.conditions[bg] == 1 for r in synth.records)
 
+    def test_generate_meta_counts(self, pipeline, tmp_path):
+        """The generated cohort's meta says how many records stopped at the
+        length cap rather than by the end marker, and how many were drawn
+        from each reservoir snapshot; each set sums to --count."""
+        meta = json.loads(open(pipeline["synth"]).readline())["meta"]
+        assert len(meta["records_per_snapshot"]) == 2  # --reservoir 2
+        assert sum(meta["records_per_snapshot"]) == 25
+        assert meta["stopped_at_cap"] + meta["stopped_at_eos"] == 25
+        lengths = [len(r.visits) for r in load_cohort(pipeline["synth"])]
+        assert meta["stopped_at_cap"] == lengths.count(4)  # --t-max 4
+        out = str(tmp_path / "one.jsonl")
+        assert run(["generate", "--model", pipeline["model"], "--out", out,
+                    "--count", "9", "--t-max", "1", "--policy", "point"]) == 0
+        meta = json.loads(open(out).readline())["meta"]
+        assert meta["records_per_snapshot"] == [0, 9]
+        assert (meta["stopped_at_cap"], meta["stopped_at_eos"]) == (9, 0)
+
     def test_eval_report(self, pipeline):
         report = json.load(open(pipeline["report"]))
         assert report["schema"] == "eval/1"

@@ -18,6 +18,7 @@ from ehrgen.decoder import (
 from oracles import (
     assert_tree_close,
     full_width_ll_and_grads,
+    grouped_prefix_sample,
     numerical_grad,
     numerical_grad_tree,
     prefix_sample,
@@ -301,13 +302,15 @@ class TestLivePositions:
 class TestAncestralSampling:
     def test_deterministic_under_seed(self):
         rng, params, z, _, _ = make_case(8)
-        a = ancestral_sample(params, SMALL, z, np.random.default_rng(5), eos_id=4)
-        b = ancestral_sample(params, SMALL, z, np.random.default_rng(5), eos_id=4)
+        a = ancestral_sample([params], SMALL, [z], np.random.default_rng(5),
+                             eos_id=4)
+        b = ancestral_sample([params], SMALL, [z], np.random.default_rng(5),
+                             eos_id=4)
         assert a == b
 
     def test_respects_length_cap_and_eos(self):
         rng, params, z, _, _ = make_case(9)
-        out = ancestral_sample(params, SMALL, z, rng, eos_id=4)
+        out = ancestral_sample([params], SMALL, [z], rng, eos_id=4)
         for seq in out:
             assert 1 <= len(seq) <= SMALL.t_max
             assert 4 not in seq  # the end marker is stripped
@@ -315,7 +318,8 @@ class TestAncestralSampling:
     def test_forbid_excludes_tokens(self):
         rng, params, z, _, _ = make_case(10)
         big = np.random.default_rng(0).standard_normal((40, D))
-        out = ancestral_sample(params, SMALL, big, rng, eos_id=4, forbid=(5,))
+        out = ancestral_sample([params], SMALL, [big], rng, eos_id=4,
+                               forbid=(5,))
         assert all(5 not in seq for seq in out)
 
     def test_eos_everywhere_gives_one_visit(self):
@@ -327,13 +331,14 @@ class TestAncestralSampling:
         params["head"]["b"][:] = -40.0
         params["head"]["b"][4] = 40.0  # eos wins whenever it is allowed
         params["head"]["b"][2] = 0.0  # the only likely non-EOS token
-        out = ancestral_sample(params, SMALL, z, rng, eos_id=4, forbid=(5,))
+        out = ancestral_sample([params], SMALL, [z], rng, eos_id=4,
+                               forbid=(5,))
         assert out == [[2], [2]]
 
     def test_runs_to_t_max_without_eos(self):
         rng, params, z, _, _ = make_case(13)
         params["head"]["b"][4] = -np.inf  # the end marker is never drawn
-        out = ancestral_sample(params, SMALL, z, rng, eos_id=4)
+        out = ancestral_sample([params], SMALL, [z], rng, eos_id=4)
         assert [len(seq) for seq in out] == [SMALL.t_max] * len(z)
 
     def test_samples_follow_step_distribution(self):
@@ -346,7 +351,7 @@ class TestAncestralSampling:
         params["head"]["W"] *= 20.0  # make the steps far from uniform
         n = 20000
         z = np.tile(rng.standard_normal(2), (n, 1))
-        out = ancestral_sample(params, cfg, z, rng, eos_id=0)
+        out = ancestral_sample([params], cfg, [z], rng, eos_id=0)
         first = np.array([seq[0] for seq in out])
         logits, _ = decode_logits(params, cfg, z[:1], np.zeros((1, 1), int))
         p0 = softmax(logits[0, 0])
@@ -372,14 +377,14 @@ class TestAncestralSampling:
         params["head"]["b"][4] = -1.0  # records end at different steps
         steps = []
 
-        def recording(params, cfg, x, windows):
-            logits = step_logits(params, cfg, x, windows)
+        def recording(*args):
+            logits = step_logits(*args)
             steps.append(logits.copy())
             return logits
 
         step_logits = decoder._step_logits
         monkeypatch.setattr(decoder, "_step_logits", recording)
-        out = ancestral_sample(params, LONG, z, rng, eos_id=4)
+        out = ancestral_sample([params], LONG, [z], rng, eos_id=4)
         tokens = np.zeros((len(z), LONG.seq_len), dtype=int)
         for b, seq in enumerate(out):
             tokens[b, :len(seq) + 1] = seq + [4]
@@ -400,13 +405,13 @@ class TestAncestralSampling:
         params["head"]["b"][4] = -1.0
         shapes = []
 
-        def spying(params, cfg, x, windows):
+        def spying(layers, head, x, windows, *rest):
             shapes.append((x.shape, [w.shape for w in windows]))
-            return step_logits(params, cfg, x, windows)
+            return step_logits(layers, head, x, windows, *rest)
 
         step_logits = decoder._step_logits
         monkeypatch.setattr(decoder, "_step_logits", spying)
-        out = ancestral_sample(params, LONG, z, rng, eos_id=4)
+        out = ancestral_sample([params], LONG, [z], rng, eos_id=4)
         n_live = [sum(len(seq) >= t for seq in out)
                   for t in range(len(shapes))]
         assert n_live[-1] < len(z)  # some records had ended
@@ -428,7 +433,7 @@ class TestAncestralSampling:
         latent_context = decoder._latent_context
         monkeypatch.setattr(decoder, "_latent_context", spying)
         for cap in (1, 5, LONG.t_max + 4):
-            ancestral_sample(params, LONG, z, rng, eos_id=4, t_max=cap)
+            ancestral_sample([params], LONG, [z], rng, eos_id=4, t_max=cap)
         assert widths == [1, 5, LONG.t_max]
 
     @pytest.mark.parametrize("seed", [17, 18, 19])
@@ -436,7 +441,7 @@ class TestAncestralSampling:
         rng, params, z, _, _ = make_case(seed, cfg=LONG, B=5)
         params["head"]["b"][4] = 1.0
         kwargs = dict(eos_id=4, temperature=0.7, forbid=(5,))
-        out = ancestral_sample(params, LONG, z,
+        out = ancestral_sample([params], LONG, [z],
                                np.random.default_rng(seed), **kwargs)
         ref = prefix_sample(params, LONG, z,
                             np.random.default_rng(seed), **kwargs)
@@ -447,17 +452,68 @@ class TestAncestralSampling:
         """A cap stops the draws early and leaves the earlier ones alone."""
         rng, params, z, _, _ = make_case(20, cfg=LONG, B=8)
         params["head"]["b"][4] = -np.inf
-        full = ancestral_sample(params, LONG, z, np.random.default_rng(3),
+        full = ancestral_sample([params], LONG, [z], np.random.default_rng(3),
                                 eos_id=4)
         for cap in (1, 5, LONG.t_max, LONG.t_max + 4):
-            capped = ancestral_sample(params, LONG, z,
+            capped = ancestral_sample([params], LONG, [z],
                                       np.random.default_rng(3), eos_id=4,
                                       t_max=cap)
             assert capped == [seq[:cap] for seq in full]
         with pytest.raises(ValueError):
-            ancestral_sample(params, LONG, z, rng, eos_id=4, t_max=0)
+            ancestral_sample([params], LONG, [z], rng, eos_id=4, t_max=0)
 
     def test_rejects_nonpositive_temperature(self):
         rng, params, z, _, _ = make_case(12)
         with pytest.raises(ValueError):
-            ancestral_sample(params, SMALL, z, rng, eos_id=4, temperature=0.0)
+            ancestral_sample([params], SMALL, [z], rng, eos_id=4,
+                             temperature=0.0)
+
+    def test_rejects_unmatched_groups(self):
+        rng, params, z, _, _ = make_case(12)
+        with pytest.raises(ValueError, match="one latent array"):
+            ancestral_sample([params, params], SMALL, [z], rng, eos_id=4)
+        with pytest.raises(ValueError, match="one latent array"):
+            ancestral_sample([], SMALL, [], rng, eos_id=4)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_groups_match_grouped_oracle(self, seed):
+        """One to five snapshot groups of unequal size, their records
+        interleaved, draw in one loop what the grouped prefix-rescoring
+        reference draws, token for token: the latents first, group by group
+        in ascending snapshot order, then one uniform vector per step over
+        the live records, group-major. Decoder settings are random."""
+        rng = np.random.default_rng(seed)
+        cfg = DecoderConfig(
+            t_max=int(rng.integers(3, 14)), channels=int(rng.integers(2, 6)),
+            kernel=int(rng.integers(1, 4)),
+            dilations=tuple(int(d) for d in np.sort(rng.choice(
+                4, size=rng.integers(1, 4), replace=False)) + 1),
+            n_upsample=int(rng.integers(0, 3)))
+        n_vocab, n_latent, eos = int(rng.integers(5, 9)), 2, 1
+        thetas = [init_decoder_params(cfg, n_vocab, n_latent, rng)
+                  for _ in range(6)]
+        for theta in thetas:  # records end at several different steps
+            theta["head"]["b"][eos] = rng.uniform(-1.0, 1.5)
+        G = int(rng.integers(1, 6)) if seed else 5
+        snaps = rng.choice(len(thetas), size=G, replace=False)
+        sizes = rng.choice(np.arange(1, 8), size=G, replace=False)
+        picks = rng.permutation(np.repeat(snaps, sizes))
+        kwargs = dict(eos_id=eos, temperature=0.8, forbid=(0,))
+
+        def draw_latents(s, n, rng):
+            return rng.standard_normal((n, n_latent))
+
+        draw = np.random.default_rng(100 + seed)
+        groups = np.unique(picks)
+        z = [draw_latents(s, np.count_nonzero(picks == s), draw)
+             for s in groups]
+        sampled = ancestral_sample([thetas[s] for s in groups], cfg, z, draw,
+                                   **kwargs)
+        out = [None] * len(picks)
+        for r, seq in zip(np.argsort(picks, kind="stable"), sampled):
+            out[r] = seq
+        ref = grouped_prefix_sample(thetas, cfg, picks, draw_latents,
+                                    np.random.default_rng(100 + seed),
+                                    **kwargs)
+        assert out == ref
+        assert len({len(seq) for seq in out}) > 1

@@ -11,9 +11,13 @@ from ehrgen.generator import (
     condition_vector,
     generate_case_control,
     generate_cohort,
+    generation_counts,
 )
+from ehrgen.latent import sample_prior_eva, sample_prior_evac
 from ehrgen.simulate import default_toy_spec, simulate_toy_cohort
 from ehrgen.trainer import TrainConfig, train
+
+from oracles import grouped_prefix_sample, prefix_sample
 
 
 def quick_model(variant="evac", seed=0, n_iters=8):
@@ -144,6 +148,84 @@ class TestGeneration:
         assert max(len(r.visits) for r in full.records) > 2
         assert ([r.visits for r in capped.records]
                 == [r.visits[:2] for r in full.records])
+
+    def test_capped_ensemble_cohort_is_truncated_uncapped(self):
+        """All snapshot groups share one loop, so under the ensemble policy
+        too the cap only stops the draws early."""
+        full = generate_cohort(EVA, GenerationRequest(count=30, seed=8))
+        capped = generate_cohort(EVA, GenerationRequest(count=30, seed=8,
+                                                        t_max=2))
+        assert max(len(r.visits) for r in full.records) > 2
+        assert ([r.visits for r in capped.records]
+                == [r.visits[:2] for r in full.records])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 8])
+    def test_point_cohort_matches_single_group_oracle(self, seed):
+        """The point policy draws no picks: the latents, then the single
+        group's uniforms, as the one-group prefix-rescoring reference."""
+        rng = np.random.default_rng(seed)
+        z = sample_prior_eva(EVA.train_config.latent_dim, rng, 12)
+        ref = prefix_sample(EVA.reservoir[-1]["theta"], EVA.dec_cfg, z, rng,
+                            eos_id=EVA.vocab.eos_id,
+                            forbid=(EVA.vocab.pad_id,), temperature=0.9)
+        out = generate_cohort(EVA, GenerationRequest(
+            count=12, seed=seed, policy="point", temperature=0.9))
+        assert [r.visits for r in out.records] == [
+            tuple(EVA.vocab.codes_of(t) for t in seq) for seq in ref]
+
+    @pytest.mark.parametrize("variant, seed", [("eva", 0), ("eva", 1),
+                                               ("eva", 2), ("evac", 3)])
+    def test_ensemble_cohort_matches_grouped_oracle(self, variant, seed):
+        """The picks, then each snapshot group's latents in ascending
+        order, then one uniform vector per step over the live records
+        ordered by snapshot."""
+        model = {"eva": EVA, "evac": EVAC}[variant]
+        cfg = model.train_config
+        y = np.zeros(0)
+        if variant == "evac":
+            y = condition_vector(model, ("cond_1",))
+
+        def draw_latents(s, n, rng):
+            if variant == "eva":
+                return sample_prior_eva(cfg.latent_dim, rng, n)
+            return sample_prior_evac(model.reservoir[s]["H"],
+                                     np.tile(y, (n, 1)), cfg.gamma, cfg.tau,
+                                     rng)[2]
+
+        rng = np.random.default_rng(seed)
+        picks = rng.integers(len(model.reservoir), size=14)
+        assert len(set(picks.tolist())) > 1
+        ref = grouped_prefix_sample(
+            [snap["theta"] for snap in model.reservoir], model.dec_cfg, picks,
+            draw_latents, rng, eos_id=model.vocab.eos_id,
+            forbid=(model.vocab.pad_id,))
+        out = generate_cohort(model, GenerationRequest(
+            count=14, seed=seed, mode="conditional" if y.size else
+            "unconditional", conditions=("cond_1",) if y.size else ()))
+        assert [r.visits for r in out.records] == [
+            tuple(model.vocab.codes_of(t) for t in seq) for seq in ref]
+
+    @pytest.mark.parametrize("policy, t_max", [("ensemble", None),
+                                               ("ensemble", 2),
+                                               ("point", 1)])
+    def test_generation_counts(self, policy, t_max):
+        request = GenerationRequest(count=25, seed=2, policy=policy,
+                                    t_max=t_max)
+        out = generate_cohort(EVA, request)
+        counts = generation_counts(EVA, request, out)
+        per_snapshot = counts["records_per_snapshot"]
+        assert len(per_snapshot) == len(EVA.reservoir)
+        assert sum(per_snapshot) == 25
+        cap = t_max or EVA.dec_cfg.t_max
+        assert counts["stopped_at_cap"] == sum(
+            len(r.visits) == cap for r in out.records)
+        assert counts["stopped_at_cap"] + counts["stopped_at_eos"] == 25
+        if policy == "point":
+            assert per_snapshot[-1] == 25
+            assert counts["stopped_at_cap"] == 25  # one visit each
+        else:
+            assert min(per_snapshot) > 0
+            assert 0 < counts["stopped_at_cap"] < 25
 
     def test_point_policy_uses_last_snapshot_only(self):
         """Point generation must be reproducible from the last sample alone."""
