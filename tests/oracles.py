@@ -318,6 +318,35 @@ def looped_toy_transitions(n_conditions=4, background_groups=20,
     return transition, initial
 
 
+def looped_toy_cohort(spec, seed):
+    """Reference for ``simulate_toy_cohort``: each record walks its own chain
+    to the end, one ``searchsorted`` per visit on a cumulative copy of the
+    whole transition table."""
+    rng = np.random.default_rng(seed)
+    K, G = spec.n_conditions, spec.n_groups
+    visit_sets = [frozenset(codes) for codes in spec.group_codes]
+    trans_cdf = np.cumsum(spec.transition, axis=2)
+    init_cdf = np.cumsum(spec.initial, axis=1)
+    mix_cdf = np.cumsum(spec.mixture_weights)
+    records = []
+    for i in range(spec.n_records):
+        comp = min(int(np.searchsorted(mix_cdf, rng.random(), side="right")), K - 1)
+        T = int(rng.integers(spec.len_min, spec.len_max + 1))
+        u = rng.random(T)
+        g = min(int(np.searchsorted(init_cdf[comp], u[0], side="right")), G - 1)
+        groups = [g]
+        for t in range(1, T):
+            g = min(int(np.searchsorted(trans_cdf[comp, g], u[t], side="right")), G - 1)
+            groups.append(g)
+        cond = [0] * K
+        cond[K - 1] = 1
+        cond[comp] = 1
+        records.append(PatientRecord(id=f"p{i:06d}",
+                                     visits=tuple(visit_sets[g] for g in groups),
+                                     conditions=tuple(cond)))
+    return Cohort(records=records, condition_names=list(spec.condition_names))
+
+
 def analytic_group_bigram(spec):
     """Expected relative frequency of each ordered group pair under the
     toy spec, which the simulator's empirical bigrams are held to."""

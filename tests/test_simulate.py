@@ -5,6 +5,8 @@ acceptance runs, so its own closed-form unigram/bigram statistics are
 checked here against empirical counts from a large sample.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,8 @@ from ehrgen.simulate import (
     simulate_toy_cohort,
 )
 
-from oracles import analytic_group_bigram, looped_toy_transitions
+from oracles import (analytic_group_bigram, looped_toy_cohort,
+                     looped_toy_transitions)
 
 
 def two_group_spec(n_records=500, len_min=4, len_max=4):
@@ -60,6 +63,25 @@ class TestSpecValidation:
         spec = two_group_spec()
         spec.initial = np.array([[1.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="shape"):
+            simulate_toy_cohort(spec, seed=0)
+
+
+    @pytest.mark.parametrize("weights", [[1.5, -0.5], [1.0], [0.5, 0.25, 0.25]],
+                             ids=["negative", "too-few", "too-many"])
+    def test_bad_mixture_weights_rejected(self, weights):
+        """Negative weights, or weights not one per component, are refused
+        rather than silently drawing a skewed mixture."""
+        spec = default_toy_spec(n_records=20, n_conditions=1,
+                                background_groups=2, groups_per_condition=2)
+        spec.mixture_weights = np.array(weights)
+        with pytest.raises(ValueError, match="mixture_weights"):
+            simulate_toy_cohort(spec, seed=0)
+
+    def test_condition_groups_one_block_per_condition(self):
+        spec = default_toy_spec(n_records=20, n_conditions=1,
+                                background_groups=2, groups_per_condition=2)
+        spec.condition_groups = spec.condition_groups[:1]
+        with pytest.raises(ValueError, match="condition_groups"):
             simulate_toy_cohort(spec, seed=0)
 
 
@@ -107,6 +129,42 @@ class TestDraws:
         for rec in cohort.records:
             for v in rec.visits:
                 assert visit_key(v) in group_keys
+
+
+class TestStepWalk:
+    """All records walking together, one step at a time, draw the cohort that
+    walking each record to its end draws."""
+
+    @pytest.mark.parametrize("make, seed", [
+        (lambda: default_toy_spec(), 1),
+        (lambda: default_toy_spec(), 2),
+        (lambda: default_toy_spec(background_groups=100, groups_per_condition=100), 3),
+        (lambda: default_toy_spec(len_max=64), 4),
+        (lambda: two_group_spec(), 5),
+        (lambda: default_toy_spec(len_min=1, len_max=1), 6),
+        (lambda: default_toy_spec(n_records=1), 7),
+    ], ids=["default-1", "default-2", "100-groups", "len-max-64", "two-group",
+            "one-visit", "one-record"])
+    def test_matches_looped_walk(self, make, seed):
+        spec = make()
+        got, want = simulate_toy_cohort(spec, seed), looped_toy_cohort(spec, seed)
+        assert got.condition_names == want.condition_names
+        assert [(r.id, r.visits, r.conditions) for r in got.records] == \
+            [(r.id, r.visits, r.conditions) for r in want.records]
+
+    def test_walk_holds_no_second_transition_table(self):
+        """The traced peak stays far below the spec's dense table, so the walk
+        builds no cumulative (K, G, G) copy of it."""
+        spec = default_toy_spec(background_groups=120, groups_per_condition=120)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            simulate_toy_cohort(spec, seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < spec.transition.nbytes / 2
 
 
 class TestAnalyticStatistics:
@@ -187,6 +245,14 @@ class TestDefaultSpec:
         transition, initial = looped_toy_transitions(**shape)
         np.testing.assert_array_equal(spec.transition, transition)
         np.testing.assert_array_equal(spec.initial, initial)
+
+    @pytest.mark.parametrize("arg, size", [("background_groups", 1),
+                                           ("background_groups", 0),
+                                           ("groups_per_condition", 1)])
+    def test_blocks_below_two_groups_rejected(self, arg, size):
+        """Each sharp row picks two successors in its block."""
+        with pytest.raises(ValueError, match=arg):
+            default_toy_spec(**{arg: size})
 
     def test_blocks_partition_the_groups(self):
         spec = default_toy_spec(n_conditions=3, background_groups=4,
