@@ -26,19 +26,11 @@ for rec in synth.records[:3]:
     print(f"  {rec.id}: " + " -> ".join("+".join(sorted(v)) for v in rec.visits[:4])
           + (" ..." if len(rec.visits) > 4 else ""))
 
-real_uni = ev.ngram_stats(real, 1)
-real_bi = ev.ngram_stats(real, 2)
-synth_uni = ev.ngram_stats(synth, 1)
-synth_bi = ev.ngram_stats(synth, 2)
-
-rho_uni = ev.pearson_marginal(real_uni, synth_uni)
-rho_bi = ev.pearson_marginal(real_bi, synth_bi)
-floor = ev.pearson_marginal(real_bi, ev.independent_bigram_baseline(real_uni))
-print(f"unigram pearson {rho_uni:.3f}")
-print(f"bigram  pearson {rho_bi:.3f}  (independent-unigram floor {floor:.3f})")
-
-print(f"avg jaccard between visits: real {ev.avg_jaccard_counts(real)[0]:.3f} synth {ev.avg_jaccard_counts(synth)[0]:.3f}")
-print(f"unique-token ratio:         real {ev.unique_token_ratio(real):.3f} synth {ev.unique_token_ratio(synth):.3f}")
+# the metric set `ehrgen evaluate` writes; passing the model or topk adds the
+# held-out numbers, from a split of the real cohort
+for name, value in ev.report(real, synth).items():
+    print(f"{name:30s} {value:.3f}" if isinstance(value, float)
+          else f"{name:30s} {value}")
 
 # ensemble vs point: averaging over posterior samples adds diversity
 for policy in ("ensemble", "point"):

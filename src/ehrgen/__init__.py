@@ -27,26 +27,19 @@ from .corpus import (
 from .simulate import (
     ToyCorpusSpec, analytic_group_unigram, condition_codes, default_toy_spec,
     simulate_toy_cohort)
-from .latent import compose_intensities, sample_prior_eva, sample_prior_evac
+from .latent import sample_prior_eva, sample_prior_evac
 from .encoders import (
-    DiagGaussian, encode_conditions, encode_sequence, entropy_diag_gaussian,
-    init_condition_encoder, init_sequence_encoder, kl_diag_gaussians,
-    poe_combine, sample_with_eta)
-from .decoder import (
-    DecoderConfig, ancestral_sample, decode_logits, init_decoder_params,
-    sequence_log_likelihood)
-from .model import (
-    ModelParts, TrainConfig, TrainedModel, encode_posteriors, init_phi)
-from .trainer import (
-    ElboReport, SamplerState, TrainingDiverged, draw_local_noises,
-    psgld_step, step_gradients, train)
+    DiagGaussian, encode_conditions, encode_sequence, poe_combine)
+from .decoder import DecoderConfig, ancestral_sample, decode_logits
+from .model import TrainConfig, TrainedModel
+from .trainer import ElboReport, TrainingDiverged, psgld_step, train
 from .generator import (
     GenerationRequest, condition_vector, generate_case_control,
     generate_cohort)
 from .evaluation import (
     AttackOutcome, NextVisitPredictor, NgramStats, avg_jaccard_counts,
     elbo_holdout, independent_bigram_baseline, ngram_stats, pearson_marginal,
-    presence_disclosure, split_cohort, topk_recall,
-    train_next_visit_predictor, unique_token_ratio)
+    presence_disclosure, report, topk_recall, train_next_visit_predictor,
+    unique_token_ratio)
 
 __version__ = "0.1.0"

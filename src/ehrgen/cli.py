@@ -229,48 +229,16 @@ def cmd_evaluate(args, out):
         raise ConfigError(f"--topk values must be >= 1, got {args.topk}")
     real = load_cohort(_require_file(args.real, "real cohort"))
     synth = load_cohort(_require_file(args.synthetic, "synthetic cohort"))
-    vocab = load_vocab(_require_file(args.vocab, "vocabulary"))
-    real.vocab = vocab
-    synth.vocab = vocab
-
-    metrics = {}
-    uni_r = ev.ngram_stats(real, 1)
-    uni_s = ev.ngram_stats(synth, 1)
-    bi_r = ev.ngram_stats(real, 2)
-    bi_s = ev.ngram_stats(synth, 2)
-    metrics["unigram_pearson"] = ev.pearson_marginal(uni_r, uni_s)
-    metrics["bigram_pearson"] = ev.pearson_marginal(bi_r, bi_s)
-    metrics["bigram_pearson_indep_baseline"] = ev.pearson_marginal(
-        bi_r, ev.independent_bigram_baseline(uni_r))
-    jac_r, used_r, skip_r = ev.avg_jaccard_counts(real)
-    jac_s, used_s, skip_s = ev.avg_jaccard_counts(synth)
-    metrics["jaccard_real"] = jac_r
-    metrics["jaccard_synthetic"] = jac_s
-    metrics["jaccard_records_used"] = {"real": used_r, "synthetic": used_s}
-    metrics["jaccard_records_skipped"] = {"real": skip_r,
-                                          "synthetic": skip_s}
-    metrics["unique_token_ratio_real"] = ev.unique_token_ratio(real)
-    metrics["unique_token_ratio_synthetic"] = ev.unique_token_ratio(synth)
-
-    if args.model or args.topk:
-        train_r, test_r = ev.split_cohort(real, test_frac=args.test_frac,
-                                          seed=args.seed)
-
-    if args.model:
-        model = TrainedModel.load(_require_file(args.model, "model"))
-        metrics["elbo_holdout"] = ev.elbo_holdout(model, test_r)
-
-    if args.topk:
-        pred_real = ev.train_next_visit_predictor(train_r, seed=args.seed)
-        pred_synth = ev.train_next_visit_predictor(synth, seed=args.seed)
-        for k in args.topk:
-            metrics[f"top{k}_recall_real_trained"] = ev.topk_recall(
-                pred_real, test_r, k)
-            metrics[f"top{k}_recall_synth_trained"] = ev.topk_recall(
-                pred_synth, test_r, k)
+    real.vocab = synth.vocab = load_vocab(
+        _require_file(args.vocab, "vocabulary"))
+    model = (TrainedModel.load(_require_file(args.model, "model"))
+             if args.model else None)
+    metrics = ev.report(real, synth, model=model, topk=args.topk,
+                        test_frac=args.test_frac, seed=args.seed)
 
     digest = config_digest(args)
     if args.scatter_out:
+        uni_r, uni_s = ev.ngram_stats(real, 1), ev.ngram_stats(synth, 1)
         with open(out.path(args.scatter_out), "w") as fh:
             fh.write(f"# unigram scatter\tconfig_digest={digest}"
                      f"\tseed={args.seed}\n")

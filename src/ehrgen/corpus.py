@@ -8,7 +8,10 @@ shared code: the most frequent entry). Only the entries on the visit's codes'
 postings (a code -> entries index built once per call) are ranked, and the
 fallback is found once per call, so a rare visit costs its codes' postings,
 not the vocabulary size. Two reserved tokens (EOS, PAD) sit after the data
-tokens so generation has a stopping rule and batches can be padded.
+tokens so generation has a stopping rule and batches can be padded. Visits
+become token ids in one place, ``token_ids``, whose flat id array the padded
+training matrix and the n-gram statistics read; an out-of-vocabulary visit
+fails there, with one message.
 
 Cohorts are stored as line-delimited JSON, one patient per line, with an
 optional leading meta line; vocabularies likewise with a header line carrying
@@ -232,29 +235,39 @@ class EncodedBatch:
         )
 
 
+def token_ids(cohort, vocab):
+    """(ids, lengths): every visit's token id, record after record, as one
+    flat int64 array, and each record's visit count. An out-of-vocabulary
+    visit raises a ValueError that names its record."""
+    records = cohort.records
+    ids = [vocab.token_of(v) for rec in records for v in rec.visits]
+    if None in ids:
+        rec = next(r for r in records if not all(v in vocab for v in r.visits))
+        raise ValueError(f"record {rec.id!r} has an out-of-vocabulary visit; "
+                         "preprocess the cohort first (replace_rare_visits)")
+    lengths = np.array([len(rec.visits) for rec in records], dtype=np.int64)
+    return np.array(ids, dtype=np.int64), lengths
+
+
 def encode_cohort(cohort, vocab, t_max):
     """Encode each record as [token_1 .. token_T, EOS, PAD ...] of fixed width.
 
     Sequences longer than ``t_max`` are truncated; the mask marks real steps
-    including the EOS slot.
+    including the EOS slot. The ids come from ``token_ids``, so every visit,
+    kept or truncated, must be in the vocabulary.
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    n = len(cohort.records)
-    width = t_max + 1
-    K = len(cohort.condition_names)
-    tokens = np.full((n, width), vocab.pad_id, dtype=np.int64)
-    mask = np.zeros((n, width))
+    ids, lengths = token_ids(cohort, vocab)
+    n, K = len(lengths), len(cohort.condition_names)
+    kept, step = np.minimum(lengths, t_max), np.arange(t_max + 1)
+    live = step < kept[:, None]
+    tokens = np.full((n, t_max + 1), vocab.pad_id, dtype=np.int64)
+    tokens[live] = ids[((np.cumsum(lengths) - lengths)[:, None] + step)[live]]
+    tokens[np.arange(n), kept] = vocab.eos_id
+    mask = (step <= kept[:, None]).astype(float)
     conds = np.zeros((n, K))
     for i, rec in enumerate(cohort.records):
-        row = [vocab.token_of(v) for v in rec.visits[:t_max]] + [vocab.eos_id]
-        if None in row:
-            raise ValueError(
-                f"out-of-vocabulary visit in patient {rec.id!r}; "
-                "run replace_rare_visits first"
-            )
-        tokens[i, :len(row)] = row
-        mask[i, :len(row)] = 1.0
         if rec.conditions:
             conds[i, : len(rec.conditions)] = rec.conditions
     return EncodedBatch(tokens=tokens, mask=mask, conditions=conds)

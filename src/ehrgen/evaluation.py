@@ -2,19 +2,21 @@
 and the presence-disclosure attack.
 
 All metrics are pure functions of their inputs (plus explicit seeds for the
-predictor) and do not care about record order.
+predictor) and do not care about record order. Token statistics read the
+ids of ``corpus.token_ids``, so they share its out-of-vocabulary error.
+``report`` assembles the metric set that ``ehrgen evaluate`` writes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 
 import numpy as np
 
 from . import _nn
-from .corpus import Cohort, encode_cohort, visit_key
+from .corpus import Cohort, encode_cohort, token_ids, visit_key
 from .decoder import sequence_log_likelihood
 from .encoders import kl_diag_gaussians
 from .latent import compose_intensities
@@ -82,25 +84,15 @@ def _table_sums(freqs):
     return v.sum(), v @ v, v
 
 
-def _record_tokens(record, vocab):
-    toks = [vocab.token_of(visit) for visit in record.visits]
-    if None in toks:
-        raise ValueError(f"record {record.id!r} has an out-of-vocabulary "
-                         "visit; preprocess the cohort first")
-    return toks
-
-
 def ngram_stats(cohort, n):
     """Marginal frequency of each visit token (n=1) or ordered pair of
     consecutive visit tokens within a record (n=2)."""
     if cohort.vocab is None:
         raise ValueError("cohort has no vocabulary attached")
-    rows = [_record_tokens(rec, cohort.vocab) for rec in cohort.records]
-    lengths = [len(toks) for toks in rows]
-    ids = np.fromiter(chain.from_iterable(rows), int, sum(lengths))
+    ids, lengths = token_ids(cohort, cohort.vocab)
     V = cohort.vocab.size
     if n == 2:  # pair (a, b) has id a * V + b, and never spans two records
-        same = np.diff(np.repeat(np.arange(len(rows)), lengths)) == 0
+        same = np.diff(np.repeat(np.arange(len(lengths)), lengths)) == 0
         ids = ids[:-1][same] * V + ids[1:][same]
     # sorting, not np.bincount: a count array over pair ids has V^2 entries
     keys, counts = np.unique(ids, return_counts=True)
@@ -428,3 +420,45 @@ def _holdout_score(model, snapshot, batch):
         score -= kl_diag_gaussians(q_b, 0.0, model.train_config.gamma)
         score -= kl_diag_gaussians(q_w, 0.0, 1.0)
     return score
+
+
+# ---------------------------------------------------------------------------
+# the report
+# ---------------------------------------------------------------------------
+
+def report(real, synthetic, model=None, topk=(), test_frac=0.2, seed=0):
+    """The ``metrics`` that ``ehrgen evaluate`` writes: fidelity and
+    diversity of ``synthetic`` against ``real``. A ``model`` adds its
+    ``elbo_holdout`` and each k in ``topk`` the top-k recall of predictors
+    trained on the rest of ``real`` and on ``synthetic``, all scored on a
+    held-out split of ``real``, ``split_cohort(real, test_frac, seed)``,
+    made only then. Both cohorts need the vocabulary attached."""
+    uni_r, uni_s = ngram_stats(real, 1), ngram_stats(synthetic, 1)
+    bi_r, bi_s = ngram_stats(real, 2), ngram_stats(synthetic, 2)
+    jac_r, used_r, skip_r = avg_jaccard_counts(real)
+    jac_s, used_s, skip_s = avg_jaccard_counts(synthetic)
+    metrics = {
+        "unigram_pearson": pearson_marginal(uni_r, uni_s),
+        "bigram_pearson": pearson_marginal(bi_r, bi_s),
+        "bigram_pearson_indep_baseline": pearson_marginal(
+            bi_r, independent_bigram_baseline(uni_r)),
+        "jaccard_real": jac_r,
+        "jaccard_synthetic": jac_s,
+        "jaccard_records_used": {"real": used_r, "synthetic": used_s},
+        "jaccard_records_skipped": {"real": skip_r, "synthetic": skip_s},
+        "unique_token_ratio_real": unique_token_ratio(real),
+        "unique_token_ratio_synthetic": unique_token_ratio(synthetic),
+    }
+    if model is None and not topk:
+        return metrics
+    train_r, test_r = split_cohort(real, test_frac=test_frac, seed=seed)
+    if model is not None:
+        metrics["elbo_holdout"] = elbo_holdout(model, test_r)
+    if topk:
+        preds = {"real": train_next_visit_predictor(train_r, seed=seed),
+                 "synth": train_next_visit_predictor(synthetic, seed=seed)}
+    for k in topk:
+        for name, pred in preds.items():
+            metrics[f"top{k}_recall_{name}_trained"] = topk_recall(
+                pred, test_r, k)
+    return metrics

@@ -31,7 +31,6 @@ from .corpus import Cohort, PatientRecord
 from .decoder import ancestral_sample
 from .latent import sample_prior_eva, sample_prior_evac
 
-MODES = ("unconditional", "conditional")
 POLICIES = ("ensemble", "point")
 BACKGROUND = "background"
 
@@ -39,8 +38,7 @@ BACKGROUND = "background"
 @dataclass(frozen=True)
 class GenerationRequest:
     count: int
-    mode: str = "unconditional"
-    conditions: tuple = ()  # names; conditional mode only
+    conditions: tuple = ()  # names; evac models only
     temperature: float = 1.0
     t_max: int | None = None  # cap record length below the model maximum
     seed: int = 0
@@ -49,10 +47,6 @@ class GenerationRequest:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.conditions and self.mode != "conditional":
-            raise ValueError("conditions need mode 'conditional'")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}")
         if self.temperature <= 0:
@@ -95,15 +89,14 @@ def _snapshot_picks(model, request, rng):
 def generate_cohort(model, request):
     """Sample ``request.count`` records; returns a Cohort in the same shape
     the corpus loader produces, so it can replace real data downstream."""
-    if request.mode == "conditional" and model.variant != "evac":
+    if request.conditions and model.variant != "evac":
         raise ValueError("conditional generation requires evac")
     if not model.reservoir:
         raise ValueError("model has an empty posterior reservoir")
     vocab = model.vocab
 
-    y = None
-    if model.variant == "evac":
-        y = condition_vector(model, request.conditions)
+    y = (condition_vector(model, request.conditions)
+         if model.variant == "evac" else None)
 
     rng = np.random.default_rng(request.seed)
     picks = _snapshot_picks(model, request, rng)
@@ -160,11 +153,9 @@ def generate_case_control(model, condition, n_case, n_control, seed):
     cases = empty
     if n_case > 0:
         cases = generate_cohort(model, GenerationRequest(
-            count=n_case, mode="conditional", conditions=(condition,),
-            seed=int(seeds[0])))
+            count=n_case, conditions=(condition,), seed=int(seeds[0])))
     controls = empty
     if n_control > 0:
         controls = generate_cohort(model, GenerationRequest(
-            count=n_control, mode="conditional", conditions=(),
-            seed=int(seeds[1])))
+            count=n_control, seed=int(seeds[1])))
     return cases, controls

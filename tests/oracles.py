@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import expit as sigmoid, log_softmax, softmax
 
 from ehrgen import _nn
-from ehrgen.corpus import Cohort, PatientRecord, encode_cohort
+from ehrgen.corpus import Cohort, EncodedBatch, PatientRecord, encode_cohort
 from ehrgen import decoder
 from ehrgen.decoder import decode_logits, sequence_log_likelihood
 from ehrgen.evaluation import (PREDICTOR_EMBED, PREDICTOR_HIDDEN, PREDICTOR_LR,
@@ -497,6 +497,22 @@ def unchunked_elbo_holdout(model, cohort):
         score -= kl_diag_gaussians(q_b, 0.0, model.train_config.gamma)
         score -= kl_diag_gaussians(q_w, 0.0, 1.0)
     return score / len(batch)
+
+
+def looped_encode_cohort(cohort, vocab, t_max):
+    """Reference for ``encode_cohort``: one row written per record, from
+    ``token_of`` on the record's first ``t_max`` visits."""
+    n = len(cohort.records)
+    tokens = np.full((n, t_max + 1), vocab.pad_id, dtype=np.int64)
+    mask = np.zeros((n, t_max + 1))
+    conds = np.zeros((n, len(cohort.condition_names)))
+    for i, rec in enumerate(cohort.records):
+        row = [vocab.token_of(v) for v in rec.visits[:t_max]] + [vocab.eos_id]
+        tokens[i, :len(row)] = row
+        mask[i, :len(row)] = 1.0
+        if rec.conditions:
+            conds[i, : len(rec.conditions)] = rec.conditions
+    return EncodedBatch(tokens=tokens, mask=mask, conditions=conds)
 
 
 def looped_best_replacement(visit, vocab):

@@ -169,6 +169,18 @@ class TestPipeline:
         assert -1.0 <= m["bigram_pearson"] <= 1.0
         assert m["elbo_holdout"] <= 0.0
 
+    def test_eval_report_is_the_library_report(self, pipeline):
+        """The written metrics are ``report`` on the same files and
+        arguments, key for key and value for value."""
+        from ehrgen.evaluation import report
+        from ehrgen.model import TrainedModel
+        real, synth = (load_cohort(pipeline[k]) for k in ("cohort", "synth"))
+        real.vocab = synth.vocab = load_vocab(pipeline["vocab"])
+        expected = report(real, synth,
+                          model=TrainedModel.load(pipeline["model"]),
+                          topk=(5,), test_frac=0.2, seed=5)
+        assert json.load(open(pipeline["report"]))["metrics"] == expected
+
     def test_scatter_table(self, pipeline):
         lines = open(pipeline["scatter"]).read().splitlines()
         assert lines[0].startswith("# unigram scatter")
@@ -246,18 +258,8 @@ class TestErrorPaths:
                     "--variant", "eva"] + TRAIN_SMALL) == 0
         out = str(tmp_path / "s.jsonl")
         assert run(["generate", "--model", model, "--out", out,
-                    "--count", "2", "--mode", "conditional",
-                    "--conditions", "cond_0"]) == 1
-        assert "evac" in read_stderr_json(capsys)["error"]
-        assert not os.path.exists(out)
-
-    def test_conditions_without_conditional_mode_exit_1(self, pipeline,
-                                                        tmp_path, capsys):
-        """The default unconditional mode would ignore the names."""
-        out = str(tmp_path / "s.jsonl")
-        assert run(["generate", "--model", pipeline["model"], "--out", out,
                     "--count", "2", "--conditions", "cond_0"]) == 1
-        assert "conditional" in read_stderr_json(capsys)["error"]
+        assert "evac" in read_stderr_json(capsys)["error"]
         assert not os.path.exists(out)
 
     def test_generate_t_max_0_exits_1(self, pipeline, tmp_path, capsys):
@@ -327,7 +329,7 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("argv, value", [
         (["train", "--variant", "vae"], "vae"),
-        (["generate", "--mode", "joint"], "joint"),
+        (["generate", "--conditions", "cond_9"], "cond_9"),
         (["generate", "--policy", "mean"], "mean"),
     ])
     def test_unknown_name_exits_1(self, pipeline, tmp_path, capsys, argv,
@@ -656,7 +658,7 @@ NON_DEFAULT = {
     DecoderConfig: dict(t_max=5, channels=6, kernel=2, dilations=(1, 3),
                         n_upsample=1),
     GenerationRequest: dict(
-        count=12, mode="conditional", conditions=("cond_0", "cond_1"),
+        count=12, conditions=("cond_0", "cond_1"),
         temperature=0.7, t_max=3, seed=13, policy="point"),
 }
 

@@ -17,10 +17,12 @@ from ehrgen.corpus import (
     replace_rare_visits,
     save_cohort,
     save_vocab,
+    token_ids,
     visit_key,
 )
+from ehrgen.evaluation import ngram_stats, train_next_visit_predictor
 
-from oracles import looped_best_replacement, tiny_records
+from oracles import looped_best_replacement, looped_encode_cohort, tiny_records
 
 
 def small_vocab():
@@ -268,6 +270,56 @@ class TestEncoding:
         recs = [PatientRecord("bad-one", (frozenset({"zz"}),))]
         with pytest.raises(ValueError, match="bad-one"):
             encode_cohort(Cohort(recs, []), vocab, t_max=2)
+
+    @pytest.mark.parametrize("records, names, t_max", [
+        pytest.param([PatientRecord("long", (frozenset({"a"}), frozenset({"d"}),
+                                             frozenset({"b", "c"}))),
+                      PatientRecord("short", (frozenset({"d"}),))],
+                     [], 2, id="longer than t_max"),
+        pytest.param([PatientRecord(f"p{i}", (frozenset({c}),))
+                      for i, c in enumerate("ada")], [], 3, id="one visit"),
+        pytest.param([], ["x", "background"], 4, id="empty cohort"),
+        pytest.param([PatientRecord("p0", (frozenset({"a"}),) * 3, (1, 1)),
+                      PatientRecord("p1", (frozenset({"b", "c"}),), (0, 1))],
+                     ["x", "background"], 2, id="conditions"),
+    ])
+    def test_matches_the_per_record_loop(self, records, names, t_max):
+        vocab = small_vocab()
+        cohort = Cohort(records, names)
+        got = encode_cohort(cohort, vocab, t_max)
+        want = looped_encode_cohort(cohort, vocab, t_max)
+        for part in ("tokens", "mask", "conditions"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dtype == b.dtype and a.shape == b.shape, part
+            np.testing.assert_array_equal(a, b, err_msg=part)
+
+    def test_token_ids_are_flat_with_lengths(self):
+        cohort = Cohort(tiny_records(), [])
+        vocab = build_visit_vocab(cohort, max_size=10)
+        ids, lengths = token_ids(cohort, vocab)
+        assert lengths.tolist() == [2, 3, 1, 3]
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [vocab.token_of(v) for rec in tiny_records()
+                                for v in rec.visits]
+
+    def test_one_oov_message_for_every_reader(self):
+        """Encoding, n-gram counting and predictor training all tokenize
+        through ``token_ids`` and refuse an out-of-vocabulary visit alike;
+        encoding refuses one past ``t_max`` too."""
+        vocab = small_vocab()
+        cohort = Cohort([PatientRecord("fine", (frozenset({"a"}),)),
+                         PatientRecord("bad-one", (frozenset({"a"}),
+                                                   frozenset({"zz"})))], [],
+                        vocab=vocab)
+        messages = set()
+        for read in (lambda: encode_cohort(cohort, vocab, t_max=1),
+                     lambda: ngram_stats(cohort, 2),
+                     lambda: train_next_visit_predictor(cohort, epochs=1)):
+            with pytest.raises(ValueError, match="preprocess") as err:
+                read()
+            messages.add(str(err.value))
+        assert len(messages) == 1
+        assert "'bad-one'" in messages.pop()
 
     def test_conditions_copied(self):
         vocab = small_vocab()

@@ -31,6 +31,7 @@ from ehrgen.evaluation import (
     ngram_stats,
     pearson_marginal,
     presence_disclosure,
+    report,
     split_cohort,
     topk_recall,
     train_next_visit_predictor,
@@ -402,6 +403,36 @@ class TestElboHoldout:
                        vocab=model.vocab)
         with pytest.raises(ValueError, match="empty cohort"):
             elbo_holdout(model, empty)
+
+
+class TestReport:
+    BASE_KEYS = {
+        "unigram_pearson", "bigram_pearson", "bigram_pearson_indep_baseline",
+        "jaccard_real", "jaccard_synthetic", "jaccard_records_used",
+        "jaccard_records_skipped", "unique_token_ratio_real",
+        "unique_token_ratio_synthetic"}
+
+    def test_without_model_or_topk_no_split_and_no_optional_keys(
+            self, monkeypatch):
+        import ehrgen.evaluation
+
+        def refuse(*a, **k):
+            raise AssertionError("split or trained without a model or a k")
+
+        monkeypatch.setattr(ehrgen.evaluation, "split_cohort", refuse)
+        monkeypatch.setattr(ehrgen.evaluation, "train_next_visit_predictor",
+                            refuse)
+        real, other = _prepared(
+            simulate_toy_cohort(default_toy_spec(n_records=60), seed=1),
+            simulate_toy_cohort(default_toy_spec(n_records=30), seed=2),
+            max_vocab=40)
+        metrics = report(real, other)
+        assert set(metrics) == self.BASE_KEYS
+        assert metrics["unigram_pearson"] == pearson_marginal(
+            ngram_stats(real, 1), ngram_stats(other, 1))
+        assert metrics["jaccard_records_used"] == {
+            "real": avg_jaccard_counts(real)[1],
+            "synthetic": avg_jaccard_counts(other)[1]}
 
 
 # ---------------------------------------------------------------------------

@@ -46,9 +46,7 @@ class TestRequestValidation:
         with pytest.raises(ValueError):
             GenerationRequest(count=0)
 
-    def test_bad_mode_policy_temperature(self):
-        with pytest.raises(ValueError):
-            GenerationRequest(count=1, mode="both")
+    def test_bad_policy_temperature(self):
         with pytest.raises(ValueError):
             GenerationRequest(count=1, policy="median")
         with pytest.raises(ValueError):
@@ -61,16 +59,8 @@ class TestRequestValidation:
             GenerationRequest(count=1, t_max=t_max)
         GenerationRequest(count=1, t_max=1)
 
-    def test_conditions_need_conditional_mode(self):
-        """Unconditional mode would drop the names and write background-only
-        records."""
-        with pytest.raises(ValueError, match="conditional"):
-            GenerationRequest(count=1, conditions=("cond_0",))
-        GenerationRequest(count=1, mode="conditional", conditions=("cond_0",))
-
     def test_conditional_needs_evac(self):
-        req = GenerationRequest(count=2, mode="conditional",
-                                conditions=("cond_0",))
+        req = GenerationRequest(count=2, conditions=("cond_0",))
         with pytest.raises(ValueError, match="evac"):
             generate_cohort(EVA, req)
 
@@ -200,8 +190,7 @@ class TestGeneration:
             draw_latents, rng, eos_id=model.vocab.eos_id,
             forbid=(model.vocab.pad_id,))
         out = generate_cohort(model, GenerationRequest(
-            count=14, seed=seed, mode="conditional" if y.size else
-            "unconditional", conditions=("cond_1",) if y.size else ()))
+            count=14, seed=seed, conditions=("cond_1",) if y.size else ()))
         assert [r.visits for r in out.records] == [
             tuple(model.vocab.codes_of(t) for t in seq) for seq in ref]
 

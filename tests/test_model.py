@@ -102,8 +102,7 @@ class TestCheckpoint:
                                                     model.cond_dim)
         assert set(back.phi) == {"seq", "cond"}
         case = next(c for c in model.condition_names if c != "background")
-        request = GenerationRequest(count=6, mode="conditional",
-                                    conditions=(case,), seed=11)
+        request = GenerationRequest(count=6, conditions=(case,), seed=11)
         a = generate_cohort(model, request)
         b = generate_cohort(back, request)
         assert [r.visits for r in a.records] == [r.visits for r in b.records]
