@@ -119,7 +119,9 @@ def pearson_marginal(a, b):
 
     where Σxy runs over the shared keys, found by walking the shorter map,
     and the other sums come from ``_table_sums``. An independence table
-    costs O(|S|) unless it is the shorter map."""
+    costs O(|S|) unless it is the shorter map. Rounding can carry the
+    quotient a few ulps past ±1 (a map against itself), so it is clipped
+    to [-1, 1]."""
     short, long = sorted((a.freqs, b.freqs), key=len)
     xy = np.array([v * w for k, v in short.items()
                    if (w := long.get(k)) is not None])
@@ -127,7 +129,8 @@ def pearson_marginal(a, b):
     if n < 2:
         raise ValueError("need at least 2 distinct keys")
     (sx, vx), (sy, vy) = (_sum_and_var(t, n) for t in (short, long))
-    return float((xy.sum() - sx * sy / n) / np.sqrt(vx * vy))
+    rho = (xy.sum() - sx * sy / n) / np.sqrt(vx * vy)
+    return float(np.clip(rho, -1.0, 1.0))
 
 
 def _sum_and_var(table, n):
@@ -199,6 +202,15 @@ def split_cohort(cohort, test_frac=0.2, seed=0):
 # ---------------------------------------------------------------------------
 # next-visit predictor (downstream utility proxy)
 # ---------------------------------------------------------------------------
+
+_EVAL_CHUNK = 256  # records, or prediction steps, scored at once
+
+
+def _chunks(n):
+    """Index arrays that cover 0 .. n - 1, ``_EVAL_CHUNK`` at a time."""
+    return (np.arange(a, min(a + _EVAL_CHUNK, n))
+            for a in range(0, n, _EVAL_CHUNK))
+
 
 PREDICTOR_HIDDEN = 64
 PREDICTOR_EMBED = 32
@@ -300,7 +312,12 @@ def train_next_visit_predictor(cohort, seed=0, epochs=8):
 
 def topk_recall(predictor, cohort, k):
     """Mean over prediction steps of |top-k codes ∩ next-visit codes| /
-    |next-visit codes|. Records with fewer than two visits are skipped."""
+    |next-visit codes|. Records with fewer than two visits are skipped.
+
+    The LSTM runs on ``_EVAL_CHUNK`` records at a time and the head, the
+    code scores and the top-k on ``_EVAL_CHUNK`` of their steps at a time,
+    so memory does not grow with the test cohort; the per-step ratios are
+    kept and averaged in one ``np.mean``, as one pass would."""
     if k < 1:
         raise ValueError("k must be >= 1")
     vocab = predictor.vocab
@@ -311,22 +328,34 @@ def topk_recall(predictor, cohort, k):
                  condition_names=list(cohort.condition_names), vocab=vocab)
     t_max = max(len(r.visits) for r in eligible)
     batch = encode_cohort(sub, vocab, t_max)
-    h_seq, _ = _predictor_states(predictor.params, batch)
-    live, nxt = _visit_targets(batch, vocab)
-    logits, _ = _nn.dense(predictor.params["head"], h_seq[:, :-1][live])
-    # distribution over the next *visit*: terminal/padding ids cannot be it
-    logits[:, [vocab.eos_id, vocab.pad_id]] = -np.inf
-    logits -= logits.max(axis=1, keepdims=True)
-    probs = np.exp(logits, out=logits)
-    probs /= probs.sum(axis=1, keepdims=True)
-    scores = predictor.code_scores(probs)  # (steps, n_codes)
     n_codes = len(predictor.codes)
     kk = min(k, n_codes)
-    top = np.argpartition(-scores, kk - 1, axis=1)[:, :kk]
-    # a visit's codes are its token's codes: encode_cohort rejects OOV visits
-    hits = np.isin(nxt[:, None] * n_codes + top, predictor.members).sum(axis=1)
     per_token = np.bincount(predictor.members // n_codes, minlength=vocab.size)
-    return float(np.mean(hits / per_token[nxt]))
+    ratios = []
+    for rows in _chunks(len(batch)):
+        chunk = batch.take(rows)
+        live, nxt = _visit_targets(chunk, vocab)
+        # one expression: the LSTM caches and padded states are gone before
+        # the next chunk's are made
+        h_live = _predictor_states(predictor.params, chunk)[0][:, :-1][live]
+        for at in _chunks(len(nxt)):
+            logits = _nn.dense(predictor.params["head"], h_live[at])[0]
+            # distribution over the next *visit*: terminal/padding ids
+            # cannot be it
+            logits[:, [vocab.eos_id, vocab.pad_id]] = -np.inf
+            logits -= logits.max(axis=1, keepdims=True)
+            probs = np.exp(logits, out=logits)
+            probs /= probs.sum(axis=1, keepdims=True)
+            scores = predictor.code_scores(probs)  # (steps, n_codes)
+            top = np.argpartition(np.negative(scores, out=scores), kk - 1,
+                                  axis=1)[:, :kk]
+            # a visit's codes are its token's codes: encode_cohort rejects
+            # OOV visits
+            target = nxt[at]
+            hits = np.isin(target[:, None] * n_codes + top,
+                           predictor.members).sum(axis=1)
+            ratios.append(hits / per_token[target])
+    return float(np.mean(np.concatenate(ratios)))
 
 
 # ---------------------------------------------------------------------------
@@ -380,27 +409,21 @@ def presence_disclosure(synthetic, known, order_sensitive=False):
 # held-out score
 # ---------------------------------------------------------------------------
 
-_HOLDOUT_CHUNK = 256  # records encoded and scored at once
-
-
 def elbo_holdout(model, cohort):
     """Average per-record plug-in ELBO estimate on held-out records: the
     decoder scored at the encoder means with the last posterior sample of
     the globals, minus the closed-form KL terms. Scoring at the mean instead
     of averaging over q makes it no lower bound. Never exceeds 0.
 
-    Records are scored in chunks of ``_HOLDOUT_CHUNK``, so memory does not
+    Records are scored in chunks of ``_EVAL_CHUNK``, so memory does not
     grow with the held-out cohort."""
     if not cohort.records:
         raise ValueError("cannot score an empty cohort")
     snapshot = model.point_sample()
     batch = encode_cohort(cohort, model.vocab, model.dec_cfg.t_max)
-    n = len(batch)
-    score = 0.0
-    for start in range(0, n, _HOLDOUT_CHUNK):
-        chunk = batch.take(np.arange(start, min(start + _HOLDOUT_CHUNK, n)))
-        score += _holdout_score(model, snapshot, chunk)
-    return score / n
+    score = sum(_holdout_score(model, snapshot, batch.take(rows))
+                for rows in _chunks(len(batch)))
+    return score / len(batch)
 
 
 def _holdout_score(model, snapshot, batch):

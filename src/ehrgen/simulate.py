@@ -11,9 +11,12 @@ block and keep returning to it, so conditioning signals are strong and easy
 to audit. Every record carries the always-on background condition plus the
 component that generated it.
 
-The spec's dense K x G x G transition table (160 MB at G = 2,000 and K = 5)
-is the simulator's memory floor: the cohort walk, all records one step at a
-time, adds only a cumulative row per visited (component, group) state.
+The spec stores each transition row as the builder draws it: one shared
+probability over a home block (one of ``condition_groups``) plus a few
+entries that override it or lie outside it, so it grows with G and not
+with G^2. The cohort walk, all records one step at a time, spreads a
+visited (component, group) state's row out once and keeps its cumulative
+form over the nonzero entries.
 """
 
 from __future__ import annotations
@@ -25,23 +28,32 @@ import numpy as np
 from .corpus import Cohort, PatientRecord
 
 BACKGROUND = "background"
+_SLAB = 64  # dense rows the spec builder lays out at once
 
 
 @dataclass
 class ToyCorpusSpec:
     """Full generative description of the toy corpus.
 
-    ``transition[k]`` is the G x G stochastic matrix of mixture component k,
-    ``initial[k]`` its start distribution; component order matches
-    ``condition_names`` (background last). Sequence lengths are uniform on
-    [len_min, len_max].
+    Row g of mixture component k's G x G transition matrix is
+    ``home_prob[k, g]`` on every group of block ``home[k, g]`` (an index
+    into ``condition_groups``; -1 for none), overwritten or added to by
+    the groups ``entry_group[k, g]`` with probabilities
+    ``entry_prob[k, g]``; -1 pads a row's entries, with probability 0. A
+    general row is entries only. ``initial[k]`` is component k's start
+    distribution; component order matches ``condition_names``
+    (background last). Sequence lengths are uniform on [len_min,
+    len_max].
     """
 
     n_records: int
     condition_names: list
     group_codes: tuple  # per group: sorted tuple of code strings
     condition_groups: tuple  # per condition: tuple of group indices
-    transition: np.ndarray  # (K, G, G)
+    home: np.ndarray  # (K, G) int
+    home_prob: np.ndarray  # (K, G)
+    entry_group: np.ndarray  # (K, G, E) int
+    entry_prob: np.ndarray  # (K, G, E)
     initial: np.ndarray  # (K, G)
     mixture_weights: np.ndarray  # (K,)
     len_min: int = 6
@@ -58,13 +70,30 @@ class ToyCorpusSpec:
 
 def _validate_spec(spec):
     K, G = spec.n_conditions, spec.n_groups
-    if spec.transition.shape != (K, G, G):
-        raise ValueError("transition must have shape (K, G, G)")
+    if (spec.home.shape != (K, G) or spec.home_prob.shape != (K, G)
+            or spec.entry_group.ndim != 3 or spec.entry_group.shape[:2] != (K, G)
+            or spec.entry_prob.shape != spec.entry_group.shape):
+        raise ValueError("transition rows must have shapes (K, G) and (K, G, E)")
     if spec.initial.shape != (K, G):
         raise ValueError("initial must have shape (K, G)")
-    if spec.transition.min() < 0 or spec.initial.min() < 0:
+    if len(spec.condition_groups) != K:
+        raise ValueError("condition_groups must hold one group block per condition")
+    if not all(0 <= g < G for block in spec.condition_groups for g in block):
+        raise ValueError("condition_groups must name groups 0 .. G - 1")
+    if (np.any((spec.home < -1) | (spec.home >= K))
+            or np.any((spec.entry_group < -1) | (spec.entry_group >= G))):
+        raise ValueError("home blocks and entry groups must be in range, or -1")
+    by_group = np.sort(spec.entry_group, axis=2)
+    if np.any((np.diff(by_group, axis=2) == 0) & (by_group[..., 1:] >= 0)):
+        raise ValueError("a row's entries must name distinct groups")
+    if np.any(spec.entry_prob[spec.entry_group < 0] != 0):
+        raise ValueError("padding entries (group -1) must have probability 0")
+    if min(spec.home_prob.min(), spec.entry_prob.min(initial=0.0),
+           spec.initial.min()) < 0:
         raise ValueError("invalid stochastic matrix: negative entries")
-    row_sums = spec.transition.sum(axis=2)
+    sizes = np.array([len(b) for b in spec.condition_groups] + [0])
+    on_home = sizes[spec.home] - _inside_home(spec).sum(axis=2)
+    row_sums = spec.home_prob * on_home + spec.entry_prob.sum(axis=2)
     if np.max(np.abs(row_sums - 1.0)) > 1e-9:
         raise ValueError("invalid stochastic matrix: rows must sum to 1 within 1e-9")
     if np.max(np.abs(spec.initial.sum(axis=1) - 1.0)) > 1e-9:
@@ -72,12 +101,29 @@ def _validate_spec(spec):
     w = spec.mixture_weights
     if np.shape(w) != (K,) or np.min(w) < 0 or abs(float(np.sum(w)) - 1.0) > 1e-9:
         raise ValueError("mixture_weights must be K non-negative weights summing to 1")
-    if len(spec.condition_groups) != K:
-        raise ValueError("condition_groups must hold one group block per condition")
     if not (1 <= spec.len_min <= spec.len_max):
         raise ValueError("need 1 <= len_min <= len_max")
     if spec.n_records < 1:
         raise ValueError("n_records must be >= 1")
+
+
+def _inside_home(spec):
+    """(K, G, E) mask of the entries that lie in their row's home block."""
+    # the extra row and column read home -1 and entry group -1: never inside
+    member = np.zeros((spec.n_conditions + 1, spec.n_groups + 1), dtype=bool)
+    for b, block in enumerate(spec.condition_groups):
+        member[b, list(block)] = True
+    return member[spec.home[..., None], spec.entry_group]
+
+
+def _row(spec, blocks, k, g):
+    """Row g of component k's transition matrix, over all G groups;
+    ``blocks`` holds ``condition_groups`` as index arrays."""
+    row = np.zeros(spec.n_groups + 1)  # the last slot takes the padding
+    if spec.home[k, g] >= 0:
+        row[blocks[spec.home[k, g]]] = spec.home_prob[k, g]
+    row[spec.entry_group[k, g]] = spec.entry_prob[k, g]
+    return row[:-1]
 
 
 def default_toy_spec(
@@ -106,30 +152,45 @@ def default_toy_spec(
     condition_groups = tuple(tuple(b.tolist()) for b in blocks + [bg_block])
 
     K = n_conditions + 1
-    transition = np.zeros((K, G, G))
+    home = np.empty((K, G), dtype=np.intp)
+    home_prob = np.empty((K, G))
+    entry_group = np.full((K, G, 4), -1, dtype=np.intp)
+    entry_prob = np.zeros((K, G, 4))
     initial = np.zeros((K, G))
     for k, own in enumerate(blocks + [bg_block]):
-        transition[k, :, own] = 1.0 / len(own)  # by default, return home
+        home[k], home_prob[k] = k, 1.0 / len(own)  # by default, return home
         initial[k, own] = 1.0 / len(own)
         # sharp rows, on two own-block picks and two cross-block jumps, overwrite
         # that in ascending order (background first), as they draw from rng
-        sharp = ([(bg_block, own, 0.25), (own, bg_block, 0.10)]
-                 if k < n_conditions else [(bg_block, None, 0.0)])
-        for block, cross, p_cross in sharp:
+        sharp = ([(K - 1, bg_block, own, 0.25), (k, own, bg_block, 0.10)]
+                 if k < n_conditions else [(K - 1, bg_block, None, 0.0)])
+        for b, block, cross, p_cross in sharp:
             draws = [(rng.choice(block, size=2, replace=False), None if cross is None
                       else rng.choice(cross, size=2, replace=False)) for _ in block]
-            rows, at = np.zeros((block.size, G)), np.arange(block.size)[:, None]
-            # with a block of two the picks overwrite this share, hence the max
-            rows[:, block] = (1.0 - 0.70 - p_cross) / max(block.size - 2, 1)
-            rows[at, np.array([p for p, _ in draws])] = [0.50, 0.20]
+            picks, p_picks = np.array([p for p, _ in draws]), [0.50, 0.20]
             if cross is not None:
-                rows[at, np.array([j for _, j in draws])] = p_cross / 2.0
-            transition[k, block] = rows / rows.sum(axis=1, keepdims=True)
+                picks = np.hstack([picks, [j for _, j in draws]])
+                p_picks += [p_cross / 2.0] * 2
+            # with a block of two the picks overwrite this share, hence the max
+            share = (1.0 - 0.70 - p_cross) / max(block.size - 2, 1)
+            # each row is normalised by its sum over all G groups, zeros
+            # included, as a dense row sums, so the stored values are the
+            # dense row's bit for bit; _SLAB rows are laid out at a time
+            sums = np.empty(block.size)
+            for lo in range(0, block.size, _SLAB):
+                rows = np.zeros((min(_SLAB, block.size - lo), G))
+                rows[:, block] = share
+                rows[np.arange(len(rows))[:, None], picks[lo:lo + _SLAB]] = p_picks
+                sums[lo:lo + _SLAB] = rows.sum(axis=1)
+            home[k, block], home_prob[k, block] = b, share / sums
+            entry_group[k, block, :len(p_picks)] = picks
+            entry_prob[k, block, :len(p_picks)] = np.array(p_picks) / sums[:, None]
 
     return ToyCorpusSpec(
         n_records=n_records, condition_names=condition_names,
         group_codes=group_codes, condition_groups=condition_groups,
-        transition=transition, initial=initial,
+        home=home, home_prob=home_prob, entry_group=entry_group,
+        entry_prob=entry_prob, initial=initial,
         mixture_weights=np.full(K, 1.0 / K), len_min=len_min, len_max=len_max)
 
 
@@ -139,7 +200,8 @@ def simulate_toy_cohort(spec, seed):
     Each record draws its component, length and uniforms in turn; then all
     records walk together, a step at a time, and the records in one
     (component, group) state take one ``searchsorted`` on that state's CDF.
-    The walk holds the CDFs of the visited states only, no (K, G, G) copy.
+    A visited state's CDF is built once, from its row's block share and
+    entries, over the row's nonzero groups in ascending order.
     """
     _validate_spec(spec)
     rng = np.random.default_rng(seed)
@@ -155,7 +217,7 @@ def simulate_toy_cohort(spec, seed):
     # state k * (G + 1) + 1 + g is group g of component k; + 0 is its start
     state = comps * (G + 1)
     groups = np.zeros((spec.len_max, N), dtype=np.intp)
-    cdfs = {}
+    cdfs, blocks = {}, [np.array(b, dtype=np.intp) for b in spec.condition_groups]
     for t, (u_t, g_t) in enumerate(zip(u, groups)):
         live = np.flatnonzero(lengths > t)
         live = live[np.argsort(state[live])]
@@ -165,7 +227,7 @@ def simulate_toy_cohort(spec, seed):
             if key not in cdfs:  # a CDF over the nonzero entries only: equal to
                 # the dense one there, exactly; a uniform past its end takes G - 1
                 k, g = divmod(key, G + 1)
-                p = spec.transition[k, g - 1] if g else spec.initial[k]
+                p = _row(spec, blocks, k, g - 1) if g else spec.initial[k]
                 support = p.nonzero()[0]
                 cdfs[key] = p[support].cumsum(), np.append(support, G - 1)
             cdf, successors = cdfs[key]
@@ -194,13 +256,25 @@ def condition_codes(spec, name):
 # ---------------------------------------------------------------------------
 
 def _occupancies(spec, k):
-    """pi_t = initial P^t for t = 0 .. len_max - 1, as rows of a matrix."""
-    G = spec.n_groups
+    """pi_t = initial P^t for t = 0 .. len_max - 1, as rows of a matrix.
+
+    pi P spreads each home block's pi-weighted share over the block, then
+    corrects at every entry: its probability in, the block share it
+    replaces (if it lies in the block) out."""
+    G, home, at = spec.n_groups, spec.home[k], spec.entry_group[k] >= 0
+    inside = _inside_home(spec)[k]
+    correction = spec.entry_prob[k] - spec.home_prob[k][:, None] * inside
+    blocks = [np.array(b, dtype=np.intp) for b in spec.condition_groups]
     out = np.zeros((spec.len_max, G))
     pi = spec.initial[k].copy()
     for t in range(spec.len_max):
         out[t] = pi
-        pi = pi @ spec.transition[k]
+        shares = np.bincount(home[home >= 0], minlength=len(blocks),
+                             weights=(pi * spec.home_prob[k])[home >= 0])
+        pi = np.bincount(spec.entry_group[k][at], minlength=G,
+                         weights=(pi[:, None] * correction)[at])
+        for block, share in zip(blocks, shares):
+            pi[block] += share
     return out
 
 

@@ -24,7 +24,7 @@ from ehrgen.evaluation import (PREDICTOR_EMBED, PREDICTOR_HIDDEN, PREDICTOR_LR,
 from ehrgen.encoders import kl_diag_gaussians
 from ehrgen.latent import compose_intensities
 from ehrgen.model import encode_posteriors, param_layouts
-from ehrgen.simulate import _length_tail, _occupancies
+from ehrgen.simulate import _length_tail
 from ehrgen.trainer import step_gradients
 
 
@@ -318,14 +318,52 @@ def looped_toy_transitions(n_conditions=4, background_groups=20,
     return transition, initial
 
 
+def dense_transition(spec):
+    """The (K, G, G) transition table that a spec's compact rows stand for:
+    each row's home share on every group of its block, then its entries
+    written over that, one (k, g) row at a time."""
+    K, G = spec.n_conditions, spec.n_groups
+    table = np.zeros((K, G, G))
+    for k, g in np.ndindex(K, G):
+        if spec.home[k, g] >= 0:
+            block = list(spec.condition_groups[spec.home[k, g]])
+            table[k, g, block] = spec.home_prob[k, g]
+        for h, p in zip(spec.entry_group[k, g].tolist(),
+                        spec.entry_prob[k, g].tolist()):
+            if h >= 0:
+                table[k, g, h] = p
+    return table
+
+
+def dense_occupancies(spec, k, transition):
+    """pi_t = initial P^t for t = 0 .. len_max - 1, with P the dense
+    ``transition[k]``."""
+    out = np.zeros((spec.len_max, spec.n_groups))
+    pi = spec.initial[k].copy()
+    for t in range(spec.len_max):
+        out[t] = pi
+        pi = pi @ transition[k]
+    return out
+
+
+def dense_group_unigram(spec):
+    """Reference for ``analytic_group_unigram`` on the dense table."""
+    transition, tail = dense_transition(spec), _length_tail(spec)
+    counts = np.zeros(spec.n_groups)
+    for k in range(spec.n_conditions):
+        occ = dense_occupancies(spec, k, transition)
+        counts += spec.mixture_weights[k] * (tail[:, None] * occ).sum(axis=0)
+    return counts / counts.sum()
+
+
 def looped_toy_cohort(spec, seed):
     """Reference for ``simulate_toy_cohort``: each record walks its own chain
     to the end, one ``searchsorted`` per visit on a cumulative copy of the
-    whole transition table."""
+    whole dense transition table."""
     rng = np.random.default_rng(seed)
     K, G = spec.n_conditions, spec.n_groups
     visit_sets = [frozenset(codes) for codes in spec.group_codes]
-    trans_cdf = np.cumsum(spec.transition, axis=2)
+    trans_cdf = np.cumsum(dense_transition(spec), axis=2)
     init_cdf = np.cumsum(spec.initial, axis=1)
     mix_cdf = np.cumsum(spec.mixture_weights)
     records = []
@@ -350,11 +388,11 @@ def looped_toy_cohort(spec, seed):
 def analytic_group_bigram(spec):
     """Expected relative frequency of each ordered group pair under the
     toy spec, which the simulator's empirical bigrams are held to."""
-    tail = _length_tail(spec)
+    transition, tail = dense_transition(spec), _length_tail(spec)
     counts = np.zeros((spec.n_groups, spec.n_groups))
     for k in range(spec.n_conditions):
-        occ = _occupancies(spec, k)
-        P = spec.transition[k]
+        occ = dense_occupancies(spec, k, transition)
+        P = transition[k]
         # a pair starting at step t exists iff T > t + 1
         weights = tail[1:]
         counts += spec.mixture_weights[k] * np.einsum(

@@ -4,13 +4,14 @@ of the held-out bound, and the fast paths against the reference
 implementations in ``oracles.py`` on a toy and a 1,500-visit-type cohort."""
 
 import math
+import tracemalloc
 from collections.abc import Mapping
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from ehrgen import _nn
+from ehrgen import _nn, evaluation
 from ehrgen.corpus import (
     Cohort,
     PatientRecord,
@@ -161,6 +162,17 @@ class TestPearson:
         va = np.array([0.5, 0.5, 0.0])
         vb = np.array([0.5, 0.0, 0.5])
         np.testing.assert_allclose(rho, np.corrcoef(va, vb)[0, 1], rtol=1e-12)
+
+    def test_identical_cohorts_stay_within_one(self):
+        """A cohort against itself: unclipped, rounding put both Pearsons of
+        this cohort a few ulps above 1 (1.0000000000000004 and
+        1.0000000000000009)."""
+        cohort = simulate_toy_cohort(default_toy_spec(n_records=300), seed=3)
+        cohort.vocab = build_visit_vocab(cohort, max_size=200)
+        for n in (1, 2):
+            stats = ngram_stats(cohort, n)
+            rho = pearson_marginal(stats, stats)
+            assert -1.0 <= rho <= 1.0 and rho > 1.0 - 1e-12
 
     def test_degenerate_inputs_rejected(self):
         single = NgramStats(n=1, freqs={0: 1.0})
@@ -678,6 +690,52 @@ def test_independence_floor_at_cli_default_vocab(monkeypatch):
                                              * (syy - sy * sy / n))
     assert abs(pearson_marginal(bi, base) - expected) <= 1e-12
     assert abs(pearson_marginal(base, bi) - expected) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def recall_rig():
+    """A one-epoch predictor, and 1,024 records of the cohort it was
+    trained on the first 100 of."""
+    cohort = simulate_toy_cohort(default_toy_spec(n_records=1024), seed=21)
+    cohort.vocab = build_visit_vocab(cohort, max_size=200)
+    train_part = Cohort(cohort.records[:100], cohort.condition_names,
+                        vocab=cohort.vocab)
+    return train_next_visit_predictor(train_part, seed=0, epochs=1), cohort
+
+
+def _first(cohort, n):
+    return Cohort(cohort.records[:n], cohort.condition_names,
+                  vocab=cohort.vocab)
+
+
+def test_topk_recall_chunks_bit_identical(recall_rig, monkeypatch):
+    """40 records hold hundreds of prediction steps; chunks of 1 and 3
+    records and steps, the default and one chunk for all give one float."""
+    pred, cohort = recall_rig
+    test_part = _first(cohort, 40)
+    for k in (1, 5, 20):
+        expected = topk_recall(pred, test_part, k)
+        for chunk in (1, 3, 10**9):
+            monkeypatch.setattr(evaluation, "_EVAL_CHUNK", chunk)
+            assert topk_recall(pred, test_part, k) == expected
+        monkeypatch.undo()
+
+
+def test_topk_recall_memory_does_not_grow_with_the_cohort(recall_rig):
+    """The traced peak on 4N test records stays under 1.5 times the peak on
+    N, where one pass held every step's scores and LSTM cache at once."""
+    pred, cohort = recall_rig
+    peaks = []
+    for n in (256, 1024):
+        test_part = _first(cohort, n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            topk_recall(pred, test_part, 5)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 @pytest.mark.parametrize("variant", ["eva", "evac"])

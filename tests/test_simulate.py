@@ -19,20 +19,26 @@ from ehrgen.simulate import (
     simulate_toy_cohort,
 )
 
-from oracles import (analytic_group_bigram, looped_toy_cohort,
+from oracles import (analytic_group_bigram, dense_group_unigram,
+                     dense_transition, looped_toy_cohort,
                      looped_toy_transitions)
+
+TWO_GROUP_TRANSITION = np.array([[[0.9, 0.1], [0.4, 0.6]]])
 
 
 def two_group_spec(n_records=500, len_min=4, len_max=4):
-    """Hand-solvable 2-group, background-only chain."""
-    transition = np.array([[[0.9, 0.1], [0.4, 0.6]]])
+    """Hand-solvable 2-group, background-only chain; its rows are entries
+    only, with no home block."""
     initial = np.array([[1.0, 0.0]])
     return ToyCorpusSpec(
         n_records=n_records,
         condition_names=["background"],
         group_codes=(("g0.a",), ("g1.a", "g1.b")),
         condition_groups=((0, 1),),
-        transition=transition,
+        home=np.full((1, 2), -1),
+        home_prob=np.zeros((1, 2)),
+        entry_group=np.array([[[0, 1], [0, 1]]]),
+        entry_prob=TWO_GROUP_TRANSITION.copy(),
         initial=initial,
         mixture_weights=np.array([1.0]),
         len_min=len_min,
@@ -43,9 +49,46 @@ def two_group_spec(n_records=500, len_min=4, len_max=4):
 class TestSpecValidation:
     def test_rows_must_be_stochastic(self):
         spec = two_group_spec()
-        spec.transition = np.array([[[0.9, 0.2], [0.4, 0.6]]])
+        spec.entry_prob = np.array([[[0.9, 0.2], [0.4, 0.6]]])
         with pytest.raises(ValueError, match="sum to 1"):
             simulate_toy_cohort(spec, seed=0)
+
+    def test_block_rows_must_be_stochastic(self):
+        """A row's sum counts its home share once per block group that no
+        entry overrides."""
+        spec = default_toy_spec(n_records=20, n_conditions=1,
+                                background_groups=3, groups_per_condition=3)
+        spec.home_prob = spec.home_prob * 1.01
+        with pytest.raises(ValueError, match="sum to 1"):
+            simulate_toy_cohort(spec, seed=0)
+
+    @pytest.mark.parametrize("field, at, value, match", [
+        ("home", (0, 0), 2, "in range"),
+        ("home", (0, 0), -2, "in range"),
+        ("entry_group", (0, 0, 0), 2, "in range"),
+        ("entry_group", (0, 0, 1), 0, "distinct"),
+        ("entry_prob", (0, 0, 1), -0.1, "negative"),
+    ], ids=["home-past-blocks", "home-below-none", "entry-past-groups",
+            "repeated-entry", "negative-entry"])
+    def test_bad_rows_rejected(self, field, at, value, match):
+        spec = two_group_spec()
+        getattr(spec, field)[at] = value
+        with pytest.raises(ValueError, match=match):
+            simulate_toy_cohort(spec, seed=0)
+
+    def test_padding_carries_no_probability(self):
+        spec = two_group_spec()
+        spec.entry_group = np.array([[[0, 1, -1], [0, 1, -1]]])
+        spec.entry_prob = np.array([[[0.9, 0.1, 0.0], [0.4, 0.5, 0.1]]])
+        with pytest.raises(ValueError, match="padding"):
+            simulate_toy_cohort(spec, seed=0)
+
+    def test_padded_rows_draw_the_unpadded_cohort(self):
+        spec, padded = two_group_spec(), two_group_spec()
+        padded.entry_group = np.array([[[-1, 0, 1], [1, -1, 0]]])
+        padded.entry_prob = np.array([[[0.0, 0.9, 0.1], [0.6, 0.0, 0.4]]])
+        assert [r.visits for r in simulate_toy_cohort(padded, 3).records] == \
+            [r.visits for r in simulate_toy_cohort(spec, 3).records]
 
     def test_negative_entries_rejected(self):
         spec = two_group_spec()
@@ -152,19 +195,23 @@ class TestStepWalk:
         assert [(r.id, r.visits, r.conditions) for r in got.records] == \
             [(r.id, r.visits, r.conditions) for r in want.records]
 
-    def test_walk_holds_no_second_transition_table(self):
-        """The traced peak stays far below the spec's dense table, so the walk
-        builds no cumulative (K, G, G) copy of it."""
-        spec = default_toy_spec(background_groups=120, groups_per_condition=120)
+    def test_spec_and_walk_hold_no_dense_table(self):
+        """Building the spec and walking it, at 400 groups per block (the
+        benchmark's wide shape), peaks below a twentieth of the dense
+        (K, G, G) float64 table: neither holds that table, nor one G x G
+        slice of it. The walk keeps one CDF per visited state, so the
+        cohort is kept small."""
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
+            spec = default_toy_spec(n_records=50, background_groups=400,
+                                    groups_per_condition=400)
             simulate_toy_cohort(spec, seed=1)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak < spec.transition.nbytes / 2
+        K, G = spec.n_conditions, spec.n_groups
+        assert peak < K * G * G * 8 / 20
 
 
 class TestAnalyticStatistics:
@@ -207,10 +254,10 @@ class TestAnalyticStatistics:
         spec = two_group_spec()
         big = analytic_group_bigram(spec)
         np.testing.assert_allclose(
-            big[0] / big[0].sum(), spec.transition[0, 0], rtol=1e-12
+            big[0] / big[0].sum(), TWO_GROUP_TRANSITION[0, 0], rtol=1e-12
         )
         np.testing.assert_allclose(
-            big[1] / big[1].sum(), spec.transition[0, 1], rtol=1e-12
+            big[1] / big[1].sum(), TWO_GROUP_TRANSITION[0, 1], rtol=1e-12
         )
 
     def test_distributions_normalised(self):
@@ -232,19 +279,44 @@ class TestDefaultSpec:
         with pytest.raises(ValueError):
             condition_codes(spec, "nope")
 
-    @pytest.mark.parametrize("shape", [
+    # every shape the tests pass to default_toy_spec (n_records and the
+    # lengths aside, which the rows do not depend on)
+    SHAPES = [
         {},
         {"background_groups": 100, "groups_per_condition": 100},
         {"n_conditions": 2, "background_groups": 7,
          "groups_per_condition": 5, "structure_seed": 3},
-    ])
+        {"background_groups": 120, "groups_per_condition": 120},
+        {"background_groups": 3, "groups_per_condition": 2},
+        {"n_conditions": 1, "background_groups": 2, "groups_per_condition": 2},
+        {"n_conditions": 3, "background_groups": 4, "groups_per_condition": 5},
+        {"n_conditions": 1, "background_groups": 3, "groups_per_condition": 3},
+        {"background_groups": 6, "groups_per_condition": 4},
+    ]
+
+    @pytest.mark.parametrize("shape", SHAPES)
     def test_matches_looped_builder(self, shape):
         """The block-sliced builder draws the same rows from the same rng
-        stream as the row-by-row reference."""
+        stream as the row-by-row reference, and its compact rows stand for
+        that reference's dense table bit for bit."""
         spec = default_toy_spec(**shape)
         transition, initial = looped_toy_transitions(**shape)
-        np.testing.assert_array_equal(spec.transition, transition)
+        np.testing.assert_array_equal(dense_transition(spec), transition)
         np.testing.assert_array_equal(spec.initial, initial)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_unigram_matches_dense_oracle(self, shape):
+        """Block shares plus entry corrections give the dense pi P."""
+        spec = default_toy_spec(**shape, len_max=24)
+        np.testing.assert_allclose(analytic_group_unigram(spec),
+                                   dense_group_unigram(spec), rtol=1e-12)
+
+    def test_hand_built_rows_are_their_table(self):
+        spec = two_group_spec()
+        np.testing.assert_array_equal(dense_transition(spec),
+                                      TWO_GROUP_TRANSITION)
+        np.testing.assert_allclose(analytic_group_unigram(spec),
+                                   dense_group_unigram(spec), rtol=1e-12)
 
     @pytest.mark.parametrize("arg, size", [("background_groups", 1),
                                            ("background_groups", 0),
