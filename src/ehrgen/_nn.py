@@ -307,6 +307,21 @@ def gated_backward(cache, dout):
 
 
 # ---------------------------------------------------------------------------
+# forward passes bounded in padded positions
+# ---------------------------------------------------------------------------
+
+POSITION_BUDGET = 4096  # rows x padded width of one bounded forward pass
+
+
+def row_chunks(n, width):
+    """Index arrays that cover rows 0 .. n - 1 in order, as many rows at a
+    time as fit ``POSITION_BUDGET`` at ``width`` positions each (at least
+    one), so a pass's caches do not grow with the records' padded width."""
+    size = max(1, POSITION_BUDGET // width)
+    return (np.arange(a, min(a + size, n)) for a in range(0, n, size))
+
+
+# ---------------------------------------------------------------------------
 # parameter-tree helpers
 # ---------------------------------------------------------------------------
 

@@ -276,7 +276,9 @@ def ancestral_sample(params, cfg, z, rng, eos_id, temperature=1.0,
     versions drew for the same seed; several groups draw differently from
     earlier versions, which sampled each group in its own call.
 
-    The latent context is computed once per group, up to ``t_max``. Each
+    The latent context is computed for each group up to ``t_max``, in
+    ``_nn.row_chunks`` of its rows, so the upsampling temporaries stay
+    within ``_nn.POSITION_BUDGET`` positions whatever the request. Each
     conv layer and the head multiply each group's rows by that group's
     weights; everything else runs once per step over all rows. Each conv
     layer keeps a ring buffer of its inputs, one receptive field wide, for
@@ -298,7 +300,9 @@ def ancestral_sample(params, cfg, z, rng, eos_id, temperature=1.0,
     k, C = cfg.kernel, cfg.channels
     ctx = np.empty((len(groups), n_steps, C))
     for g, lo, hi in segments:
-        ctx[lo:hi] = _latent_context(params[g], cfg, z[g], n_steps)[0]
+        for rows in _nn.row_chunks(hi - lo, n_steps):
+            ctx[lo + rows] = _latent_context(params[g], cfg, z[g][rows],
+                                             n_steps)[0]
     layers = []
     for i, d in enumerate(cfg.dilations):
         size = (k - 1) * d + 1

@@ -203,13 +203,7 @@ def split_cohort(cohort, test_frac=0.2, seed=0):
 # next-visit predictor (downstream utility proxy)
 # ---------------------------------------------------------------------------
 
-_EVAL_CHUNK = 256  # records, or prediction steps, scored at once
-
-
-def _chunks(n):
-    """Index arrays that cover 0 .. n - 1, ``_EVAL_CHUNK`` at a time."""
-    return (np.arange(a, min(a + _EVAL_CHUNK, n))
-            for a in range(0, n, _EVAL_CHUNK))
+_STEP_CHUNK = 256  # prediction steps through the V-wide head at once
 
 
 PREDICTOR_HIDDEN = 64
@@ -279,6 +273,8 @@ def train_next_visit_predictor(cohort, seed=0, epochs=8):
     """
     if cohort.vocab is None:
         raise ValueError("cohort has no vocabulary attached")
+    if not cohort.records:
+        raise ValueError("cannot train a predictor on an empty cohort")
     vocab = cohort.vocab
     t_max = max(len(r.visits) for r in cohort.records)
     batch = encode_cohort(cohort, vocab, t_max)
@@ -296,28 +292,37 @@ def train_next_visit_predictor(cohort, seed=0, epochs=8):
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, PREDICTOR_MINIBATCH):
-            mb = batch.take(order[start:start + PREDICTOR_MINIBATCH])
-            h_seq, (c_emb, c_lstm) = _predictor_states(params, mb)
-            live, tgt = _visit_targets(mb, vocab)
-            logits, c_head = _nn.dense(params["head"], h_seq[:, :-1][live])
-            _, dlog = _nn.softmax_xent(logits, tgt)  # ascent on log-likelihood
             grad.fill(0.0)
-            dh = np.zeros_like(h_seq)
-            dh[:, :-1][live] = _nn.dense_backward(c_head, grads["head"], dlog)
-            demb = _nn.lstm_backward(c_lstm, grads["lstm"], dh_seq=dh)
-            _nn.embedding_backward(c_emb, grads["emb"], demb)
+            _predictor_gradients(params, grads, vocab, batch.take(
+                order[start:start + PREDICTOR_MINIBATCH]))
             adam.step(vec, grad)
     return NextVisitPredictor(params, vocab, *_code_axis(vocab))
+
+
+def _predictor_gradients(params, grads, vocab, batch):
+    """Adds the gradient of the minibatch's next-visit log-likelihood into
+    ``grads``. Its caches die on return, so a training loop holds one
+    minibatch's at a time."""
+    h_seq, (c_emb, c_lstm) = _predictor_states(params, batch)
+    live, tgt = _visit_targets(batch, vocab)
+    logits, c_head = _nn.dense(params["head"], h_seq[:, :-1][live])
+    _, dlog = _nn.softmax_xent(logits, tgt)  # ascent on log-likelihood
+    dh = np.zeros_like(h_seq)
+    dh[:, :-1][live] = _nn.dense_backward(c_head, grads["head"], dlog)
+    demb = _nn.lstm_backward(c_lstm, grads["lstm"], dh_seq=dh)
+    _nn.embedding_backward(c_emb, grads["emb"], demb)
 
 
 def topk_recall(predictor, cohort, k):
     """Mean over prediction steps of |top-k codes ∩ next-visit codes| /
     |next-visit codes|. Records with fewer than two visits are skipped.
 
-    The LSTM runs on ``_EVAL_CHUNK`` records at a time and the head, the
-    code scores and the top-k on ``_EVAL_CHUNK`` of their steps at a time,
-    so memory does not grow with the test cohort; the per-step ratios are
-    kept and averaged in one ``np.mean``, as one pass would."""
+    The LSTM runs on ``_nn.row_chunks`` of the records, as many as fit
+    ``_nn.POSITION_BUDGET`` padded positions, and the head, the code scores
+    and the top-k on ``_STEP_CHUNK`` of their steps at a time, so memory
+    grows neither with the test cohort nor with its records' length; the
+    per-step ratios are kept and averaged in one ``np.mean``, as one pass
+    would."""
     if k < 1:
         raise ValueError("k must be >= 1")
     vocab = predictor.vocab
@@ -332,13 +337,14 @@ def topk_recall(predictor, cohort, k):
     kk = min(k, n_codes)
     per_token = np.bincount(predictor.members // n_codes, minlength=vocab.size)
     ratios = []
-    for rows in _chunks(len(batch)):
+    for rows in _nn.row_chunks(len(batch), t_max + 1):
         chunk = batch.take(rows)
         live, nxt = _visit_targets(chunk, vocab)
         # one expression: the LSTM caches and padded states are gone before
         # the next chunk's are made
         h_live = _predictor_states(predictor.params, chunk)[0][:, :-1][live]
-        for at in _chunks(len(nxt)):
+        for a in range(0, len(nxt), _STEP_CHUNK):
+            at = slice(a, a + _STEP_CHUNK)
             logits = _nn.dense(predictor.params["head"], h_live[at])[0]
             # distribution over the next *visit*: terminal/padding ids
             # cannot be it
@@ -415,14 +421,15 @@ def elbo_holdout(model, cohort):
     the globals, minus the closed-form KL terms. Scoring at the mean instead
     of averaging over q makes it no lower bound. Never exceeds 0.
 
-    Records are scored in chunks of ``_EVAL_CHUNK``, so memory does not
-    grow with the held-out cohort."""
+    Records are scored in ``_nn.row_chunks``, as many at a time as fit
+    ``_nn.POSITION_BUDGET`` positions at the model's padded width, so
+    memory grows neither with the held-out cohort nor with ``t_max``."""
     if not cohort.records:
         raise ValueError("cannot score an empty cohort")
     snapshot = model.point_sample()
     batch = encode_cohort(cohort, model.vocab, model.dec_cfg.t_max)
     score = sum(_holdout_score(model, snapshot, batch.take(rows))
-                for rows in _chunks(len(batch)))
+                for rows in _nn.row_chunks(len(batch), model.dec_cfg.seq_len))
     return score / len(batch)
 
 

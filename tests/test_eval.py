@@ -338,6 +338,13 @@ class TestTopkRecall:
         pred = train_next_visit_predictor(cohort, seed=0)
         assert topk_recall(pred, cohort, k=1) > 0.99
 
+    def test_predictor_refuses_empty_cohort(self):
+        """No records means no padded width to train at: refused by name,
+        not left to ``max()`` of nothing."""
+        empty = Cohort([], [], vocab=self.VOCAB)
+        with pytest.raises(ValueError, match="empty cohort"):
+            train_next_visit_predictor(empty)
+
 
 class TestPresenceDisclosure:
     A, B, C, D = (frozenset({"a"}), frozenset({"b"}), frozenset({"c"}),
@@ -708,15 +715,29 @@ def _first(cohort, n):
                   vocab=cohort.vocab)
 
 
+def _traced_peak(fn, *args, **kwargs):
+    """Bytes that ``fn(*args, **kwargs)`` holds at its traced peak."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 def test_topk_recall_chunks_bit_identical(recall_rig, monkeypatch):
-    """40 records hold hundreds of prediction steps; chunks of 1 and 3
-    records and steps, the default and one chunk for all give one float."""
+    """40 records hold hundreds of prediction steps; a position budget of
+    1 and 3 records' padded width with step chunks of 1 and 3, the default
+    and one chunk for all give one float."""
     pred, cohort = recall_rig
     test_part = _first(cohort, 40)
+    width = max(len(r.visits) for r in test_part.records) + 1
     for k in (1, 5, 20):
         expected = topk_recall(pred, test_part, k)
         for chunk in (1, 3, 10**9):
-            monkeypatch.setattr(evaluation, "_EVAL_CHUNK", chunk)
+            monkeypatch.setattr(_nn, "POSITION_BUDGET", chunk * width)
+            monkeypatch.setattr(evaluation, "_STEP_CHUNK", chunk)
             assert topk_recall(pred, test_part, k) == expected
         monkeypatch.undo()
 
@@ -725,23 +746,16 @@ def test_topk_recall_memory_does_not_grow_with_the_cohort(recall_rig):
     """The traced peak on 4N test records stays under 1.5 times the peak on
     N, where one pass held every step's scores and LSTM cache at once."""
     pred, cohort = recall_rig
-    peaks = []
-    for n in (256, 1024):
-        test_part = _first(cohort, n)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            topk_recall(pred, test_part, 5)
-            peaks.append(tracemalloc.get_traced_memory()[1] - before)
-        finally:
-            tracemalloc.stop()
+    peaks = [_traced_peak(topk_recall, pred, _first(cohort, n), 5)
+             for n in (256, 1024)]
     assert peaks[1] < 1.5 * peaks[0]
 
 
 @pytest.mark.parametrize("variant", ["eva", "evac"])
-def test_elbo_holdout_chunks_match_one_pass(variant):
-    """600 held-out records are scored in three chunks; the average equals
-    the one-pass reference."""
+def test_elbo_holdout_chunks_match_one_pass(variant, monkeypatch):
+    """Under a budget of 256 records' padded width, 600 held-out records
+    are scored in three chunks; the average equals the one-pass
+    reference."""
     spec = default_toy_spec(n_records=40, background_groups=3,
                             groups_per_condition=2, len_min=2, len_max=5)
     cohort = simulate_toy_cohort(spec, seed=1)
@@ -760,4 +774,52 @@ def test_elbo_holdout_chunks_match_one_pass(variant):
                          groups_per_condition=2, len_min=2, len_max=5),
         seed=2), vocab)
     expected = unchunked_elbo_holdout(model, holdout)
+    monkeypatch.setattr(_nn, "POSITION_BUDGET", 256 * dec_cfg.seq_len)
+    chunk_rows = []
+    holdout_score = evaluation._holdout_score
+
+    def counting(model, snapshot, batch):
+        chunk_rows.append(len(batch))
+        return holdout_score(model, snapshot, batch)
+
+    monkeypatch.setattr(evaluation, "_holdout_score", counting)
     assert abs(elbo_holdout(model, holdout) - expected) <= 1e-12 * abs(expected)
+    assert chunk_rows == [256, 256, 88]
+
+
+def _long_records(n_records, seed):
+    """Records of 40 to 64 visits over a small vocabulary."""
+    spec = default_toy_spec(n_records=n_records, background_groups=4,
+                            groups_per_condition=3, len_min=40, len_max=64)
+    cohort = simulate_toy_cohort(spec, seed=seed)
+    cohort.vocab = build_visit_vocab(cohort, max_size=64)
+    return cohort
+
+
+def test_elbo_holdout_memory_does_not_grow_with_t_max():
+    """256 records of up to 64 visits, scored by models of t_max 16 and
+    64: chunks hold a fixed number of padded positions, so the traced
+    peak at t_max 64 stays under 1.5 times the one at t_max 16, where 256
+    records a chunk made it about 3 times."""
+    cohort = _long_records(256, seed=3)
+    cfg = TrainConfig(latent_dim=4, n_iters=1, minibatch=8, embed_dim=8,
+                      hidden=16, burn_in=0, thin=1, reservoir_size=1, seed=0)
+    peaks = []
+    for t_max in (16, 64):
+        model = train(cfg, encode_cohort(cohort, cohort.vocab, t_max),
+                      cohort.vocab,
+                      condition_names=tuple(cohort.condition_names),
+                      dec_cfg=DecoderConfig(t_max=t_max, channels=8))
+        peaks.append(_traced_peak(elbo_holdout, model, cohort))
+    assert peaks[1] < 1.5 * peaks[0]
+
+
+def test_predictor_holds_one_minibatch_at_a_time():
+    """One epoch over 8 minibatches of long records peaks under 1.3 times
+    one epoch over 1: a minibatch's forward and backward arrays are gone
+    before the next one's forward pass, which held both at about 1.6."""
+    cohort = _long_records(8 * evaluation.PREDICTOR_MINIBATCH, seed=4)
+    peaks = [_traced_peak(train_next_visit_predictor, _first(cohort, n),
+                          epochs=1)
+             for n in (evaluation.PREDICTOR_MINIBATCH, len(cohort.records))]
+    assert peaks[1] < 1.3 * peaks[0]

@@ -1,9 +1,13 @@
 """Cohort generation: request validation, determinism, condition handling,
 the no-empty-record guarantee, and case/control pairing."""
 
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from ehrgen import _nn, decoder
 from ehrgen.corpus import build_visit_vocab, encode_cohort
 from ehrgen.decoder import DecoderConfig
 from ehrgen.generator import (
@@ -20,18 +24,19 @@ from ehrgen.trainer import TrainConfig, train
 from oracles import grouped_prefix_sample, prefix_sample
 
 
-def quick_model(variant="evac", seed=0, n_iters=8):
+def quick_model(variant="evac", seed=0, n_iters=8, dec_cfg=None):
     spec = default_toy_spec(n_records=16, background_groups=3,
                             groups_per_condition=2, n_conditions=2,
                             len_min=2, len_max=4)
     cohort = simulate_toy_cohort(spec, seed=seed)
     vocab = build_visit_vocab(cohort, max_size=32)
-    batch = encode_cohort(cohort, vocab, t_max=4)
+    if dec_cfg is None:
+        dec_cfg = DecoderConfig(t_max=4, channels=4, kernel=2,
+                                dilations=(1, 2), n_upsample=1)
+    batch = encode_cohort(cohort, vocab, t_max=dec_cfg.t_max)
     cfg = TrainConfig(variant=variant, latent_dim=3, n_iters=n_iters,
                       minibatch=8, embed_dim=4, hidden=5, cond_hidden=4,
                       burn_in=2, thin=2, reservoir_size=3, seed=seed)
-    dec_cfg = DecoderConfig(t_max=4, channels=4, kernel=2, dilations=(1, 2),
-                            n_upsample=1)
     return train(cfg, batch, vocab,
                  condition_names=tuple(cohort.condition_names),
                  dec_cfg=dec_cfg)
@@ -39,6 +44,42 @@ def quick_model(variant="evac", seed=0, n_iters=8):
 
 EVAC = quick_model("evac")
 EVA = quick_model("eva")
+
+
+def point_reference(seed, count, temperature=1.0):
+    """``EVA``'s point-policy cohort for ``seed`` as visits, from the
+    one-group prefix-rescoring reference."""
+    rng = np.random.default_rng(seed)
+    z = sample_prior_eva(EVA.train_config.latent_dim, rng, count)
+    ref = prefix_sample(EVA.reservoir[-1]["theta"], EVA.dec_cfg, z, rng,
+                        eos_id=EVA.vocab.eos_id, forbid=(EVA.vocab.pad_id,),
+                        temperature=temperature)
+    return [tuple(EVA.vocab.codes_of(t) for t in seq) for seq in ref]
+
+
+def ensemble_reference(model, seed, count, conditions=()):
+    """``model``'s ensemble cohort for ``seed`` as visits, from the grouped
+    prefix-rescoring reference; it checks that the picks hit more than one
+    snapshot."""
+    cfg = model.train_config
+    y = None
+    if model.variant == "evac":
+        y = condition_vector(model, conditions)
+
+    def draw_latents(s, n, rng):
+        if y is None:
+            return sample_prior_eva(cfg.latent_dim, rng, n)
+        return sample_prior_evac(model.reservoir[s]["H"], np.tile(y, (n, 1)),
+                                 cfg.gamma, cfg.tau, rng)[2]
+
+    rng = np.random.default_rng(seed)
+    picks = rng.integers(len(model.reservoir), size=count)
+    assert len(set(picks.tolist())) > 1
+    ref = grouped_prefix_sample(
+        [snap["theta"] for snap in model.reservoir], model.dec_cfg, picks,
+        draw_latents, rng, eos_id=model.vocab.eos_id,
+        forbid=(model.vocab.pad_id,))
+    return [tuple(model.vocab.codes_of(t) for t in seq) for seq in ref]
 
 
 class TestRequestValidation:
@@ -153,15 +194,10 @@ class TestGeneration:
     def test_point_cohort_matches_single_group_oracle(self, seed):
         """The point policy draws no picks: the latents, then the single
         group's uniforms, as the one-group prefix-rescoring reference."""
-        rng = np.random.default_rng(seed)
-        z = sample_prior_eva(EVA.train_config.latent_dim, rng, 12)
-        ref = prefix_sample(EVA.reservoir[-1]["theta"], EVA.dec_cfg, z, rng,
-                            eos_id=EVA.vocab.eos_id,
-                            forbid=(EVA.vocab.pad_id,), temperature=0.9)
         out = generate_cohort(EVA, GenerationRequest(
             count=12, seed=seed, policy="point", temperature=0.9))
-        assert [r.visits for r in out.records] == [
-            tuple(EVA.vocab.codes_of(t) for t in seq) for seq in ref]
+        assert [r.visits for r in out.records] == point_reference(
+            seed, 12, temperature=0.9)
 
     @pytest.mark.parametrize("variant, seed", [("eva", 0), ("eva", 1),
                                                ("eva", 2), ("evac", 3)])
@@ -170,29 +206,52 @@ class TestGeneration:
         order, then one uniform vector per step over the live records
         ordered by snapshot."""
         model = {"eva": EVA, "evac": EVAC}[variant]
-        cfg = model.train_config
-        y = np.zeros(0)
-        if variant == "evac":
-            y = condition_vector(model, ("cond_1",))
-
-        def draw_latents(s, n, rng):
-            if variant == "eva":
-                return sample_prior_eva(cfg.latent_dim, rng, n)
-            return sample_prior_evac(model.reservoir[s]["H"],
-                                     np.tile(y, (n, 1)), cfg.gamma, cfg.tau,
-                                     rng)[2]
-
-        rng = np.random.default_rng(seed)
-        picks = rng.integers(len(model.reservoir), size=14)
-        assert len(set(picks.tolist())) > 1
-        ref = grouped_prefix_sample(
-            [snap["theta"] for snap in model.reservoir], model.dec_cfg, picks,
-            draw_latents, rng, eos_id=model.vocab.eos_id,
-            forbid=(model.vocab.pad_id,))
+        conditions = ("cond_1",) if variant == "evac" else ()
         out = generate_cohort(model, GenerationRequest(
-            count=14, seed=seed, conditions=("cond_1",) if y.size else ()))
-        assert [r.visits for r in out.records] == [
-            tuple(model.vocab.codes_of(t) for t in seq) for seq in ref]
+            count=14, seed=seed, conditions=conditions))
+        assert [r.visits for r in out.records] == ensemble_reference(
+            model, seed, 14, conditions)
+
+    @pytest.mark.parametrize("policy", ["point", "ensemble"])
+    def test_context_row_chunks_match_oracles(self, policy, monkeypatch):
+        """A budget of two rows' padded positions splits each snapshot
+        group's latent context into chunks of at most two rows, three or
+        more for the largest group; the draws still equal the
+        prefix-rescoring references."""
+        ref = (point_reference(5, 14) if policy == "point"
+               else ensemble_reference(EVA, 5, 14))
+        monkeypatch.setattr(_nn, "POSITION_BUDGET", 2 * EVA.dec_cfg.t_max)
+        chunks = Counter()
+        latent_context = decoder._latent_context
+
+        def counting(params, cfg, z, out_len):
+            assert len(z) <= 2
+            chunks[id(params)] += 1
+            return latent_context(params, cfg, z, out_len)
+
+        monkeypatch.setattr(decoder, "_latent_context", counting)
+        out = generate_cohort(EVA, GenerationRequest(count=14, seed=5,
+                                                     policy=policy))
+        assert [r.visits for r in out.records] == ref
+        assert max(chunks.values()) >= 3
+
+    def test_point_request_memory_bounded_at_t_max_64(self):
+        """A 600-record request at t_max 64 keeps its (600, 64, C) latent
+        context, but the upsampling runs in row chunks: the traced peak
+        stays under 3 times that array, where all rows at once took about
+        9 times."""
+        model = quick_model("eva", n_iters=3,
+                            dec_cfg=DecoderConfig(t_max=64))
+        context_bytes = 600 * 64 * model.dec_cfg.channels * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            generate_cohort(model, GenerationRequest(count=600, seed=0,
+                                                     policy="point"))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * context_bytes
 
     @pytest.mark.parametrize("policy, t_max", [("ensemble", None),
                                                ("ensemble", 2),
