@@ -32,7 +32,6 @@ config = TrainConfig(
     burn_in=200,
     thin=40,
     reservoir_size=10,
-    log_every=50,
     seed=3,
 )
 

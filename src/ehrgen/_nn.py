@@ -54,17 +54,15 @@ def softmax_xent(logits, targets):
 # parameter initialization
 # ---------------------------------------------------------------------------
 
-def dense_init(rng, n_in, n_out, scale=None):
-    if scale is None:
-        scale = 1.0 / math.sqrt(n_in)
+def dense_init(rng, n_in, n_out):
     return {
-        "W": rng.normal(0.0, scale, size=(n_in, n_out)),
+        "W": rng.normal(0.0, 1.0 / math.sqrt(n_in), size=(n_in, n_out)),
         "b": np.zeros(n_out),
     }
 
 
-def embedding_init(rng, n_tokens, dim, scale=0.1):
-    return {"E": rng.normal(0.0, scale, size=(n_tokens, dim))}
+def embedding_init(rng, n_tokens, dim):
+    return {"E": rng.normal(0.0, 0.1, size=(n_tokens, dim))}
 
 
 def lstm_init(rng, n_in, n_hidden):

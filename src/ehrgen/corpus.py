@@ -29,6 +29,7 @@ from itertools import chain
 import numpy as np
 
 Visit = frozenset  # set of code strings
+BACKGROUND = "background"  # the always-on condition of the toy corpus
 
 COHORT_FORMAT_VERSION = 1
 VOCAB_FORMAT_VERSION = 1
@@ -126,9 +127,6 @@ class Cohort:
 
     def __len__(self):
         return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ ids of ``corpus.token_ids``, so they share its out-of-vocabulary error.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import product
@@ -16,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from . import _nn
-from .corpus import Cohort, encode_cohort, token_ids, visit_key
+from .corpus import Cohort, encode_cohort, token_ids
 from .decoder import sequence_log_likelihood
 from .encoders import kl_diag_gaussians
 from .latent import compose_intensities
@@ -159,8 +160,7 @@ def avg_jaccard_counts(cohort):
             continue
         sims = []
         for a, b in zip(rec.visits, rec.visits[1:]):
-            sa, sb = set(a), set(b)
-            sims.append(len(sa & sb) / len(sa | sb))
+            sims.append(len(a & b) / len(a | b))
         per_record.append(float(np.mean(sims)))
     if not per_record:
         raise ValueError("no records with at least two visits")
@@ -170,7 +170,7 @@ def avg_jaccard_counts(cohort):
 def unique_token_ratio(cohort):
     """Per-record distinct-visit fraction, averaged over records."""
     ratios = [
-        len({visit_key(v) for v in rec.visits}) / len(rec.visits)
+        len(set(rec.visits)) / len(rec.visits)
         for rec in cohort.records
     ]
     if not ratios:
@@ -380,8 +380,10 @@ class AttackOutcome:
 
 
 def _match_key(record, order_sensitive):
-    keys = [visit_key(v) for v in record.visits]
-    return tuple(keys) if order_sensitive else tuple(sorted(keys))
+    """The visit sequence, or its multiset when order is ignored."""
+    if order_sensitive:
+        return tuple(record.visits)
+    return frozenset(Counter(record.visits).items())
 
 
 def presence_disclosure(synthetic, known, order_sensitive=False):

@@ -27,12 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Cohort, PatientRecord
+from .corpus import BACKGROUND, Cohort, PatientRecord
 from .decoder import ancestral_sample
 from .latent import sample_prior_eva, sample_prior_evac
 
 POLICIES = ("ensemble", "point")
-BACKGROUND = "background"
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """The model: configs, parameter shapes and initialisation, the encoders'
 posterior and the trained-model checkpoint; ``trainer`` fits it.
 
-A format-6 checkpoint is one ``.npz``: the encoder vector ``phi``, the
+A format-7 checkpoint is one ``.npz``: the encoder vector ``phi``, the
 reservoir of posterior (theta, H) samples as one (R, P) array, and JSON
 metadata with the training and decoder configs, the vocabulary, condition
 names, history and extras; no shape or size is stored. The vocabulary size
@@ -35,7 +35,7 @@ from .encoders import (
 
 VARIANTS = ("eva", "evac")
 
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,6 @@ class TrainConfig:
     minibatch: int = 32
     lr_phi: float = 1e-3
     lr_global: float = 1e-3
-    psgld_alpha: float = 0.99
-    psgld_lambda: float = 1e-5
     temperature: float = 1.0  # pSGLD noise variance scales by T
     burn_in: int | None = None  # default: half the iteration budget
     thin: int = 200
@@ -58,7 +56,6 @@ class TrainConfig:
     cond_hidden: int = 32
     tau: float = 0.1
     gamma: float = 0.1
-    log_every: int = 50
     seed: int = 0
 
     def __post_init__(self):
@@ -71,15 +68,12 @@ class TrainConfig:
             raise ValueError("minibatch and n_iters must be >= 1")
         if self.reservoir_size < 1 or self.thin < 1:
             raise ValueError("reservoir_size and thin must be >= 1")
-        if not (0.0 <= self.psgld_alpha <= 1.0):
-            raise ValueError("psgld_alpha must lie in [0, 1]")
-        for name in ("psgld_lambda", "tau", "gamma"):
+        for name in ("tau", "gamma"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.temperature < 0:
             raise ValueError("temperature must be non-negative")
-        for name in ("latent_dim", "embed_dim", "hidden", "cond_hidden",
-                     "log_every"):
+        for name in ("latent_dim", "embed_dim", "hidden", "cond_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if not 0 <= self.burn_in_iters < self.n_iters:

@@ -25,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Cohort, PatientRecord
+from .corpus import BACKGROUND, Cohort, PatientRecord
 
-BACKGROUND = "background"
 _SLAB = 64  # dense rows the spec builder lays out at once
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .model import (ModelParts, TrainConfig, TrainedModel, init_globals,
                     init_phi, param_layouts, posterior_with_caches)
 
 LN_2PI = math.log(2.0 * math.pi)
+HISTORY_EVERY = 50  # the history keeps every 50th iteration and the last
 
 
 @dataclass
@@ -172,16 +173,10 @@ def step_gradients(parts, batch, glob_vec, phi_vec, noises, n_total):
 
 @dataclass
 class SamplerState:
-    """Adaptive second-moment accumulator plus the kept posterior samples."""
+    """pSGLD's second-moment accumulator and the steps taken so far."""
 
     v: np.ndarray
     step: int = 0
-    reservoir: deque = field(default_factory=deque)
-
-    @classmethod
-    def create(cls, params, reservoir_size):
-        return cls(v=np.zeros_like(params), step=0,
-                   reservoir=deque(maxlen=reservoir_size))
 
 
 def psgld_step(state, params, grad, step_size, temperature, rng,
@@ -192,10 +187,12 @@ def psgld_step(state, params, grad, step_size, temperature, rng,
     first G is not inflated by V's zero start;  G <- 1 / (lam + sqrt(V));
     p <- p + (step/2) G g + N(0, temperature * step G).
 
-    The noise variance is linear in temperature, the tempered-posterior law
-    (Wenzel et al. 2020). temperature 0 gives deterministic preconditioned
-    ascent. The curvature correction term of the original method is
-    omitted, as is common.
+    ``train`` uses the method's alpha 0.99 and lambda 1e-5 (Li et al. 2016,
+    arXiv:1512.07666); the keywords serve tests that need a near-constant
+    preconditioner. The noise variance is linear in temperature, the
+    tempered-posterior law (Wenzel et al. 2020). temperature 0 gives
+    deterministic preconditioned ascent. The curvature correction term of
+    the original method is omitted, as is common.
     """
     if step_size < 0:
         raise ValueError("step_size must be non-negative")
@@ -250,7 +247,8 @@ def train(config, batch, vocab, condition_names=(), dec_cfg=None,
     phi_vec = phi_layout.flatten(init_phi(parts, rng))
 
     adam = _nn.Adam(phi_vec, lr=config.lr_phi)
-    state = SamplerState.create(glob_vec, config.reservoir_size)
+    state = SamplerState(np.zeros_like(glob_vec))
+    reservoir = deque(maxlen=config.reservoir_size)
     burn_in = config.burn_in_iters
     history = []
     last_report = None
@@ -269,8 +267,7 @@ def train(config, batch, vocab, condition_names=(), dec_cfg=None,
         # globals: ascend the rescaled log posterior
         _nn.clip_global_norm(g_globals, config.clip_norm)
         psgld_step(state, glob_vec, g_globals, config.lr_global,
-                   config.temperature, rng,
-                   alpha=config.psgld_alpha, lam=config.psgld_lambda)
+                   config.temperature, rng)
 
         # locals: descend J = ascend -J
         g_phi *= -1.0
@@ -279,17 +276,17 @@ def train(config, batch, vocab, condition_names=(), dec_cfg=None,
 
         if it >= burn_in and (it - burn_in) % config.thin == 0:
             snapshot = glob_vec.copy()
-            state.reservoir.append(snapshot)
+            reservoir.append(snapshot)
             if checkpoint_fn is not None:
                 checkpoint_fn(it, glob_layout.views(snapshot))
 
         last_report = report
         if metrics_sink is not None:
             metrics_sink(it, report)
-        if it % config.log_every == 0 or it == config.n_iters - 1:
+        if it % HISTORY_EVERY == 0 or it == config.n_iters - 1:
             history.append({"iteration": it, **asdict(report)})
 
     return TrainedModel(
         **vars(parts), phi=phi_layout.views(phi_vec), history=history,
-        vocab=vocab, reservoir=[glob_layout.views(v) for v in state.reservoir],
+        vocab=vocab, reservoir=[glob_layout.views(v) for v in reservoir],
         condition_names=tuple(condition_names))

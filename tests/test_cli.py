@@ -34,7 +34,6 @@ TRAIN_SMALL = [
     "--dilations", "1,2", "--n-upsample", "1", "--hidden", "5",
     "--embed-dim", "4", "--cond-hidden", "4", "--iters", "6",
     "--minibatch", "8", "--burn-in", "2", "--thin", "2", "--reservoir", "2",
-    "--log-every", "2",
 ]
 
 
@@ -147,7 +146,8 @@ class TestPipeline:
         assert len(meta["records_per_snapshot"]) == 2  # --reservoir 2
         assert sum(meta["records_per_snapshot"]) == 25
         assert meta["stopped_at_cap"] + meta["stopped_at_eos"] == 25
-        lengths = [len(r.visits) for r in load_cohort(pipeline["synth"])]
+        lengths = [len(r.visits)
+                   for r in load_cohort(pipeline["synth"]).records]
         assert meta["stopped_at_cap"] == lengths.count(4)  # --t-max 4
         out = str(tmp_path / "one.jsonl")
         assert run(["generate", "--model", pipeline["model"], "--out", out,
@@ -294,7 +294,7 @@ class TestErrorPaths:
         assert "iters" in read_stderr_json(capsys)["error"]
 
     @pytest.mark.parametrize("extra, field", [
-        (["--log-every", "0"], "log_every"),
+        (["--reservoir", "0"], "reservoir_size"),
         (["--iters", "5", "--burn-in", "10"], "burn_in"),
         (["--hidden", "0"], "hidden"),
         (["--embed-dim", "0"], "embed_dim"),
@@ -588,6 +588,10 @@ def write_bad_checkpoint(kind, good, path):
         meta = [meta]
     elif kind == "extra_condition":
         meta["condition_names"].append("cond_extra")
+    elif kind == "format_6":  # its train_config held pSGLD's alpha and lambda
+        meta["format_version"] = 6
+        meta["train_config"].update(psgld_alpha=0.99, psgld_lambda=1e-5,
+                                    log_every=50)
     elif kind == "format_5":  # its dec_cfg held the vocabulary and latent sizes
         meta["format_version"] = 5
         meta["dec_cfg"].update(vocab_size=len(meta["vocab"]) + 2,
@@ -618,6 +622,7 @@ class TestMalformedCheckpoint:
         # arrays
         *[(kind, "layout") for kind in SHAPE_EDITS],
         ("extra_condition", "layout"),
+        ("format_6", "version 6"),
         ("format_5", "version 5"),
     ])
     def test_exits_1_naming_the_file(self, pipeline, tmp_path, capsys,
@@ -652,9 +657,9 @@ REQUIRED = {"train": ["--cohort", "c", "--vocab", "v", "--out", "o"],
 NON_DEFAULT = {
     TrainConfig: dict(
         variant="evac", latent_dim=3, n_iters=7, minibatch=5, lr_phi=2e-3,
-        lr_global=3e-3, psgld_alpha=0.9, psgld_lambda=2e-5, temperature=0.5,
-        burn_in=3, thin=2, reservoir_size=4, clip_norm=50.0, embed_dim=6,
-        hidden=7, cond_hidden=8, tau=0.2, gamma=0.3, log_every=9, seed=11),
+        lr_global=3e-3, temperature=0.5, burn_in=3, thin=2, reservoir_size=4,
+        clip_norm=50.0, embed_dim=6, hidden=7, cond_hidden=8, tau=0.2,
+        gamma=0.3, seed=11),
     DecoderConfig: dict(t_max=5, channels=6, kernel=2, dilations=(1, 3),
                         n_upsample=1),
     GenerationRequest: dict(

@@ -108,15 +108,16 @@ class TestCheckpoint:
         assert [r.visits for r in a.records] == [r.visits for r in b.records]
 
     def test_version_check(self, tmp_path):
-        """A newer format version, format 5 (the vocabulary and latent sizes
-        stored in the decoder config), format 4 (both layouts stored beside
-        the configs), format 3 (derived parts stored beside the training
-        config), format 2 (one encoder config per latent) and format 1 (one
-        array per leaf) are all refused."""
+        """A newer format version, format 6 (pSGLD's alpha and lambda and
+        the history cadence stored in the training config), format 5 (the
+        vocabulary and latent sizes stored in the decoder config), format 4
+        (both layouts stored beside the configs), format 3 (derived parts
+        stored beside the training config), format 2 (one encoder config per
+        latent) and format 1 (one array per leaf) are all refused."""
         model = quick_model(variant="eva")
         path = tmp_path / "m.npz"
         model.save(path)
-        for version in (CHECKPOINT_VERSION + 1, 5, 4, 3, 2, 1):
+        for version in (CHECKPOINT_VERSION + 1, 6, 5, 4, 3, 2, 1):
             rewrite(path, lambda meta, arrays: meta.update(
                 format_version=version))
             with pytest.raises(ValueError, match="version"):

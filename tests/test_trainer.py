@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from ehrgen import _nn
+from ehrgen import _nn, trainer
 from ehrgen.corpus import build_visit_vocab, encode_cohort
 from ehrgen.encoders import (DiagGaussian, entropy_diag_gaussian,
                              kl_diag_gaussians)
@@ -213,7 +213,7 @@ class TestPsgld:
     def test_single_step_hand_computed(self):
         params = np.array([1.0])
         grad = np.array([2.0])
-        state = SamplerState.create(params, reservoir_size=3)
+        state = SamplerState(np.zeros_like(params))
         psgld_step(state, params, grad, step_size=0.1, temperature=0.0,
                    rng=np.random.default_rng(0), alpha=0.9, lam=1e-5)
         G = 1.0 / (1e-5 + 2.0)  # V seeded with g^2 on the first step
@@ -233,7 +233,7 @@ class TestPsgld:
     def test_zero_step_size_freezes_params(self):
         rng = np.random.default_rng(1)
         params = np.array([3.0, -1.0])
-        state = SamplerState.create(params, reservoir_size=1)
+        state = SamplerState(np.zeros_like(params))
         psgld_step(state, params, np.array([5.0, 5.0]), step_size=0.0,
                    temperature=1.0, rng=rng)
         np.testing.assert_array_equal(params, [3.0, -1.0])
@@ -245,7 +245,7 @@ class TestPsgld:
         def displacement(temp):
             rng = np.random.default_rng(2)
             params = np.zeros(5)
-            state = SamplerState.create(params, reservoir_size=1)
+            state = SamplerState(np.zeros_like(params))
             for _ in range(3):
                 psgld_step(state, params, np.zeros(5), step_size=1e-3,
                            temperature=temp, rng=rng)
@@ -259,7 +259,7 @@ class TestPsgld:
 
     def test_shape_mismatch_rejected(self):
         params = np.zeros(2)
-        state = SamplerState.create(params, reservoir_size=1)
+        state = SamplerState(np.zeros_like(params))
         for grad in (np.zeros(3), np.zeros(1)):  # (1,) would broadcast
             with pytest.raises(ValueError, match="shape"):
                 psgld_step(state, params, grad, 0.1, 0.0,
@@ -268,7 +268,7 @@ class TestPsgld:
 
     def test_negative_step_rejected(self):
         params = np.zeros(1)
-        state = SamplerState.create(params, reservoir_size=1)
+        state = SamplerState(np.zeros_like(params))
         with pytest.raises(ValueError):
             psgld_step(state, params, np.zeros(1), -0.1, 0.0,
                        np.random.default_rng(0))
@@ -283,8 +283,6 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(minibatch=0)
         with pytest.raises(ValueError):
-            TrainConfig(psgld_alpha=1.5)
-        with pytest.raises(ValueError):
             TrainConfig(temperature=-0.1)
 
     def test_burn_in_defaults_to_half(self):
@@ -292,7 +290,7 @@ class TestTrainConfig:
         assert TrainConfig(n_iters=1000, burn_in=10).burn_in_iters == 10
 
     @pytest.mark.parametrize("kw, field", [
-        ({"log_every": 0}, "log_every"),
+        ({"reservoir_size": 0}, "reservoir_size"),
         ({"latent_dim": 0}, "latent_dim"),
         ({"embed_dim": 0}, "embed_dim"),
         ({"hidden": 0}, "hidden"),
@@ -325,7 +323,7 @@ class TestTrainLoop:
     def small_config(self, **kw):
         base = dict(variant="eva", latent_dim=3, n_iters=10, minibatch=6,
                     embed_dim=4, hidden=5, cond_hidden=4, burn_in=4, thin=2,
-                    reservoir_size=2, log_every=5, seed=1)
+                    reservoir_size=2, seed=1)
         base.update(kw)
         return TrainConfig(**base)
 
@@ -393,9 +391,10 @@ class TestTrainLoop:
         assert [r[0] for r in rows] == list(range(7))
         assert all(math.isfinite(t) for _, t in rows)
 
-    def test_history_covers_first_and_last(self):
+    def test_history_covers_first_and_last(self, monkeypatch):
         batch, vocab, cohort = self.make_batch_and_vocab()
-        cfg = self.small_config(n_iters=11, log_every=5)
+        monkeypatch.setattr(trainer, "HISTORY_EVERY", 5)
+        cfg = self.small_config(n_iters=11)
         model = train(cfg, batch, vocab,
                       condition_names=cohort.condition_names,
                       dec_cfg=self.small_dec_cfg())
@@ -455,12 +454,13 @@ class TestTrainLoop:
         batch, vocab, cohort = self.make_batch_and_vocab(n=12)
         cfg = self.small_config(n_iters=300, minibatch=12, lr_phi=5e-3,
                                 lr_global=5e-3, temperature=0.1,
-                                burn_in=150, thin=50, log_every=10)
-        model = train(cfg, batch, vocab,
-                      condition_names=cohort.condition_names,
-                      dec_cfg=self.small_dec_cfg())
-        first = np.mean([h["total"] for h in model.history[:3]])
-        last = np.mean([h["total"] for h in model.history[-3:]])
+                                burn_in=150, thin=50)
+        totals = []
+        train(cfg, batch, vocab, condition_names=cohort.condition_names,
+              dec_cfg=self.small_dec_cfg(),
+              metrics_sink=lambda it, rep: totals.append(rep.total))
+        first = np.mean([totals[it] for it in (0, 10, 20)])
+        last = np.mean([totals[it] for it in (280, 290, 299)])
         assert last < first - 10.0
 
     def test_default_clip_norm_does_not_diverge(self):
