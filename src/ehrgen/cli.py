@@ -22,7 +22,7 @@ from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 
-from . import _nn, evaluation as ev, generator, simulate as sim, trainer
+from . import evaluation as ev, generator, simulate as sim, trainer
 from .corpus import (build_visit_vocab, encode_cohort, load_cohort,
                      load_vocab, replace_rare_visits, save_cohort, save_vocab)
 from .decoder import DecoderConfig
@@ -190,21 +190,10 @@ def cmd_train(args, out):
             metrics_fh.write(json.dumps(
                 {"iteration": it, **asdict(report)}) + "\n")
 
-    checkpoint_fn = None
-    if args.checkpoint_dir:
-        def checkpoint_fn(it, snapshot):
-            name = os.path.join(args.checkpoint_dir, f"snapshot_{it:07d}.npz")
-            np.savez(out.path(name),
-                     meta=np.array(json.dumps(
-                         {"iteration": it, "config_digest": digest,
-                          "seed": args.seed})),
-                     **dict(_nn.iter_arrays(snapshot)))
-
     try:
         model = trainer.train(config, batch, vocab,
                               condition_names=cohort.condition_names,
-                              dec_cfg=dec_cfg, metrics_sink=metrics_sink,
-                              checkpoint_fn=checkpoint_fn)
+                              dec_cfg=dec_cfg, metrics_sink=metrics_sink)
     finally:
         if metrics_fh is not None:
             metrics_fh.close()
@@ -318,7 +307,6 @@ def build_parser():
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--metrics", default=None)
-    p.add_argument("--checkpoint-dir", default=None)
     _add_config_flags(p, TrainConfig)
     _add_config_flags(p, DecoderConfig)
 

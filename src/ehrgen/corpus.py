@@ -113,9 +113,6 @@ class VisitVocab:
     def __eq__(self, other):
         return isinstance(other, VisitVocab) and self.entries == other.entries
 
-    def __len__(self):
-        return self.size
-
 
 @dataclass
 class Cohort:

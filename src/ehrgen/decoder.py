@@ -252,8 +252,7 @@ def _segments(groups, n_groups):
             if hi > lo]
 
 
-def ancestral_sample(params, cfg, z, rng, eos_id, temperature=1.0,
-                     forbid=(), t_max=None):
+def ancestral_sample(params, cfg, z, rng, eos_id, forbid=(), t_max=None):
     """Draw one token sequence per latent row, position by position.
 
     ``params`` is a sequence of G decoder parameter trees (say, posterior
@@ -272,26 +271,22 @@ def ancestral_sample(params, cfg, z, rng, eos_id, temperature=1.0,
     latents first (``generate_cohort``: group by group, in ascending
     snapshot order); the only draw here is one ``rng.random(n)`` per step
     over the n records still drawing, in group-major order. So a smaller
-    ``t_max`` only stops the draws early, and one group draws what earlier
-    versions drew for the same seed; several groups draw differently from
-    earlier versions, which sampled each group in its own call.
+    ``t_max`` only stops the draws early.
 
     The latent context is computed for each group up to ``t_max``, in
     ``_nn.row_chunks`` of its rows, so the upsampling temporaries stay
-    within ``_nn.POSITION_BUDGET`` positions whatever the request. Each
-    conv layer and the head multiply each group's rows by that group's
-    weights; everything else runs once per step over all rows. Each conv
-    layer keeps a ring buffer of its inputs, one receptive field wide, for
-    the records still drawing (the Fast WaveNet queue, Paine et al. 2016);
-    one boolean mask drops ended records from every ring. So the cost is
-    linear in the record length, and the step logits equal
-    ``decode_logits``.
+    within ``_nn.POSITION_BUDGET`` positions whatever the request. The
+    start vector or embedding row, each conv layer and the head give each
+    group's rows that group's weights; everything else runs once per step
+    over all rows. Each conv layer keeps a ring buffer of its inputs, one
+    receptive field wide, for the records still drawing (the Fast WaveNet
+    queue, Paine et al. 2016); one boolean mask drops ended records from
+    every ring. So the cost is linear in the record length, and the step
+    logits equal ``decode_logits``.
     """
     z = [np.atleast_2d(np.asarray(zg, dtype=float)) for zg in z]
     if len(params) != len(z) or not z:
         raise ValueError("need one latent array per parameter tree")
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
     n_steps = cfg.t_max if t_max is None else min(t_max, cfg.t_max)
     if n_steps < 1:
         raise ValueError("t_max must be >= 1")
@@ -311,19 +306,17 @@ def ancestral_sample(params, cfg, z, rng, eos_id, temperature=1.0,
         layers.append((ring % size, [c["W"].reshape(-1, 2 * C) for c in conv],
                        [c["b"] for c in conv]))
     head = ([p["head"]["W"] for p in params], [p["head"]["b"] for p in params])
-    E = np.concatenate([p["emb"]["E"] for p in params])  # group g at g * V
-    offsets = groups * (len(E) // len(z))
-    bos = np.stack([p["bos"] for p in params])
     masked = list(forbid)
     masked_first = masked + [eos_id]
     buf = np.full((len(groups), n_steps), eos_id)  # ends at its first EOS
     rows = np.arange(len(groups))  # records still drawing, in order
     windows = [np.zeros((len(rows), len(ring), C)) for ring, _, _ in layers]
     for t in range(n_steps):
-        x = bos[groups] if t == 0 else E[offsets + draws]
-        step = _step_logits(layers, head, x + ctx[rows, t], windows, t,
-                            segments)
-        step /= temperature
+        x = ctx[rows, t]  # a copy, so each group adds its inputs in place
+        for g, lo, hi in segments:
+            p = params[g]
+            x[lo:hi] += p["emb"]["E"][draws[lo:hi]] if t else p["bos"]
+        step = _step_logits(layers, head, x, windows, t, segments)
         step[:, masked if t else masked_first] = -np.inf
         step -= step.max(axis=1, keepdims=True)
         cdf = np.cumsum(np.exp(step, out=step), axis=1, out=step)
@@ -333,7 +326,7 @@ def ancestral_sample(params, cfg, z, rng, eos_id, temperature=1.0,
         buf[rows, t] = draws
         keep = draws != eos_id
         if not keep.all():
-            rows, draws, offsets = rows[keep], draws[keep], offsets[keep]
+            rows, draws = rows[keep], draws[keep]
             if not rows.size:
                 break
             windows = [win[keep] for win in windows]

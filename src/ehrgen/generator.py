@@ -11,14 +11,10 @@ none); the latents of each group, in ascending snapshot order; then one
 uniform per record still drawing at each step, the records ordered by
 snapshot and then by index. So a request's t_max only stops the draws
 early, under either policy: a capped cohort is the uncapped one truncated.
-Point cohorts for a given seed are those of earlier versions; ensemble
-cohorts differ from those of versions that ran one sampling loop per
-snapshot group, which drew the latents and tokens group by group.
 
 Each record has 1 to t_max visits (the model's t_max, or the request's when
 smaller). The first visit is drawn with the end marker masked, so no record
-comes back empty and no record is redrawn; cohorts for a given seed differ
-from those of versions that redrew empty records.
+comes back empty and no record is redrawn.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ POLICIES = ("ensemble", "point")
 class GenerationRequest:
     count: int
     conditions: tuple = ()  # names; evac models only
-    temperature: float = 1.0
     t_max: int | None = None  # cap record length below the model maximum
     seed: int = 0
     policy: str = "ensemble"
@@ -48,8 +43,6 @@ class GenerationRequest:
             raise ValueError("count must be >= 1")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
         if self.t_max is not None and self.t_max < 1:
             raise ValueError("t_max must be >= 1")
 
@@ -104,8 +97,7 @@ def generate_cohort(model, request):
          for s, n in zip(snaps, sizes)]
     sampled = ancestral_sample(
         [model.reservoir[s]["theta"] for s in snaps], model.dec_cfg, z, rng,
-        eos_id=vocab.eos_id, temperature=request.temperature,
-        forbid=(vocab.pad_id,), t_max=request.t_max)
+        eos_id=vocab.eos_id, forbid=(vocab.pad_id,), t_max=request.t_max)
     visits_out = [None] * request.count
     for row, toks in zip(np.argsort(picks, kind="stable"), sampled):
         visits_out[row] = toks

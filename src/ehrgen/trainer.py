@@ -218,13 +218,12 @@ def psgld_step(state, params, grad, step_size, temperature, rng,
 # ---------------------------------------------------------------------------
 
 def train(config, batch, vocab, condition_names=(), dec_cfg=None,
-          metrics_sink=None, checkpoint_fn=None):
+          metrics_sink=None):
     """Run the alternating scheme over an encoded cohort whose condition
     columns ``condition_names`` labels, one name per column.
 
-    metrics_sink(iteration, ElboReport) is called every iteration;
-    checkpoint_fn(iteration, snapshot) fires whenever a thinned posterior
-    sample is stored. Raises TrainingDiverged on a non-finite objective.
+    metrics_sink(iteration, ElboReport) is called every iteration. Raises
+    TrainingDiverged on a non-finite objective.
     """
     n = len(batch)
     if n < 1:
@@ -275,10 +274,7 @@ def train(config, batch, vocab, condition_names=(), dec_cfg=None,
         adam.step(phi_vec, g_phi)
 
         if it >= burn_in and (it - burn_in) % config.thin == 0:
-            snapshot = glob_vec.copy()
-            reservoir.append(snapshot)
-            if checkpoint_fn is not None:
-                checkpoint_fn(it, glob_layout.views(snapshot))
+            reservoir.append(glob_vec.copy())
 
         last_report = report
         if metrics_sink is not None:

@@ -211,14 +211,14 @@ def full_width_ll_and_grads(params, cfg, z, tokens, mask):
 # reference sampler
 # ---------------------------------------------------------------------------
 
-def prefix_sample(params, cfg, z, rng, eos_id, temperature=1.0, forbid=()):
+def prefix_sample(params, cfg, z, rng, eos_id, forbid=()):
     """Quadratic reference for ``ancestral_sample``: rescore every live
     record's whole prefix with ``decode_logits`` at each step, with the same
     masking and the same uniform draws."""
     seqs, live = [[] for _ in z], list(range(len(z)))
     for t in range(cfg.t_max):
         prefix = np.array([seqs[b] + [0] for b in live])
-        step = decode_logits(params, cfg, z[live], prefix)[0][:, t] / temperature
+        step = decode_logits(params, cfg, z[live], prefix)[0][:, t]
         step[:, list(forbid) + ([eos_id] if t == 0 else [])] = -np.inf
         cdf = np.cumsum(np.exp(step - step.max(axis=1, keepdims=True)), axis=1)
         u = rng.random(len(live)) * cdf[:, -1]
@@ -232,7 +232,7 @@ def prefix_sample(params, cfg, z, rng, eos_id, temperature=1.0, forbid=()):
 
 
 def grouped_prefix_sample(thetas, cfg, picks, draw_latents, rng, eos_id,
-                          temperature=1.0, forbid=()):
+                          forbid=()):
     """Quadratic reference for sampling several snapshot groups in one loop,
     with ``generate_cohort``'s random stream after the snapshot picks: record
     r decodes with ``thetas[picks[r]]``. The latents come first,
@@ -252,7 +252,7 @@ def grouped_prefix_sample(thetas, cfg, picks, draw_latents, rng, eos_id,
         for r, u in zip(live, rng.random(len(live))):
             prefix = np.array([seqs[r] + [0]])
             step = decode_logits(thetas[picks[r]], cfg, z[r][None],
-                                 prefix)[0][0, t] / temperature
+                                 prefix)[0][0, t]
             step[list(forbid) + ([eos_id] if t == 0 else [])] = -np.inf
             cdf = np.cumsum(np.exp(step - step.max()))
             seqs[r].append(min(int((cdf <= u * cdf[-1]).sum()), len(cdf) - 1))

@@ -361,48 +361,60 @@ class TestErrorPaths:
         assert not os.path.exists(metrics)
         assert not os.path.exists(model)
 
-    def test_failure_removes_checkpoint_snapshots(self, pipeline, tmp_path,
-                                                  capsys):
-        """Snapshots written before a failed save are removed with it, and
-        so are the directories the run made for them."""
-        snaps = tmp_path / "made" / "snaps"
-        blocked = tmp_path / "taken"
-        blocked.mkdir()  # saving the model onto a directory fails
+    @pytest.fixture
+    def failing_save(self, monkeypatch):
+        """Training runs; saving the model fails after its path is made."""
+        from ehrgen.model import TrainedModel
+
+        def boom(self, path):
+            raise OSError("synthetic save failure")
+
+        monkeypatch.setattr(TrainedModel, "save", boom)
+
+    def test_failure_removes_made_directories(self, pipeline, tmp_path,
+                                              failing_save, capsys):
+        """The metrics written before a failed save are removed with it,
+        and so are the directories the run made for its outputs."""
+        made = tmp_path / "made"
         code = run(["train", "--cohort", pipeline["cohort"],
-                    "--vocab", pipeline["vocab"], "--out", str(blocked),
-                    "--checkpoint-dir", str(snaps)] + TRAIN_SMALL)
+                    "--vocab", pipeline["vocab"],
+                    "--out", str(made / "model" / "m.npz"),
+                    "--metrics", str(made / "log" / "metrics.jsonl")]
+                   + TRAIN_SMALL)
         assert code == 2
         assert read_stderr_json(capsys)["exit_code"] == 2
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+        assert list(tmp_path.iterdir()) == []
 
-    def test_failure_keeps_existing_checkpoint_dir(self, pipeline, tmp_path,
-                                                   capsys):
+    def test_failure_keeps_existing_directories(self, pipeline, tmp_path,
+                                                failing_save, capsys):
         """A directory that existed before the run survives its cleanup,
         and so does a file in it that the run did not write."""
-        snaps = tmp_path / "snaps"
-        snaps.mkdir()
-        (snaps / "keep.txt").write_text("mine")
-        blocked = tmp_path / "taken"
-        blocked.mkdir()
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "keep.txt").write_text("mine")
         empty = tmp_path / "empty"
         empty.mkdir()
-        for ckpt in (snaps, empty):
+        for where in (kept, empty):
             code = run(["train", "--cohort", pipeline["cohort"],
-                        "--vocab", pipeline["vocab"], "--out", str(blocked),
-                        "--checkpoint-dir", str(ckpt)] + TRAIN_SMALL)
+                        "--vocab", pipeline["vocab"],
+                        "--out", str(where / "m.npz"),
+                        "--metrics", str(where / "metrics.jsonl")]
+                       + TRAIN_SMALL)
             assert code == 2
             assert read_stderr_json(capsys)["exit_code"] == 2
-        assert [p.name for p in snaps.iterdir()] == ["keep.txt"]
+        assert [p.name for p in kept.iterdir()] == ["keep.txt"]
         assert empty.is_dir() and not list(empty.iterdir())
 
-    def test_checkpoint_snapshots_written(self, pipeline, tmp_path):
-        snaps = tmp_path / "snaps"
-        assert run(["train", "--cohort", pipeline["cohort"],
-                    "--vocab", pipeline["vocab"],
-                    "--out", str(tmp_path / "m.npz"),
-                    "--checkpoint-dir", str(snaps)] + TRAIN_SMALL) == 0
-        names = sorted(p.name for p in snaps.iterdir())
-        assert names == ["snapshot_0000002.npz", "snapshot_0000004.npz"]
+    @pytest.mark.parametrize("argv", [
+        ["train", "--cohort", "c", "--vocab", "v", "--out", "o",
+         "--checkpoint-dir", "d"],
+        ["generate", "--model", "m", "--out", "o", "--temperature", "0.7"],
+    ])
+    def test_deleted_flags_exit_1(self, capsys, argv):
+        """Training writes no snapshot directory, and generation samples
+        the model's own distribution: neither takes a flag for it."""
+        assert run(argv) == 1
+        assert "unrecognized arguments" in read_stderr_json(capsys)["error"]
 
 
 class TestMalformedInputs:
@@ -663,8 +675,8 @@ NON_DEFAULT = {
     DecoderConfig: dict(t_max=5, channels=6, kernel=2, dilations=(1, 3),
                         n_upsample=1),
     GenerationRequest: dict(
-        count=12, conditions=("cond_0", "cond_1"),
-        temperature=0.7, t_max=3, seed=13, policy="point"),
+        count=12, conditions=("cond_0", "cond_1"), t_max=3, seed=13,
+        policy="point"),
 }
 
 

@@ -64,7 +64,6 @@ class TestVocab:
         assert vocab.eos_id == 3
         assert vocab.pad_id == 4
         assert vocab.size == 5
-        assert len(vocab) == 5  # __len__ includes EOS and PAD
         assert vocab.n_entries == 3
 
     def test_token_lookup_roundtrip(self):

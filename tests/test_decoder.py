@@ -440,7 +440,7 @@ class TestAncestralSampling:
     def test_matches_prefix_rescoring_oracle(self, seed):
         rng, params, z, _, _ = make_case(seed, cfg=LONG, B=5)
         params["head"]["b"][4] = 1.0
-        kwargs = dict(eos_id=4, temperature=0.7, forbid=(5,))
+        kwargs = dict(eos_id=4, forbid=(5,))
         out = ancestral_sample([params], LONG, [z],
                                np.random.default_rng(seed), **kwargs)
         ref = prefix_sample(params, LONG, z,
@@ -461,12 +461,6 @@ class TestAncestralSampling:
             assert capped == [seq[:cap] for seq in full]
         with pytest.raises(ValueError):
             ancestral_sample([params], LONG, [z], rng, eos_id=4, t_max=0)
-
-    def test_rejects_nonpositive_temperature(self):
-        rng, params, z, _, _ = make_case(12)
-        with pytest.raises(ValueError):
-            ancestral_sample([params], SMALL, [z], rng, eos_id=4,
-                             temperature=0.0)
 
     def test_rejects_unmatched_groups(self):
         rng, params, z, _, _ = make_case(12)
@@ -498,7 +492,7 @@ class TestAncestralSampling:
         snaps = rng.choice(len(thetas), size=G, replace=False)
         sizes = rng.choice(np.arange(1, 8), size=G, replace=False)
         picks = rng.permutation(np.repeat(snaps, sizes))
-        kwargs = dict(eos_id=eos, temperature=0.8, forbid=(0,))
+        kwargs = dict(eos_id=eos, forbid=(0,))
 
         def draw_latents(s, n, rng):
             return rng.standard_normal((n, n_latent))

@@ -46,14 +46,13 @@ EVAC = quick_model("evac")
 EVA = quick_model("eva")
 
 
-def point_reference(seed, count, temperature=1.0):
+def point_reference(seed, count):
     """``EVA``'s point-policy cohort for ``seed`` as visits, from the
     one-group prefix-rescoring reference."""
     rng = np.random.default_rng(seed)
     z = sample_prior_eva(EVA.train_config.latent_dim, rng, count)
     ref = prefix_sample(EVA.reservoir[-1]["theta"], EVA.dec_cfg, z, rng,
-                        eos_id=EVA.vocab.eos_id, forbid=(EVA.vocab.pad_id,),
-                        temperature=temperature)
+                        eos_id=EVA.vocab.eos_id, forbid=(EVA.vocab.pad_id,))
     return [tuple(EVA.vocab.codes_of(t) for t in seq) for seq in ref]
 
 
@@ -87,11 +86,9 @@ class TestRequestValidation:
         with pytest.raises(ValueError):
             GenerationRequest(count=0)
 
-    def test_bad_policy_temperature(self):
+    def test_bad_policy(self):
         with pytest.raises(ValueError):
             GenerationRequest(count=1, policy="median")
-        with pytest.raises(ValueError):
-            GenerationRequest(count=1, temperature=0.0)
 
     @pytest.mark.parametrize("t_max", [0, -3])
     def test_bad_t_max(self, t_max):
@@ -195,9 +192,8 @@ class TestGeneration:
         """The point policy draws no picks: the latents, then the single
         group's uniforms, as the one-group prefix-rescoring reference."""
         out = generate_cohort(EVA, GenerationRequest(
-            count=12, seed=seed, policy="point", temperature=0.9))
-        assert [r.visits for r in out.records] == point_reference(
-            seed, 12, temperature=0.9)
+            count=12, seed=seed, policy="point"))
+        assert [r.visits for r in out.records] == point_reference(seed, 12)
 
     @pytest.mark.parametrize("variant, seed", [("eva", 0), ("eva", 1),
                                                ("eva", 2), ("evac", 3)])

@@ -369,17 +369,29 @@ class TestTrainLoop:
                                       _nn.iter_arrays(b.phi)):
             np.testing.assert_array_equal(xa, xb)
 
-    def test_reservoir_schedule_and_checkpoints(self):
+    def test_reservoir_schedule(self):
+        """burn_in=4, thin=2, size=2: samples at iterations 4, 6 and 8, of
+        which the reservoir keeps the last two. For a fixed burn_in a run is
+        a prefix of a longer one, so the 7- and 9-iteration runs' last
+        samples are iterations 6 and 8, and the 5-iteration run's, 4, is
+        not kept."""
         batch, vocab, cohort = self.make_batch_and_vocab()
-        seen = []
-        cfg = self.small_config()  # burn_in=4, thin=2, size=2, 10 iters
-        model = train(cfg, batch, vocab,
-                      condition_names=cohort.condition_names,
-                      dec_cfg=self.small_dec_cfg(),
-                      checkpoint_fn=lambda it, snap: seen.append(it))
-        assert seen == [4, 6, 8]
-        assert len(model.reservoir) == 2  # deque kept the last two
-        assert set(model.reservoir[0]) == {"theta"}
+
+        def samples(n_iters):
+            model = train(self.small_config(n_iters=n_iters), batch, vocab,
+                          condition_names=cohort.condition_names,
+                          dec_cfg=self.small_dec_cfg())
+            assert all(set(snap) == {"theta"} for snap in model.reservoir)
+            return [np.concatenate([x.ravel() for _, x in
+                                    _nn.iter_arrays(snap)])
+                    for snap in model.reservoir]
+
+        kept = samples(10)
+        assert len(kept) == 2
+        np.testing.assert_array_equal(kept[0], samples(7)[-1])
+        np.testing.assert_array_equal(kept[1], samples(9)[-1])
+        first = samples(5)[-1]
+        assert not any(np.array_equal(first, snap) for snap in kept)
 
     def test_metrics_sink_every_iteration(self):
         batch, vocab, cohort = self.make_batch_and_vocab()
