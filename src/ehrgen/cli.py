@@ -197,7 +197,10 @@ def cmd_train(args, out):
     finally:
         if metrics_fh is not None:
             metrics_fh.close()
-    model.extra = {"config_digest": digest, "seed": args.seed}
+    # encode_cohort cuts records longer than --t-max; the count says how many
+    truncated = sum(len(r.visits) > args.t_max for r in cohort.records)
+    model.extra = {"config_digest": digest, "seed": args.seed,
+                   "truncated_records": truncated}
     model.save(out.path(args.out))
     return 0
 
@@ -223,7 +226,7 @@ def cmd_evaluate(args, out):
     model = (TrainedModel.load(_require_file(args.model, "model"))
              if args.model else None)
     metrics = ev.report(real, synth, model=model, topk=args.topk,
-                        test_frac=args.test_frac, seed=args.seed)
+                        seed=args.seed)
 
     digest = config_digest(args)
     if args.scatter_out:
@@ -260,10 +263,9 @@ def cmd_attack(args, out):
         for i in rng.choice(len(outsiders.records), size=n_out,
                             replace=False)
     ]
-    outcome = ev.presence_disclosure(synth, known,
-                                     order_sensitive=args.order_sensitive)
+    outcome = ev.presence_disclosure(synth, known)
     _json_report(out.path(args.out), {
-        "schema": "attack/1", "config_digest": config_digest(args),
+        "schema": "attack/2", "config_digest": config_digest(args),
         "seed": args.seed, "n_known_in_training": n_in,
         "n_known_outside": n_out, "outcome": asdict(outcome),
     })
@@ -281,7 +283,8 @@ def build_parser():
     subparsers = {}
 
     def add(name, fn, help_):
-        p = sub.add_parser(name, help=help_)
+        # no abbreviations: a prefix of a deleted flag must not set another
+        p = sub.add_parser(name, help=help_, allow_abbrev=False)
         p.add_argument("--seed", type=int, default=0)
         p.set_defaults(func=fn)
         subparsers[name] = p
@@ -323,7 +326,6 @@ def build_parser():
     p.add_argument("--model", default=None)
     p.add_argument("--scatter-out", default=None)
     p.add_argument("--topk", type=_int_list, default=())
-    p.add_argument("--test-frac", type=float, default=0.2)
 
     p = add("attack", cmd_attack, "presence-disclosure report")
     p.add_argument("--synthetic", required=True)
@@ -331,7 +333,6 @@ def build_parser():
     p.add_argument("--holdout-cohort", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--n-known", type=int, default=100)
-    p.add_argument("--order-sensitive", action="store_true")
 
     return parser, subparsers
 

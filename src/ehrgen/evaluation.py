@@ -20,7 +20,7 @@ from . import _nn
 from .corpus import Cohort, encode_cohort, token_ids
 from .decoder import sequence_log_likelihood
 from .encoders import kl_diag_gaussians
-from .latent import compose_intensities
+from .latent import GAMMA, TAU, compose_intensities
 from .model import encode_posteriors
 
 
@@ -182,13 +182,14 @@ def unique_token_ratio(cohort):
 # cohort splitting
 # ---------------------------------------------------------------------------
 
-def split_cohort(cohort, test_frac=0.2, seed=0):
-    """Deterministic shuffled (train, test) split."""
-    if not 0.0 < test_frac < 1.0:
-        raise ValueError("test_frac must lie in (0, 1)")
+TEST_FRAC = 0.2  # the held-out share of the real cohort
+
+
+def split_cohort(cohort, seed=0):
+    """Deterministic shuffled (train, test) split, ``TEST_FRAC`` held out."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(cohort.records))
-    n_test = max(1, int(round(test_frac * len(order))))
+    n_test = max(1, int(round(TEST_FRAC * len(order))))
     test_ids = set(order[:n_test].tolist())
     tr, te = [], []
     for i, rec in enumerate(cohort.records):
@@ -376,29 +377,24 @@ class AttackOutcome:
     fp: int
     fn: int
     tn: int
-    order_sensitive: bool
 
 
-def _match_key(record, order_sensitive):
-    """The visit sequence, or its multiset when order is ignored."""
-    if order_sensitive:
-        return tuple(record.visits)
+def _match_key(record):
+    """The multiset of the record's visits: order is ignored."""
     return frozenset(Counter(record.visits).items())
 
 
-def presence_disclosure(synthetic, known, order_sensitive=False):
+def presence_disclosure(synthetic, known):
     """Membership attack: an attacker holding ``known`` records claims
-    training membership whenever a synthetic record has the same visits.
-
-    By default visit order is ignored (the stronger attacker); set
-    ``order_sensitive`` for exact-sequence matching.
-    """
+    training membership whenever a synthetic record has the same visits in
+    any order, the stronger attacker: an order-sensitive one claims a
+    subset of its records."""
     if not known:
         raise ValueError("known record list is empty")
-    pool = {_match_key(r, order_sensitive) for r in synthetic.records}
+    pool = {_match_key(r) for r in synthetic.records}
     tp = fp = fn = tn = 0
     for record, in_training in known:
-        claimed = _match_key(record, order_sensitive) in pool
+        claimed = _match_key(record) in pool
         if claimed and in_training:
             tp += 1
         elif claimed:
@@ -410,7 +406,7 @@ def presence_disclosure(synthetic, known, order_sensitive=False):
     sens = tp / (tp + fn) if tp + fn else 0.0
     prec = tp / (tp + fp) if tp + fp else 0.0
     return AttackOutcome(sensitivity=sens, precision=prec, tp=tp, fp=fp,
-                         fn=fn, tn=tn, order_sensitive=order_sensitive)
+                         fn=fn, tn=tn)
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +421,14 @@ def elbo_holdout(model, cohort):
 
     Records are scored in ``_nn.row_chunks``, as many at a time as fit
     ``_nn.POSITION_BUDGET`` positions at the model's padded width, so
-    memory grows neither with the held-out cohort nor with ``t_max``."""
+    memory grows neither with the held-out cohort nor with ``t_max``. An
+    ``evac`` model needs the cohort's condition columns to be its own."""
     if not cohort.records:
         raise ValueError("cannot score an empty cohort")
+    names = tuple(cohort.condition_names)
+    if model.variant == "evac" and names != model.condition_names:
+        raise ValueError(f"cohort condition columns {list(names)} are not "
+                         f"the model's {list(model.condition_names)}")
     snapshot = model.point_sample()
     batch = encode_cohort(cohort, model.vocab, model.dec_cfg.t_max)
     score = sum(_holdout_score(model, snapshot, batch.take(rows))
@@ -448,8 +449,8 @@ def _holdout_score(model, snapshot, batch):
         q_w, q_b = (q.cols(sl) for sl in model.local_slices[1:])
         pi = compose_intensities(batch.conditions, q_w.mean)
         prior_mean = pi @ snapshot["H"].T + q_b.mean
-        score -= kl_diag_gaussians(q_z, prior_mean, model.train_config.tau)
-        score -= kl_diag_gaussians(q_b, 0.0, model.train_config.gamma)
+        score -= kl_diag_gaussians(q_z, prior_mean, TAU)
+        score -= kl_diag_gaussians(q_b, 0.0, GAMMA)
         score -= kl_diag_gaussians(q_w, 0.0, 1.0)
     return score
 
@@ -458,13 +459,13 @@ def _holdout_score(model, snapshot, batch):
 # the report
 # ---------------------------------------------------------------------------
 
-def report(real, synthetic, model=None, topk=(), test_frac=0.2, seed=0):
+def report(real, synthetic, model=None, topk=(), seed=0):
     """The ``metrics`` that ``ehrgen evaluate`` writes: fidelity and
     diversity of ``synthetic`` against ``real``. A ``model`` adds its
     ``elbo_holdout`` and each k in ``topk`` the top-k recall of predictors
     trained on the rest of ``real`` and on ``synthetic``, all scored on a
-    held-out split of ``real``, ``split_cohort(real, test_frac, seed)``,
-    made only then. Both cohorts need the vocabulary attached."""
+    held-out split of ``real``, ``split_cohort(real, seed)``, made only
+    then. Both cohorts need the vocabulary attached."""
     uni_r, uni_s = ngram_stats(real, 1), ngram_stats(synthetic, 1)
     bi_r, bi_s = ngram_stats(real, 2), ngram_stats(synthetic, 2)
     jac_r, used_r, skip_r = avg_jaccard_counts(real)
@@ -483,7 +484,7 @@ def report(real, synthetic, model=None, topk=(), test_frac=0.2, seed=0):
     }
     if model is None and not topk:
         return metrics
-    train_r, test_r = split_cohort(real, test_frac=test_frac, seed=seed)
+    train_r, test_r = split_cohort(real, seed=seed)
     if model is not None:
         metrics["elbo_holdout"] = elbo_holdout(model, test_r)
     if topk:

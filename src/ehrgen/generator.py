@@ -25,7 +25,7 @@ import numpy as np
 
 from .corpus import BACKGROUND, Cohort, PatientRecord
 from .decoder import ancestral_sample
-from .latent import sample_prior_eva, sample_prior_evac
+from .latent import GAMMA, TAU, sample_prior_eva, sample_prior_evac
 
 POLICIES = ("ensemble", "point")
 
@@ -64,9 +64,8 @@ def condition_vector(model, names):
 def _draw_latents(model, snapshot, y, n, rng):
     if model.variant == "eva":
         return sample_prior_eva(model.train_config.latent_dim, rng, n)
-    _, _, z = sample_prior_evac(
-        snapshot["H"], np.tile(y, (n, 1)),
-        model.train_config.gamma, model.train_config.tau, rng)
+    _, _, z = sample_prior_evac(snapshot["H"], np.tile(y, (n, 1)), GAMMA,
+                                TAU, rng)
     return z
 
 

@@ -20,6 +20,8 @@ import numpy as np
 
 from ._nn import sigmoid
 
+TAU = GAMMA = 0.1  # the variances of eps and of b in the hierarchy above
+
 
 def compose_intensities(y, w):
     """pi = y * sigmoid(w), elementwise; entries stay in [0, 1]."""

@@ -1,12 +1,13 @@
 """The model: configs, parameter shapes and initialisation, the encoders'
 posterior and the trained-model checkpoint; ``trainer`` fits it.
 
-A format-7 checkpoint is one ``.npz``: the encoder vector ``phi``, the
+A format-8 checkpoint is one ``.npz``: the encoder vector ``phi``, the
 reservoir of posterior (theta, H) samples as one (R, P) array, and JSON
 metadata with the training and decoder configs, the vocabulary, condition
 names, history and extras; no shape or size is stored. The vocabulary size
 comes from the vocabulary, the condition count from the condition names,
-the latent size and the encoder widths from the training config, and the
+the latent size and the LSTM width from the training config, the other
+encoder widths from ``ENCODER_EMBED`` and ``CONDITION_HIDDEN``, and the
 decoder's widths and length from its config. ``load`` rebuilds the
 ``ModelParts`` from them, derives every parameter shape from the parts and
 refuses arrays of other lengths. Older formats are refused by version.
@@ -35,7 +36,7 @@ from .encoders import (
 
 VARIANTS = ("eva", "evac")
 
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 
 
 @dataclass(frozen=True)
@@ -44,36 +45,28 @@ class TrainConfig:
     latent_dim: int = 16
     n_iters: int = 2000
     minibatch: int = 32
-    lr_phi: float = 1e-3
     lr_global: float = 1e-3
     temperature: float = 1.0  # pSGLD noise variance scales by T
     burn_in: int | None = None  # default: half the iteration budget
     thin: int = 200
     reservoir_size: int = 10
     clip_norm: float = 1e4  # globals grad is scaled by n/B; a tight clip diverges
-    embed_dim: int = 32
     hidden: int = 64
-    cond_hidden: int = 32
-    tau: float = 0.1
-    gamma: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         # rate 0 is allowed so "no learning" degenerates to the identity
-        if self.lr_phi < 0 or self.lr_global < 0:
-            raise ValueError("learning rates must be non-negative")
+        if self.lr_global < 0:
+            raise ValueError("lr_global must be non-negative")
         if self.minibatch < 1 or self.n_iters < 1:
             raise ValueError("minibatch and n_iters must be >= 1")
         if self.reservoir_size < 1 or self.thin < 1:
             raise ValueError("reservoir_size and thin must be >= 1")
-        for name in ("tau", "gamma"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
         if self.temperature < 0:
             raise ValueError("temperature must be non-negative")
-        for name in ("latent_dim", "embed_dim", "hidden", "cond_hidden"):
+        for name in ("latent_dim", "hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if not 0 <= self.burn_in_iters < self.n_iters:
@@ -87,7 +80,7 @@ class TrainConfig:
 @dataclass
 class ModelParts:
     """Static description shared by the objective and evaluation code; the
-    variant, latent size, tau and gamma are read from ``train_config``."""
+    variant and the latent size are read from ``train_config``."""
 
     train_config: TrainConfig
     dec_cfg: DecoderConfig
@@ -121,13 +114,16 @@ def init_globals(parts, rng):
     return globals_
 
 
+ENCODER_EMBED = CONDITION_HIDDEN = 32  # the embedding and condition widths
+
+
 def init_phi(parts, rng):
     """The encoders; both emit every local coordinate, ``local_slices``."""
-    cfg, width = parts.train_config, parts.local_slices[-1].stop
-    phi = {"seq": init_sequence_encoder(parts.vocab_size, cfg.embed_dim,
-                                        cfg.hidden, width, rng)}
+    width = parts.local_slices[-1].stop
+    phi = {"seq": init_sequence_encoder(parts.vocab_size, ENCODER_EMBED,
+                                        parts.train_config.hidden, width, rng)}
     if parts.variant == "evac":
-        phi["cond"] = init_condition_encoder(parts.cond_dim, cfg.cond_hidden,
+        phi["cond"] = init_condition_encoder(parts.cond_dim, CONDITION_HIDDEN,
                                              width, rng)
     return phi
 

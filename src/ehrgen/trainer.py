@@ -34,13 +34,14 @@ from .encoders import (
     sample_with_eta,
     sample_with_eta_backward,
 )
-from .latent import latent_log_density_grads
+from .latent import GAMMA, TAU, latent_log_density_grads
 # perfbench/pipeline.py builds ``trainer.TrainConfig``, so it is kept here
 from .model import (ModelParts, TrainConfig, TrainedModel, init_globals,
                     init_phi, param_layouts, posterior_with_caches)
 
 LN_2PI = math.log(2.0 * math.pi)
 HISTORY_EVERY = 50  # the history keeps every 50th iteration and the last
+LR_PHI = 1e-3  # Adam's rate for the encoders
 
 
 @dataclass
@@ -133,10 +134,9 @@ def step_gradients(parts, batch, glob_vec, phi_vec, noises, n_total):
         kl_b = kl_w = 0.0
     else:
         _, sw, sb = parts.local_slices
-        tau, gamma = parts.train_config.tau, parts.train_config.gamma
         ll_z, dz_c, dw_c, db_c, dH = latent_log_density_grads(
             z_s, globals_["H"], batch.conditions, sample[:, sw],
-            sample[:, sb], tau)
+            sample[:, sb], TAU)
         cross = float(ll_z.sum())
         g_glob_tree["H"] += dH
         dsample[:, sz] -= dz_c
@@ -144,11 +144,11 @@ def step_gradients(parts, batch, glob_vec, phi_vec, noises, n_total):
         dsample[:, sb] -= db_c
         q_w, q_b = q.cols(sw), q.cols(sb)
         kl_w = kl_diag_gaussians(q_w, 0.0, 1.0)
-        kl_b = kl_diag_gaussians(q_b, 0.0, gamma)
+        kl_b = kl_diag_gaussians(q_b, 0.0, GAMMA)
         dmean[:, sw] += q_w.mean
         dvar[:, sw] += 0.5 * (1.0 - 1.0 / q_w.var)
-        dmean[:, sb] += q_b.mean / gamma
-        dvar[:, sb] += 0.5 * (1.0 / gamma - 1.0 / q_b.var)
+        dmean[:, sb] += q_b.mean / GAMMA
+        dvar[:, sb] += 0.5 * (1.0 / GAMMA - 1.0 / q_b.var)
 
     report = ElboReport.from_terms(recon, cross, entropy, kl_b, kl_w)
 
@@ -245,7 +245,7 @@ def train(config, batch, vocab, condition_names=(), dec_cfg=None,
     glob_vec = glob_layout.flatten(init_globals(parts, rng))
     phi_vec = phi_layout.flatten(init_phi(parts, rng))
 
-    adam = _nn.Adam(phi_vec, lr=config.lr_phi)
+    adam = _nn.Adam(phi_vec, lr=LR_PHI)
     state = SamplerState(np.zeros_like(glob_vec))
     reservoir = deque(maxlen=config.reservoir_size)
     burn_in = config.burn_in_iters

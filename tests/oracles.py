@@ -22,7 +22,7 @@ from ehrgen.decoder import decode_logits, sequence_log_likelihood
 from ehrgen.evaluation import (PREDICTOR_EMBED, PREDICTOR_HIDDEN, PREDICTOR_LR,
                                PREDICTOR_MINIBATCH, NgramStats)
 from ehrgen.encoders import kl_diag_gaussians
-from ehrgen.latent import compose_intensities
+from ehrgen.latent import GAMMA, TAU, compose_intensities
 from ehrgen.model import encode_posteriors, param_layouts
 from ehrgen.simulate import _length_tail
 from ehrgen.trainer import step_gradients
@@ -531,8 +531,8 @@ def unchunked_elbo_holdout(model, cohort):
         q_w, q_b = (q.cols(sl) for sl in model.local_slices[1:])
         pi = compose_intensities(batch.conditions, q_w.mean)
         prior_mean = pi @ snapshot["H"].T + q_b.mean
-        score -= kl_diag_gaussians(q_z, prior_mean, model.train_config.tau)
-        score -= kl_diag_gaussians(q_b, 0.0, model.train_config.gamma)
+        score -= kl_diag_gaussians(q_z, prior_mean, TAU)
+        score -= kl_diag_gaussians(q_b, 0.0, GAMMA)
         score -= kl_diag_gaussians(q_w, 0.0, 1.0)
     return score / len(batch)
 

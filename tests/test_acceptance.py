@@ -54,8 +54,7 @@ def tiny_setup(variant, seed=0, n=6, t_max=4):
     cohort = simulate_toy_cohort(spec, seed=seed)
     vocab = build_visit_vocab(cohort, max_size=32)
     batch = encode_cohort(cohort, vocab, t_max=t_max)
-    cfg = TrainConfig(variant=variant, latent_dim=3, embed_dim=4, hidden=5,
-                      cond_hidden=4, seed=seed)
+    cfg = TrainConfig(variant=variant, latent_dim=3, hidden=5, seed=seed)
     dec = DecoderConfig(t_max=t_max, channels=4, kernel=2, dilations=(1, 2),
                         n_upsample=1)
     parts = ModelParts(cfg, dec, vocab.size, batch.conditions.shape[1])
@@ -404,7 +403,7 @@ def test_criterion_09_utility(toy, eva_run):
     prepped, model = toy["prepped"], eva_run["model"]
     rels = []
     for seed in range(3):
-        tr, te = ev.split_cohort(prepped, test_frac=0.2, seed=seed)
+        tr, te = ev.split_cohort(prepped, seed=seed)
         real_pred = ev.train_next_visit_predictor(tr, seed=seed)
         r_real = ev.topk_recall(real_pred, te, 5)
         synth = generate_cohort(model, GenerationRequest(count=len(tr),

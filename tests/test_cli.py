@@ -6,6 +6,8 @@ import hashlib
 import inspect
 import json
 import os
+import pathlib
+import re
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -16,6 +18,7 @@ from ehrgen.corpus import (build_visit_vocab, load_cohort, load_vocab,
                            replace_rare_visits)
 from ehrgen.decoder import DecoderConfig
 from ehrgen.generator import GenerationRequest
+from ehrgen.model import CHECKPOINT_VERSION
 from ehrgen.simulate import default_toy_spec
 from ehrgen.trainer import TrainConfig
 
@@ -32,8 +35,8 @@ def read_stderr_json(capsys):
 TRAIN_SMALL = [
     "--t-max", "4", "--latent-dim", "3", "--channels", "4", "--kernel", "2",
     "--dilations", "1,2", "--n-upsample", "1", "--hidden", "5",
-    "--embed-dim", "4", "--cond-hidden", "4", "--iters", "6",
-    "--minibatch", "8", "--burn-in", "2", "--thin", "2", "--reservoir", "2",
+    "--iters", "6", "--minibatch", "8", "--burn-in", "2", "--thin", "2",
+    "--reservoir", "2",
 ]
 
 
@@ -131,6 +134,16 @@ class TestPipeline:
         assert len(model.reservoir) == 2
         assert model.extra["seed"] == 3
 
+    def test_checkpoint_counts_truncated_records(self, pipeline):
+        """``encode_cohort`` cuts records longer than ``--t-max`` (4 here,
+        below the cohort's longest record); the checkpoint counts them."""
+        from ehrgen.model import TrainedModel
+        lengths = [len(r.visits)
+                   for r in load_cohort(pipeline["cohort"]).records]
+        assert max(lengths) > 4
+        extra = TrainedModel.load(pipeline["model"]).extra
+        assert extra["truncated_records"] == sum(n > 4 for n in lengths)
+
     def test_generated_cohort(self, pipeline):
         synth = load_cohort(pipeline["synth"])
         assert len(synth) == 25
@@ -178,7 +191,7 @@ class TestPipeline:
         real.vocab = synth.vocab = load_vocab(pipeline["vocab"])
         expected = report(real, synth,
                           model=TrainedModel.load(pipeline["model"]),
-                          topk=(5,), test_frac=0.2, seed=5)
+                          topk=(5,), seed=5)
         assert json.load(open(pipeline["report"]))["metrics"] == expected
 
     def test_scatter_table(self, pipeline):
@@ -192,10 +205,12 @@ class TestPipeline:
 
     def test_attack_report(self, pipeline):
         report = json.load(open(pipeline["attack"]))
-        assert report["schema"] == "attack/1"
+        assert report["schema"] == "attack/2"
         assert report["n_known_in_training"] == 10
         assert report["n_known_outside"] == 10
         out = report["outcome"]
+        assert set(out) == {"sensitivity", "precision", "tp", "fp", "fn",
+                            "tn"}
         assert 0.0 <= out["sensitivity"] <= 1.0
         assert out["tp"] + out["fn"] == 10
 
@@ -297,7 +312,7 @@ class TestErrorPaths:
         (["--reservoir", "0"], "reservoir_size"),
         (["--iters", "5", "--burn-in", "10"], "burn_in"),
         (["--hidden", "0"], "hidden"),
-        (["--embed-dim", "0"], "embed_dim"),
+        (["--lr-global", "-1"], "lr_global"),
     ])
     def test_config_error_names_field(self, pipeline, tmp_path, capsys,
                                       extra, field):
@@ -326,6 +341,26 @@ class TestErrorPaths:
                     "--out", out, "--variant", "evac"] + TRAIN_SMALL) == 1
         assert "condition" in read_stderr_json(capsys)["error"]
         assert not os.path.exists(out)
+
+    def test_evaluate_other_condition_columns_exits_1(self, pipeline,
+                                                      tmp_path, capsys):
+        """The training cohort under a reversed header, so its condition
+        columns come in the reverse order: the evac model's held-out score
+        refuses it, naming both lists, where it scored it silently."""
+        flipped = str(tmp_path / "flipped.jsonl")
+        with open(pipeline["cohort"]) as src, open(flipped, "w") as dst:
+            header = json.loads(src.readline())
+            names = header["meta"]["condition_names"]
+            header["meta"]["condition_names"] = names[::-1]
+            dst.write(json.dumps(header) + "\n" + src.read())
+        out = tmp_path / "eval.json"
+        assert run(["evaluate", "--real", flipped,
+                    "--synthetic", pipeline["synth"],
+                    "--vocab", pipeline["vocab"], "--model", pipeline["model"],
+                    "--out", str(out)]) == 1
+        error = read_stderr_json(capsys)["error"]
+        assert str(names[::-1]) in error and str(names) in error
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, value", [
         (["train", "--variant", "vae"], "vae"),
@@ -409,11 +444,28 @@ class TestErrorPaths:
         ["train", "--cohort", "c", "--vocab", "v", "--out", "o",
          "--checkpoint-dir", "d"],
         ["generate", "--model", "m", "--out", "o", "--temperature", "0.7"],
+        *[["train", "--cohort", "c", "--vocab", "v", "--out", "o", flag, "1"]
+          for flag in ("--lr-phi", "--embed-dim", "--cond-hidden", "--tau",
+                       "--gamma")],
+        ["evaluate", "--real", "r", "--synthetic", "s", "--vocab", "v",
+         "--out", "o", "--test-frac", "0.5"],
+        ["attack", "--synthetic", "s", "--train-cohort", "t",
+         "--holdout-cohort", "h", "--out", "o", "--order-sensitive"],
     ])
     def test_deleted_flags_exit_1(self, capsys, argv):
         """Training writes no snapshot directory, and generation samples
-        the model's own distribution: neither takes a flag for it."""
+        the model's own distribution: neither takes a flag for it. The
+        encoders' rate and widths, tau, gamma and the held-out share are
+        constants, and the attack always ignores visit order."""
         assert run(argv) == 1
+        assert "unrecognized arguments" in read_stderr_json(capsys)["error"]
+
+    @pytest.mark.parametrize("flag", ["--lr", "--temp", "--iter"])
+    def test_abbreviated_flag_exits_1(self, capsys, flag):
+        """A flag is named in full: with ``--lr-phi`` gone, ``--lr`` would
+        otherwise set ``--lr-global`` where it was ambiguous before."""
+        assert run(["train", "--cohort", "c", "--vocab", "v", "--out", "o",
+                    flag, "1"]) == 1
         assert "unrecognized arguments" in read_stderr_json(capsys)["error"]
 
 
@@ -574,7 +626,6 @@ SHAPE_EDITS = {
     "n_upsample_2": ("dec_cfg", "n_upsample", 2),
     "dilation_dropped": ("dec_cfg", "dilations", [1]),
     "hidden_7": ("train_config", "hidden", 7),
-    "cond_hidden_9": ("train_config", "cond_hidden", 9),
 }
 
 
@@ -600,6 +651,10 @@ def write_bad_checkpoint(kind, good, path):
         meta = [meta]
     elif kind == "extra_condition":
         meta["condition_names"].append("cond_extra")
+    elif kind == "format_7":  # its train_config held five values now fixed
+        meta["format_version"] = 7
+        meta["train_config"].update(lr_phi=1e-3, embed_dim=32, cond_hidden=32,
+                                    tau=0.1, gamma=0.1)
     elif kind == "format_6":  # its train_config held pSGLD's alpha and lambda
         meta["format_version"] = 6
         meta["train_config"].update(psgld_alpha=0.99, psgld_lambda=1e-5,
@@ -634,6 +689,7 @@ class TestMalformedCheckpoint:
         # arrays
         *[(kind, "layout") for kind in SHAPE_EDITS],
         ("extra_condition", "layout"),
+        ("format_7", "version 7"),
         ("format_6", "version 6"),
         ("format_5", "version 5"),
     ])
@@ -668,10 +724,9 @@ REQUIRED = {"train": ["--cohort", "c", "--vocab", "v", "--out", "o"],
 # a valid value other than the default for every field that has a flag
 NON_DEFAULT = {
     TrainConfig: dict(
-        variant="evac", latent_dim=3, n_iters=7, minibatch=5, lr_phi=2e-3,
-        lr_global=3e-3, temperature=0.5, burn_in=3, thin=2, reservoir_size=4,
-        clip_norm=50.0, embed_dim=6, hidden=7, cond_hidden=8, tau=0.2,
-        gamma=0.3, seed=11),
+        variant="evac", latent_dim=3, n_iters=7, minibatch=5, lr_global=3e-3,
+        temperature=0.5, burn_in=3, thin=2, reservoir_size=4, clip_norm=50.0,
+        hidden=7, seed=11),
     DecoderConfig: dict(t_max=5, channels=6, kernel=2, dilations=(1, 3),
                         n_upsample=1),
     GenerationRequest: dict(
@@ -766,3 +821,19 @@ class TestConfigFlags:
         else:
             assert seen["request"] == GenerationRequest(
                 **NON_DEFAULT[GenerationRequest])
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_format_and_flag_example_are_current():
+    """The README's checkpoint format is the one ``save`` writes, and its
+    kebab-case example names a field that has that ``train`` flag."""
+    text = README.read_text()
+    assert re.findall(r"A checkpoint \(format (\d+)\)", text) == [
+        str(CHECKPOINT_VERSION)]
+    (field, flag), = re.findall(r"in kebab case \(`(\w+)` is\s+`(--[\w-]+)`",
+                                text)
+    assert field in {f.name for f in fields(TrainConfig)}
+    assert flag == "--" + field.replace("_", "-")
+    assert flag in build_parser()[1]["train"]._option_string_actions

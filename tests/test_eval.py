@@ -3,6 +3,7 @@ rigged-predictor recall arithmetic, attack confusion-matrix cases, the sign
 of the held-out bound, and the fast paths against the reference
 implementations in ``oracles.py`` on a toy and a 1,500-visit-type cohort."""
 
+import dataclasses
 import math
 import tracemalloc
 from collections.abc import Mapping
@@ -223,7 +224,7 @@ class TestSplit:
         spec = default_toy_spec(n_records=50, background_groups=3,
                                 groups_per_condition=2, len_min=2, len_max=4)
         cohort = simulate_toy_cohort(spec, seed=0)
-        tr, te = split_cohort(cohort, test_frac=0.2, seed=1)
+        tr, te = split_cohort(cohort, seed=1)
         assert len(te) == 10 and len(tr) == 40
         ids_tr = {r.id for r in tr.records}
         ids_te = {r.id for r in te.records}
@@ -239,10 +240,6 @@ class TestSplit:
         c = split_cohort(cohort, seed=6)[1]
         assert [r.id for r in a.records] == [r.id for r in b.records]
         assert [r.id for r in a.records] != [r.id for r in c.records]
-
-    def test_bad_fraction(self):
-        with pytest.raises(ValueError):
-            split_cohort(mini_cohort(), test_frac=0.0)
 
 
 def rigged_predictor(vocab, bias_probs):
@@ -365,13 +362,12 @@ class TestPresenceDisclosure:
         assert out.sensitivity == 0.5
         assert out.precision == 0.5
 
-    def test_order_sensitive_mode(self):
+    def test_reordered_record_is_claimed(self):
+        """Visit order is ignored: the known record's visits in the other
+        order still match the synthetic one."""
         known = [(PatientRecord("k0", (self.B, self.A)), True)]
-        loose = presence_disclosure(self.synth(), known)
-        strict = presence_disclosure(self.synth(), known, order_sensitive=True)
-        assert loose.tp == 1 and strict.tp == 0
-        assert strict.fn == 1
-        assert strict.order_sensitive is True
+        out = presence_disclosure(self.synth(), known)
+        assert (out.tp, out.fn) == (1, 0)
 
     def test_zero_rates_when_nothing_matches(self):
         known = [(PatientRecord("k0", (self.C,)), False)]
@@ -399,8 +395,8 @@ class TestElboHoldout:
         vocab = build_visit_vocab(cohort, max_size=32)
         batch = encode_cohort(cohort, vocab, t_max=4)
         cfg = TrainConfig(variant=variant, latent_dim=3, n_iters=8,
-                          minibatch=7, embed_dim=4, hidden=5, cond_hidden=4,
-                          burn_in=2, thin=2, reservoir_size=2, seed=1)
+                          minibatch=7, hidden=5, burn_in=2, thin=2,
+                          reservoir_size=2, seed=1)
         dec_cfg = DecoderConfig(t_max=4, channels=4, kernel=2,
                                 dilations=(1, 2), n_upsample=1)
         return train(cfg, batch, vocab,
@@ -422,6 +418,37 @@ class TestElboHoldout:
                        vocab=model.vocab)
         with pytest.raises(ValueError, match="empty cohort"):
             elbo_holdout(model, empty)
+
+    @staticmethod
+    def other_columns(cohort):
+        """The cohort under a reversed header, its columns permuted to
+        match, and with its last column dropped."""
+        names = list(cohort.condition_names)
+        return [Cohort([dataclasses.replace(r, conditions=pick(r.conditions))
+                        for r in cohort.records], pick(names))
+                for pick in (lambda x: x[::-1], lambda x: x[:-1])]
+
+    def test_evac_refuses_other_condition_columns(self):
+        """Reversed, the columns were scored against the wrong conditions
+        with no error, and one short they died in a matrix product; both
+        are refused, naming both lists."""
+        model = self.tiny_model("evac")
+        holdout = simulate_toy_cohort(default_toy_spec(**self.SPEC), seed=2)
+        assert tuple(holdout.condition_names) == model.condition_names
+        for cohort in self.other_columns(holdout):
+            with pytest.raises(ValueError) as err:
+                elbo_holdout(model, cohort)
+            assert str(list(cohort.condition_names)) in str(err.value)
+            assert str(list(model.condition_names)) in str(err.value)
+
+    def test_eva_scores_other_condition_columns(self):
+        """eva reads no conditions: the same records score the same under
+        any header."""
+        model = self.tiny_model("eva")
+        holdout = simulate_toy_cohort(default_toy_spec(**self.SPEC), seed=2)
+        expected = elbo_holdout(model, holdout)
+        for cohort in self.other_columns(holdout):
+            assert elbo_holdout(model, cohort) == expected
 
 
 class TestReport:
@@ -555,7 +582,7 @@ class TestAgainstOracles:
 
     def test_recall_at_k(self, eval_pair):
         real, _ = eval_pair
-        train_part, test_part = split_cohort(real, test_frac=0.2, seed=0)
+        train_part, test_part = split_cohort(real, seed=0)
         pred = train_next_visit_predictor(train_part, seed=0, epochs=2)
         probs = np.random.default_rng(0).dirichlet(np.ones(real.vocab.size), 20)
         assert np.array_equal(pred.code_scores(probs),
@@ -762,8 +789,7 @@ def test_elbo_holdout_chunks_match_one_pass(variant, monkeypatch):
     vocab = build_visit_vocab(cohort, max_size=64)
     batch = encode_cohort(cohort, vocab, t_max=5)
     cfg = TrainConfig(variant=variant, latent_dim=3, n_iters=8, minibatch=8,
-                      embed_dim=4, hidden=5, cond_hidden=4, burn_in=2,
-                      thin=2, reservoir_size=2, seed=1)
+                      hidden=5, burn_in=2, thin=2, reservoir_size=2, seed=1)
     dec_cfg = DecoderConfig(t_max=5, channels=4, kernel=2, dilations=(1, 2),
                             n_upsample=1)
     model = train(cfg, batch, vocab,
@@ -802,8 +828,8 @@ def test_elbo_holdout_memory_does_not_grow_with_t_max():
     peak at t_max 64 stays under 1.5 times the one at t_max 16, where 256
     records a chunk made it about 3 times."""
     cohort = _long_records(256, seed=3)
-    cfg = TrainConfig(latent_dim=4, n_iters=1, minibatch=8, embed_dim=8,
-                      hidden=16, burn_in=0, thin=1, reservoir_size=1, seed=0)
+    cfg = TrainConfig(latent_dim=4, n_iters=1, minibatch=8, hidden=16,
+                      burn_in=0, thin=1, reservoir_size=1, seed=0)
     peaks = []
     for t_max in (16, 64):
         model = train(cfg, encode_cohort(cohort, cohort.vocab, t_max),

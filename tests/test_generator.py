@@ -17,7 +17,7 @@ from ehrgen.generator import (
     generate_cohort,
     generation_counts,
 )
-from ehrgen.latent import sample_prior_eva, sample_prior_evac
+from ehrgen.latent import GAMMA, TAU, sample_prior_eva, sample_prior_evac
 from ehrgen.simulate import default_toy_spec, simulate_toy_cohort
 from ehrgen.trainer import TrainConfig, train
 
@@ -35,7 +35,7 @@ def quick_model(variant="evac", seed=0, n_iters=8, dec_cfg=None):
                                 dilations=(1, 2), n_upsample=1)
     batch = encode_cohort(cohort, vocab, t_max=dec_cfg.t_max)
     cfg = TrainConfig(variant=variant, latent_dim=3, n_iters=n_iters,
-                      minibatch=8, embed_dim=4, hidden=5, cond_hidden=4,
+                      minibatch=8, hidden=5,
                       burn_in=2, thin=2, reservoir_size=3, seed=seed)
     return train(cfg, batch, vocab,
                  condition_names=tuple(cohort.condition_names),
@@ -69,7 +69,7 @@ def ensemble_reference(model, seed, count, conditions=()):
         if y is None:
             return sample_prior_eva(cfg.latent_dim, rng, n)
         return sample_prior_evac(model.reservoir[s]["H"], np.tile(y, (n, 1)),
-                                 cfg.gamma, cfg.tau, rng)[2]
+                                 GAMMA, TAU, rng)[2]
 
     rng = np.random.default_rng(seed)
     picks = rng.integers(len(model.reservoir), size=count)

@@ -20,7 +20,7 @@ def quick_model(variant="evac", seed=0):
     vocab = build_visit_vocab(cohort, max_size=32)
     batch = encode_cohort(cohort, vocab, t_max=4)
     cfg = TrainConfig(variant=variant, latent_dim=3, n_iters=6, minibatch=5,
-                      embed_dim=4, hidden=5, cond_hidden=4, burn_in=2, thin=2,
+                      hidden=5, burn_in=2, thin=2,
                       reservoir_size=2, seed=seed)
     dec_cfg = DecoderConfig(t_max=4, channels=4, kernel=2, dilations=(1, 2),
                             n_upsample=1)
@@ -108,7 +108,9 @@ class TestCheckpoint:
         assert [r.visits for r in a.records] == [r.visits for r in b.records]
 
     def test_version_check(self, tmp_path):
-        """A newer format version, format 6 (pSGLD's alpha and lambda and
+        """A newer format version, format 7 (the encoders' rate and widths,
+        tau and gamma stored in the training config), format 6 (pSGLD's
+        alpha and lambda and
         the history cadence stored in the training config), format 5 (the
         vocabulary and latent sizes stored in the decoder config), format 4
         (both layouts stored beside the configs), format 3 (derived parts
@@ -117,7 +119,7 @@ class TestCheckpoint:
         model = quick_model(variant="eva")
         path = tmp_path / "m.npz"
         model.save(path)
-        for version in (CHECKPOINT_VERSION + 1, 6, 5, 4, 3, 2, 1):
+        for version in (CHECKPOINT_VERSION + 1, 7, 6, 5, 4, 3, 2, 1):
             rewrite(path, lambda meta, arrays: meta.update(
                 format_version=version))
             with pytest.raises(ValueError, match="version"):
