@@ -22,8 +22,8 @@ if _threads:
 # every submodule import loads NumPy, so all of them come after the block
 from .corpus import (
     Cohort, EncodedBatch, PatientRecord, VisitVocab, VocabEntry,
-    build_visit_vocab, encode_cohort, load_cohort, load_vocab,
-    replace_rare_visits, save_cohort, save_vocab, visit_key)
+    build_visit_vocab, encode_cohort, load_cohort, replace_rare_visits,
+    save_cohort, visit_key)
 from .simulate import (
     ToyCorpusSpec, analytic_group_unigram, condition_codes, default_toy_spec,
     simulate_toy_cohort)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import evaluation as ev, generator, simulate as sim, trainer
 from .corpus import (build_visit_vocab, encode_cohort, load_cohort,
-                     load_vocab, replace_rare_visits, save_cohort, save_vocab)
+                     replace_rare_visits, save_cohort)
 from .decoder import DecoderConfig
 from .generator import GenerationRequest
 from .model import TrainConfig, TrainedModel
@@ -158,24 +158,40 @@ def cmd_simulate(args, out):
     return 0
 
 
+def _replacement_counts(raw, processed):
+    """What rare-visit replacement did to ``raw``: the visits it replaced,
+    the records it touched, the replacements that share no code with their
+    visit, and the mean Jaccard similarity of visit and replacement (None
+    when nothing was replaced)."""
+    pairs = [(a, b) for r, p in zip(raw.records, processed.records)
+             for a, b in zip(r.visits, p.visits) if a != b]
+    jaccard = [len(a & b) / len(a | b) for a, b in pairs]
+    return {"replaced_visits": len(pairs),
+            "records_touched": sum(r.visits != p.visits for r, p in
+                                   zip(raw.records, processed.records)),
+            "zero_overlap_visits": jaccard.count(0.0),
+            "replacement_jaccard_mean":
+                sum(jaccard) / len(jaccard) if jaccard else None}
+
+
 def cmd_preprocess(args, out):
     cohort = load_cohort(_require_file(args.input, "input cohort"))
     vocab = build_visit_vocab(cohort, max_size=args.max_vocab)
     processed = replace_rare_visits(cohort, vocab)
-    digest = config_digest(args)
-    save_vocab(out.path(args.out_vocab), vocab,
-               meta={"config_digest": digest, "seed": 0})
     save_cohort(out.path(args.out_cohort), processed,
-                meta={"config_digest": digest, "seed": 0})
+                meta={"config_digest": config_digest(args), "seed": 0,
+                      **_replacement_counts(cohort, processed)})
     return 0
 
 
 def cmd_train(args, out):
     cohort = load_cohort(_require_file(args.cohort, "cohort"))
-    vocab = load_vocab(_require_file(args.vocab, "vocabulary"))
+    if cohort.vocab is None:
+        raise ConfigError(f"{args.cohort}: a raw cohort, with no vocabulary; "
+                          "run ehrgen preprocess on it first")
     config = _config(TrainConfig, args)
     dec_cfg = _config(DecoderConfig, args)
-    batch = encode_cohort(cohort, vocab, args.t_max)
+    batch = encode_cohort(cohort, cohort.vocab, args.t_max)
 
     digest = config_digest(args)
     metrics_fh = None
@@ -191,7 +207,7 @@ def cmd_train(args, out):
                 {"iteration": it, **asdict(report)}) + "\n")
 
     try:
-        model = trainer.train(config, batch, vocab,
+        model = trainer.train(config, batch, cohort.vocab,
                               condition_names=cohort.condition_names,
                               dec_cfg=dec_cfg, metrics_sink=metrics_sink)
     finally:
@@ -221,8 +237,8 @@ def cmd_evaluate(args, out):
         raise ConfigError(f"--topk values must be >= 1, got {args.topk}")
     real = load_cohort(_require_file(args.real, "real cohort"))
     synth = load_cohort(_require_file(args.synthetic, "synthetic cohort"))
-    real.vocab = synth.vocab = load_vocab(
-        _require_file(args.vocab, "vocabulary"))
+    if real.vocab is None:  # a raw real cohort is read in the synthetic ids
+        real.vocab = synth.vocab
     model = (TrainedModel.load(_require_file(args.model, "model"))
              if args.model else None)
     metrics = ev.report(real, synth, model=model, topk=args.topk,
@@ -246,6 +262,8 @@ def cmd_evaluate(args, out):
 
 
 def cmd_attack(args, out):
+    if args.n_known < 2:
+        raise ConfigError(f"--n-known must be >= 2, got {args.n_known}")
     synth = load_cohort(_require_file(args.synthetic, "synthetic cohort"))
     members = load_cohort(_require_file(args.train_cohort, "training cohort"))
     outsiders = load_cohort(
@@ -302,12 +320,10 @@ def build_parser():
             "build the visit vocabulary and map rare visits into it")
     p.add_argument("--input", required=True)
     p.add_argument("--out-cohort", required=True)
-    p.add_argument("--out-vocab", required=True)
     p.add_argument("--max-vocab", type=int, default=50000)
 
     p = add("train", cmd_train, "fit a model on an encoded cohort")
     p.add_argument("--cohort", required=True)
-    p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--metrics", default=None)
     _add_config_flags(p, TrainConfig)
@@ -321,7 +337,6 @@ def build_parser():
     p = add("evaluate", cmd_evaluate, "compare two cohorts (and a model)")
     p.add_argument("--real", required=True)
     p.add_argument("--synthetic", required=True)
-    p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--model", default=None)
     p.add_argument("--scatter-out", default=None)

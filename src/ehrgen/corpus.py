@@ -14,8 +14,9 @@ training matrix and the n-gram statistics read; an out-of-vocabulary visit
 fails there, with one message.
 
 Cohorts are stored as line-delimited JSON, one patient per line, with an
-optional leading meta line; vocabularies likewise with a header line carrying
-the format version and the reserved-token ids.
+optional leading meta line. A preprocessed or generated cohort carries its
+vocabulary in that line, as the rows ``VisitVocab.rows`` gives and a
+checkpoint stores too; a cohort without them is raw.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ Visit = frozenset  # set of code strings
 BACKGROUND = "background"  # the always-on condition of the toy corpus
 
 COHORT_FORMAT_VERSION = 1
-VOCAB_FORMAT_VERSION = 1
 
 
 def visit_key(codes) -> tuple:
@@ -112,6 +112,23 @@ class VisitVocab:
 
     def __eq__(self, other):
         return isinstance(other, VisitVocab) and self.entries == other.entries
+
+    def rows(self):
+        """The entries as JSON rows in token order, ``{"codes", "frequency"}``:
+        what a cohort's meta line and a checkpoint store."""
+        return [{"codes": list(e.codes), "frequency": e.frequency}
+                for e in self.entries]
+
+    @classmethod
+    def from_rows(cls, rows):
+        """The vocabulary whose ``rows()`` are ``rows``."""
+        if not rows:
+            raise ValueError("empty vocabulary")
+        if not all(_strings(row["codes"]) for row in rows):
+            raise TypeError("a row's codes is not a list of strings")
+        return cls([VocabEntry(codes=tuple(row["codes"]), token_id=i,
+                               frequency=int(row["frequency"]))
+                    for i, row in enumerate(rows)])
 
 
 @dataclass
@@ -273,7 +290,8 @@ def encode_cohort(cohort, vocab, t_max):
 # ---------------------------------------------------------------------------
 
 def save_cohort(path, cohort, meta=None):
-    """One patient per line: {id, visits: [[code, ...], ...], conditions: [name, ...]}."""
+    """A meta line, holding the vocabulary's rows when one is attached, then
+    one patient per line: {id, visits: [[code, ...], ...], conditions: [name, ...]}."""
     header = {
         "meta": {
             "format": "cohort",
@@ -282,6 +300,8 @@ def save_cohort(path, cohort, meta=None):
             **(meta or {}),
         }
     }
+    if cohort.vocab is not None:
+        header["meta"]["vocab"] = cohort.vocab.rows()
     with open(path, "w") as fh:
         fh.write(json.dumps(header) + "\n")
         for rec in cohort.records:
@@ -315,14 +335,18 @@ def _strings(value):
 
 
 def load_cohort(path):
-    """Read a cohort file; a malformed one raises ValueError naming it."""
+    """Read a cohort file, with the vocabulary its meta line carries, if
+    any; a malformed one raises ValueError naming it."""
     with reading(path, "cohort"), open(path) as fh:
         rows = [json.loads(line) for line in fh if line.strip()]
-        names = None
+        names = vocab = None
         if rows and "meta" in rows[0]:
-            names = rows.pop(0)["meta"].get("condition_names")
+            meta = rows.pop(0)["meta"]
+            names = meta.get("condition_names")
             if names is not None and not _strings(names):
                 raise ValueError("condition_names is not a list of strings")
+            if meta.get("vocab") is not None:
+                vocab = VisitVocab.from_rows(meta["vocab"])
         for row in rows:
             if not isinstance(row, dict) or not {"id", "visits"} <= set(row):
                 raise ValueError("a record has no 'id' or 'visits'")
@@ -349,46 +373,5 @@ def load_cohort(path):
             out.append(PatientRecord(
                 id=row["id"], conditions=tuple(cond),
                 visits=tuple(frozenset(v) for v in row["visits"])))
-        return Cohort(records=out, condition_names=list(names))
+        return Cohort(records=out, condition_names=list(names), vocab=vocab)
 
-
-def save_vocab(path, vocab, meta=None):
-    """Header line carries the version and reserved ids, then one entry per line."""
-    header = {
-        "format": "visit_vocab",
-        "version": VOCAB_FORMAT_VERSION,
-        "eos_id": vocab.eos_id,
-        "pad_id": vocab.pad_id,
-        **(meta or {}),
-    }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for e in vocab.entries:
-            fh.write(
-                json.dumps(
-                    {
-                        "token_id": e.token_id,
-                        "codes": list(e.codes),
-                        "frequency": e.frequency,
-                    }
-                )
-                + "\n"
-            )
-
-
-def load_vocab(path):
-    """Read a vocabulary file; a malformed one raises ValueError naming it."""
-    with reading(path, "vocabulary"), open(path) as fh:
-        rows = [json.loads(line) for line in fh if line.strip()]
-        if not rows:
-            raise ValueError("empty vocabulary file")
-        header = rows[0]
-        if not isinstance(header, dict) or header.get("format") != "visit_vocab":
-            raise ValueError("not a visit vocabulary file")
-        vocab = VisitVocab([
-            VocabEntry(codes=tuple(row["codes"]), token_id=int(row["token_id"]),
-                       frequency=int(row["frequency"]))
-            for row in rows[1:]])
-        if vocab.eos_id != header["eos_id"] or vocab.pad_id != header["pad_id"]:
-            raise ValueError("reserved-token ids disagree with entries")
-        return vocab

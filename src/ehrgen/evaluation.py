@@ -465,7 +465,9 @@ def report(real, synthetic, model=None, topk=(), seed=0):
     ``elbo_holdout`` and each k in ``topk`` the top-k recall of predictors
     trained on the rest of ``real`` and on ``synthetic``, all scored on a
     held-out split of ``real``, ``split_cohort(real, seed)``, made only
-    then. Both cohorts need the vocabulary attached."""
+    then. Both cohorts need the same vocabulary attached."""
+    if real.vocab != synthetic.vocab:
+        raise ValueError("the real and synthetic vocabularies differ")
     uni_r, uni_s = ngram_stats(real, 1), ngram_stats(synthetic, 1)
     bi_r, bi_s = ngram_stats(real, 2), ngram_stats(synthetic, 2)
     jac_r, used_r, skip_r = avg_jaccard_counts(real)

@@ -24,7 +24,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import _nn
-from .corpus import VisitVocab, VocabEntry, reading
+from .corpus import VisitVocab, reading
 from .decoder import DecoderConfig, init_decoder_params
 from .encoders import (
     encode_conditions,
@@ -195,10 +195,7 @@ class TrainedModel(ModelParts):
             "dec_cfg": asdict(self.dec_cfg),
             "condition_names": list(self.condition_names),
             "history": self.history or [],
-            "vocab": [
-                {"codes": list(e.codes), "frequency": e.frequency}
-                for e in self.vocab.entries
-            ],
+            "vocab": self.vocab.rows(),
             "extra": self.extra or {},
         }
         with open(path, "wb") as fh:
@@ -217,11 +214,7 @@ class TrainedModel(ModelParts):
                     f"unsupported checkpoint version "
                     f"{meta.get('format_version')!r}")
             phi_vec, res = data["phi"], data["reservoir"]
-            vocab = VisitVocab([
-                VocabEntry(codes=tuple(e["codes"]), token_id=i,
-                           frequency=int(e["frequency"]))
-                for i, e in enumerate(meta["vocab"])
-            ])
+            vocab = VisitVocab.from_rows(meta["vocab"])
             condition_names = tuple(meta["condition_names"])
             parts = ModelParts(
                 _config_from(TrainConfig, meta["train_config"], "train_config"),

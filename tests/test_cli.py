@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from ehrgen.cli import build_parser, config_digest, main
-from ehrgen.corpus import (build_visit_vocab, load_cohort, load_vocab,
-                           replace_rare_visits)
+from ehrgen.corpus import (Cohort, PatientRecord, build_visit_vocab,
+                           load_cohort, replace_rare_visits, save_cohort)
 from ehrgen.decoder import DecoderConfig
 from ehrgen.generator import GenerationRequest
 from ehrgen.model import CHECKPOINT_VERSION
@@ -47,7 +47,6 @@ def pipeline(tmp_path_factory):
     p = {
         "raw": str(root / "raw.jsonl"),
         "cohort": str(root / "cohort.jsonl"),
-        "vocab": str(root / "vocab.jsonl"),
         "model": str(root / "model.npz"),
         "metrics": str(root / "metrics.jsonl"),
         "holdout": str(root / "holdout.jsonl"),
@@ -62,15 +61,14 @@ def pipeline(tmp_path_factory):
     codes.append(run(["simulate", "--out", p["holdout"], "--n-records", "20",
                       "--len-min", "2", "--len-max", "5", "--seed", "2"]))
     codes.append(run(["preprocess", "--input", p["raw"],
-                      "--out-cohort", p["cohort"],
-                      "--out-vocab", p["vocab"]]))
-    codes.append(run(["train", "--cohort", p["cohort"], "--vocab", p["vocab"],
+                      "--out-cohort", p["cohort"]]))
+    codes.append(run(["train", "--cohort", p["cohort"],
                       "--out", p["model"], "--metrics", p["metrics"],
                       "--variant", "evac", "--seed", "3"] + TRAIN_SMALL))
     codes.append(run(["generate", "--model", p["model"], "--out", p["synth"],
                       "--count", "25", "--seed", "4"]))
     codes.append(run(["evaluate", "--real", p["cohort"],
-                      "--synthetic", p["synth"], "--vocab", p["vocab"],
+                      "--synthetic", p["synth"],
                       "--out", p["report"], "--scatter-out", p["scatter"],
                       "--model", p["model"], "--topk", "5",
                       "--seed", "5"]))
@@ -96,27 +94,60 @@ class TestPipeline:
         assert header["meta"]["seed"] == 1
 
     def test_preprocess_artifacts(self, pipeline):
-        vocab = load_vocab(pipeline["vocab"])
+        """The preprocessed cohort carries its vocabulary, the one the
+        model trained on; the simulated cohort is raw and carries none."""
+        from ehrgen.model import TrainedModel
         cohort = load_cohort(pipeline["cohort"])
+        vocab = cohort.vocab
         assert vocab.n_entries > 0
+        assert vocab == TrainedModel.load(pipeline["model"]).vocab
         for rec in cohort.records:
             for visit in rec.visits:
                 assert visit in vocab
+        assert load_cohort(pipeline["raw"]).vocab is None
+        header = json.loads(open(pipeline["raw"]).readline())
+        assert "vocab" not in header["meta"]
 
     def test_preprocess_replaces_rare_visits(self, pipeline, tmp_path):
         """With a vocabulary smaller than the distinct visits, the written
         cohort is the library's replacement and holds no rare visit."""
-        cohort, vocab = tmp_path / "cohort.jsonl", tmp_path / "vocab.jsonl"
+        cohort = tmp_path / "cohort.jsonl"
         assert run(["preprocess", "--input", pipeline["raw"],
-                    "--max-vocab", "6", "--out-cohort", str(cohort),
-                    "--out-vocab", str(vocab)]) == 0
-        raw, written = load_cohort(pipeline["raw"]), load_vocab(vocab)
+                    "--max-vocab", "6", "--out-cohort", str(cohort)]) == 0
+        assert os.listdir(tmp_path) == ["cohort.jsonl"]
+        raw, got = load_cohort(pipeline["raw"]), load_cohort(cohort)
+        written = got.vocab
         assert written == build_visit_vocab(raw, 6)
         want = replace_rare_visits(raw, written)
-        got = load_cohort(cohort)
         assert got.records == want.records != raw.records
         assert got.condition_names == raw.condition_names
         assert all(v in written for rec in got.records for v in rec.visits)
+
+    def test_preprocess_counts_replacements(self, tmp_path):
+        """Hand-checked: ``--max-vocab 2`` keeps {a} and {b}, three visits
+        each. {a, c}, twice, shares a with {a} (Jaccard 1/2); {d} shares no
+        code with either, so it takes the most frequent entry, {a} (the
+        tie broken on the codes). With every visit type kept, nothing is
+        replaced."""
+        a, b, ac, d = (frozenset(v) for v in ("a", "b", "ac", "d"))
+        raw = tmp_path / "raw.jsonl"
+        save_cohort(raw, Cohort([
+            PatientRecord("p0", (a, b)), PatientRecord("p1", (a, ac)),
+            PatientRecord("p2", (d, b, a)), PatientRecord("p3", (b, ac))],
+            []))
+        meta = {}
+        for max_vocab in ("2", "50"):
+            out = tmp_path / f"cohort-{max_vocab}.jsonl"
+            assert run(["preprocess", "--input", str(raw), "--out-cohort",
+                        str(out), "--max-vocab", max_vocab]) == 0
+            meta[max_vocab] = json.loads(open(out).readline())["meta"]
+        keys = ("replaced_visits", "records_touched", "zero_overlap_visits",
+                "replacement_jaccard_mean")
+        assert [meta["2"][k] for k in keys] == [3, 3, 1, pytest.approx(1 / 3)]
+        assert [meta["50"][k] for k in keys] == [0, 0, 0, None]
+        replaced = load_cohort(tmp_path / "cohort-2.jsonl").records
+        assert [r.visits for r in replaced[1:4]] == [(a, a), (a, b, a),
+                                                     (b, a)]
 
     def test_metrics_stream(self, pipeline):
         lines = [json.loads(l) for l in open(pipeline["metrics"])]
@@ -145,8 +176,10 @@ class TestPipeline:
         assert extra["truncated_records"] == sum(n > 4 for n in lengths)
 
     def test_generated_cohort(self, pipeline):
+        from ehrgen.model import TrainedModel
         synth = load_cohort(pipeline["synth"])
         assert len(synth) == 25
+        assert synth.vocab == TrainedModel.load(pipeline["model"]).vocab
         assert all(len(r.visits) >= 1 for r in synth.records)
         bg = synth.condition_names.index("background")
         assert all(r.conditions[bg] == 1 for r in synth.records)
@@ -188,11 +221,37 @@ class TestPipeline:
         from ehrgen.evaluation import report
         from ehrgen.model import TrainedModel
         real, synth = (load_cohort(pipeline[k]) for k in ("cohort", "synth"))
-        real.vocab = synth.vocab = load_vocab(pipeline["vocab"])
         expected = report(real, synth,
                           model=TrainedModel.load(pipeline["model"]),
                           topk=(5,), seed=5)
         assert json.load(open(pipeline["report"]))["metrics"] == expected
+
+    def test_raw_real_cohort_takes_the_synthetic_vocabulary(self, pipeline,
+                                                             tmp_path):
+        """A raw real cohort whose visits are all in the model's vocabulary
+        is read in the synthetic cohort's ids: the written metrics are the
+        library report's with that vocabulary attached."""
+        from ehrgen.evaluation import report
+        from ehrgen.model import TrainedModel
+        synth, holdout = (load_cohort(pipeline[k]) for k in ("synth",
+                                                             "holdout"))
+        keep = [r for r in holdout.records
+                if all(v in synth.vocab for v in r.visits)]
+        assert len(keep) >= 5
+        raw = tmp_path / "holdout.jsonl"
+        save_cohort(raw, Cohort(keep, holdout.condition_names))
+        out = tmp_path / "eval.json"
+        assert run(["evaluate", "--real", str(raw),
+                    "--synthetic", pipeline["synth"],
+                    "--model", pipeline["model"], "--topk", "5",
+                    "--out", str(out)]) == 0
+        real = load_cohort(raw)
+        assert real.vocab is None
+        real.vocab = synth.vocab
+        expected = report(real, synth,
+                          model=TrainedModel.load(pipeline["model"]),
+                          topk=(5,))
+        assert json.load(open(out))["metrics"] == expected
 
     def test_scatter_table(self, pipeline):
         lines = open(pipeline["scatter"]).read().splitlines()
@@ -260,16 +319,14 @@ class TestErrorPaths:
 
     def test_missing_input_file(self, tmp_path, capsys):
         assert run(["preprocess", "--input", str(tmp_path / "ghost.jsonl"),
-                    "--out-cohort", str(tmp_path / "c.jsonl"),
-                    "--out-vocab", str(tmp_path / "v.jsonl")]) == 1
+                    "--out-cohort", str(tmp_path / "c.jsonl")]) == 1
         assert "not found" in read_stderr_json(capsys)["error"]
 
     def test_conditional_generation_on_eva_model(self, pipeline, tmp_path,
                                                  capsys):
         # retrain a tiny unconditional model, then ask for conditions
         model = str(tmp_path / "eva.npz")
-        assert run(["train", "--cohort", pipeline["cohort"],
-                    "--vocab", pipeline["vocab"], "--out", model,
+        assert run(["train", "--cohort", pipeline["cohort"], "--out", model,
                     "--variant", "eva"] + TRAIN_SMALL) == 0
         out = str(tmp_path / "s.jsonl")
         assert run(["generate", "--model", model, "--out", out,
@@ -295,15 +352,42 @@ class TestErrorPaths:
                             refuse)
         out = str(tmp_path / "eval.json")
         assert run(["evaluate", "--real", pipeline["cohort"],
-                    "--synthetic", pipeline["synth"],
-                    "--vocab", pipeline["vocab"], "--out", out,
+                    "--synthetic", pipeline["synth"], "--out", out,
                     "--topk", "5,0"]) == 1
         assert "--topk" in read_stderr_json(capsys)["error"]
         assert not os.path.exists(out)
 
+    def test_evaluate_other_vocabulary_exits_1(self, pipeline, tmp_path,
+                                               capsys):
+        """The holdout cohort preprocessed on its own carries a vocabulary
+        of its own, whose ids mean other visits than the synthetic
+        cohort's: evaluate refuses to compare them."""
+        other = tmp_path / "holdout.jsonl"
+        assert run(["preprocess", "--input", pipeline["holdout"],
+                    "--out-cohort", str(other)]) == 0
+        out = tmp_path / "eval.json"
+        assert run(["evaluate", "--real", str(other),
+                    "--synthetic", pipeline["synth"],
+                    "--out", str(out)]) == 1
+        assert "vocabularies differ" in read_stderr_json(capsys)["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_known", ["-4", "0", "1"])
+    def test_attack_n_known_below_2_exits_1(self, pipeline, tmp_path, capsys,
+                                            n_known):
+        """The attack needs a known member and a known outsider: fewer than
+        two known records is refused by name, where 1 reported a
+        sensitivity over no members and -4 failed inside NumPy."""
+        out = tmp_path / "attack.json"
+        assert run(["attack", "--synthetic", pipeline["synth"],
+                    "--train-cohort", pipeline["cohort"],
+                    "--holdout-cohort", pipeline["holdout"],
+                    "--out", str(out), "--n-known", n_known]) == 1
+        assert "--n-known" in read_stderr_json(capsys)["error"]
+        assert not out.exists()
+
     def test_bad_train_config_exits_1(self, pipeline, tmp_path, capsys):
         assert run(["train", "--cohort", pipeline["cohort"],
-                    "--vocab", pipeline["vocab"],
                     "--out", str(tmp_path / "m.npz")]
                    + TRAIN_SMALL + ["--iters", "0"]) == 1
         assert "iters" in read_stderr_json(capsys)["error"]
@@ -317,8 +401,7 @@ class TestErrorPaths:
     def test_config_error_names_field(self, pipeline, tmp_path, capsys,
                                       extra, field):
         out = str(tmp_path / "m.npz")
-        assert run(["train", "--cohort", pipeline["cohort"],
-                    "--vocab", pipeline["vocab"], "--out", out]
+        assert run(["train", "--cohort", pipeline["cohort"], "--out", out]
                    + TRAIN_SMALL + extra) == 1
         assert field in read_stderr_json(capsys)["error"]
         assert not os.path.exists(out)
@@ -337,8 +420,8 @@ class TestErrorPaths:
                     row["conditions"] = []
                 dst.write(json.dumps(row) + "\n")
         out = str(tmp_path / "m.npz")
-        assert run(["train", "--cohort", bare, "--vocab", pipeline["vocab"],
-                    "--out", out, "--variant", "evac"] + TRAIN_SMALL) == 1
+        assert run(["train", "--cohort", bare, "--out", out,
+                    "--variant", "evac"] + TRAIN_SMALL) == 1
         assert "condition" in read_stderr_json(capsys)["error"]
         assert not os.path.exists(out)
 
@@ -356,8 +439,7 @@ class TestErrorPaths:
         out = tmp_path / "eval.json"
         assert run(["evaluate", "--real", flipped,
                     "--synthetic", pipeline["synth"],
-                    "--vocab", pipeline["vocab"], "--model", pipeline["model"],
-                    "--out", str(out)]) == 1
+                    "--model", pipeline["model"], "--out", str(out)]) == 1
         error = read_stderr_json(capsys)["error"]
         assert str(names[::-1]) in error and str(names) in error
         assert not out.exists()
@@ -369,8 +451,7 @@ class TestErrorPaths:
     ])
     def test_unknown_name_exits_1(self, pipeline, tmp_path, capsys, argv,
                                   value):
-        inputs = {"train": ["--cohort", pipeline["cohort"],
-                            "--vocab", pipeline["vocab"]] + TRAIN_SMALL,
+        inputs = {"train": ["--cohort", pipeline["cohort"]] + TRAIN_SMALL,
                   "generate": ["--model", pipeline["model"]]}[argv[0]]
         out = str(tmp_path / "o")
         assert run(argv + inputs + ["--out", out]) == 1
@@ -388,8 +469,7 @@ class TestErrorPaths:
         monkeypatch.setattr(trainer_mod, "train", boom)
         metrics = str(tmp_path / "metrics.jsonl")
         model = str(tmp_path / "m.npz")
-        code = run(["train", "--cohort", pipeline["cohort"],
-                    "--vocab", pipeline["vocab"], "--out", model,
+        code = run(["train", "--cohort", pipeline["cohort"], "--out", model,
                     "--metrics", metrics] + TRAIN_SMALL)
         assert code == 2
         assert read_stderr_json(capsys)["exit_code"] == 2
@@ -412,7 +492,6 @@ class TestErrorPaths:
         and so are the directories the run made for its outputs."""
         made = tmp_path / "made"
         code = run(["train", "--cohort", pipeline["cohort"],
-                    "--vocab", pipeline["vocab"],
                     "--out", str(made / "model" / "m.npz"),
                     "--metrics", str(made / "log" / "metrics.jsonl")]
                    + TRAIN_SMALL)
@@ -431,7 +510,6 @@ class TestErrorPaths:
         empty.mkdir()
         for where in (kept, empty):
             code = run(["train", "--cohort", pipeline["cohort"],
-                        "--vocab", pipeline["vocab"],
                         "--out", str(where / "m.npz"),
                         "--metrics", str(where / "metrics.jsonl")]
                        + TRAIN_SMALL)
@@ -441,22 +519,28 @@ class TestErrorPaths:
         assert empty.is_dir() and not list(empty.iterdir())
 
     @pytest.mark.parametrize("argv", [
-        ["train", "--cohort", "c", "--vocab", "v", "--out", "o",
-         "--checkpoint-dir", "d"],
+        ["train", "--cohort", "c", "--out", "o", "--checkpoint-dir", "d"],
         ["generate", "--model", "m", "--out", "o", "--temperature", "0.7"],
-        *[["train", "--cohort", "c", "--vocab", "v", "--out", "o", flag, "1"]
+        *[["train", "--cohort", "c", "--out", "o", flag, "1"]
           for flag in ("--lr-phi", "--embed-dim", "--cond-hidden", "--tau",
                        "--gamma")],
-        ["evaluate", "--real", "r", "--synthetic", "s", "--vocab", "v",
-         "--out", "o", "--test-frac", "0.5"],
+        ["evaluate", "--real", "r", "--synthetic", "s", "--out", "o",
+         "--test-frac", "0.5"],
         ["attack", "--synthetic", "s", "--train-cohort", "t",
          "--holdout-cohort", "h", "--out", "o", "--order-sensitive"],
+        ["preprocess", "--input", "i", "--out-cohort", "c",
+         "--out-vocab", "v"],
+        ["train", "--cohort", "c", "--out", "o", "--vocab", "v"],
+        ["evaluate", "--real", "r", "--synthetic", "s", "--out", "o",
+         "--vocab", "v"],
     ])
     def test_deleted_flags_exit_1(self, capsys, argv):
         """Training writes no snapshot directory, and generation samples
         the model's own distribution: neither takes a flag for it. The
         encoders' rate and widths, tau, gamma and the held-out share are
-        constants, and the attack always ignores visit order."""
+        constants, and the attack always ignores visit order. A cohort
+        carries its vocabulary, so no command reads or writes a vocabulary
+        file."""
         assert run(argv) == 1
         assert "unrecognized arguments" in read_stderr_json(capsys)["error"]
 
@@ -464,8 +548,7 @@ class TestErrorPaths:
     def test_abbreviated_flag_exits_1(self, capsys, flag):
         """A flag is named in full: with ``--lr-phi`` gone, ``--lr`` would
         otherwise set ``--lr-global`` where it was ambiguous before."""
-        assert run(["train", "--cohort", "c", "--vocab", "v", "--out", "o",
-                    flag, "1"]) == 1
+        assert run(["train", "--cohort", "c", "--out", "o", flag, "1"]) == 1
         assert "unrecognized arguments" in read_stderr_json(capsys)["error"]
 
 
@@ -478,12 +561,36 @@ class TestMalformedInputs:
         assert err["exit_code"] == 1
         assert str(path) in err["error"] and text in err["error"]
 
-    def test_empty_vocab(self, pipeline, tmp_path, capsys):
-        vocab = tmp_path / "empty.jsonl"
-        vocab.write_text("\n")
+    def train_on_vocab(self, pipeline, tmp_path, capsys, rows, text):
+        """Train on the preprocessed cohort with ``rows``, JSON text, as its
+        meta line's vocabulary: exit 1, naming the cohort and ``text``."""
+        cohort = tmp_path / "c.jsonl"
+        header, *lines = open(pipeline["cohort"]).read().splitlines()
+        header = json.loads(header)
+        header["meta"]["vocab"] = "ROWS"
+        cohort.write_text("\n".join([
+            json.dumps(header).replace('"ROWS"', rows), *lines]) + "\n")
         self.expect_error(capsys, [
-            "train", "--cohort", pipeline["cohort"], "--vocab", str(vocab),
-            "--out", str(tmp_path / "m.npz")] + TRAIN_SMALL, vocab, "empty")
+            "train", "--cohort", str(cohort),
+            "--out", str(tmp_path / "m.npz")] + TRAIN_SMALL, cohort, text)
+        assert not os.path.exists(tmp_path / "m.npz")
+
+    @staticmethod
+    def vocab_rows(pipeline):
+        """The preprocessed cohort's vocabulary rows."""
+        return json.loads(open(pipeline["cohort"]).readline())["meta"]["vocab"]
+
+    def test_empty_vocab(self, pipeline, tmp_path, capsys):
+        self.train_on_vocab(pipeline, tmp_path, capsys, "[]", "empty")
+
+    def test_train_on_a_raw_cohort(self, pipeline, tmp_path, capsys):
+        """A cohort whose meta line carries no vocabulary has no token ids
+        to train on."""
+        self.expect_error(capsys, [
+            "train", "--cohort", pipeline["raw"],
+            "--out", str(tmp_path / "m.npz")] + TRAIN_SMALL, pipeline["raw"],
+            "preprocess")
+        assert not os.path.exists(tmp_path / "m.npz")
 
     @pytest.mark.parametrize("row", [{"visits": [["a"]]}, {"id": "p0"}, []])
     def test_record_without_id_or_visits(self, tmp_path, capsys, row):
@@ -491,53 +598,42 @@ class TestMalformedInputs:
         cohort.write_text(json.dumps(row) + "\n")
         self.expect_error(capsys, [
             "preprocess", "--input", str(cohort),
-            "--out-cohort", str(tmp_path / "o.jsonl"),
-            "--out-vocab", str(tmp_path / "v.jsonl")], cohort, "'visits'")
+            "--out-cohort", str(tmp_path / "o.jsonl")], cohort, "'visits'")
         assert not os.path.exists(tmp_path / "o.jsonl")
 
     def test_vocab_entries_share_a_code_set(self, pipeline, tmp_path,
                                             capsys):
         """Token 0 could never be encoded if a later entry had its codes."""
-        vocab = tmp_path / "v.jsonl"
-        lines = open(pipeline["vocab"]).read().splitlines()
-        second = json.loads(lines[2])
-        second["codes"] = json.loads(lines[1])["codes"][::-1]
-        vocab.write_text("\n".join([*lines[:2], json.dumps(second),
-                                    *lines[3:]]) + "\n")
-        self.expect_error(capsys, [
-            "train", "--cohort", pipeline["cohort"], "--vocab", str(vocab),
-            "--out", str(tmp_path / "m.npz")] + TRAIN_SMALL, vocab,
-            "same code-set")
+        rows = self.vocab_rows(pipeline)
+        rows[1]["codes"] = rows[0]["codes"][::-1]
+        self.train_on_vocab(pipeline, tmp_path, capsys, json.dumps(rows),
+                            "same code-set")
 
     @pytest.mark.parametrize("codes", [[], ["a", "a"]])
     def test_vocab_entry_without_codes_or_with_a_repeated_code(
             self, pipeline, tmp_path, capsys, codes):
         """Looked up as a set, ["a", "a"] would stand for {"a"} while its
         Jaccard similarity counted two codes."""
-        vocab = tmp_path / "v.jsonl"
-        lines = open(pipeline["vocab"]).read().splitlines()
-        last = json.loads(lines[-1])
-        last["codes"] = codes
-        vocab.write_text("\n".join([*lines[:-1], json.dumps(last)]) + "\n")
-        self.expect_error(capsys, [
-            "train", "--cohort", pipeline["cohort"], "--vocab", str(vocab),
-            "--out", str(tmp_path / "m.npz")] + TRAIN_SMALL, vocab,
-            "no codes or a repeated code")
+        rows = self.vocab_rows(pipeline)
+        rows[-1]["codes"] = codes
+        self.train_on_vocab(pipeline, tmp_path, capsys, json.dumps(rows),
+                            "no codes or a repeated code")
 
     @pytest.mark.parametrize("row, text", [
-        ({"token_id": 0, "codes": ["a"]}, "'frequency'"),
+        ({"codes": ["a"]}, "'frequency'"),
         ([1, 2], "TypeError"),
         ("not json", "Expecting value"),
+        ({"codes": "ab", "frequency": 1}, "codes is not a list of strings"),
     ])
     def test_malformed_vocab_row(self, pipeline, tmp_path, capsys, row,
                                  text):
-        vocab = tmp_path / "v.jsonl"
-        lines = open(pipeline["vocab"]).read().splitlines()
+        """A row without a frequency, a row that is not an object, a row
+        that is not JSON, and a row whose codes, a string, would be read
+        one code per character, before the good ones."""
         body = row if isinstance(row, str) else json.dumps(row)
-        vocab.write_text("\n".join([lines[0], body, *lines[1:]]) + "\n")
-        self.expect_error(capsys, [
-            "train", "--cohort", pipeline["cohort"], "--vocab", str(vocab),
-            "--out", str(tmp_path / "m.npz")] + TRAIN_SMALL, vocab, text)
+        rows = json.dumps(self.vocab_rows(pipeline))
+        self.train_on_vocab(pipeline, tmp_path, capsys,
+                            f"[{body}, {rows[1:]}", text)
 
     @pytest.mark.parametrize("line, text", [
         (json.dumps({"id": "p0", "visits": [["a"]], "conditions": 5}),
@@ -549,8 +645,7 @@ class TestMalformedInputs:
         cohort.write_text(line + "\n")
         self.expect_error(capsys, [
             "preprocess", "--input", str(cohort),
-            "--out-cohort", str(tmp_path / "o.jsonl"),
-            "--out-vocab", str(tmp_path / "v.jsonl")], cohort, text)
+            "--out-cohort", str(tmp_path / "o.jsonl")], cohort, text)
         assert not os.path.exists(tmp_path / "o.jsonl")
 
     def test_unknown_condition(self, tmp_path, capsys):
@@ -561,8 +656,7 @@ class TestMalformedInputs:
                           "conditions": ["cond_9"]}) + "\n")
         self.expect_error(capsys, [
             "preprocess", "--input", str(cohort),
-            "--out-cohort", str(tmp_path / "o.jsonl"),
-            "--out-vocab", str(tmp_path / "v.jsonl")], cohort, "'cond_9'")
+            "--out-cohort", str(tmp_path / "o.jsonl")], cohort, "'cond_9'")
 
     @pytest.mark.parametrize("names", ["ab", ["a", 1], {"a": 1}])
     def test_condition_names_not_a_list_of_strings(self, tmp_path, capsys,
@@ -575,8 +669,7 @@ class TestMalformedInputs:
                           "conditions": ["a"]}) + "\n")
         self.expect_error(capsys, [
             "preprocess", "--input", str(cohort),
-            "--out-cohort", str(tmp_path / "o.jsonl"),
-            "--out-vocab", str(tmp_path / "v.jsonl")], cohort,
+            "--out-cohort", str(tmp_path / "o.jsonl")], cohort,
             "list of strings")
         assert not os.path.exists(tmp_path / "o.jsonl")
 
@@ -601,8 +694,7 @@ class TestMalformedInputs:
             + json.dumps(row) + "\n")
         self.expect_error(capsys, [
             "preprocess", "--input", str(cohort),
-            "--out-cohort", str(tmp_path / "o.jsonl"),
-            "--out-vocab", str(tmp_path / "v.jsonl")], cohort, text)
+            "--out-cohort", str(tmp_path / "o.jsonl")], cohort, text)
         assert not os.path.exists(tmp_path / "o.jsonl")
 
     def test_condition_listed_twice(self, tmp_path, capsys):
@@ -614,8 +706,7 @@ class TestMalformedInputs:
                           "conditions": ["x"]}) + "\n")
         self.expect_error(capsys, [
             "preprocess", "--input", str(cohort),
-            "--out-cohort", str(tmp_path / "o.jsonl"),
-            "--out-vocab", str(tmp_path / "v.jsonl")], cohort, "twice")
+            "--out-cohort", str(tmp_path / "o.jsonl")], cohort, "twice")
         assert not os.path.exists(tmp_path / "o.jsonl")
 
 
@@ -700,8 +791,7 @@ class TestMalformedCheckpoint:
         out = tmp_path / "out"
         argv = {"generate": ["generate"],
                 "evaluate": ["evaluate", "--real", pipeline["cohort"],
-                             "--synthetic", pipeline["synth"],
-                             "--vocab", pipeline["vocab"]]}[command]
+                             "--synthetic", pipeline["synth"]]}[command]
         assert run(argv + ["--model", str(model), "--out", str(out)]) == 1
         err = read_stderr_json(capsys)
         assert err["exit_code"] == 1
@@ -719,7 +809,7 @@ CONFIG_FLAGS = [
 ]
 # the only flags whose default is not their field's: those fields have none
 CLI_DEFAULTS = {("train", "t_max"): 16, ("generate", "count"): 1000}
-REQUIRED = {"train": ["--cohort", "c", "--vocab", "v", "--out", "o"],
+REQUIRED = {"train": ["--cohort", "c", "--out", "o"],
             "generate": ["--model", "m", "--out", "o"]}
 # a valid value other than the default for every field that has a flag
 NON_DEFAULT = {
@@ -806,8 +896,7 @@ class TestConfigFlags:
         values = {flag_dest(name): text_of(value) for cls in classes
                   for name, value in NON_DEFAULT[cls].items()}
         argv = [command, "--out", str(tmp_path / "o")] + {
-            "train": ["--cohort", pipeline["cohort"],
-                      "--vocab", pipeline["vocab"]],
+            "train": ["--cohort", pipeline["cohort"]],
             "generate": ["--model", pipeline["model"]]}[command]
         for dest, text in values.items():
             argv += ["--" + dest.replace("_", "-"), text]

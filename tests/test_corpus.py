@@ -1,5 +1,6 @@
 """Corpus handling: records, visit vocabulary, token encoding, disk round-trips."""
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -13,14 +14,13 @@ from ehrgen.corpus import (
     build_visit_vocab,
     encode_cohort,
     load_cohort,
-    load_vocab,
     replace_rare_visits,
     save_cohort,
-    save_vocab,
     token_ids,
     visit_key,
 )
 from ehrgen.evaluation import ngram_stats, train_next_visit_predictor
+from ehrgen.simulate import default_toy_spec, simulate_toy_cohort
 
 from oracles import looped_best_replacement, looped_encode_cohort, tiny_records
 
@@ -358,12 +358,26 @@ class TestDiskRoundTrip:
         assert back.records[1].id == "p1"
 
     def test_vocab_roundtrip(self, tmp_path):
-        path = tmp_path / "vocab.jsonl"
+        """A cohort's vocabulary travels in its meta line, as the rows a
+        checkpoint stores; a simulated cohort has none and loads raw."""
+        path = tmp_path / "cohort.jsonl"
         vocab = small_vocab()
-        save_vocab(path, vocab)
-        back = load_vocab(path)
-        assert back == vocab
-        assert back.eos_id == vocab.eos_id
+        assert VisitVocab.from_rows(vocab.rows()) == vocab
+        cohort = Cohort(tiny_records(), [], vocab=vocab)
+        save_cohort(path, cohort, meta={"seed": 3})
+        meta = json.loads(open(path).readline())["meta"]
+        assert meta["vocab"] == vocab.rows() == [
+            {"codes": ["a"], "frequency": 5},
+            {"codes": ["b", "c"], "frequency": 3},
+            {"codes": ["d"], "frequency": 1}]
+        back = load_cohort(path)
+        assert back.vocab == vocab
+        assert back.vocab.eos_id == vocab.eos_id
+        assert back.records == cohort.records
+        save_cohort(path, simulate_toy_cohort(default_toy_spec(n_records=5),
+                                              seed=1))
+        assert "vocab" not in json.loads(open(path).readline())["meta"]
+        assert load_cohort(path).vocab is None
 
     def test_cohort_without_conditions(self, tmp_path):
         path = tmp_path / "c.jsonl"

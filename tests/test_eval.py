@@ -480,6 +480,21 @@ class TestReport:
             "real": avg_jaccard_counts(real)[1],
             "synthetic": avg_jaccard_counts(other)[1]}
 
+    def test_refuses_cohorts_with_different_vocabularies(self):
+        """Token ids mean visits only under their vocabulary: two cohorts,
+        each preprocessed on its own, are refused, where their bigram
+        Pearson would mix two id spaces."""
+        a, b = (simulate_toy_cohort(default_toy_spec(n_records=300), seed=s)
+                for s in (1, 2))
+        a = replace_rare_visits(a, build_visit_vocab(a, max_size=60))
+        b = replace_rare_visits(b, build_visit_vocab(b, max_size=60))
+        assert a.vocab != b.vocab
+        with pytest.raises(ValueError, match="vocabularies differ"):
+            report(a, b)
+        b.vocab = None
+        with pytest.raises(ValueError, match="vocabularies differ"):
+            report(a, b)
+
 
 # ---------------------------------------------------------------------------
 # fast paths against the reference implementations

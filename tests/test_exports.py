@@ -19,7 +19,7 @@ EXPORTS = {
     "corpus": ["PatientRecord", "Cohort", "VisitVocab", "VocabEntry",
                "EncodedBatch", "visit_key", "build_visit_vocab",
                "replace_rare_visits", "encode_cohort", "save_cohort",
-               "load_cohort", "save_vocab", "load_vocab"],
+               "load_cohort"],
     "simulate": ["ToyCorpusSpec", "default_toy_spec", "simulate_toy_cohort",
                  "condition_codes", "analytic_group_unigram"],
     "latent": ["sample_prior_eva", "sample_prior_evac"],
@@ -48,7 +48,7 @@ def test_every_exported_name_resolves():
              for name in names
              if getattr(ehrgen, name, None) is not getattr(
                  sys.modules[f"ehrgen.{module}"], name)]
-    assert sum(map(len, EXPORTS.values())) == 50
+    assert sum(map(len, EXPORTS.values())) == 48
     assert wrong == []
 
 
