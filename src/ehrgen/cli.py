@@ -1,8 +1,8 @@
 """Command-line pipeline: simulate -> preprocess -> train -> generate ->
 evaluate / attack.
 
-Every artifact embeds the sha256 digest of the effective configuration plus
-the seed, so identical invocations produce identical files. The ``train`` /
+Every artifact embeds the sha256 digest of the effective configuration and
+any seed, so identical invocations produce identical files. The ``train`` /
 ``generate`` flags are the fields of ``TrainConfig`` and ``DecoderConfig`` /
 ``GenerationRequest`` in kebab case, except ``--iters`` and ``--reservoir``.
 Exit codes: 0 success, 1 configuration error, 2 runtime/numerical failure.
@@ -123,7 +123,7 @@ _LIST_TYPES = {"dilations": _int_list, "conditions": _name_list}
 
 
 def _add_config_flags(parser, cls):
-    """One flag per field of ``cls`` but ``seed`` (every subcommand has one),
+    """One flag per field of ``cls`` but ``seed`` (``build_parser`` adds it),
     so each default lives only there; a ``None`` default takes an int."""
     for f in fields(cls):
         if f.name == "seed":
@@ -152,43 +152,31 @@ def cmd_simulate(args, out):
         len_min=args.len_min, len_max=args.len_max,
         structure_seed=args.structure_seed)
     cohort = sim.simulate_toy_cohort(spec, args.seed)
-    save_cohort(out.path(args.out), cohort,
-                meta={"config_digest": config_digest(args),
-                      "seed": args.seed})
+    cohort.extra = {"config_digest": config_digest(args), "seed": args.seed}
+    save_cohort(out.path(args.out), cohort)
     return 0
-
-
-def _replacement_counts(raw, processed):
-    """What rare-visit replacement did to ``raw``: the visits it replaced,
-    the records it touched, the replacements that share no code with their
-    visit, and the mean Jaccard similarity of visit and replacement (None
-    when nothing was replaced)."""
-    pairs = [(a, b) for r, p in zip(raw.records, processed.records)
-             for a, b in zip(r.visits, p.visits) if a != b]
-    jaccard = [len(a & b) / len(a | b) for a, b in pairs]
-    return {"replaced_visits": len(pairs),
-            "records_touched": sum(r.visits != p.visits for r, p in
-                                   zip(raw.records, processed.records)),
-            "zero_overlap_visits": jaccard.count(0.0),
-            "replacement_jaccard_mean":
-                sum(jaccard) / len(jaccard) if jaccard else None}
 
 
 def cmd_preprocess(args, out):
     cohort = load_cohort(_require_file(args.input, "input cohort"))
     vocab = build_visit_vocab(cohort, max_size=args.max_vocab)
     processed = replace_rare_visits(cohort, vocab)
-    save_cohort(out.path(args.out_cohort), processed,
-                meta={"config_digest": config_digest(args), "seed": 0,
-                      **_replacement_counts(cohort, processed)})
+    processed.extra = {"config_digest": config_digest(args),
+                       **processed.extra}
+    save_cohort(out.path(args.out_cohort), processed)
     return 0
 
 
-def cmd_train(args, out):
-    cohort = load_cohort(_require_file(args.cohort, "cohort"))
+def _preprocessed(path, what):
+    cohort = load_cohort(_require_file(path, what))
     if cohort.vocab is None:
-        raise ConfigError(f"{args.cohort}: a raw cohort, with no vocabulary; "
+        raise ConfigError(f"{path}: a raw cohort, with no vocabulary; "
                           "run ehrgen preprocess on it first")
+    return cohort
+
+
+def cmd_train(args, out):
+    cohort = _preprocessed(args.cohort, "cohort")
     config = _config(TrainConfig, args)
     dec_cfg = _config(DecoderConfig, args)
     batch = encode_cohort(cohort, cohort.vocab, args.t_max)
@@ -223,12 +211,10 @@ def cmd_train(args, out):
 
 def cmd_generate(args, out):
     model = TrainedModel.load(_require_file(args.model, "model checkpoint"))
-    request = _config(GenerationRequest, args)
-    cohort = generator.generate_cohort(model, request)
-    save_cohort(out.path(args.out), cohort,
-                meta={"config_digest": config_digest(args),
-                      "seed": args.seed,
-                      **generator.generation_counts(model, request, cohort)})
+    cohort = generator.generate_cohort(model, _config(GenerationRequest, args))
+    cohort.extra = {"config_digest": config_digest(args), "seed": args.seed,
+                    **cohort.extra}
+    save_cohort(out.path(args.out), cohort)
     return 0
 
 
@@ -236,7 +222,7 @@ def cmd_evaluate(args, out):
     if any(k < 1 for k in args.topk):
         raise ConfigError(f"--topk values must be >= 1, got {args.topk}")
     real = load_cohort(_require_file(args.real, "real cohort"))
-    synth = load_cohort(_require_file(args.synthetic, "synthetic cohort"))
+    synth = _preprocessed(args.synthetic, "synthetic cohort")
     if real.vocab is None:  # a raw real cohort is read in the synthetic ids
         real.vocab = synth.vocab
     model = (TrainedModel.load(_require_file(args.model, "model"))
@@ -303,7 +289,6 @@ def build_parser():
     def add(name, fn, help_):
         # no abbreviations: a prefix of a deleted flag must not set another
         p = sub.add_parser(name, help=help_, allow_abbrev=False)
-        p.add_argument("--seed", type=int, default=0)
         p.set_defaults(func=fn)
         subparsers[name] = p
         return p
@@ -349,6 +334,9 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--n-known", type=int, default=100)
 
+    # preprocessing draws no random numbers, so it takes no seed
+    for name in ("simulate", "train", "generate", "evaluate", "attack"):
+        subparsers[name].add_argument("--seed", type=int, default=0)
     return parser, subparsers
 
 

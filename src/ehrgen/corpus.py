@@ -7,16 +7,17 @@ with it (ties: larger Jaccard similarity, higher frequency, then the codes; no
 shared code: the most frequent entry). Only the entries on the visit's codes'
 postings (a code -> entries index built once per call) are ranked, and the
 fallback is found once per call, so a rare visit costs its codes' postings,
-not the vocabulary size. Two reserved tokens (EOS, PAD) sit after the data
+not the vocabulary size; the replacement counts what it replaced in the
+cohort's ``extra``. Two reserved tokens (EOS, PAD) sit after the data
 tokens so generation has a stopping rule and batches can be padded. Visits
 become token ids in one place, ``token_ids``, whose flat id array the padded
 training matrix and the n-gram statistics read; an out-of-vocabulary visit
 fails there, with one message.
 
-Cohorts are stored as line-delimited JSON, one patient per line, with an
-optional leading meta line. A preprocessed or generated cohort carries its
-vocabulary in that line, as the rows ``VisitVocab.rows`` gives and a
-checkpoint stores too; a cohort without them is raw.
+Cohorts are stored as line-delimited JSON, one patient per line, after an
+optional meta line: the condition names, the cohort's ``extra`` (never read
+back), and a preprocessed or generated cohort's vocabulary, as the rows
+``VisitVocab.rows`` gives and a checkpoint stores; a raw cohort has none.
 """
 
 from __future__ import annotations
@@ -133,11 +134,13 @@ class VisitVocab:
 
 @dataclass
 class Cohort:
-    """A list of patient records plus the condition-name axis they share."""
+    """Patient records, the condition-name axis they share, and in ``extra``
+    what the call that returned them reports (empty once loaded or derived)."""
 
     records: list
     condition_names: list = field(default_factory=list)
     vocab: VisitVocab | None = None
+    extra: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.records)
@@ -173,7 +176,10 @@ def replace_rare_visits(cohort, vocab):
 
     An entry sharing ``inter`` codes with the visit ranks by
     ``(-inter, -jaccard, -frequency, codes)``, lowest first; a visit that
-    shares no code with any entry takes the most frequent one.
+    shares no code with any entry takes the most frequent one. The result's
+    ``extra`` counts the ``replaced_visits``, the ``records_touched`` and
+    the ``zero_overlap_visits`` (replaced by an entry sharing no code), and
+    gives their ``replacement_jaccard_mean`` (None when there are none).
     """
     if vocab is None or vocab.n_entries == 0:
         raise ValueError("empty vocabulary")
@@ -196,29 +202,32 @@ def replace_rare_visits(cohort, vocab):
 
         i = min((i for i, n in shared.items() if n == inter), key=rank,
                 default=fallback)
-        return frozenset(entries[i].codes)
+        e = entries[i]  # its Jaccard as in rank; inter is 0 for the fallback
+        return frozenset(e.codes), inter / (len(codes) + len(e.codes) - inter)
 
-    cache = {}
-    new_records = []
+    cache = {}  # rare visit -> (its replacement, their Jaccard similarity)
+    new_records, jaccard, touched = [], [], 0
     for rec in cohort.records:
-        visits = []
-        changed = False
+        before, visits = len(jaccard), []
         for visit in rec.visits:
-            if visit in vocab:
-                visits.append(visit)
-                continue
-            if visit not in cache:
-                cache[visit] = best(visit)
-            visits.append(cache[visit])
-            changed = True
-        if changed:
-            new_records.append(replace(rec, visits=tuple(visits)))
-        else:
-            new_records.append(rec)
+            if visit not in vocab:
+                if visit not in cache:
+                    cache[visit] = best(visit)
+                visit, jac = cache[visit]
+                jaccard.append(jac)
+            visits.append(visit)
+        if len(jaccard) > before:
+            touched += 1
+            rec = replace(rec, visits=tuple(visits))
+        new_records.append(rec)
     return Cohort(
         records=new_records,
         condition_names=list(cohort.condition_names),
         vocab=vocab,
+        extra={"replaced_visits": len(jaccard), "records_touched": touched,
+               "zero_overlap_visits": jaccard.count(0.0),
+               "replacement_jaccard_mean":
+                   sum(jaccard) / len(jaccard) if jaccard else None},
     )
 
 
@@ -289,15 +298,15 @@ def encode_cohort(cohort, vocab, t_max):
 # file I/O (line-delimited JSON)
 # ---------------------------------------------------------------------------
 
-def save_cohort(path, cohort, meta=None):
-    """A meta line, holding the vocabulary's rows when one is attached, then
-    one patient per line: {id, visits: [[code, ...], ...], conditions: [name, ...]}."""
+def save_cohort(path, cohort):
+    """A meta line (condition names, ``cohort.extra``, any vocabulary's rows),
+    then one patient per line: {id, visits: [[code, ...], ...], conditions: [name, ...]}."""
     header = {
         "meta": {
             "format": "cohort",
             "version": COHORT_FORMAT_VERSION,
             "condition_names": list(cohort.condition_names),
-            **(meta or {}),
+            **cohort.extra,
         }
     }
     if cohort.vocab is not None:
@@ -335,8 +344,8 @@ def _strings(value):
 
 
 def load_cohort(path):
-    """Read a cohort file, with the vocabulary its meta line carries, if
-    any; a malformed one raises ValueError naming it."""
+    """Read a cohort file with its meta line's vocabulary, if any, and an
+    empty ``extra``; a malformed one raises ValueError naming it."""
     with reading(path, "cohort"), open(path) as fh:
         rows = [json.loads(line) for line in fh if line.strip()]
         names = vocab = None

@@ -165,9 +165,11 @@ def decode_logits(params, cfg, z, tokens):
 def sequence_log_likelihood(params, cfg, z, tokens, mask):
     """ln p(tokens | z) per record, each position weighted by ``mask``.
     Returns (ll (B,), cache). The rows, sorted by last live column, run the
-    stack in equal-row buckets cut after their last live column; only the live
-    positions (mask != 0) go through the head and the cross-entropy. The cache
-    holds the buckets, the live indices, the head cache and logit gradient."""
+    stack in equal-row buckets, one per ``_BUCKET_COLUMNS`` columns of the
+    longest row, each cut, its latent context included, after its last live
+    column; only the live positions (mask != 0) go through the head and the
+    cross-entropy. The cache holds the buckets, the live indices, the head
+    cache and logit gradient."""
     z = np.atleast_2d(np.asarray(z, dtype=float))
     tokens = np.asarray(tokens)
     mask = np.asarray(mask, dtype=float)

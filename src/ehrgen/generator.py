@@ -14,7 +14,8 @@ early, under either policy: a capped cohort is the uncapped one truncated.
 
 Each record has 1 to t_max visits (the model's t_max, or the request's when
 smaller). The first visit is drawn with the end marker masked, so no record
-comes back empty and no record is redrawn.
+comes back empty and no record is redrawn. The cohort's ``extra`` counts,
+from the draws themselves, the records of each snapshot and how they ended.
 """
 
 from __future__ import annotations
@@ -69,17 +70,13 @@ def _draw_latents(model, snapshot, y, n, rng):
     return z
 
 
-def _snapshot_picks(model, request, rng):
-    """The reservoir snapshot of each record: uniform under the ensemble
-    policy, the last one under the point policy, which draws nothing."""
-    if request.policy == "ensemble":
-        return rng.integers(len(model.reservoir), size=request.count)
-    return np.full(request.count, len(model.reservoir) - 1)
-
-
 def generate_cohort(model, request):
     """Sample ``request.count`` records; returns a Cohort in the same shape
-    the corpus loader produces, so it can replace real data downstream."""
+    the corpus loader produces, so it can replace real data downstream.
+    Its ``extra`` counts the records drawn from each reservoir snapshot
+    (``records_per_snapshot``) and those stopped at the length cap, the
+    smaller of the request's and the model's t_max (``stopped_at_cap``),
+    or by drawing the end marker (``stopped_at_eos``)."""
     if request.conditions and model.variant != "evac":
         raise ValueError("conditional generation requires evac")
     if not model.reservoir:
@@ -90,7 +87,10 @@ def generate_cohort(model, request):
          if model.variant == "evac" else None)
 
     rng = np.random.default_rng(request.seed)
-    picks = _snapshot_picks(model, request, rng)
+    n_snaps = len(model.reservoir)
+    picks = (rng.integers(n_snaps, size=request.count)
+             if request.policy == "ensemble"
+             else np.full(request.count, n_snaps - 1))  # draws nothing
     snaps, sizes = np.unique(picks, return_counts=True)
     z = [_draw_latents(model, model.reservoir[s], y, n, rng)
          for s, n in zip(snaps, sizes)]
@@ -110,26 +110,15 @@ def generate_cohort(model, request):
         )
         for i, toks in enumerate(visits_out)
     ]
+    cap = min(request.t_max or model.dec_cfg.t_max, model.dec_cfg.t_max)
+    at_cap = sum(len(toks) == cap for toks in sampled)
     return Cohort(records=records,
                   condition_names=list(model.condition_names),
-                  vocab=vocab)
-
-
-def generation_counts(model, request, cohort):
-    """The counts behind a cohort that ``generate_cohort`` returned for
-    ``request``: the records drawn from each reservoir snapshot, and the
-    records stopped at the length cap (the smaller of the request's and
-    the model's t_max) rather than by drawing the end marker. The snapshot
-    picks are the first draws from the request's seed, so they are drawn
-    again here."""
-    rng = np.random.default_rng(request.seed)
-    picks = _snapshot_picks(model, request, rng)
-    cap = min(request.t_max or model.dec_cfg.t_max, model.dec_cfg.t_max)
-    at_cap = sum(len(r.visits) == cap for r in cohort.records)
-    return {"records_per_snapshot":
-            np.bincount(picks, minlength=len(model.reservoir)).tolist(),
-            "stopped_at_cap": at_cap,
-            "stopped_at_eos": len(cohort) - at_cap}
+                  vocab=vocab,
+                  extra={"records_per_snapshot":
+                         np.bincount(picks, minlength=n_snaps).tolist(),
+                         "stopped_at_cap": at_cap,
+                         "stopped_at_eos": request.count - at_cap})
 
 
 def generate_case_control(model, condition, n_case, n_control, seed):

@@ -108,6 +108,23 @@ class TestPipeline:
         header = json.loads(open(pipeline["raw"]).readline())
         assert "vocab" not in header["meta"]
 
+    def test_meta_keys(self, pipeline):
+        """Each meta line holds the condition names, then the run's digest
+        and seed (preprocessing takes none), then the counts of the call
+        that made the cohort, then its vocabulary."""
+        head = ["format", "version", "condition_names", "config_digest"]
+        want = {
+            "raw": head + ["seed"],
+            "cohort": head + ["replaced_visits", "records_touched",
+                              "zero_overlap_visits",
+                              "replacement_jaccard_mean", "vocab"],
+            "synth": head + ["seed", "records_per_snapshot",
+                             "stopped_at_cap", "stopped_at_eos", "vocab"],
+        }
+        for name, keys in want.items():
+            meta = json.loads(open(pipeline[name]).readline())["meta"]
+            assert list(meta) == keys, name
+
     def test_preprocess_replaces_rare_visits(self, pipeline, tmp_path):
         """With a vocabulary smaller than the distinct visits, the written
         cohort is the library's replacement and holds no rare visit."""
@@ -372,6 +389,19 @@ class TestErrorPaths:
         assert "vocabularies differ" in read_stderr_json(capsys)["error"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("real", ["raw", "cohort"])
+    def test_evaluate_raw_synthetic_exits_1(self, pipeline, tmp_path, capsys,
+                                            real):
+        """A raw synthetic cohort is refused by file name, as train refuses
+        one, whether the real cohort is raw or preprocessed."""
+        out = tmp_path / "eval.json"
+        assert run(["evaluate", "--real", pipeline[real],
+                    "--synthetic", pipeline["holdout"],
+                    "--out", str(out)]) == 1
+        err = read_stderr_json(capsys)["error"]
+        assert err.startswith(f"{pipeline['holdout']}: a raw cohort")
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_known", ["-4", "0", "1"])
     def test_attack_n_known_below_2_exits_1(self, pipeline, tmp_path, capsys,
                                             n_known):
@@ -533,6 +563,7 @@ class TestErrorPaths:
         ["train", "--cohort", "c", "--out", "o", "--vocab", "v"],
         ["evaluate", "--real", "r", "--synthetic", "s", "--out", "o",
          "--vocab", "v"],
+        ["preprocess", "--input", "i", "--out-cohort", "c", "--seed", "5"],
     ])
     def test_deleted_flags_exit_1(self, capsys, argv):
         """Training writes no snapshot directory, and generation samples
@@ -540,7 +571,7 @@ class TestErrorPaths:
         encoders' rate and widths, tau, gamma and the held-out share are
         constants, and the attack always ignores visit order. A cohort
         carries its vocabulary, so no command reads or writes a vocabulary
-        file."""
+        file. Preprocessing draws no random numbers and takes no seed."""
         assert run(argv) == 1
         assert "unrecognized arguments" in read_stderr_json(capsys)["error"]
 

@@ -131,6 +131,28 @@ class TestRareReplacement:
         with pytest.raises(ValueError):
             replace_rare_visits(Cohort(tiny_records(), []), None)
 
+    def test_extra_counts_replacements(self):
+        """Hand-checked: two entries keep {a} and {b}, three visits each.
+        {a, c}, twice, shares a with {a} (Jaccard 1/2); {d} shares no code
+        with either, so it takes the most frequent entry, {a} (the tie
+        broken on the codes). With every visit type kept, nothing is
+        replaced. Only the touched records are copied."""
+        a, b, ac, d = (frozenset(v) for v in ("a", "b", "ac", "d"))
+        cohort = Cohort([
+            PatientRecord("p0", (a, b)), PatientRecord("p1", (a, ac)),
+            PatientRecord("p2", (d, b, a)), PatientRecord("p3", (b, ac))], [])
+        keys = ("replaced_visits", "records_touched", "zero_overlap_visits",
+                "replacement_jaccard_mean")
+        out = replace_rare_visits(cohort, build_visit_vocab(cohort, 2))
+        assert list(out.extra) == list(keys)
+        assert [out.extra[k] for k in keys] == [3, 3, 1, pytest.approx(1 / 3)]
+        assert [r.visits for r in out.records] == [(a, b), (a, a),
+                                                   (a, b, a), (b, a)]
+        assert out.records[0] is cohort.records[0]
+        kept = replace_rare_visits(cohort, build_visit_vocab(cohort, 50))
+        assert [kept.extra[k] for k in keys] == [0, 0, 0, None]
+        assert all(x is y for x, y in zip(kept.records, cohort.records))
+
 
 def random_vocab(rng, alphabet, n_entries):
     """Distinct code-sets of 1-3 codes, each stored in a random code order,
@@ -167,7 +189,8 @@ def deciding_level(visit, vocab):
 
 class TestReplacementOracle:
     """``replace_rare_visits`` ranks only the entries on its code postings;
-    the looped scan over every entry is the reference."""
+    the looped scan over every entry is the reference, and the records
+    before and after are the reference for its counts."""
 
     def test_equals_looped_scan(self):
         rng = np.random.default_rng(20)
@@ -190,6 +213,17 @@ class TestReplacementOracle:
                 assert got.visits == want
                 levels.update(deciding_level(v, vocab)
                               for v in rec.visits if v not in vocab)
+            # the counts, from the records before and after
+            pairs = [(v, w) for rec, got in zip(records, out.records)
+                     for v, w in zip(rec.visits, got.visits) if v != w]
+            jac = [len(v & w) / len(v | w) for v, w in pairs]
+            assert out.extra == {
+                "replaced_visits": len(pairs),
+                "records_touched": sum(rec.visits != got.visits for rec, got
+                                       in zip(records, out.records)),
+                "zero_overlap_visits": jac.count(0.0),
+                "replacement_jaccard_mean":
+                    sum(jac) / len(jac) if jac else None}
         # every tie-break level decided some replacement
         assert {0, 1, 2, 3, "only", ("zero", 0), ("zero", 1)} <= set(levels)
 
@@ -348,9 +382,12 @@ class TestDiskRoundTrip:
                 PatientRecord("p1", (frozenset({"d"}),), conditions=(0, 1)),
             ],
             condition_names=["cond_0", "background"],
+            extra={"seed": 3},
         )
-        save_cohort(path, cohort, meta={"seed": 3})
+        save_cohort(path, cohort)
+        assert json.loads(open(path).readline())["meta"]["seed"] == 3
         back = load_cohort(path)
+        assert back.extra == {}  # loading decides nothing
         assert back.condition_names == ["cond_0", "background"]
         assert len(back) == 2
         assert back.records[0].visits == cohort.records[0].visits
@@ -359,18 +396,22 @@ class TestDiskRoundTrip:
 
     def test_vocab_roundtrip(self, tmp_path):
         """A cohort's vocabulary travels in its meta line, as the rows a
-        checkpoint stores; a simulated cohort has none and loads raw."""
+        checkpoint stores, after the cohort's ``extra``; a simulated cohort
+        has none and loads raw."""
         path = tmp_path / "cohort.jsonl"
         vocab = small_vocab()
         assert VisitVocab.from_rows(vocab.rows()) == vocab
-        cohort = Cohort(tiny_records(), [], vocab=vocab)
-        save_cohort(path, cohort, meta={"seed": 3})
+        cohort = Cohort(tiny_records(), [], vocab=vocab, extra={"seed": 3})
+        save_cohort(path, cohort)
         meta = json.loads(open(path).readline())["meta"]
+        assert list(meta) == ["format", "version", "condition_names", "seed",
+                              "vocab"]
         assert meta["vocab"] == vocab.rows() == [
             {"codes": ["a"], "frequency": 5},
             {"codes": ["b", "c"], "frequency": 3},
             {"codes": ["d"], "frequency": 1}]
         back = load_cohort(path)
+        assert back.extra == {}
         assert back.vocab == vocab
         assert back.vocab.eos_id == vocab.eos_id
         assert back.records == cohort.records

@@ -224,7 +224,9 @@ class TestSplit:
         spec = default_toy_spec(n_records=50, background_groups=3,
                                 groups_per_condition=2, len_min=2, len_max=4)
         cohort = simulate_toy_cohort(spec, seed=0)
+        cohort.extra = {"seed": 0}
         tr, te = split_cohort(cohort, seed=1)
+        assert tr.extra == te.extra == {}  # splitting decides nothing
         assert len(te) == 10 and len(tr) == 40
         ids_tr = {r.id for r in tr.records}
         ids_te = {r.id for r in te.records}

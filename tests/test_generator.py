@@ -15,7 +15,6 @@ from ehrgen.generator import (
     condition_vector,
     generate_case_control,
     generate_cohort,
-    generation_counts,
 )
 from ehrgen.latent import GAMMA, TAU, sample_prior_eva, sample_prior_evac
 from ehrgen.simulate import default_toy_spec, simulate_toy_cohort
@@ -256,7 +255,7 @@ class TestGeneration:
         request = GenerationRequest(count=25, seed=2, policy=policy,
                                     t_max=t_max)
         out = generate_cohort(EVA, request)
-        counts = generation_counts(EVA, request, out)
+        counts = out.extra
         per_snapshot = counts["records_per_snapshot"]
         assert len(per_snapshot) == len(EVA.reservoir)
         assert sum(per_snapshot) == 25
@@ -270,6 +269,24 @@ class TestGeneration:
         else:
             assert min(per_snapshot) > 0
             assert 0 < counts["stopped_at_cap"] < 25
+
+    @pytest.mark.parametrize("policy", ["ensemble", "point"])
+    def test_counts_describe_the_records(self, policy):
+        """Snapshot 0 alone draws a marker token, and every other snapshot
+        is forbidden it, so the records that start with the marker are
+        those drawn from snapshot 0: as many as the counts give it."""
+        import copy
+        marked = copy.deepcopy(EVA)
+        marker = 0
+        for s, snap in enumerate(marked.reservoir):
+            snap["theta"]["head"]["b"][marker] = 1e3 if s == 0 else -np.inf
+        out = generate_cohort(marked, GenerationRequest(count=40, seed=3,
+                                                        policy=policy))
+        per_snapshot = out.extra["records_per_snapshot"]
+        first = Counter(EVA.vocab.token_of(r.visits[0]) for r in out.records)
+        assert first[marker] == per_snapshot[0]
+        if policy == "ensemble":
+            assert per_snapshot[0] > 0
 
     def test_point_policy_uses_last_snapshot_only(self):
         """Point generation must be reproducible from the last sample alone."""
