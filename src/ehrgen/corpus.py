@@ -25,8 +25,8 @@ from __future__ import annotations
 import contextlib
 import json
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from itertools import chain
+from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -180,6 +180,8 @@ def replace_rare_visits(cohort, vocab):
     ``extra`` counts the ``replaced_visits``, the ``records_touched`` and
     the ``zero_overlap_visits`` (replaced by an entry sharing no code), and
     gives their ``replacement_jaccard_mean`` (None when there are none).
+    Each record's visits are looked up in one C-level pass; a record with
+    none rare is kept as it is, and only the others run a loop per visit.
     """
     if vocab is None or vocab.n_entries == 0:
         raise ValueError("empty vocabulary")
@@ -190,8 +192,7 @@ def replace_rare_visits(cohort, vocab):
             postings.setdefault(code, []).append(e.token_id)
     fallback = min(entries, key=lambda e: (-e.frequency, e.codes)).token_id
 
-    def best(visit):
-        codes = frozenset(visit)
+    def best(codes):  # codes: a rare visit's frozenset
         shared = Counter(chain.from_iterable(postings.get(c, ()) for c in codes))
         inter = max(shared.values(), default=0)
 
@@ -205,21 +206,23 @@ def replace_rare_visits(cohort, vocab):
         e = entries[i]  # its Jaccard as in rank; inter is 0 for the fallback
         return frozenset(e.codes), inter / (len(codes) + len(e.codes) - inter)
 
+    known = vocab._by_key.__contains__
     cache = {}  # rare visit -> (its replacement, their Jaccard similarity)
     new_records, jaccard, touched = [], [], 0
     for rec in cohort.records:
-        before, visits = len(jaccard), []
-        for visit in rec.visits:
-            if visit not in vocab:
+        if all(map(known, map(frozenset, rec.visits))):
+            new_records.append(rec)
+            continue
+        visits = []
+        for visit in map(frozenset, rec.visits):
+            if not known(visit):
                 if visit not in cache:
                     cache[visit] = best(visit)
                 visit, jac = cache[visit]
                 jaccard.append(jac)
             visits.append(visit)
-        if len(jaccard) > before:
-            touched += 1
-            rec = replace(rec, visits=tuple(visits))
-        new_records.append(rec)
+        touched += 1
+        new_records.append(PatientRecord(rec.id, tuple(visits), rec.conditions))
     return Cohort(
         records=new_records,
         condition_names=list(cohort.condition_names),
@@ -259,15 +262,18 @@ class EncodedBatch:
 def token_ids(cohort, vocab):
     """(ids, lengths): every visit's token id, record after record, as one
     flat int64 array, and each record's visit count. An out-of-vocabulary
-    visit raises a ValueError that names its record."""
+    visit raises a ValueError that names its record. Each record costs one
+    Python step; its visits are looked up in a C-level pass."""
     records = cohort.records
-    ids = [vocab.token_of(v) for rec in records for v in rec.visits]
-    if None in ids:
+    lengths = np.fromiter(map(len, (rec.visits for rec in records)), np.int64,
+                          len(records))
+    ids = np.fromiter(map(vocab._by_key.get, map(frozenset, chain.from_iterable(
+        rec.visits for rec in records)), repeat(-1)), np.int64, lengths.sum())
+    if (ids < 0).any():
         rec = next(r for r in records if not all(v in vocab for v in r.visits))
         raise ValueError(f"record {rec.id!r} has an out-of-vocabulary visit; "
                          "preprocess the cohort first (replace_rare_visits)")
-    lengths = np.array([len(rec.visits) for rec in records], dtype=np.int64)
-    return np.array(ids, dtype=np.int64), lengths
+    return ids, lengths
 
 
 def encode_cohort(cohort, vocab, t_max):
@@ -275,7 +281,8 @@ def encode_cohort(cohort, vocab, t_max):
 
     Sequences longer than ``t_max`` are truncated; the mask marks real steps
     including the EOS slot. The ids come from ``token_ids``, so every visit,
-    kept or truncated, must be in the vocabulary.
+    kept or truncated, must be in the vocabulary. Past ``token_ids``, the
+    only per-record step gathers the condition tuples, at most K long each.
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
@@ -288,9 +295,10 @@ def encode_cohort(cohort, vocab, t_max):
     tokens[np.arange(n), kept] = vocab.eos_id
     mask = (step <= kept[:, None]).astype(float)
     conds = np.zeros((n, K))
-    for i, rec in enumerate(cohort.records):
-        if rec.conditions:
-            conds[i, : len(rec.conditions)] = rec.conditions
+    given = np.fromiter(map(len, (r.conditions for r in cohort.records)),
+                        np.int64, n)
+    conds[np.arange(K) < given[:, None]] = np.fromiter(chain.from_iterable(
+        r.conditions for r in cohort.records), float, given.sum())
     return EncodedBatch(tokens=tokens, mask=mask, conditions=conds)
 
 
@@ -371,7 +379,7 @@ def load_cohort(path):
         index = {name: k for k, name in enumerate(names)}
         if len(index) < len(names):
             raise ValueError("the header lists a condition name twice")
-        out = []
+        out, seen = [], {}  # seen: one frozenset per distinct visit
         for row in rows:
             cond = [0] * len(names)
             for name in row.get("conditions", []):
@@ -381,6 +389,7 @@ def load_cohort(path):
                 cond[index[name]] = 1
             out.append(PatientRecord(
                 id=row["id"], conditions=tuple(cond),
-                visits=tuple(frozenset(v) for v in row["visits"])))
+                visits=tuple(seen.setdefault(v, v)
+                             for v in map(frozenset, row["visits"]))))
         return Cohort(records=out, condition_names=list(names), vocab=vocab)
 

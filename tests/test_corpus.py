@@ -152,6 +152,14 @@ class TestRareReplacement:
         kept = replace_rare_visits(cohort, build_visit_vocab(cohort, 50))
         assert [kept.extra[k] for k in keys] == [0, 0, 0, None]
         assert all(x is y for x, y in zip(kept.records, cohort.records))
+        for kind in (tuple, list):  # visits given as other iterables of codes
+            given = Cohort([PatientRecord(r.id, tuple(map(kind, r.visits)))
+                            for r in cohort.records], [])
+            got = replace_rare_visits(given, out.vocab)
+            assert got.extra == out.extra
+            assert [tuple(map(frozenset, r.visits)) for r in got.records] == [
+                r.visits for r in out.records]
+            assert got.records[0] is given.records[0]
 
 
 def random_vocab(rng, alphabet, n_entries):
@@ -315,6 +323,13 @@ class TestEncoding:
         pytest.param([PatientRecord("p0", (frozenset({"a"}),) * 3, (1, 1)),
                       PatientRecord("p1", (frozenset({"b", "c"}),), (0, 1))],
                      ["x", "background"], 2, id="conditions"),
+        pytest.param([PatientRecord("none", (frozenset({"a"}),), ()),
+                      PatientRecord("short", (frozenset({"d"}),), (1,)),
+                      PatientRecord("full", (frozenset({"a"}),), (0, 1, 1))],
+                     ["x", "y", "background"], 2, id="ragged conditions"),
+        pytest.param([PatientRecord("p0", (("a",), ["c", "b"], ("d",))),
+                      PatientRecord("p1", (["b", "c"], ("c", "b")))],
+                     [], 3, id="tuple and list visits"),
     ])
     def test_matches_the_per_record_loop(self, records, names, t_max):
         vocab = small_vocab()
@@ -419,6 +434,15 @@ class TestDiskRoundTrip:
                                               seed=1))
         assert "vocab" not in json.loads(open(path).readline())["meta"]
         assert load_cohort(path).vocab is None
+
+    def test_equal_visits_share_one_object(self, tmp_path):
+        """Loading keeps one frozenset per distinct visit of the file."""
+        path = tmp_path / "c.jsonl"
+        save_cohort(path, Cohort(tiny_records(), []))
+        p0, p1, p2, p3 = (r.visits for r in load_cohort(path).records)
+        assert p0[0] is p1[0] is p3[1] == frozenset({"a"})
+        assert p0[1] is p1[1] is p2[0] == frozenset({"b", "c"})
+        assert p1[2] is p3[0] == frozenset({"d"})
 
     def test_cohort_without_conditions(self, tmp_path):
         path = tmp_path / "c.jsonl"
