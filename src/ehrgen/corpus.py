@@ -297,6 +297,10 @@ def encode_cohort(cohort, vocab, t_max):
     conds = np.zeros((n, K))
     given = np.fromiter(map(len, (r.conditions for r in cohort.records)),
                         np.int64, n)
+    if np.any(given > K):
+        rec = cohort.records[int(np.argmax(given > K))]
+        raise ValueError(f"record {rec.id!r} has {len(rec.conditions)} conditions, "
+                         f"but the cohort names {K}")
     conds[np.arange(K) < given[:, None]] = np.fromiter(chain.from_iterable(
         r.conditions for r in cohort.records), float, given.sum())
     return EncodedBatch(tokens=tokens, mask=mask, conditions=conds)

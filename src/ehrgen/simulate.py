@@ -14,9 +14,10 @@ component that generated it.
 The spec stores each transition row as the builder draws it: one shared
 probability over a home block (one of ``condition_groups``) plus a few
 entries that override it or lie outside it, so it grows with G and not
-with G^2. The cohort walk, all records one step at a time, spreads a
-visited (component, group) state's row out once and keeps its cumulative
-form over the nonzero entries.
+with G^2. The cohort walk moves all records one step at a time in
+whole-array steps: a step lays out the rows of the (component, group)
+states first reached at it, a slab per home block, as CDFs in one flat
+store, and draws every live record's successor in one binary search.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .corpus import BACKGROUND, Cohort, PatientRecord
 
-_SLAB = 64  # dense rows the spec builder lays out at once
+_SLAB = 64  # rows the spec builder and the walk lay out at once
 
 
 @dataclass
@@ -115,14 +116,100 @@ def _inside_home(spec):
     return member[spec.home[..., None], spec.entry_group]
 
 
-def _row(spec, blocks, k, g):
-    """Row g of component k's transition matrix, over all G groups;
-    ``blocks`` holds ``condition_groups`` as index arrays."""
-    row = np.zeros(spec.n_groups + 1)  # the last slot takes the padding
-    if spec.home[k, g] >= 0:
-        row[blocks[spec.home[k, g]]] = spec.home_prob[k, g]
-    row[spec.entry_group[k, g]] = spec.entry_prob[k, g]
-    return row[:-1]
+def _lay_out_rows(spec, cols, inside, k, g, p, ids):
+    """Write rows g of components k, whose home block is the ascending
+    ``cols``, into ``p`` and their successor groups into ``ids``, both
+    (R, m + E) views; ``inside`` marks the rows' entries in the block.
+
+    A row is its block share on ``cols`` with its in-block entries written
+    over it, merged in ascending group order with its other entries; the
+    padding and in-block entry slots end the row as zero columns.
+    """
+    G, E = spec.n_groups, spec.entry_group.shape[2]
+    eg, ep = spec.entry_group[k, g], spec.entry_prob[k, g]
+    out = np.where(inside | (eg < 0), G, eg)  # the outside entries; G sorts last
+    order = out.argsort(axis=1)
+    out, out_p = (np.take_along_axis(out, order, axis=1),
+                  np.take_along_axis(np.where(out < G, ep, 0.0), order, axis=1))
+    # an outside entry's column: the block groups below it plus its rank
+    is_entry = np.zeros(p.shape, dtype=bool)
+    np.put_along_axis(is_entry, cols.searchsorted(out) + np.arange(E), True, axis=1)
+    p[:] = spec.home_prob[k, g][:, None]
+    p[is_entry], ids[is_entry] = out_p.ravel(), np.minimum(out, G - 1).ravel()
+    ids[~is_entry] = np.tile(cols, len(k))
+    # an in-block entry's column: its block rank plus the outside entries below it
+    r, e = inside.nonzero()
+    at = cols.searchsorted(eg[r, e]) + (out[r] < eg[r, e, None]).sum(axis=1)
+    p[r, at] = ep[r, e]
+
+
+class _WalkCdfs:
+    """The CDFs of the walk's visited (component, group) states, in one
+    flat store.
+
+    State k * (G + 1) + 1 + g is group g of component k; k * (G + 1) is its
+    start. A built state's CDF is ``cdf[first[s]:]``, ``widths[home[s]]``
+    long, over the successor groups in ``succ`` beside it. It is the plain
+    cumulative sum of the row in ascending group order: a zero column adds
+    an exact 0.0, so it equals the dense row's cumulative sum wherever the
+    row is nonzero. Its last column is inf, so a uniform past the row's
+    total takes group G - 1. The store grows in place (``resize``, a
+    realloc), so it is never held twice; no view of it outlives a call.
+    """
+
+    def __init__(self, spec):
+        K, G, E = spec.n_conditions, spec.n_groups, spec.entry_group.shape[2]
+        self.spec, self.inside = spec, _inside_home(spec)
+        # each state's home block: K for a start, -1 for a general row
+        self.home = np.hstack([np.full((K, 1), K), spec.home]).ravel()
+        # home block b's groups; K, a start row's (all); -1, a general row's
+        self.cols = [np.array(sorted(set(b)), dtype=np.int32) for b in spec.condition_groups]
+        self.cols += [np.arange(G, dtype=np.int32), np.arange(0, dtype=np.int32)]
+        self.widths = np.array([c.size + E + 1 for c in self.cols])
+        self.widths[K] = G + 1  # a start row is initial[k], with no entries
+        self.first = np.full(K * (G + 1), -1)
+        self.cdf, self.succ = np.empty(0), np.empty(0, dtype=np.int32)
+
+    def _add(self, states):
+        """Build the CDFs of ``states`` (distinct, none built yet), _SLAB
+        rows of one home block at a time."""
+        spec, K, G = self.spec, self.spec.n_conditions, self.spec.n_groups
+        k, g = np.divmod(states, G + 1)
+        g -= 1
+        home, used = self.home[states], self.cdf.size
+        self.cdf.resize(used + self.widths[home].sum(), refcheck=False)
+        self.succ.resize(self.cdf.size, refcheck=False)
+        for h in sorted(set(home.tolist())):
+            at, w = np.flatnonzero(home == h), self.widths[h]
+            for lo in range(0, at.size, _SLAB):
+                rows = at[lo:lo + _SLAB]
+                self.first[states[rows]] = used + w * np.arange(rows.size)
+                cdf = self.cdf[used:used + w * rows.size].reshape(rows.size, w)
+                succ = self.succ[used:used + w * rows.size].reshape(rows.size, w)
+                if h == K:
+                    cdf[:, :-1], succ[:, :-1] = spec.initial[k[rows]], self.cols[K]
+                else:
+                    _lay_out_rows(spec, self.cols[h], self.inside[k[rows], g[rows]],
+                                  k[rows], g[rows], cdf[:, :-1], succ[:, :-1])
+                np.cumsum(cdf[:, :-1], axis=1, out=cdf[:, :-1])
+                cdf[:, -1], succ[:, -1] = np.inf, G - 1
+                used += w * rows.size
+
+    def draw(self, states, u):
+        """Each state's successor group for its uniform: the group at
+        ``searchsorted(cdf, u, side="right")`` on the state's CDF, for all
+        states in one binary search."""
+        reached = np.zeros(self.first.size, dtype=bool)
+        reached[states] = True
+        new = np.flatnonzero(reached & (self.first < 0))
+        if new.size:
+            self._add(new)
+        lo, n = self.first[states], self.widths[self.home[states]]
+        while (n > 1).any():  # the first column above u is in [lo, lo + n]
+            half = n // 2
+            lo += half * (self.cdf[lo + half] <= u)
+            n -= half
+        return self.succ[lo + (self.cdf[lo] <= u)]
 
 
 def default_toy_spec(
@@ -196,42 +283,29 @@ def default_toy_spec(
 def simulate_toy_cohort(spec, seed):
     """Draw a cohort from the spec; byte-identical for identical seeds.
 
-    Each record draws its component, length and uniforms in turn; then all
-    records walk together, a step at a time, and the records in one
-    (component, group) state take one ``searchsorted`` on that state's CDF.
-    A visited state's CDF is built once, from its row's block share and
-    entries, over the row's nonzero groups in ascending order.
+    Each record draws its mixture uniform, length and visit uniforms in
+    turn; then all records walk together, a step at a time. A step builds
+    the CDFs of the states first reached at it, a slab of rows per home
+    block at once, and draws every live record's successor in one binary
+    search over them (``_WalkCdfs``).
     """
     _validate_spec(spec)
     rng = np.random.default_rng(seed)
     K, G, N = spec.n_conditions, spec.n_groups, spec.n_records
-    mix_cdf = np.cumsum(spec.mixture_weights)
-    comps, lengths = np.empty(N, dtype=np.intp), np.empty(N, dtype=np.intp)
+    mix_u, lengths = np.empty(N), np.empty(N, dtype=np.intp)
     u = np.zeros((spec.len_max, N))
     for i in range(N):
-        comps[i] = min(np.searchsorted(mix_cdf, rng.random(), side="right"), K - 1)
+        mix_u[i] = rng.random()
         T = lengths[i] = rng.integers(spec.len_min, spec.len_max + 1)
         u[:T, i] = rng.random(T)
+    mix_cdf = np.cumsum(spec.mixture_weights)
+    comps = np.minimum(mix_cdf.searchsorted(mix_u, side="right"), K - 1)
 
-    # state k * (G + 1) + 1 + g is group g of component k; + 0 is its start
-    state = comps * (G + 1)
+    cdfs, state = _WalkCdfs(spec), comps * (G + 1)
     groups = np.zeros((spec.len_max, N), dtype=np.intp)
-    cdfs, blocks = {}, [np.array(b, dtype=np.intp) for b in spec.condition_groups]
     for t, (u_t, g_t) in enumerate(zip(u, groups)):
         live = np.flatnonzero(lengths > t)
-        live = live[np.argsort(state[live])]
-        keys, starts = np.unique(state[live], return_index=True)
-        ends = starts[1:].tolist() + [live.size]
-        for key, a, b in zip(keys.tolist(), starts.tolist(), ends):
-            if key not in cdfs:  # a CDF over the nonzero entries only: equal to
-                # the dense one there, exactly; a uniform past its end takes G - 1
-                k, g = divmod(key, G + 1)
-                p = _row(spec, blocks, k, g - 1) if g else spec.initial[k]
-                support = p.nonzero()[0]
-                cdfs[key] = p[support].cumsum(), np.append(support, G - 1)
-            cdf, successors = cdfs[key]
-            members = live[a:b]
-            g_t[members] = successors[cdf.searchsorted(u_t[members], side="right")]
+        g_t[live] = cdfs.draw(state[live], u_t[live])
         state[live] = comps[live] * (G + 1) + 1 + g_t[live]
 
     visit_sets = [frozenset(codes) for codes in spec.group_codes]

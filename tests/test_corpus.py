@@ -375,6 +375,13 @@ class TestEncoding:
         batch = encode_cohort(Cohort(recs, ["x", "y", "background"]), vocab, t_max=1)
         np.testing.assert_array_equal(batch.conditions, [[1.0, 0.0, 1.0]])
 
+    def test_more_conditions_than_names_raises_with_patient_id(self):
+        vocab = small_vocab()
+        recs = [PatientRecord("fine", (frozenset({"a"}),), conditions=(1, 1)),
+                PatientRecord("too-many", (frozenset({"a"}),), conditions=(1, 0, 1))]
+        with pytest.raises(ValueError, match="'too-many' has 3 conditions.* names 2"):
+            encode_cohort(Cohort(recs, ["x", "background"]), vocab, t_max=1)
+
     def test_take_subsets_rows(self):
         cohort = Cohort(tiny_records(), [])
         vocab = build_visit_vocab(cohort, max_size=10)

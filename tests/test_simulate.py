@@ -13,6 +13,7 @@ import pytest
 from ehrgen.corpus import visit_key
 from ehrgen.simulate import (
     ToyCorpusSpec,
+    _WalkCdfs,
     analytic_group_unigram,
     condition_codes,
     default_toy_spec,
@@ -44,6 +45,38 @@ def two_group_spec(n_records=500, len_min=4, len_max=4):
         len_min=len_min,
         len_max=len_max,
     )
+
+
+def mixed_rows_spec(n_records=300):
+    """Hand-built 6-group spec whose component 0 mixes home rows, given an
+    unsorted block, with general (home -1) rows: row 0 removes block member
+    2 with an entry of probability 0 and jumps to groups 0 and 5 outside its
+    block; row 2 overrides a member; row 5 jumps to group 2, which lies
+    between its block's groups; background row 0 has an outside entry of
+    probability 0."""
+    third = 1.0 / 3.0
+    entries = [  # (home, home_prob, [(group, probability), ...]) per row
+        [(0, 0.3, [(2, 0.0), (5, 0.2), (0, 0.2)]), (-1, 0.0, [(4, 0.5), (1, 0.5)]),
+         (1, 0.25, [(5, 0.5)]), (0, third, []), (-1, 0.0, [(3, 1.0)]),
+         (1, 0.2, [(2, 0.4)])],
+        [(1, third, [(3, 0.0)])] + [(1, third, [])] * 5,
+    ]
+    home, home_prob = np.full((2, 6), -1), np.zeros((2, 6))
+    entry_group, entry_prob = np.full((2, 6, 3), -1), np.zeros((2, 6, 3))
+    for k, rows in enumerate(entries):
+        for g, (h, share, row) in enumerate(rows):
+            home[k, g], home_prob[k, g] = h, share
+            for e, (j, q) in enumerate(row):
+                entry_group[k, g, e], entry_prob[k, g, e] = j, q
+    return ToyCorpusSpec(
+        n_records=n_records, condition_names=["cond_0", "background"],
+        group_codes=tuple((f"g{g}",) for g in range(6)),
+        condition_groups=((3, 1, 2), (0, 4, 5)),
+        home=home, home_prob=home_prob, entry_group=entry_group,
+        entry_prob=entry_prob,
+        initial=np.array([[0.0, 0.5, 0.0, 0.5, 0.0, 0.0],
+                          [0.5, 0.0, 0.0, 0.0, 0.25, 0.25]]),
+        mixture_weights=np.array([0.5, 0.5]), len_min=3, len_max=8)
 
 
 class TestSpecValidation:
@@ -186,8 +219,13 @@ class TestStepWalk:
         (lambda: two_group_spec(), 5),
         (lambda: default_toy_spec(len_min=1, len_max=1), 6),
         (lambda: default_toy_spec(n_records=1), 7),
+        (lambda: default_toy_spec(n_records=300, background_groups=400,
+                                  groups_per_condition=400), 11),
+        (lambda: default_toy_spec(n_records=300, background_groups=400,
+                                  groups_per_condition=400), 12),
+        (lambda: mixed_rows_spec(), 13),
     ], ids=["default-1", "default-2", "100-groups", "len-max-64", "two-group",
-            "one-visit", "one-record"])
+            "one-visit", "one-record", "wide-11", "wide-12", "mixed-rows"])
     def test_matches_looped_walk(self, make, seed):
         spec = make()
         got, want = simulate_toy_cohort(spec, seed), looped_toy_cohort(spec, seed)
@@ -195,12 +233,31 @@ class TestStepWalk:
         assert [(r.id, r.visits, r.conditions) for r in got.records] == \
             [(r.id, r.visits, r.conditions) for r in want.records]
 
+    @pytest.mark.parametrize("make", [mixed_rows_spec, two_group_spec,
+                                      lambda: default_toy_spec(n_records=1)],
+                             ids=["mixed-rows", "two-group", "default"])
+    def test_draw_is_searchsorted_on_the_dense_row(self, make):
+        """Every state's draw, for uniforms at 0, at and around each
+        cumulative value, and at and past the row's total, is the dense
+        row's ``searchsorted(side="right")``, capped at group G - 1."""
+        spec = make()
+        K, G = spec.n_conditions, spec.n_groups
+        dense = np.concatenate([spec.initial[:, None], dense_transition(spec)], axis=1)
+        cdfs = np.cumsum(dense, axis=2).reshape(K * (G + 1), G)
+        us = [np.concatenate([c, np.nextafter(c, 0), np.nextafter(c, 2), [0.0, 1.0, 2.0]])
+              for c in cdfs]
+        want = [np.minimum(c.searchsorted(u, side="right"), G - 1) for c, u in zip(cdfs, us)]
+        states = np.repeat(np.arange(K * (G + 1)), [u.size for u in us])
+        got = _WalkCdfs(spec).draw(states, np.concatenate(us))
+        np.testing.assert_array_equal(got, np.concatenate(want))
+
     def test_spec_and_walk_hold_no_dense_table(self):
         """Building the spec and walking it, at 400 groups per block (the
         benchmark's wide shape), peaks below a twentieth of the dense
         (K, G, G) float64 table: neither holds that table, nor one G x G
-        slice of it. The walk keeps one CDF per visited state, so the
-        cohort is kept small."""
+        slice of it. The walk keeps each visited state's CDF, over its
+        block and entries only, and its successor ids in one flat store
+        until it ends, so the cohort is kept small."""
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
