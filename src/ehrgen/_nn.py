@@ -3,10 +3,13 @@
 Everything runs in float64. Each forward function returns ``(output, cache)``
 and has a matching ``*_backward`` that returns the input gradient; a layer
 with parameters takes ``(cache, grads, upstream)`` and adds its parameter
-gradients into ``grads``, a tree shaped like the parameters. Parameter sets
-are plain dicts of named arrays; a ``Layout`` maps such a dict onto one flat
-vector, so optimizers, clipping, checkpoints and backward passes (through
-``Layout.views`` of a zeroed vector) treat every network as a single array.
+gradients into ``grads``, a tree shaped like the parameters. The one
+exception is ``lstm_forward`` called with ``keep_cache=False``, as
+evaluation calls it: it keeps no per-step arrays and returns None for its
+cache. Parameter sets are plain dicts of named arrays; a ``Layout`` maps
+such a dict onto one flat vector, so optimizers, clipping, checkpoints and
+backward passes (through ``Layout.views`` of a zeroed vector) treat every
+network as a single array.
 """
 
 from __future__ import annotations
@@ -141,7 +144,7 @@ def _live_order(mask):
     return np.argsort(-n, kind="stable"), live.sum(axis=0)
 
 
-def lstm_forward(params, x, mask):
+def lstm_forward(params, x, mask, *, keep_cache=True):
     """Run an LSTM over ``x`` (B, L, E) with a 0/1 step mask (B, L).
 
     Each row's unmasked steps must form one contiguous run, and the runs
@@ -156,7 +159,8 @@ def lstm_forward(params, x, mask):
     prefix only, so the cost scales with the number of unmasked steps, not
     with B * L.
 
-    Returns (h_seq (B, L, H), h_last (B, H), cache).
+    Returns (h_seq (B, L, H), h_last (B, H), cache). With ``keep_cache``
+    false the cache is None, and each step's gates are freed at the next.
     """
     order, counts = _live_order(mask)
     B, L, _ = x.shape
@@ -176,10 +180,11 @@ def lstm_forward(params, x, mask):
         c[:n] = f * c_prev + i * g
         tc = np.tanh(c[:n])
         h[:n] = o * tc
-        steps.append((h_prev, c_prev, i, f, g, o, tc))
+        if keep_cache:
+            steps.append((h_prev, c_prev, i, f, g, o, tc))
         h_seq[:, t] = h
     inv = np.argsort(order)
-    cache = (params, xs, order, counts, steps)
+    cache = (params, xs, order, counts, steps) if keep_cache else None
     return h_seq[inv], h[inv], cache
 
 
@@ -309,6 +314,7 @@ def gated_backward(cache, dout):
 # ---------------------------------------------------------------------------
 
 POSITION_BUDGET = 4096  # rows x padded width of one bounded forward pass
+STEP_CHUNK = 256  # positions through a V-wide head at once
 
 
 def row_chunks(n, width):

@@ -7,10 +7,12 @@ position t therefore depends on z and on tokens t-1 down to t-s only, where
 
     s = (kernel - 1) * sum(dilations) + 1.
 
-All forward passes return caches so the hand-written backward passes can
-add exact decoder-parameter gradients into a caller's tree and return those
-for z. The likelihood runs the stack per length bucket, cut to the bucket's
-longest record, and the V-wide head and cross-entropy on live positions only.
+The training forward passes return caches so the hand-written backward
+passes can add exact decoder-parameter gradients into a caller's tree and
+return those for z; ``sequence_log_likelihood`` and ``_stack`` called with
+``keep_cache=False`` (held-out scoring) keep none, and sampling keeps none.
+The likelihood runs the stack per length bucket, cut to the bucket's longest
+record, and the V-wide head and cross-entropy on live positions only.
 """
 
 from __future__ import annotations
@@ -113,8 +115,10 @@ def _latent_context_backward(cfg, cache, grads, dctx):
                               dseed.reshape(z_shape[0], -1))
 
 
-def _stack(params, cfg, z, tokens):
-    """Hidden states (B, T, C) below the vocabulary head, and their cache."""
+def _stack(params, cfg, z, tokens, *, keep_cache=True):
+    """Hidden states (B, T, C) below the vocabulary head, and their cache;
+    with ``keep_cache`` false, None, and each conv layer's arrays are freed
+    as the next one runs."""
     z = np.atleast_2d(np.asarray(z, dtype=float))
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
@@ -123,6 +127,8 @@ def _stack(params, cfg, z, tokens):
     if T > cfg.seq_len:
         raise ValueError("sequence longer than configured maximum")
     ctx, cache_ctx = _latent_context(params, cfg, z, T)
+    if not keep_cache:
+        del cache_ctx  # the upsampling caches go before the conv layers run
     emb, cache_emb = _nn.embedding(params["emb"], tokens[:, :-1])
     x = np.empty((z.shape[0], T, cfg.channels))
     x[:, 0] = params["bos"]
@@ -133,8 +139,9 @@ def _stack(params, cfg, z, tokens):
         pre, c_conv = _nn.causal_conv1d(params[f"conv{i}"], h, d)
         act, c_g = _nn.gated(pre)
         h = h + act
-        conv_caches.append((c_conv, c_g))
-    return h, (cache_ctx, cache_emb, conv_caches)
+        if keep_cache:
+            conv_caches.append((c_conv, c_g))
+    return h, (cache_ctx, cache_emb, conv_caches) if keep_cache else None
 
 
 def _stack_backward(cfg, cache, grads, dh):
@@ -162,14 +169,18 @@ def decode_logits(params, cfg, z, tokens):
     return _nn.dense(params["head"], _stack(params, cfg, z, tokens)[0])
 
 
-def sequence_log_likelihood(params, cfg, z, tokens, mask):
+def sequence_log_likelihood(params, cfg, z, tokens, mask, *,
+                            keep_cache=True):
     """ln p(tokens | z) per record, each position weighted by ``mask``.
     Returns (ll (B,), cache). The rows, sorted by last live column, run the
     stack in equal-row buckets, one per ``_BUCKET_COLUMNS`` columns of the
     longest row, each cut, its latent context included, after its last live
     column; only the live positions (mask != 0) go through the head and the
     cross-entropy. The cache holds the buckets, the live indices, the head
-    cache and logit gradient."""
+    cache and logit gradient. With ``keep_cache`` false the cache is None,
+    no bucket keeps its stack's arrays, and the head and cross-entropy run
+    on ``_nn.STEP_CHUNK`` live positions at a time, so no (live, V) array
+    is made."""
     z = np.atleast_2d(np.asarray(z, dtype=float))
     tokens = np.asarray(tokens)
     mask = np.asarray(mask, dtype=float)
@@ -181,13 +192,22 @@ def sequence_log_likelihood(params, cfg, z, tokens, mask):
             order, math.ceil(reach.max() / _BUCKET_COLUMNS))):
         width = reach[rows[-1]]
         h[rows, :width], cache = _stack(params, cfg, z[rows],
-                                        tokens[rows, :width])
-        buckets.append((rows, width, cache))
+                                        tokens[rows, :width],
+                                        keep_cache=keep_cache)
+        if keep_cache:
+            buckets.append((rows, width, cache))
     live = np.nonzero(mask)
+    ll = np.zeros(mask.shape)
+    if not keep_cache:
+        for a in range(0, len(live[0]), _nn.STEP_CHUNK):
+            at = tuple(ix[a:a + _nn.STEP_CHUNK] for ix in live)
+            # one expression, so a slice's logits are gone before the next's
+            ll[at] = _nn.softmax_xent(_nn.dense(params["head"], h[at])[0],
+                                      tokens[at])[0] * mask[at]
+        return ll.sum(axis=1), None
     logits, cache_head = _nn.dense(params["head"], h[live])
     picked, dlogits = _nn.softmax_xent(logits, tokens[live])
     dlogits *= mask[live][:, None]
-    ll = np.zeros(mask.shape)
     ll[live] = picked * mask[live]
     return ll.sum(axis=1), (buckets, live, cache_head, dlogits)
 

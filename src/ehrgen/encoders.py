@@ -70,22 +70,26 @@ def init_sequence_encoder(vocab_size, embed_dim, hidden, out_dim, rng):
     }
 
 
-def encode_sequence(params, tokens, mask):
+def encode_sequence(params, tokens, mask, *, keep_cache=True):
     """Diagonal Gaussian from the concatenated final states of both
-    directions. Masked (PAD) positions never influence the output."""
+    directions, and its cache (None with ``keep_cache`` false). Masked
+    (PAD) positions never influence the output."""
     mask = np.asarray(mask, dtype=float)
     if np.any(mask.sum(axis=-1) < 1):
         raise ValueError("sequence encoder needs at least one unmasked step")
     emb, emb_cache = _nn.embedding(params["emb"], tokens)
-    _, h_f, cache_f = _nn.lstm_forward(params["fwd"], emb, mask)
+    _, h_f, cache_f = _nn.lstm_forward(params["fwd"], emb, mask,
+                                       keep_cache=keep_cache)
     emb_rev = emb[:, ::-1]
     mask_rev = mask[:, ::-1]
-    _, h_b, cache_b = _nn.lstm_forward(params["bwd"], emb_rev, mask_rev)
+    _, h_b, cache_b = _nn.lstm_forward(params["bwd"], emb_rev, mask_rev,
+                                       keep_cache=keep_cache)
     pooled = np.concatenate([h_f, h_b], axis=1)
     mean, cache_m = _nn.dense(params["head_mean"], pooled)
     pre, cache_v = _nn.dense(params["head_var"], pooled)
     var = _nn.softplus(pre) + VAR_FLOOR
-    cache = (emb_cache, cache_f, cache_b, cache_m, cache_v, pre)
+    cache = ((emb_cache, cache_f, cache_b, cache_m, cache_v, pre)
+             if keep_cache else None)
     return DiagGaussian(mean, var), cache
 
 

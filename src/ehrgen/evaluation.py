@@ -151,7 +151,8 @@ def _sum_and_var(table, n):
 def avg_jaccard_counts(cohort):
     """(value, n_used, n_skipped): value is the mean over records of the
     mean consecutive-visit Jaccard similarity; records with a single visit
-    are skipped."""
+    are skipped. Each distinct pair of consecutive visits is scored once."""
+    sim = {}  # (visit, next visit) -> their Jaccard similarity
     per_record = []
     skipped = 0
     for rec in cohort.records:
@@ -159,8 +160,12 @@ def avg_jaccard_counts(cohort):
             skipped += 1
             continue
         sims = []
-        for a, b in zip(rec.visits, rec.visits[1:]):
-            sims.append(len(a & b) / len(a | b))
+        for pair in zip(rec.visits, rec.visits[1:]):
+            s = sim.get(pair)
+            if s is None:
+                a, b = pair
+                s = sim[pair] = len(a & b) / len(a | b)
+            sims.append(s)
         per_record.append(float(np.mean(sims)))
     if not per_record:
         raise ValueError("no records with at least two visits")
@@ -204,7 +209,7 @@ def split_cohort(cohort, seed=0):
 # next-visit predictor (downstream utility proxy)
 # ---------------------------------------------------------------------------
 
-_STEP_CHUNK = 256  # prediction steps through the V-wide head at once
+_STEP_CHUNK = _nn.STEP_CHUNK  # prediction steps through the V-wide head
 
 
 PREDICTOR_HIDDEN = 64
@@ -250,10 +255,12 @@ def _code_axis(vocab):
     return tuple(codes), np.array(members, dtype=np.int64)
 
 
-def _predictor_states(params, batch):
-    """LSTM states (B, T, H) and the (embedding, LSTM) caches."""
+def _predictor_states(params, batch, *, keep_cache=True):
+    """LSTM states (B, T, H) and the (embedding, LSTM) caches; the LSTM's
+    is None with ``keep_cache`` false."""
     emb, c_emb = _nn.embedding(params["emb"], batch.tokens)
-    h_seq, _, c_lstm = _nn.lstm_forward(params["lstm"], emb, batch.mask)
+    h_seq, _, c_lstm = _nn.lstm_forward(params["lstm"], emb, batch.mask,
+                                        keep_cache=keep_cache)
     return h_seq, (c_emb, c_lstm)
 
 
@@ -323,7 +330,10 @@ def topk_recall(predictor, cohort, k):
     and the top-k on ``_STEP_CHUNK`` of their steps at a time, so memory
     grows neither with the test cohort nor with its records' length; the
     per-step ratios are kept and averaged in one ``np.mean``, as one pass
-    would."""
+    would. One chunk holds its records' padded tokens and LSTM states,
+    one step's gates at a time (the LSTM keeps no backward cache), and the
+    states of its prediction steps; one slice of those steps holds their
+    (steps, V) probabilities and (steps, codes) scores."""
     if k < 1:
         raise ValueError("k must be >= 1")
     vocab = predictor.vocab
@@ -341,9 +351,10 @@ def topk_recall(predictor, cohort, k):
     for rows in _nn.row_chunks(len(batch), t_max + 1):
         chunk = batch.take(rows)
         live, nxt = _visit_targets(chunk, vocab)
-        # one expression: the LSTM caches and padded states are gone before
-        # the next chunk's are made
-        h_live = _predictor_states(predictor.params, chunk)[0][:, :-1][live]
+        # one expression: the padded states are gone before the next
+        # chunk's are made
+        h_live = _predictor_states(predictor.params, chunk,
+                                   keep_cache=False)[0][:, :-1][live]
         for a in range(0, len(nxt), _STEP_CHUNK):
             at = slice(a, a + _STEP_CHUNK)
             logits = _nn.dense(predictor.params["head"], h_live[at])[0]
@@ -421,8 +432,13 @@ def elbo_holdout(model, cohort):
 
     Records are scored in ``_nn.row_chunks``, as many at a time as fit
     ``_nn.POSITION_BUDGET`` positions at the model's padded width, so
-    memory grows neither with the held-out cohort nor with ``t_max``. An
-    ``evac`` model needs the cohort's condition columns to be its own."""
+    memory grows neither with the held-out cohort nor with ``t_max``. The
+    forward passes keep no backward caches, so one chunk holds its records'
+    padded tokens, the encoders' arrays for one LSTM step at a time, the
+    decoder's (rows, T, C) states, one length bucket's arrays for one
+    upsampling or conv layer at a time, and the head's logits over
+    ``_nn.STEP_CHUNK`` live positions at a time. An ``evac`` model needs
+    the cohort's condition columns to be its own."""
     if not cohort.records:
         raise ValueError("cannot score an empty cohort")
     names = tuple(cohort.condition_names)
@@ -441,7 +457,8 @@ def _holdout_score(model, snapshot, batch):
     q = encode_posteriors(model, model.phi, batch)
     q_z = q.cols(model.local_slices[0])
     recon, _ = sequence_log_likelihood(
-        snapshot["theta"], model.dec_cfg, q_z.mean, batch.tokens, batch.mask)
+        snapshot["theta"], model.dec_cfg, q_z.mean, batch.tokens, batch.mask,
+        keep_cache=False)
     score = float(recon.sum())
     if model.variant == "eva":
         score -= kl_diag_gaussians(q_z, 0.0, 1.0)

@@ -151,14 +151,17 @@ def _layouts(*fields):
 
 
 def encode_posteriors(parts, phi, batch):
-    """Variational posterior over all locals (no caches); used at eval.
-    Its columns are ``parts.local_slices``: z, then w and b for evac."""
-    return posterior_with_caches(parts, phi, batch)[0]["q"]
+    """Variational posterior over all locals; used at eval, so the sequence
+    expert keeps no caches. Its columns are ``parts.local_slices``: z, then
+    w and b for evac."""
+    return posterior_with_caches(parts, phi, batch, keep_cache=False)[0]["q"]
 
 
-def posterior_with_caches(parts, phi, batch):
-    """The fused posterior ``q`` and each expert's, and their caches."""
-    q_seq, c_seq = encode_sequence(phi["seq"], batch.tokens, batch.mask)
+def posterior_with_caches(parts, phi, batch, *, keep_cache=True):
+    """The fused posterior ``q`` and each expert's, and their caches; the
+    sequence expert's is None with ``keep_cache`` false."""
+    q_seq, c_seq = encode_sequence(phi["seq"], batch.tokens, batch.mask,
+                                   keep_cache=keep_cache)
     if parts.variant == "eva":
         return {"q": q_seq, "q_seq": q_seq}, c_seq, None
     q_cond, c_cond = encode_conditions(phi["cond"], batch.conditions)

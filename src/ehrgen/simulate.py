@@ -49,7 +49,7 @@ class ToyCorpusSpec:
     n_records: int
     condition_names: list
     group_codes: tuple  # per group: sorted tuple of code strings
-    condition_groups: tuple  # per condition: tuple of group indices
+    condition_groups: tuple  # per condition: tuple of distinct group indices
     home: np.ndarray  # (K, G) int
     home_prob: np.ndarray  # (K, G)
     entry_group: np.ndarray  # (K, G, E) int
@@ -80,6 +80,8 @@ def _validate_spec(spec):
         raise ValueError("condition_groups must hold one group block per condition")
     if not all(0 <= g < G for block in spec.condition_groups for g in block):
         raise ValueError("condition_groups must name groups 0 .. G - 1")
+    if any(len(set(block)) < len(block) for block in spec.condition_groups):
+        raise ValueError("a condition_groups block names a group twice")
     if (np.any((spec.home < -1) | (spec.home >= K))
             or np.any((spec.entry_group < -1) | (spec.entry_group >= G))):
         raise ValueError("home blocks and entry groups must be in range, or -1")

@@ -440,6 +440,21 @@ def dict_pearson_marginal(a, b):
     return float(np.corrcoef(va, vb)[0, 1])
 
 
+def looped_avg_jaccard_counts(cohort):
+    """Reference for ``avg_jaccard_counts``: every consecutive pair of
+    every record scored afresh."""
+    per_record = []
+    skipped = 0
+    for rec in cohort.records:
+        if len(rec.visits) < 2:
+            skipped += 1
+            continue
+        sims = [len(a & b) / len(a | b)
+                for a, b in zip(rec.visits, rec.visits[1:])]
+        per_record.append(float(np.mean(sims)))
+    return float(np.mean(per_record)), len(per_record), skipped
+
+
 def _full_width_forward(params, batch):
     emb, c_emb = _nn.embedding(params["emb"], batch.tokens)
     h_seq, _, c_lstm = _nn.lstm_forward(params["lstm"], emb, batch.mask)

@@ -241,6 +241,35 @@ class TestLivePositions:
             mask[0, 41:] = 0.0
         self.assert_matches_full_width(params, z, tokens, mask, cfg=self.LONG)
 
+    @pytest.mark.parametrize("shape", ["wide", "long"])
+    def test_cache_free_ll_bit_identical(self, shape):
+        """``keep_cache=False`` keeps no cache and runs the head on
+        ``_nn.STEP_CHUNK`` live positions at a time: here two or more
+        slices, none of one row, give the one-pass ll bit for bit."""
+        cfg = self.WIDE if shape == "wide" else self.LONG
+        _, params, z, tokens, mask = (self.wide_case(27) if shape == "wide"
+                                      else self.ragged_case(27, cfg))
+        live = np.count_nonzero(mask)
+        chunk = decoder._nn.STEP_CHUNK
+        assert live > chunk and live % chunk != 1
+        ll, _ = sequence_log_likelihood(params, cfg, z, tokens, mask)
+        free, cache = sequence_log_likelihood(params, cfg, z, tokens, mask,
+                                              keep_cache=False)
+        np.testing.assert_array_equal(free, ll)
+        assert cache is None
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_head_slices_match_one_pass(self, chunk, monkeypatch):
+        """A one-row slice runs the head as a BLAS matrix-vector product,
+        not a matrix product, so its last bits may differ; slices of 1 and
+        3 positions stay within 1e-12 of the one-pass ll."""
+        _, params, z, tokens, mask = self.wide_case(28)
+        ll, _ = sequence_log_likelihood(params, self.WIDE, z, tokens, mask)
+        monkeypatch.setattr(decoder._nn, "STEP_CHUNK", chunk)
+        free, _ = sequence_log_likelihood(params, self.WIDE, z, tokens, mask,
+                                          keep_cache=False)
+        assert rel_err(free, ll) < 1e-12
+
     def test_stack_runs_per_length_bucket(self, monkeypatch):
         """Every row runs in exactly one bucket, cut to the bucket's last
         live column, so the stack computes fewer positions than B * T."""
@@ -250,9 +279,9 @@ class TestLivePositions:
         calls = []
         stack = decoder._stack
 
-        def spy(p, cfg, zb, tb):
+        def spy(p, cfg, zb, tb, **kwargs):
             calls.append(([row_of[v] for v in zb[:, 0]], tb.shape[1]))
-            return stack(p, cfg, zb, tb)
+            return stack(p, cfg, zb, tb, **kwargs)
 
         monkeypatch.setattr(decoder, "_stack", spy)
         ll_and_grads(params, self.LONG, z, tokens, mask, zero_grads(params))

@@ -39,6 +39,7 @@ from ehrgen.evaluation import (
     train_next_visit_predictor,
     unique_token_ratio,
 )
+from ehrgen.model import posterior_with_caches
 from ehrgen.simulate import default_toy_spec, simulate_toy_cohort
 from ehrgen.trainer import TrainConfig, train
 
@@ -47,6 +48,7 @@ from oracles import (
     dict_independent_bigram_baseline,
     dict_pearson_marginal,
     full_width_predictor_params,
+    looped_avg_jaccard_counts,
     looped_topk_recall,
     rel_err,
     unchunked_elbo_holdout,
@@ -208,6 +210,20 @@ class TestDiversity:
         assert (value, used, skipped) == (1.0, 1, 1)
         with pytest.raises(ValueError):
             avg_jaccard_counts(Cohort([recs[1]], []))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_jaccard_matches_looped_oracle(self, seed):
+        """Simulated records repeat their visits and visit pairs; records
+        of one visit are mixed in, and equal visits that are distinct
+        objects; the value and both counts equal the loop's."""
+        spec = default_toy_spec(n_records=300, len_min=1, len_max=12)
+        records = simulate_toy_cohort(spec, seed=seed).records
+        copies = [PatientRecord(f"{r.id}-copy",
+                                tuple(frozenset(v) for v in r.visits))
+                  for r in records[:50]]
+        cohort = Cohort(records + copies, [])
+        assert any(len(r.visits) == 1 for r in cohort.records)
+        assert avg_jaccard_counts(cohort) == looped_avg_jaccard_counts(cohort)
 
     def test_unique_token_ratio(self):
         rep = PatientRecord("p", (frozenset({"a"}), frozenset({"b"}),
@@ -854,6 +870,60 @@ def test_elbo_holdout_memory_does_not_grow_with_t_max():
                       condition_names=tuple(cohort.condition_names),
                       dec_cfg=DecoderConfig(t_max=t_max, channels=8))
         peaks.append(_traced_peak(elbo_holdout, model, cohort))
+    assert peaks[1] < 1.5 * peaks[0]
+
+
+def test_elbo_holdout_keeps_no_backward_caches():
+    """An ``evac`` model at the gate's shapes (t_max 16, C 48, LSTM hidden
+    64, latent 16) scores 240 held-out records, one chunk: ``elbo_holdout``
+    peaks under 0.6 times the caching encoder pass over the same records
+    alone, which a scorer that keeps the per-step LSTM and the conv-layer
+    caches exceeds."""
+    cohort = simulate_toy_cohort(default_toy_spec(n_records=400), seed=5)
+    vocab = build_visit_vocab(cohort, max_size=128)
+    cfg = TrainConfig(variant="evac", latent_dim=16, n_iters=1, minibatch=32,
+                      hidden=64, burn_in=0, thin=1, reservoir_size=1, seed=0)
+    model = train(cfg, encode_cohort(cohort, vocab, 16), vocab,
+                  condition_names=tuple(cohort.condition_names))
+    holdout = replace_rare_visits(simulate_toy_cohort(
+        default_toy_spec(n_records=240), seed=6), vocab)
+    batch = encode_cohort(holdout, model.vocab, model.dec_cfg.t_max)
+    assert len(list(_nn.row_chunks(len(batch), model.dec_cfg.seq_len))) == 1
+    caching = _traced_peak(posterior_with_caches, model, model.phi, batch)
+    assert _traced_peak(elbo_holdout, model, holdout) < 0.6 * caching
+
+
+def test_topk_recall_keeps_no_backward_caches(recall_rig):
+    """240 test records, one chunk: ``topk_recall`` peaks under 0.6 times
+    the caching predictor LSTM over the same records alone, which a pass
+    that keeps the per-step LSTM caches exceeds."""
+    pred, cohort = recall_rig
+    test_part = Cohort([r for r in cohort.records if len(r.visits) >= 2][:240],
+                       cohort.condition_names, vocab=cohort.vocab)
+    width = max(len(r.visits) for r in test_part.records) + 1
+    assert _nn.POSITION_BUDGET // width >= 240
+    batch = encode_cohort(test_part, cohort.vocab, width - 1)
+    caching = _traced_peak(evaluation._predictor_states, pred.params, batch)
+    assert _traced_peak(topk_recall, pred, test_part, 5) < 0.6 * caching
+
+
+def test_elbo_holdout_head_memory_does_not_grow_with_live_positions():
+    """At V 3,000 the head and cross-entropy run on ``_nn.STEP_CHUNK`` live
+    positions at a time, so 4N held-out records in one chunk peak under
+    1.5 times N; one pass over a chunk's live positions made two (live, V)
+    arrays and about 3.7 times."""
+    real = _wide_cohort(2000, seed=7, n_types=3000, n_codes=6000)
+    vocab = build_visit_vocab(real, max_size=3000)
+    assert vocab.size > 2500
+    cfg = TrainConfig(latent_dim=4, n_iters=1, minibatch=8, hidden=8,
+                      burn_in=0, thin=1, reservoir_size=1, seed=0)
+    batch = encode_cohort(replace_rare_visits(real, vocab), vocab, 8)
+    model = train(cfg, batch, vocab, dec_cfg=DecoderConfig(t_max=8,
+                                                           channels=8))
+    holdout = replace_rare_visits(_wide_cohort(160, seed=8, n_types=3000,
+                                               n_codes=6000), vocab)
+    peaks = [_traced_peak(elbo_holdout, model, _first(holdout, n))
+             for n in (40, 160)]
     assert peaks[1] < 1.5 * peaks[0]
 
 

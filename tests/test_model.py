@@ -8,7 +8,8 @@ import pytest
 from ehrgen import _nn
 from ehrgen.corpus import build_visit_vocab, encode_cohort
 from ehrgen.decoder import DecoderConfig
-from ehrgen.model import CHECKPOINT_VERSION, TrainedModel
+from ehrgen.model import (CHECKPOINT_VERSION, TrainedModel, encode_posteriors,
+                          posterior_with_caches)
 from ehrgen.simulate import default_toy_spec, simulate_toy_cohort
 from ehrgen.trainer import TrainConfig, train
 
@@ -44,6 +45,25 @@ def rewrite(path, edit):
     edit(meta, arrays)
     with open(path, "wb") as fh:
         np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
+
+
+@pytest.mark.parametrize("variant", ["eva", "evac"])
+def test_encode_posteriors_is_the_cached_posterior(variant):
+    """The posterior that evaluation computes without caches equals,
+    bit for bit, the one training computes with them, on records of
+    two to four visits."""
+    model = quick_model(variant)
+    spec = default_toy_spec(n_records=10, background_groups=3,
+                            groups_per_condition=2, len_min=2, len_max=4)
+    batch = encode_cohort(simulate_toy_cohort(spec, seed=0), model.vocab,
+                          t_max=4)
+    q = encode_posteriors(model, model.phi, batch)
+    qs, c_seq, _ = posterior_with_caches(model, model.phi, batch)
+    np.testing.assert_array_equal(q.mean, qs["q"].mean)
+    np.testing.assert_array_equal(q.var, qs["q"].var)
+    assert c_seq is not None
+    assert posterior_with_caches(model, model.phi, batch,
+                                 keep_cache=False)[1] is None
 
 
 class TestReservoirAccess:

@@ -167,6 +167,21 @@ class TestActiveRowLstm:
             assert rel_err(grads[key], ref_grads[key]) < 1e-12, key
         assert rel_err(dx, ref_dx) < 1e-12
 
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_cache_free_forward_bit_identical(self, case):
+        """``keep_cache=False`` returns the same states, bit for bit, and
+        no cache, under prefix and suffix masks."""
+        mask = self.CASES[case]
+        rng = np.random.default_rng(23)
+        params = _nn.lstm_init(rng, 3, 4)
+        x = rng.standard_normal(mask.shape + (3,))
+        h_seq, h_last, _ = _nn.lstm_forward(params, x, mask)
+        free_seq, free_last, cache = _nn.lstm_forward(params, x, mask,
+                                                      keep_cache=False)
+        np.testing.assert_array_equal(free_seq, h_seq)
+        np.testing.assert_array_equal(free_last, h_last)
+        assert cache is None
+
     def test_row_without_live_steps_stays_zero(self):
         """An all-masked row keeps h = c = 0 and adds nothing to the grads."""
         rng = np.random.default_rng(21)

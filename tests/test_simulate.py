@@ -160,6 +160,21 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="condition_groups"):
             simulate_toy_cohort(spec, seed=0)
 
+    def test_block_naming_a_group_twice_rejected(self):
+        """Block (0, 0, 1) with home share 1/3 sums to 1 only by counting
+        group 0 twice, but the walk puts the share on it once; the missing
+        third would go to group 3, which lies in no block."""
+        spec = ToyCorpusSpec(
+            n_records=20, condition_names=["background"],
+            group_codes=tuple((f"g{g}",) for g in range(4)),
+            condition_groups=((0, 0, 1),), home=np.zeros((1, 4), dtype=int),
+            home_prob=np.full((1, 4), 1.0 / 3.0),
+            entry_group=np.full((1, 4, 1), -1), entry_prob=np.zeros((1, 4, 1)),
+            initial=np.array([[1.0, 0.0, 0.0, 0.0]]),
+            mixture_weights=np.array([1.0]), len_min=2, len_max=2)
+        with pytest.raises(ValueError, match="twice"):
+            simulate_toy_cohort(spec, seed=0)
+
 
 class TestDraws:
     def test_same_seed_same_cohort(self):
